@@ -14,9 +14,7 @@ from .scattering import (PrefixStats, Scattering, UniformityReport,
                          build_scattering, embed_diagram, iota_embed,
                          is_subsequence, orbit_size, verify_scattering,
                          weyl_orbit)
-from .search import (FaceDescriptor, QueryResult, cosine_nearest,
-                     expand_neighbors, locate_face, nearest_center,
-                     round_in_face)
+from .search import QueryResult, cosine_nearest, nearest_center
 
 __version__ = "0.1.0"
 
@@ -31,7 +29,6 @@ __all__ = [
     "PrefixStats", "Scattering", "UniformityReport", "build_scattering",
     "embed_diagram", "iota_embed", "is_subsequence", "orbit_size",
     "verify_scattering", "weyl_orbit",
-    "FaceDescriptor", "QueryResult", "cosine_nearest", "expand_neighbors",
-    "locate_face", "nearest_center", "round_in_face",
+    "QueryResult", "cosine_nearest", "nearest_center",
     "__version__",
 ]

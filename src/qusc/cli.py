@@ -8,11 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import COSINE, EUCLIDEAN, YoungDiagram
 from .formats import FORMATS, read_scattering, write_scattering
@@ -118,12 +116,7 @@ def cmd_query(args) -> int:
             return cosine_nearest(q, s, args.k)
         return nearest_center(q, s, args.k, args.metric)
 
-    workers = int(os.environ.get("QUSC_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, queries))
-    else:
-        results = [run(q) for q in queries]
+    results = [run(q) for q in queries]
 
     failed = False
     for q, res in zip(queries, results):

@@ -2,42 +2,24 @@
 centers the scattering holds.
 
 Pipeline for a euclidean query: reduce to the dominant cone by a stable
-descending sort, clamp the query onto each prefix-tight face of the polytope,
-collect every dominant center inside the implied search balls, expand the
-Weyl orbits of those candidates under a shrinking distance bound, then undo
-the sort and rank.  The candidate set provably contains the k nearest
-centers (ties included), so the final ranking agrees with a full scan.
+descending sort, project the query exactly onto a two-block permutahedron
+containing each prefix-tight face of the polytope (one isotonic regression
+per block), collect every dominant center inside the implied search balls,
+expand the Weyl orbits of those candidates under a shrinking distance bound,
+then undo the sort and rank.  The candidate set provably contains the k
+nearest centers (ties included), so the final ranking agrees with a full
+scan.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import (BOUNDARY, COSINE, EUCLIDEAN, ScaledPoint, YoungDiagram,
-                   check_metric, dominant_sort, membership)
+from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric, dominant_sort
 from .scattering import Scattering
-
-
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A face of the weight polytope given by its tight prefix-sum indices
-    (1-based, subset of 1..n) and the lattice scale living on it."""
-
-    tight: tuple[int, ...]
-    level: int = 0
-
-    def __post_init__(self):
-        tight = tuple(sorted(int(j) for j in self.tight))
-        object.__setattr__(self, "tight", tight)
-        if not tight:
-            raise ValueError("a boundary face needs at least one tight index")
-        if tight[0] < 1 or len(set(tight)) != len(tight):
-            raise ValueError(f"bad tight index set {tight}")
 
 
 @dataclass(frozen=True)
@@ -101,178 +83,21 @@ def _pava_nonincreasing(x: Sequence[float]) -> list[float]:
     return out
 
 
-def _project_tight(x: Sequence[float], tights: Sequence[int], caps: Sequence[float]):
-    """Projection onto the affine space where the given prefix sums (1-based)
-    and the total are pinned to the diagram's values."""
-    d = len(caps)
-    bounds = list(tights) + [d]
-    out: list[float] = []
-    start, prev_cap = 0, 0.0
-    for b in bounds:
-        seg = x[start:b]
-        shift = ((caps[b - 1] - prev_cap) - sum(seg)) / len(seg)
-        out.extend(v + shift for v in seg)
-        prev_cap = caps[b - 1]
-        start = b
-    return out
+def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
+    """Nearest point to the sorted query g of P(rows[:j]) x P(rows[j:]), the
+    product of the permutahedra of the two row blocks split at prefix j.
 
-
-def _face_violation(x, caps, j, tol):
-    run = 0.0
-    worst = 0.0
-    for i, v in enumerate(x):
-        if i + 1 < len(x):
-            worst = max(worst, x[i + 1] - v)
-        run += v
-        if i < len(caps) - 1:
-            worst = max(worst, run - caps[i])
-        if i + 1 == j:
-            worst = max(worst, abs(run - caps[j - 1]))
-    worst = max(worst, abs(run - caps[-1]))
-    return worst <= tol
-
-
-def _snap_active_set(g, x, j, capsf, tol):
-    """Exact projection of g onto the affine hull of the constraints that the
-    iterate x holds (nearly) tight: pinned prefixes split the vector into
-    blocks, equal runs inside a block share their mean, and each block gets a
-    uniform shift to meet its sum.  Returns None when the snapped point is
-    infeasible or strays from the iterate."""
-    d = len(capsf)
-    tights = []
-    run = 0.0
-    for i in range(1, d):
-        run += x[i - 1]
-        if i == j or run >= capsf[i - 1] - tol:
-            tights.append(i)
-    out: list[float] = []
-    start, prev_cap = 0, 0.0
-    for b in tights + [d]:
-        seg = g[start:b]
-        xseg = x[start:b]
-        shift = ((capsf[b - 1] - prev_cap) - sum(seg)) / len(seg)
-        rs = 0
-        for t in range(1, len(xseg) + 1):
-            if t == len(xseg) or xseg[t] < xseg[t - 1] - tol:
-                mean = sum(seg[rs:t]) / (t - rs) + shift
-                out.extend([mean] * (t - rs))
-                rs = t
-        start, prev_cap = b, capsf[b - 1]
-    feas_tol = 1e-9 * (1.0 + abs(capsf[-1]))
-    run = 0.0
-    for i in range(d - 1):
-        if out[i + 1] > out[i] + feas_tol:
-            return None
-        run += out[i]
-        if run > capsf[i] + feas_tol:
-            return None
-    return out
-
-
-def _dual_feasible(g, x, j, capsf, tol):
-    """KKT certificate that x is THE projection of g onto the face polytope:
-    the residual g - x must decompose over the active constraint normals with
-    the right multiplier signs (prefix-cap multipliers nonnegative, equal-run
-    multipliers with nonnegative prefix sums, the pinned prefixes free)."""
-    d = len(capsf)
-    r = [a - b for a, b in zip(g, x)]
-    tights = []
-    run = 0.0
-    for i in range(1, d):
-        run += x[i - 1]
-        if i == j or run >= capsf[i - 1] - tol:
-            tights.append(i)
-    # an equal pair straddling a pinned boundary couples the multipliers;
-    # leave those rare configurations to the iterative path
-    for b in tights:
-        if x[b - 1] - x[b] <= tol:
-            return False
-    block_means = []
-    start = 0
-    for b in tights + [d]:
-        seg_r = r[start:b]
-        seg_x = x[start:b]
-        mean_of_block = None
-        pos = 0
-        while pos < len(seg_x):
-            end = pos + 1
-            while end < len(seg_x) and seg_x[end] >= seg_x[end - 1] - tol:
-                end += 1
-            mean = sum(seg_r[pos:end]) / (end - pos)
-            if mean_of_block is None:
-                mean_of_block = mean
-            elif abs(mean - mean_of_block) > tol:
-                return False
-            acc = 0.0
-            for t in range(pos, end - 1):
-                acc += mean - seg_r[t]
-                if acc < -tol:
-                    return False
-            pos = end
-        block_means.append(mean_of_block)
-        start = b
-    for idx, b in enumerate(tights):
-        if b != j and block_means[idx] - block_means[idx + 1] < -tol:
-            return False
-    return True
-
-
-def _face_clamp(g: Sequence[float], j: int, caps: Sequence[int]):
-    """Nearest point of the dominant prefix-tight face polytope, via Dykstra
-    over the affine span, the sorted cone and the majorization halfspaces,
-    finished by an exact active-set snap when one is accepted.
-
-    Returns (point, err) where err bounds how far the point may sit from the
-    true projection; callers widen their search radii accordingly.  No
-    correction vector is kept for the affine set (it provably has none in
-    Dykstra's scheme).
+    Every dominant center tight at prefix j lies in this set: each block is
+    majorized by its rows, and only the cross-block order x_j >= x_{j+1} is
+    dropped.  Projecting onto a permutahedron is one pool-adjacent-violators
+    pass on the sorted block minus its rows (Blondel et al. 2020, "Fast
+    Differentiable Sorting and Ranking"); the blocks of g are already sorted.
     """
-    capsf = [float(c) for c in caps]
-    d = len(capsf)
-    x = _project_tight(g, (j,), capsf)
-    if _face_violation(x, capsf, j, 1e-12):
-        return x, 0.0
-    others = [i for i in range(1, d) if i != j]
-    corr = [[0.0] * d for _ in range(1 + len(others))]
-    scale = 1.0 + max(abs(v) for v in g)
-    tol = 3e-6 * scale
-    tgt1, tgt2 = capsf[j - 1], capsf[-1] - capsf[j - 1]
-    moved = math.inf
-    for sweep in range(240):
-        prev = x
-        sh1 = (tgt1 - sum(x[:j])) / j
-        sh2 = (tgt2 - sum(x[j:])) / (d - j)
-        x = [v + sh1 for v in x[:j]] + [v + sh2 for v in x[j:]]
-        c0 = corr[0]
-        y = [a + b for a, b in zip(x, c0)]
-        x = _pava_nonincreasing(y)
-        corr[0] = [a - b for a, b in zip(y, x)]
-        for t, i in enumerate(others, start=1):
-            ct = corr[t]
-            y = [a + b for a, b in zip(x, ct)]
-            excess = sum(y[:i]) - capsf[i - 1]
-            if excess > 0.0:
-                step = excess / i
-                x = [v - step for v in y[:i]] + y[i:]
-                for p in range(d):
-                    ct[p] = y[p] - x[p]
-            else:
-                x = y
-                for p in range(d):
-                    ct[p] = 0.0
-        moved = max(abs(a - b) for a, b in zip(x, prev))
-        if moved < tol:
-            break
-        if sweep >= 3 and sweep % 4 == 3:
-            snap_tol = max(1e-5 * scale, 20.0 * moved)
-            snapped = _snap_active_set(g, x, j, capsf, snap_tol)
-            if snapped is not None and _dual_feasible(g, snapped, j, capsf,
-                                                      1e-7 * scale):
-                return snapped, 1e-9 * scale
-    snapped = _snap_active_set(g, x, j, capsf, max(1e-5 * scale, 20.0 * moved))
-    if snapped is not None and _dual_feasible(g, snapped, j, capsf, 1e-7 * scale):
-        return snapped, 1e-9 * scale
-    return x, 10.0 * max(moved, tol)
+    out: list[float] = []
+    for lo, hi in ((0, j), (j, len(g))):
+        v = _pava_nonincreasing([g[i] - rows[i] for i in range(lo, hi)])
+        out.extend(g[i] - vi for i, vi in zip(range(lo, hi), v))
+    return out
 
 
 # -- lattice enumeration -----------------------------------------------------
@@ -350,47 +175,6 @@ def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float)
     return out
 
 
-# -- public face operations ---------------------------------------------------
-
-def _inside_polytope(x, caps, tol):
-    q = sorted(x, reverse=True)
-    run = 0.0
-    for i in range(len(q) - 1):
-        run += q[i]
-        if run > caps[i] + tol:
-            return False
-    return True
-
-
-def locate_face(e_dom: Sequence[float], lam: YoungDiagram, level: int = 0):
-    """Iteratively project a dominant query onto nearest tight affine
-    subspaces, one equality per step, until the projection lands in the
-    closed face.  Returns the face and the projected point."""
-    d = lam.dim
-    if len(e_dom) != d:
-        raise ValueError("dimension mismatch")
-    for a, b in zip(e_dom, e_dom[1:]):
-        if a < b - 1e-9:
-            raise ValueError("query must be weakly decreasing")
-    caps = [float(c) for c in lam.prefix_sums()]
-    x = _project_tight([float(v) for v in e_dom], (), caps)
-    tight: list[int] = []
-    while True:
-        best = None
-        for j in range(1, d):
-            if j in tight:
-                continue
-            y = _project_tight(x, tuple(sorted(tight + [j])), caps)
-            dd = _sq_dist(x, y)
-            if best is None or dd < best[0]:
-                best = (dd, j, y)
-        tight.append(best[1])
-        x = best[2]
-        if len(tight) == d - 1 or _inside_polytope(x, caps, 1e-9):
-            break
-    return FaceDescriptor(tuple(sorted(tight)), level), tuple(x)
-
-
 def _round_block(vals: Sequence[float], target: int) -> list[int]:
     raw = [math.floor(v + 0.5) for v in vals]
     resid = [v - r for v, r in zip(vals, raw)]
@@ -409,91 +193,12 @@ def _round_block(vals: Sequence[float], target: int) -> list[int]:
     return raw
 
 
-def round_in_face(e_prime: Sequence[float], face: FaceDescriptor,
-                  lam: YoungDiagram, level: int | None = None) -> list[ScaledPoint]:
-    """Sum-constrained rounding of a face point to lattice candidates.
-
-    Each block between tight indices is rounded coordinate-wise and repaired
-    to its exact block sum by the largest rounding residuals; the primary
-    candidate is emitted together with its one-step in-block neighbors, and
-    everything off the boundary is filtered out.
-    """
-    lev = face.level if level is None else level
-    d = lam.dim
-    if len(e_prime) != d:
-        raise ValueError("dimension mismatch")
-    scale = 1 << lev
-    caps = [c * scale for c in lam.prefix_sums()]
-    bounds = list(face.tight) + [d]
-    vals = [v * scale for v in e_prime]
-    primary: list[int] = []
-    start, prev_cap = 0, 0
-    for b in bounds:
-        primary.extend(_round_block(vals[start:b], caps[b - 1] - prev_cap))
-        prev_cap = caps[b - 1]
-        start = b
-    variants = [tuple(primary)]
-    start = 0
-    for b in bounds:
-        for p, q in itertools.permutations(range(start, b), 2):
-            v = list(primary)
-            v[p] += 1
-            v[q] -= 1
-            variants.append(tuple(v))
-        start = b
-    out, seen = [], set()
-    for t in variants:
-        if t in seen:
-            continue
-        seen.add(t)
-        sp = ScaledPoint(t, lev)
-        if membership(sp, lam) == BOUNDARY:
-            out.append(sp)
-    return out
-
-
-def expand_neighbors(c: ScaledPoint, s: Scattering, budget: int,
-                     need: int | None = None) -> list[ScaledPoint]:
-    """Breadth-first stream of centers reachable from c by single lattice
-    steps inside the boundary, nearest rings first."""
-    if s.index_of(c) is None:
-        raise ValueError(f"{c} is not a center of the scattering")
-    level = s.levels_built
-    d = s.dim
-    out: list[ScaledPoint] = []
-    seen = {c}
-    frontier = deque([c.numerators_at(level)])
-    while frontier and len(out) < budget:
-        cur = frontier.popleft()
-        ring = []
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                t = list(cur)
-                t[i] += 1
-                t[j] -= 1
-                sp = ScaledPoint(tuple(t), level)
-                if sp not in seen and s.index_of(sp) is not None:
-                    ring.append(sp)
-                    seen.add(sp)
-        ring.sort(key=lambda p: p.numerators_at(level), reverse=True)
-        for sp in ring:
-            if len(out) >= budget:
-                break
-            out.append(sp)
-            frontier.append(sp.numerators_at(level))
-    if need is not None and len(out) < need:
-        raise RuntimeError(
-            f"neighbor expansion exhausted after {len(out)} centers, needed {need}")
-    return out
-
-
 # -- candidate assembly --------------------------------------------------------
 
 class _QueryGeometry:
     """Per-query scratch: the sorted scaled query, affine distance lower
-    bounds for every prefix-tight face, and lazily computed face clamps."""
+    bounds for every prefix-tight face, and lazily computed projections onto
+    the two-block permutahedron around each face."""
 
     def __init__(self, q, s: Scattering):
         self.dim = s.dim
@@ -513,12 +218,12 @@ class _QueryGeometry:
             d1 = self.caps[j - 1] - run
             d2 = (self.caps[-1] - self.caps[j - 1]) - (total - run)
             self.affine_d2[j] = d1 * d1 / j + d2 * d2 / (d - j)
-        self._clamps: dict[int, tuple[list[float], float, float]] = {}
+        self._clamps: dict[int, tuple[list[float], float]] = {}
 
     def clamp(self, j):
         if j not in self._clamps:
-            point, err = _face_clamp(self.gs, j, self.caps)
-            self._clamps[j] = (point, _sq_dist(self.gs, point), err)
+            point = _face_clamp(self.gs, j, self.rows)
+            self._clamps[j] = (point, _sq_dist(self.gs, point))
         return self._clamps[j]
 
     def affine_seed(self, j):
@@ -547,16 +252,19 @@ class _QueryGeometry:
     def sweep(self, total_r2, add):
         """Feed ``add`` every dominant center within sqrt(total_r2) of the
         sorted query (faces whose affine lower bound already exceeds the
-        radius are skipped without clamping).  The ball radius absorbs the
-        clamp's distance-to-projection error bound."""
+        radius are skipped without projecting).  With P the exact projection
+        onto a convex superset of face j, every center y of the face has
+        |g - y|^2 >= |g - P|^2 + |P - y|^2, so the ball of radius^2
+        total_r2 - |g - P|^2 around P is exhaustive."""
         for j in range(1, self.dim):
             if self.affine_d2[j] > total_r2:
                 continue
-            point, d2, err = self.clamp(j)
-            r2 = total_r2 - max(math.sqrt(d2) - err, 0.0) ** 2
+            point, d2 = self.clamp(j)
+            r2 = total_r2 - d2
             if r2 < 0:
                 continue
-            root = math.sqrt(r2) + math.sqrt(2.0 * (math.sqrt(d2) + 1.0) * err) + err + 1e-6
+            # slack for float rounding only
+            root = math.sqrt(r2) + 1e-6
             for t in _face_ball(self.caps, j, point, root * root):
                 add(t)
 
@@ -581,7 +289,7 @@ class _QueryGeometry:
                 add(seed)
 
         def nearest_face_d2():
-            # true clamped distance where known, affine lower bound otherwise
+            # projected distance where known, affine lower bound otherwise
             return min(self._clamps[j][1] if j in self._clamps
                        else self.affine_d2[j] for j in range(1, self.dim))
 
@@ -685,11 +393,10 @@ def _rank(q, s, indices, k, metric, examined):
     return QueryResult(hits, metric, tuple(q), examined)
 
 
-def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
-                   metric: str = EUCLIDEAN) -> QueryResult:
-    """The k nearest centers of the scattering, exactly as a full scan would
-    rank them (distance, then descending-lex point)."""
-    check_metric(metric)
+def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
+    """The query as a float tuple, after the checks every search entry point
+    shares: a nonempty scattering, a matching dimension, k >= 1, and finite
+    coordinates whose sum of squares does not overflow."""
     q = tuple(float(v) for v in e)
     if len(s) == 0:
         raise ValueError("empty scattering")
@@ -697,8 +404,21 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
         raise ValueError(f"query dim {len(q)} != scattering dim {s.dim}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not all(math.isfinite(v) for v in q):
+        raise ValueError(f"query has a non-finite coordinate: {list(q)}")
+    if not math.isfinite(sum(v * v for v in q)):
+        raise ValueError("query is too large: its sum of squares overflows")
+    return q
+
+
+def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
+                   metric: str = EUCLIDEAN) -> QueryResult:
+    """The k nearest centers of the scattering, exactly as a full scan would
+    rank them (distance, then descending-lex point)."""
+    check_metric(metric)
     if metric == COSINE:
-        return cosine_nearest(q, s, k)
+        return cosine_nearest(e, s, k)
+    q = _checked_query(e, s, k)
     if not s.is_complete():
         return _rank(q, s, range(len(s)), k, EUCLIDEAN, len(s))
     indices = _candidate_indices(q, s, k)
@@ -709,13 +429,7 @@ def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult
     """Cosine k-nearest: scale the query onto the polytope's hyperplane, run
     the euclidean pipeline with a widened radius derived from the seed
     candidates' cosine distances, re-rank everything by cosine."""
-    q = tuple(float(v) for v in e)
-    if len(s) == 0:
-        raise ValueError("empty scattering")
-    if len(q) != s.dim:
-        raise ValueError(f"query dim {len(q)} != scattering dim {s.dim}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    q = _checked_query(e, s, k)
     norm = math.sqrt(sum(v * v for v in q))
     if norm == 0.0:
         raise ValueError("cosine query must be nonzero")

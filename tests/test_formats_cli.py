@@ -139,13 +139,17 @@ class TestCliQuery:
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "a,b,c,d") == 2
 
+    def test_nonfinite_point_exit2(self, centers_file, capsys):
+        assert run_cli("query", "--centers", str(centers_file),
+                       "--point", "nan,1,1,1") == 2
+        assert "non-finite coordinate" in capsys.readouterr().err
+
     def test_missing_file_exit2(self, tmp_path):
         assert run_cli("query", "--centers", str(tmp_path / "nope.bin"),
                        "--point", "1,1,1,1") == 2
 
-    def test_thread_env(self, centers_file, monkeypatch, capsys):
+    def test_stdin_stream_keeps_order(self, centers_file, monkeypatch, capsys):
         import io
-        monkeypatch.setenv("QUSC_THREADS", "4")
         monkeypatch.setattr("sys.stdin", io.StringIO("1,1,1,1\n2,1,1,0\n"))
         assert run_cli("query", "--centers", str(centers_file)) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qusc import (FaceDescriptor, Permutation, ScaledPoint, brute_nearest,
-                  build_scattering, cosine_nearest, expand_neighbors,
-                  locate_face, nearest_center, round_in_face)
+from qusc import (Permutation, ScaledPoint, brute_nearest,
+                  build_scattering, cosine_nearest, nearest_center)
+from qusc.search import _face_clamp, _round_block
 
 
 def random_queries(rng, sc, count, top):
@@ -64,111 +65,106 @@ class TestNearestCenterExamples:
         with pytest.raises(ValueError):
             cosine_nearest((0, 0, 0, 0), s, 1)
 
-
-class TestLocateFace:
-    def test_interior_near_facet(self, diagrams):
-        lam = diagrams[(2, 1, 1)]
-        face, proj = locate_face((1.95, 0.8, 0.65, 0.6), lam)
-        assert 1 in face.tight
-
-    def test_vertex_bundle(self, diagrams):
-        lam = diagrams[(2, 1, 1)]
-        # outward from the highest-weight vertex: every prefix goes tight
-        face, proj = locate_face((4.0, 1.5, 0.5, -2.0), lam)
-        assert face.tight == (1, 2, 3)
-        assert proj == pytest.approx((2.0, 1.0, 1.0, 0.0))
-
-    def test_projection_in_face(self, diagrams):
-        lam = diagrams[(2, 1, 1)]
-        face, proj = locate_face((1.9, 1.1, 0.9, 0.1), lam)
-        caps = lam.prefix_sums()
-        run = 0.0
-        for i, v in enumerate(proj):
-            run += v
-            if i + 1 in face.tight:
-                assert run == pytest.approx(caps[i], abs=1e-9)
-        assert sum(proj) == pytest.approx(lam.boxes, abs=1e-9)
-        # fixed point of another projection pass
-        again = locate_face(tuple(sorted(proj, reverse=True)), lam)[1]
-        assert max(abs(a - b) for a, b in zip(sorted(proj, reverse=True), again)) < 1e-9
-
-    def test_requires_dominant(self, diagrams):
-        with pytest.raises(ValueError):
-            locate_face((0.0, 1.0, 2.0, 1.0), diagrams[(2, 1, 1)])
-
-    def test_at_most_rank_steps(self, diagrams):
-        for lam in diagrams.values():
-            rng = random.Random(11)
-            for _ in range(50):
-                e = sorted((rng.uniform(-2, 4) for _ in range(lam.dim)), reverse=True)
-                face, _ = locate_face(e, lam)
-                assert 1 <= len(face.tight) <= lam.rank
+    @pytest.mark.parametrize("search", [nearest_center, cosine_nearest])
+    @pytest.mark.parametrize("bad,message", [
+        (float("nan"), "non-finite"), (float("inf"), "non-finite"),
+        (-float("inf"), "non-finite"), (1e300, "overflows")])
+    def test_rejects_nonfinite_or_overflowing_query(self, scatterings, search,
+                                                    bad, message):
+        with pytest.raises(ValueError, match=message):
+            search((bad, 1.0, 1.0, 1.0), scatterings[(2, 1, 1), 1], 1)
 
 
-class TestRoundInFace:
-    def test_primary_example(self, diagrams):
-        lam = diagrams[(2, 1, 1)]
-        cands = round_in_face((2.0, 1.1, 0.9, 0.0), FaceDescriptor((1, 3)), lam)
-        assert cands[0] == ScaledPoint((2, 1, 1, 0))
-
-    def test_lattice_point_fixed(self, diagrams):
-        lam = diagrams[(2, 1, 1)]
-        cands = round_in_face((2.0, 1.0, 1.0, 0.0), FaceDescriptor((1,)), lam)
-        assert cands[0] == ScaledPoint((2, 1, 1, 0))
-
-    def test_sum_repair_decrements_largest_residual(self, diagrams):
-        from qusc.search import _round_block
-        # raw rounding gives 3 against a block sum of 2
-        assert _round_block([0.8, 0.7, 0.6], 2) == [1, 1, 0]
-        assert _round_block([0.8, 0.6, 0.7], 2) == [1, 0, 1]
-
-    def test_all_candidates_on_boundary(self, diagrams):
-        from qusc import BOUNDARY, membership
-        lam = diagrams[(3, 2, 1)]
-        cands = round_in_face((2.9, 1.6, 1.1, 0.4), FaceDescriptor((2,)), lam)
-        assert cands
-        for c in cands:
-            assert membership(c, lam) == BOUNDARY
-
-    def test_pipeline_always_yields_boundary_candidates(self, diagrams):
-        from qusc import BOUNDARY, membership
-        rng = random.Random(29)
-        for lam in diagrams.values():
-            for _ in range(40):
-                e = sorted((rng.uniform(-1, lam.rows[0] + 1.5)
-                            for _ in range(lam.dim)), reverse=True)
-                face, proj = locate_face(e, lam)
-                cands = round_in_face(proj, face, lam)
-                assert cands, (lam, e)
-                for c in cands:
-                    assert membership(c, lam) == BOUNDARY
+def test_round_block_sum_repair_decrements_largest_residual():
+    # raw rounding gives 3 against a block sum of 2
+    assert _round_block([0.8, 0.7, 0.6], 2) == [1, 1, 0]
+    assert _round_block([0.8, 0.6, 0.7], 2) == [1, 0, 1]
 
 
-class TestExpandNeighbors:
-    def test_level0_orbit_fully_reachable(self, scatterings):
-        s = scatterings[(2, 1, 1), 0]
-        start = ScaledPoint((2, 1, 1, 0))
-        out = expand_neighbors(start, s, budget=20)
-        assert len(out) == 11
-        assert set(out) == set(s.centers) - {start}
+class TestFaceProjection:
+    """_face_clamp is the exact projection onto P(rows[:j]) x P(rows[j:])."""
 
-    def test_budget_zero(self, scatterings):
-        s = scatterings[(2, 1, 1), 0]
-        assert expand_neighbors(ScaledPoint((2, 1, 1, 0)), s, 0) == []
+    CASES = [(rows, level) for rows in ((2, 1, 1), (3, 2, 1), (2, 2, 1, 1))
+             for level in (0, 1, 2)]
 
-    def test_need_raises(self, scatterings):
-        s = scatterings[(2, 1, 1), 0]
-        with pytest.raises(RuntimeError):
-            expand_neighbors(ScaledPoint((2, 1, 1, 0)), s, budget=100, need=50)
+    @staticmethod
+    def queries(rows, level, count):
+        rng = random.Random(hash((rows, level)) & 0xFFFF)
+        scale = 1 << level
+        d = len(rows) + 1
+        return [sorted((rng.uniform(-2.0, rows[0] + 2.0) * scale
+                        for _ in range(d)), reverse=True)
+                for _ in range(count)]
 
-    def test_not_a_center(self, scatterings):
-        with pytest.raises(ValueError):
-            expand_neighbors(ScaledPoint((9, 9, 9, 9)), scatterings[(2, 1, 1), 0], 5)
+    @staticmethod
+    def blocks(rows, j):
+        return ((0, j, rows[:j]), (j, len(rows), rows[j:]))
 
-    def test_cross_level_steps(self, scatterings):
-        s = scatterings[(2, 1, 1), 1]
-        out = expand_neighbors(ScaledPoint((2, 1, 1, 0)), s, budget=len(s))
-        assert len(out) == len(s) - 1
+    @pytest.mark.parametrize("rows,level", CASES)
+    def test_blocks_majorized_with_exact_sums(self, rows, level, diagrams):
+        lam = diagrams[rows]
+        scaled = [r << level for r in lam.rows]
+        for g in self.queries(rows, level, 40):
+            for j in range(1, lam.dim):
+                p = _face_clamp(g, j, scaled)
+                tol = 1e-9 * (1.0 + max(abs(v) for v in g))
+                for lo, hi, w in self.blocks(scaled, j):
+                    block = sorted(p[lo:hi], reverse=True)
+                    assert sum(block) == pytest.approx(sum(w), abs=tol)
+                    for t in range(1, len(w)):
+                        assert sum(block[:t]) <= sum(w[:t]) + tol
+
+    @pytest.mark.parametrize("rows,level", CASES)
+    def test_pythagoras_against_tight_centers(self, rows, level, diagrams,
+                                              scatterings):
+        lam = diagrams[rows]
+        scaled = [r << level for r in lam.rows]
+        caps = [c << level for c in lam.prefix_sums()]
+        dominant = [t for t in (c.numerators_at(level)
+                                for c in scatterings[rows, level].centers)
+                    if list(t) == sorted(t, reverse=True)]
+        for g in self.queries(rows, level, 15):
+            g2 = sum(v * v for v in g)
+            for j in range(1, lam.dim):
+                p = _face_clamp(g, j, scaled)
+                gp = sum((a - b) ** 2 for a, b in zip(g, p))
+                tight = [y for y in dominant if sum(y[:j]) == caps[j - 1]]
+                assert tight
+                for y in tight:
+                    gy = sum((a - b) ** 2 for a, b in zip(g, y))
+                    py = sum((a - b) ** 2 for a, b in zip(p, y))
+                    assert gy >= gp + py - 1e-9 * (1.0 + g2), (g, j, y)
+
+    @pytest.mark.parametrize("rows,level", CASES)
+    def test_matches_slsqp(self, rows, level, diagrams):
+        optimize = pytest.importorskip("scipy.optimize")
+        lam = diagrams[rows]
+        scaled = [r << level for r in lam.rows]
+        for g in self.queries(rows, level, 8):
+            for j in range(1, lam.dim):
+                # permutahedron of each block: every subset sum is capped by
+                # the sum of that many largest rows, the whole block is pinned
+                cons = []
+                for lo, hi, w in self.blocks(scaled, j):
+                    idx = range(lo, hi)
+                    for size in range(1, len(w) + 1):
+                        cap = sum(w[:size])
+                        for sub in itertools.combinations(idx, size):
+                            cons.append({
+                                "type": "eq" if size == len(w) else "ineq",
+                                "fun": lambda x, sub=sub, cap=cap:
+                                    cap - sum(x[i] for i in sub)})
+                # start from the feasible point of block means
+                x0 = [sum(w) / len(w) for _, _, w in self.blocks(scaled, j)
+                      for _ in w]
+                ref = optimize.minimize(
+                    lambda x: sum((a - b) ** 2 for a, b in zip(x, g)) / 2,
+                    x0=x0, jac=lambda x: [a - b for a, b in zip(x, g)],
+                    constraints=cons, method="SLSQP",
+                    options={"ftol": 1e-12, "maxiter": 1000})
+                assert ref.success, ref.message
+                got = _face_clamp(g, j, scaled)
+                assert got == pytest.approx(list(ref.x), abs=1e-7), (g, j)
 
 
 class TestCosine:
@@ -212,6 +208,14 @@ class TestOracleAgreement:
             for k in (1, 4):
                 assert nearest_center(e, s, k).indices == \
                     brute_nearest(e, s, k).indices, (e, k)
+
+    def test_far_query_k16_deep_codebook(self, diagrams):
+        # the face clamp's error bound once let center 282 (17.70124) stand
+        # in for center 27050 (17.70020) as the 16th nearest here
+        s = build_scattering(diagrams[(2, 2, 1, 1)], 4)
+        e = [13.58707455302201, 6.069870277068644, 10.756373117827165,
+             -8.644369932955826, 0.9486219919613392]
+        assert nearest_center(e, s, 16).indices == brute_nearest(e, s, 16).indices
 
     @given(e=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
                       min_size=4, max_size=4))
