@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 
-from .core import COSINE, EUCLIDEAN, YoungDiagram
+from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
+                   distance, sq_euclidean)
 from .formats import FORMATS, read_scattering, write_scattering
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          iota_embed, verify_scattering)
@@ -76,17 +76,7 @@ def cmd_generate(args) -> int:
 
 def _spot_check(q, result, s: Scattering, k: int, metric: str) -> bool:
     """Embedded oracle: full scan, tie-normalized index-set comparison."""
-    dists = []
-    for i, c in enumerate(s.centers):
-        vals = c.values()
-        if metric == EUCLIDEAN:
-            d = math.dist(q, vals)
-        else:
-            na = math.sqrt(sum(x * x for x in q))
-            nb = math.sqrt(sum(y * y for y in vals))
-            d = 1.0 - sum(x * y for x, y in zip(q, vals)) / (na * nb)
-            d = d if d > 0.0 else 0.0
-        dists.append(d)
+    dists = [distance(q, c.values(), metric) for c in s.centers]
     order = sorted(range(len(dists)), key=lambda i: dists[i])
     kk = min(k, len(order))
     tau = dists[order[kk - 1]]
@@ -189,6 +179,7 @@ def cmd_bench(args) -> int:
         levels = [int(t) for t in args.levels.split(",")]
     except ValueError:
         raise InputError(f"cannot parse levels list {args.levels!r}")
+    kernel = cosine_distance if args.metric == COSINE else sq_euclidean
     rng = random.Random(args.seed)
     print("levels,centers,structured_ms,brute_ms,mean_candidates")
     for lv in levels:
@@ -199,21 +190,14 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         candidates = 0
         for q in queries:
-            res = nearest_center(q, s, args.k)
+            res = nearest_center(q, s, args.k, args.metric)
             candidates += res.candidates_examined
         structured = (time.perf_counter() - t0) / len(queries)
 
         flat = [c.values() for c in s.centers]
         t0 = time.perf_counter()
         for q in queries:
-            best = None
-            for i, vals in enumerate(flat):
-                acc = 0.0
-                for x, y in zip(q, vals):
-                    dd = x - y
-                    acc += dd * dd
-                if best is None or acc < best[0]:
-                    best = (acc, i)
+            min((kernel(q, vals), i) for i, vals in enumerate(flat))
         brute = (time.perf_counter() - t0) / len(queries)
         print(f"{lv},{len(s)},{structured * 1e3:.4f},{brute * 1e3:.4f},"
               f"{candidates / len(queries):.1f}")
@@ -265,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--levels", required=True, help="comma-separated level counts")
     b.add_argument("--queries", type=int, default=200)
     b.add_argument("--k", type=int, default=1)
+    b.add_argument("--metric", choices=(EUCLIDEAN, COSINE), default=EUCLIDEAN)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench)
     return ap

@@ -235,11 +235,21 @@ def distance(a: Sequence[float], b: Sequence[float], metric: str = EUCLIDEAN) ->
         raise ValueError("length mismatch")
     check_metric(metric)
     if metric == EUCLIDEAN:
-        acc = 0.0
-        for x, y in zip(a, b):
-            d = x - y
-            acc += d * d
-        return math.sqrt(acc)
+        return math.sqrt(sq_euclidean(a, b))
+    return cosine_distance(a, b)
+
+
+def sq_euclidean(a: Sequence[float], b: Sequence[float]) -> float:
+    """Squared euclidean distance, summed left to right."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        acc += d * d
+    return acc
+
+
+def cosine_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """1 - cos(a, b), clamped at 0."""
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(y * y for y in b))
     if na == 0.0 or nb == 0.0:

@@ -64,7 +64,7 @@ class Scattering:
         # corrupt inputs may repeat a point; verification diagnoses that, and
         # queries on such a sequence fall back to a full scan
         self.has_duplicates = len(self.index) != len(self.centers)
-        self._norm_range = None
+        self._dominants = None
 
     def __len__(self):
         return len(self.centers)
@@ -80,12 +80,17 @@ class Scattering:
         bounds = list(self.level_offsets) + [len(self.centers)]
         return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
 
-    def norm_range(self) -> tuple[float, float]:
-        """Min and max center norm from the origin (cached)."""
-        if self._norm_range is None:
-            norms = [math.sqrt(sum(x * x for x in c.values())) for c in self.centers]
-            self._norm_range = (min(norms), max(norms))
-        return self._norm_range
+    def dominant_table(self):
+        """The dominant centers' numerators at scale ``2**levels_built``: as
+        int tuples, as a float64 matrix, and the matrix's row norms.  Built
+        on first use (the cosine search needs it) and cached."""
+        if self._dominants is None:
+            level = self.levels_built
+            tuples = [c.numerators_at(level) for c in self.centers
+                      if c.is_dominant()]
+            mat = np.array(tuples, dtype=np.float64).reshape(-1, self.dim)
+            self._dominants = (tuples, mat, np.sqrt(np.einsum("ij,ij->i", mat, mat)))
+        return self._dominants
 
     def is_complete(self) -> bool:
         """Whether every built level carries its full set of orbit points."""

@@ -1,14 +1,21 @@
 """Exact nearest-center queries whose cost does not depend on how many
 centers the scattering holds.
 
-Pipeline for a euclidean query: reduce to the dominant cone by a stable
-descending sort, project the query exactly onto a two-block permutahedron
-containing each prefix-tight face of the polytope (one isotonic regression
-per block), collect every dominant center inside the implied search balls,
-expand the Weyl orbits of those candidates under a shrinking distance bound,
-then undo the sort and rank.  The candidate set provably contains the k
-nearest centers (ties included), so the final ranking agrees with a full
-scan.
+Every center is a coordinate permutation of a dominant (weakly decreasing)
+center, and by the rearrangement inequality the member of a Weyl orbit
+sorted like the query is the orbit's nearest one, under either metric.  A
+query is therefore sorted into the dominant cone by a stable descending
+sort, dominant representatives are ranked by their orbit's best distance,
+their orbits are expanded under a shrinking k-th best bound, and the sort
+is undone before the final ranking.
+
+Euclidean queries find their representatives geometrically: the query is
+projected exactly onto a two-block permutahedron containing each
+prefix-tight face of the polytope (one isotonic regression per block), and
+every dominant center inside the implied search balls is collected.  Cosine
+queries score the scattering's table of dominant centers in one pass.  The
+candidate set provably contains the k nearest centers (ties included), so
+the final ranking agrees with a full scan.
 """
 
 from __future__ import annotations
@@ -16,15 +23,23 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
-from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric, dominant_sort
+import numpy as np
+
+from .core import (COSINE, EUCLIDEAN, ScaledPoint, check_metric,
+                   cosine_distance, dominant_sort, sq_euclidean)
 from .scattering import Scattering
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Ranked nearest centers: (sequence index, point, distance) triples."""
+    """Ranked nearest centers: (sequence index, point, distance) triples.
+
+    ``candidates_examined`` is the number of centers ranked: the orbit
+    members the structured search kept, or every center after a full scan.
+    """
 
     hits: tuple[tuple[int, ScaledPoint, float], ...]
     metric: str
@@ -42,25 +57,6 @@ class QueryResult:
     @property
     def distances(self) -> list[float]:
         return [h[2] for h in self.hits]
-
-
-def _sq_dist(a, b) -> float:
-    acc = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        acc += d * d
-    return acc
-
-
-def _cos_dist(a, b) -> float:
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for the zero vector")
-    dot = sum(x * y for x, y in zip(a, b))
-    d = 1.0 - dot / (na * nb)
-    # parallel vectors can land an ulp below zero
-    return d if d > 0.0 else 0.0
 
 
 # -- convex geometry helpers -------------------------------------------------
@@ -176,20 +172,19 @@ def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float)
 
 
 def _round_block(vals: Sequence[float], target: int) -> list[int]:
+    """Round to integers summing to ``target``: round to nearest, shift every
+    entry by the whole part of the deficit, and step the entries with the
+    largest residuals (smallest, for a surplus) by one for the rest."""
     raw = [math.floor(v + 0.5) for v in vals]
-    resid = [v - r for v, r in zip(vals, raw)]
     delta = target - sum(raw)
-    while delta != 0:
-        if delta > 0:
-            i = max(range(len(raw)), key=lambda t: resid[t])
-            raw[i] += 1
-            resid[i] -= 1.0
-            delta -= 1
-        else:
-            i = min(range(len(raw)), key=lambda t: resid[t])
-            raw[i] -= 1
-            resid[i] += 1.0
-            delta += 1
+    if delta == 0:
+        return raw
+    step = 1 if delta > 0 else -1
+    whole, rest = divmod(abs(delta), len(raw))
+    order = sorted(range(len(raw)), key=lambda t: step * (raw[t] - vals[t]))
+    raw = [r + step * whole for r in raw]
+    for i in order[:rest]:
+        raw[i] += step
     return raw
 
 
@@ -209,7 +204,7 @@ class _QueryGeometry:
         self.gs = [v * scale for v in g]
         d = s.dim
         self.rows = tuple(r * scale for r in s.diagram.rows)
-        self.diam = math.sqrt(_sq_dist(self.rows, sorted(self.rows)))
+        self.diam = math.sqrt(sq_euclidean(self.rows, sorted(self.rows)))
         total = sum(self.gs)
         run = 0.0
         self.affine_d2 = {}
@@ -223,7 +218,7 @@ class _QueryGeometry:
     def clamp(self, j):
         if j not in self._clamps:
             point = _face_clamp(self.gs, j, self.rows)
-            self._clamps[j] = (point, _sq_dist(self.gs, point))
+            self._clamps[j] = (point, sq_euclidean(self.gs, point))
         return self._clamps[j]
 
     def affine_seed(self, j):
@@ -280,7 +275,7 @@ class _QueryGeometry:
 
         def add(t):
             if t not in dominants:
-                dominants[t] = _sq_dist(self.gs, t)
+                dominants[t] = sq_euclidean(self.gs, t)
 
         add(self.rows)
         for j in range(1, self.dim):
@@ -297,7 +292,7 @@ class _QueryGeometry:
         # radius is sqrt(d_min^2 + w^2), so face balls never exceed w and the
         # work per query stays independent of the subdivision depth
         w = math.sqrt(self.dim) / 2.0 + 0.6
-        w_cap = math.sqrt(_sq_dist(self.gs, self.rows)) + self.diam + 1.0
+        w_cap = math.sqrt(sq_euclidean(self.gs, self.rows)) + self.diam + 1.0
         while True:
             r2 = nearest_face_d2() + w * w
             self.sweep(r2, add)
@@ -306,59 +301,50 @@ class _QueryGeometry:
                 return dominants
             w *= 2.0
 
-    def collect_within(self, dominants, total_r2):
-        def add(t):
-            if t not in dominants:
-                dominants[t] = _sq_dist(self.gs, t)
 
-        self.sweep(total_r2, add)
-        return dominants
+def _widen(bound: float) -> float:
+    """A distance bound widened past the float rounding between the search's
+    distances and the final ranking's."""
+    return bound * (1.0 + 1e-9) + 1e-9
 
 
-def _pool_members(gs, dominants, k):
-    """Orbit members of the dominant candidates under a shrinking k-th best
-    distance bound; returns sorted-frame tuples."""
-    items = sorted(dominants.items(), key=lambda kv: kv[1])
+def _pool_members(gs, ranked, k, radius2, dist):
+    """Orbit members of the ranked dominant representatives under a shrinking
+    k-th best distance bound; returns sorted-frame tuples.
+
+    ``ranked`` holds (t, key) pairs in ascending key order, where key is the
+    best distance of any member of orbit(t).  ``radius2(bound, t)`` is the
+    squared euclidean radius around gs that holds every member of orbit(t)
+    within distance ``bound``, and ``dist(gs, member)`` scores one member.
+    """
     best: list[float] = []
     pool: list[tuple[int, ...]] = []
-
-    # the dominant representatives are k distinct centers on their own, so
-    # their k-th distance bounds the true k-th before any orbit is expanded
-    seed_bound = items[k - 1][1] if len(items) >= k else math.inf
-
-    def bound():
-        b = seed_bound if len(best) < k else min(seed_bound, -best[0])
-        if b == math.inf:
-            return b
-        return b * (1.0 + 1e-9) + 1e-9
-
-    for t, d2dom in items:
-        cur = bound()
-        if d2dom > cur:
+    # the best members of the first k orbits are k distinct centers, so the
+    # k-th key bounds the true k-th distance before any orbit is expanded
+    seed_bound = ranked[k - 1][1] if len(ranked) >= k else math.inf
+    for t, key in ranked:
+        cur = _widen(seed_bound if len(best) < k else min(seed_bound, -best[0]))
+        if key > cur:
             break
         # each center enters the tracker once: orbits are disjoint and
         # every dominant is expanded at most once
-        for member in _orbit_ball(gs, t, cur):
+        for member in _orbit_ball(gs, t, radius2(cur, t)):
             pool.append(member)
-            d2m = _sq_dist(gs, member)
+            dm = dist(gs, member)
             if len(best) < k:
-                heapq.heappush(best, -d2m)
-            elif d2m < -best[0]:
-                heapq.heapreplace(best, -d2m)
+                heapq.heappush(best, -dm)
+            elif dm < -best[0]:
+                heapq.heapreplace(best, -dm)
     return pool
 
 
-def _member_indices(members, geom, s):
+def _member_indices(members, perm, level, s):
     """Map sorted-frame member tuples back through the query permutation and
     look them up in the center sequence."""
-    inv = geom.perm.inverse()
+    inv = perm.inverse()
     indices = []
-    seen = set()
     for member in members:
-        if member in seen:
-            continue
-        seen.add(member)
-        sp = ScaledPoint(inv.apply(member), geom.level)
+        sp = ScaledPoint(inv.apply(member), level)
         idx = s.index_of(sp)
         if idx is None:
             raise RuntimeError(f"rounded candidate {sp} is not a center")
@@ -366,31 +352,20 @@ def _member_indices(members, geom, s):
     return indices
 
 
-def _candidate_indices(q, s, k, geom=None):
-    """Indices of centers guaranteed to contain the k nearest to q."""
-    if geom is None:
-        geom = _QueryGeometry(q, s)
-    dominants = geom.collect(k)
-    pool = _pool_members(geom.gs, dominants, k)
-    return _member_indices(pool, geom, s)
-
-
-def _rank(q, s, indices, k, metric, examined):
+def _rank(q, s, indices, k, metric):
     level = max((s.centers[i].level for i in indices), default=0)
     scored = []
     for i in indices:
         c = s.centers[i]
-        vals = c.values()
         if metric == EUCLIDEAN:
-            key = _sq_dist(q, vals)
+            key = sq_euclidean(q, c.values())
             dist = math.sqrt(key)
         else:
-            key = _cos_dist(q, vals)
-            dist = key
+            key = dist = cosine_distance(q, c.values())
         scored.append((key, tuple(-v for v in c.numerators_at(level)), i, dist))
     scored.sort()
     hits = tuple((i, s.centers[i], dist) for _, _, i, dist in scored[:k])
-    return QueryResult(hits, metric, tuple(q), examined)
+    return QueryResult(hits, metric, tuple(q), len(scored))
 
 
 def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
@@ -419,43 +394,57 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
     if metric == COSINE:
         return cosine_nearest(e, s, k)
     q = _checked_query(e, s, k)
+    # the search squares distances at the lattice scale 2**levels_built; none
+    # of those squares exceeds 64 * reach**2
+    reach = (math.hypot(*q) + math.hypot(*s.diagram.rows)) * (1 << s.levels_built)
+    if not math.isfinite(64.0 * reach * reach):
+        raise ValueError("query is too large: its sum of squares overflows "
+                         "at the scattering's scale")
     if not s.is_complete():
-        return _rank(q, s, range(len(s)), k, EUCLIDEAN, len(s))
-    indices = _candidate_indices(q, s, k)
-    return _rank(q, s, indices, k, EUCLIDEAN, len(indices))
+        return _rank(q, s, range(len(s)), k, EUCLIDEAN)
+    geom = _QueryGeometry(q, s)
+    ranked = sorted(geom.collect(k).items(), key=itemgetter(1))
+    pool = _pool_members(geom.gs, ranked, k, lambda bound, t: bound,
+                         sq_euclidean)
+    return _rank(q, s, _member_indices(pool, geom.perm, geom.level, s), k,
+                 EUCLIDEAN)
 
 
 def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult:
-    """Cosine k-nearest: scale the query onto the polytope's hyperplane, run
-    the euclidean pipeline with a widened radius derived from the seed
-    candidates' cosine distances, re-rank everything by cosine."""
+    """Cosine k-nearest, exactly as a full scan would rank them.
+
+    Every member of orbit(t) has norm |t|, and the member sorted like the
+    query has the largest inner product with it (rearrangement inequality),
+    so with g the sorted query b(t) = 1 - <g, t> / (|g| |t|) is the best
+    cosine distance in orbit(t).  The dominant centers are ranked by b in
+    one pass over the scattering's dominant table, and their orbits are
+    expanded under the shrinking k-th best bound theta: inside orbit(t),
+    d(q, sigma t) <= theta exactly when
+    |g - sigma t|^2 <= (|g| - |t|)^2 + 2 theta |g| |t|.
+    No query on a complete scattering falls back to a full scan.
+    """
     q = _checked_query(e, s, k)
-    norm = math.sqrt(sum(v * v for v in q))
-    if norm == 0.0:
+    if math.sqrt(sum(v * v for v in q)) == 0.0:
         raise ValueError("cosine query must be nonzero")
-    total = sum(q)
-    if not s.is_complete() or total <= 1e-12 * max(1.0, norm):
-        return _rank(q, s, range(len(s)), k, COSINE, len(s))
-    p = tuple(v * (s.diagram.boxes / total) for v in q)
-    geom = _QueryGeometry(p, s)
-    dominants = geom.collect(k)
-    seed_idx = _member_indices(_pool_members(geom.gs, dominants, k), geom, s)
-    seed_cos = sorted(_cos_dist(q, s.centers[i].values()) for i in seed_idx)
-    theta = seed_cos[min(k, len(seed_cos)) - 1] * (1.0 + 1e-9) + 1e-12
-    if theta >= 1.0:
-        return _rank(q, s, range(len(s)), k, COSINE, len(s))
-    # every center whose cosine distance beats theta lies within this
-    # euclidean radius of the rescaled query (triangle-area bound on the
-    # angle subtended from the origin across the polytope's hyperplane)
-    height = s.diagram.boxes / math.sqrt(s.dim)
-    max_norm = s.norm_range()[1]
-    pnorm = math.sqrt(sum(v * v for v in p))
-    rho = pnorm * max_norm * math.sqrt(2.0 * theta) / height
-    rho2_scaled = (rho * (1 << s.levels_built)) ** 2 * (1.0 + 1e-9) + 1e-9
-    geom.collect_within(dominants, rho2_scaled)
-    wide = []
-    for t, d2dom in dominants.items():
-        if d2dom <= rho2_scaled:
-            wide.extend(_orbit_ball(geom.gs, t, rho2_scaled))
-    merged = sorted(set(seed_idx) | set(_member_indices(wide, geom, s)))
-    return _rank(q, s, merged, k, COSINE, len(merged))
+    if not s.is_complete():
+        return _rank(q, s, range(len(s)), k, COSINE)
+    tuples, mat, norms = s.dominant_table()
+    g, perm = dominant_sort(q)
+    # cosine is scale-free: put the query on the sphere of the largest
+    # dominant norm, where lattice distances are well conditioned
+    top = float(norms.max())
+    gs = [v * (top / math.hypot(*g)) for v in g]
+    gn = math.hypot(*gs)
+    keys = 1.0 - (mat @ gs) / (norms * gn)
+    kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
+    # rows past the widened seed bound would end _pool_members' loop unseen
+    near = np.flatnonzero(keys <= _widen(kth))
+    near = near[np.argsort(keys[near], kind="stable")]
+    ranked = list(zip((tuples[i] for i in near), keys[near].tolist()))
+
+    def radius2(theta, t):
+        tn = math.hypot(*t)
+        return (gn - tn) ** 2 + 2.0 * theta * gn * tn
+
+    pool = _pool_members(gs, ranked, k, radius2, cosine_distance)
+    return _rank(q, s, _member_indices(pool, perm, s.levels_built, s), k, COSINE)

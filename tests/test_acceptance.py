@@ -14,6 +14,7 @@ from qusc import (INTERIOR, ScaledPoint, YoungDiagram, brute_boundary,
                   is_subsequence, membership, nearest_center,
                   verify_scattering)
 from qusc.cli import main
+from qusc.core import cosine_distance
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
 SWEEP_ROWS = [(2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]
@@ -303,3 +304,35 @@ def test_criterion_10_formats_and_exit_codes(tmp_path, capsys):
         corrupt.write_bytes(bytes(raw))
         assert main(["verify", "--centers", str(corrupt)]) == 3
         capsys.readouterr()
+
+
+def test_criterion_11_cosine_search_scaling():
+    with criterion(11, "cosine candidates flat in depth, 10x faster than a scan"):
+        lam = YoungDiagram.from_rows((3, 2, 1))
+        rng = random.Random(11)
+        # box queries and far gaussians; about half the gaussians have a
+        # nonpositive sum
+        queries = [[rng.uniform(-0.5, 3.5) for _ in range(4)] if i % 2 else
+                   [rng.gauss(0, 1) * 5 for _ in range(4)] for i in range(150)]
+
+        means = []
+        for K in (1, 2, 3):
+            s = build_scattering(lam, K)
+            tot = sum(cosine_nearest(e, s, 4).candidates_examined for e in queries)
+            means.append(tot / len(queries))
+        assert means[1] <= means[0] * 1.05 + 2.0, means
+        assert means[2] <= means[1] * 1.05 + 2.0, means
+
+        big = build_scattering(lam, 5)
+        bench = queries[:20]
+        cosine_nearest(bench[0], big, 1)  # builds the dominant table
+        t0 = time.perf_counter()
+        for e in bench:
+            cosine_nearest(e, big, 1)
+        structured = time.perf_counter() - t0
+        flat = [c.values() for c in big.centers]
+        t0 = time.perf_counter()
+        for e in bench:
+            min((cosine_distance(e, vals), i) for i, vals in enumerate(flat))
+        brute = time.perf_counter() - t0
+        assert brute >= 10.0 * structured, (structured, brute)

@@ -144,6 +144,15 @@ class TestCliQuery:
                        "--point", "nan,1,1,1") == 2
         assert "non-finite coordinate" in capsys.readouterr().err
 
+    def test_point_too_large_at_scale_exit2(self, centers_file, capsys):
+        # finite, and its sum of squares fits, but not once scaled to the
+        # level-1 lattice
+        assert run_cli("query", "--centers", str(centers_file),
+                       "--point", "1e154,3e153,-2e153,0.1") == 2
+        assert "query is too large" in capsys.readouterr().err
+        assert run_cli("query", "--centers", str(centers_file), "--metric",
+                       "cosine", "--point", "1e154,3e153,-2e153,0.1") == 0
+
     def test_missing_file_exit2(self, tmp_path):
         assert run_cli("query", "--centers", str(tmp_path / "nope.bin"),
                        "--point", "1,1,1,1") == 2
@@ -253,6 +262,16 @@ class TestCliBench:
         assert centers == sorted(centers) and centers[-1] > 4 * centers[0]
         for c in cands[1:]:
             assert c <= cands[0] * 1.5 + 1.0, cands
+
+    def test_cosine_table(self, capsys):
+        assert run_cli("bench", "--lambda", "3,2,1", "--levels", "1,3",
+                       "--queries", "40", "--k", "4", "--metric", "cosine") == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "levels,centers,structured_ms,brute_ms,mean_candidates"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[1]) for r in rows] == [122, 1922]
+        for r in rows:
+            assert float(r[4]) < 10.0, rows
 
     def test_bad_levels_exit2(self):
         assert run_cli("bench", "--lambda", "2,1,1", "--levels", "x") == 2

@@ -81,6 +81,35 @@ def test_round_block_sum_repair_decrements_largest_residual():
     assert _round_block([0.8, 0.6, 0.7], 2) == [1, 0, 1]
 
 
+@pytest.mark.parametrize("levels", [0, 3])
+def test_huge_queries_match_brute(diagrams, levels):
+    # the affine seed's rounding deficit grows with |q|; it was once repaired
+    # one unit per loop turn, for seconds per query at this size
+    s = build_scattering(diagrams[(3, 2, 1)], levels)
+    rng = random.Random(41 + levels)
+    for _ in range(20):
+        e = [rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0) * 1e22
+             for _ in range(4)]
+        res, ref = nearest_center(e, s, 2), brute_nearest(e, s, 2)
+        assert (res.indices, res.distances) == (ref.indices, ref.distances), e
+
+
+def test_query_too_large_at_scattering_scale(diagrams, scatterings):
+    """A query that passes the plain overflow check but whose squares
+    overflow at the lattice scale is rejected by euclidean search and
+    answered by the scale-free cosine search."""
+    deep = build_scattering(diagrams[(3, 2, 1)], 5)
+    cases = [(deep, 5e152), (deep, 1e154), (scatterings[(3, 2, 1), 1], 1e154),
+             (scatterings[(3, 2, 1), 2], 1e154)]
+    for s, m in cases:
+        e = (m, 0.3 * m, -0.2 * m, 0.1)
+        with pytest.raises(ValueError, match="query is too large"):
+            nearest_center(e, s, 1)
+        res, ref = cosine_nearest(e, s, 4), brute_nearest(e, s, 4, "cosine")
+        assert (res.indices, res.distances) == (ref.indices, ref.distances)
+        assert res.candidates_examined < len(s)
+
+
 class TestFaceProjection:
     """_face_clamp is the exact projection onto P(rows[:j]) x P(rows[j:])."""
 
@@ -174,20 +203,45 @@ class TestCosine:
         assert res.points[0].numerators == (2, 1, 1, 0)
         assert res.distances[0] == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def assert_matches(e, s, k):
+        res, ref = cosine_nearest(e, s, k), brute_nearest(e, s, k, "cosine")
+        assert (res.indices, res.distances) == (ref.indices, ref.distances), \
+            (e, k)
+        return res
+
     def test_matches_brute(self, scatterings):
         s = scatterings[(2, 1, 1), 1]
         rng = random.Random(3)
         for e in random_queries(rng, s, 60, 2):
             if all(abs(v) < 1e-9 for v in e):
                 continue
-            assert cosine_nearest(e, s, 3).indices == \
-                brute_nearest(e, s, 3, "cosine").indices
+            self.assert_matches(e, s, 3)
 
-    def test_negative_sum_fallback(self, scatterings):
+    def test_negative_sum(self, scatterings):
         s = scatterings[(2, 1, 1), 1]
-        e = (-1.0, -2.0, -0.5, -0.5)
-        assert cosine_nearest(e, s, 2).indices == \
-            brute_nearest(e, s, 2, "cosine").indices
+        res = self.assert_matches((-1.0, -2.0, -0.5, -0.5), s, 2)
+        assert res.candidates_examined < len(s)
+
+    def test_k_exceeds_dominant_count(self, scatterings):
+        # 9 dominant centers: the k-th best is not bounded until k members
+        # of their orbits have been seen
+        s = scatterings[(3, 2, 1), 1]
+        rng = random.Random(8)
+        for e in random_queries(rng, s, 12, 3):
+            for k in (10, len(s)):
+                self.assert_matches(e, s, k)
+
+    def test_kth_distance_beyond_one_with_positive_sum(self, scatterings):
+        # with a positive sum the best cosine distance is below 1 (Chebyshev's
+        # sum inequality), but the k-th can exceed it
+        s = scatterings[(3, 2, 1), 2]
+        e = (3.0, -1.0, -1.0, -0.9)
+        full = brute_nearest(e, s, len(s), "cosine").distances
+        k = sum(1 for d in full if d < 1.0) + 1
+        assert full[k - 1] >= 1.0
+        res = self.assert_matches(e, s, k)
+        assert res.candidates_examined < len(s)
 
 
 class TestOracleAgreement:
