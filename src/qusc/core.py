@@ -8,6 +8,7 @@ the distance helpers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,7 +96,7 @@ class YoungDiagram:
         return "(" + ",".join(str(r) for r in self.rows) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledPoint:
     """A lattice point with coordinates ``numerators[i] / 2**level``.
 
@@ -148,7 +149,7 @@ class ScaledPoint:
 
     def is_dominant(self) -> bool:
         n = self.numerators
-        return all(a >= b for a, b in zip(n, n[1:]))
+        return all(map(operator.ge, n, n[1:]))
 
     def __str__(self):
         return "(" + ",".join(self.exact_strings()) + ")"

@@ -83,7 +83,7 @@ class Scattering:
     def dominant_table(self):
         """The dominant centers' numerators at scale ``2**levels_built``: as
         int tuples, as a float64 matrix, and the matrix's row norms.  Built
-        on first use (the cosine search needs it) and cached."""
+        on the first query (both searches rank its rows) and cached."""
         if self._dominants is None:
             level = self.levels_built
             tuples = [c.numerators_at(level) for c in self.centers
@@ -241,9 +241,6 @@ class UniformityReport:
     cosine_exponent: float
     shape_ratio: float
     cosine_exponent_bound: float = field(default=float("nan"))
-
-    def worst_euclidean_ratio(self) -> float:
-        return self.euclidean_exponent
 
 
 def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport:

@@ -5,25 +5,20 @@ Every center is a coordinate permutation of a dominant (weakly decreasing)
 center, and by the rearrangement inequality the member of a Weyl orbit
 sorted like the query is the orbit's nearest one, under either metric.  A
 query is therefore sorted into the dominant cone by a stable descending
-sort, dominant representatives are ranked by their orbit's best distance,
-their orbits are expanded under a shrinking k-th best bound, and the sort
-is undone before the final ranking.
-
-Euclidean queries find their representatives geometrically: the query is
-projected exactly onto a two-block permutahedron containing each
-prefix-tight face of the polytope (one isotonic regression per block), and
-every dominant center inside the implied search balls is collected.  Cosine
-queries score the scattering's table of dominant centers in one pass.  The
-candidate set provably contains the k nearest centers (ties included), so
-the final ranking agrees with a full scan.
+sort, and one pass over the scattering's table of dominant centers gives
+every orbit's best distance in closed form.  The orbits are expanded in
+that order under a shrinking k-th best bound, and the sort is undone before
+the final ranking.  Euclidean and cosine search differ only in the orbit key
+and in the radius that bounds an orbit's expansion.  The candidate set
+provably contains the k nearest centers (ties included), so the final
+ranking agrees with a full scan.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +55,8 @@ class QueryResult:
 
 
 # -- convex geometry helpers -------------------------------------------------
+# No search path calls these since euclidean search ranks the dominant table;
+# ROADMAP's "Smaller surface" item schedules their removal.
 
 def _pava_nonincreasing(x: Sequence[float]) -> list[float]:
     """L2 projection onto weakly decreasing vectors (pool adjacent violators)."""
@@ -96,45 +93,7 @@ def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
     return out
 
 
-# -- lattice enumeration -----------------------------------------------------
-
-def _face_ball(caps: Sequence[int], j: int, center: Sequence[float], r2: float):
-    """All weakly decreasing integer vectors under the prefix caps, tight at
-    prefix j, within squared distance r2 of ``center``."""
-    d = len(caps)
-    out: list[tuple[int, ...]] = []
-    if r2 < 0:
-        return out
-    vec = [0] * d
-
-    def rec(i, placed, prev, acc2):
-        if i == d:
-            out.append(tuple(vec))
-            return
-        seg_end = (j - 1) if i <= j - 1 else (d - 1)
-        seg_target = caps[seg_end]
-        remaining = seg_target - placed
-        slots = seg_end - i + 1
-        hi = min(prev, caps[i] - placed, remaining)
-        lo = max(0, -(-remaining // slots))
-        if i == seg_end:
-            if remaining < 0 or remaining > hi:
-                return
-            lo = hi = remaining
-        rad = r2 - acc2
-        if rad < 0:
-            return
-        root = math.sqrt(rad)
-        lo = max(lo, math.ceil(center[i] - root - 1e-12))
-        hi = min(hi, math.floor(center[i] + root + 1e-12))
-        for v in range(hi, lo - 1, -1):
-            vec[i] = v
-            dd = v - center[i]
-            rec(i + 1, placed + v, v, acc2 + dd * dd)
-
-    rec(0, 0, caps[0], 0.0)
-    return out
-
+# -- orbit expansion -----------------------------------------------------------
 
 def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float):
     """Distinct coordinate permutations of a dominant tuple within squared
@@ -169,137 +128,6 @@ def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float)
 
     rec(0, list(values_desc), 0.0)
     return out
-
-
-def _round_block(vals: Sequence[float], target: int) -> list[int]:
-    """Round to integers summing to ``target``: round to nearest, shift every
-    entry by the whole part of the deficit, and step the entries with the
-    largest residuals (smallest, for a surplus) by one for the rest."""
-    raw = [math.floor(v + 0.5) for v in vals]
-    delta = target - sum(raw)
-    if delta == 0:
-        return raw
-    step = 1 if delta > 0 else -1
-    whole, rest = divmod(abs(delta), len(raw))
-    order = sorted(range(len(raw)), key=lambda t: step * (raw[t] - vals[t]))
-    raw = [r + step * whole for r in raw]
-    for i in order[:rest]:
-        raw[i] += step
-    return raw
-
-
-# -- candidate assembly --------------------------------------------------------
-
-class _QueryGeometry:
-    """Per-query scratch: the sorted scaled query, affine distance lower
-    bounds for every prefix-tight face, and lazily computed projections onto
-    the two-block permutahedron around each face."""
-
-    def __init__(self, q, s: Scattering):
-        self.dim = s.dim
-        self.level = s.levels_built
-        scale = 1 << self.level
-        self.caps = [c * scale for c in s.diagram.prefix_sums()]
-        g, self.perm = dominant_sort(q)
-        self.gs = [v * scale for v in g]
-        d = s.dim
-        self.rows = tuple(r * scale for r in s.diagram.rows)
-        self.diam = math.sqrt(sq_euclidean(self.rows, sorted(self.rows)))
-        total = sum(self.gs)
-        run = 0.0
-        self.affine_d2 = {}
-        for j in range(1, d):
-            run += self.gs[j - 1]
-            d1 = self.caps[j - 1] - run
-            d2 = (self.caps[-1] - self.caps[j - 1]) - (total - run)
-            self.affine_d2[j] = d1 * d1 / j + d2 * d2 / (d - j)
-        self._clamps: dict[int, tuple[list[float], float]] = {}
-
-    def clamp(self, j):
-        if j not in self._clamps:
-            point = _face_clamp(self.gs, j, self.rows)
-            self._clamps[j] = (point, sq_euclidean(self.gs, point))
-        return self._clamps[j]
-
-    def affine_seed(self, j):
-        """Block-round the plain affine projection onto the face's span; a
-        dominant majorized result is a boundary center near the face and
-        costs no clamping."""
-        d, caps, gs = self.dim, self.caps, self.gs
-        run = sum(gs[:j])
-        tot = sum(gs)
-        sh1 = (caps[j - 1] - run) / j
-        sh2 = ((caps[-1] - caps[j - 1]) - (tot - run)) / (d - j)
-        proj = [v + sh1 for v in gs[:j]] + [v + sh2 for v in gs[j:]]
-        t = tuple(_round_block(proj[:j], caps[j - 1])
-                  + _round_block(proj[j:], caps[-1] - caps[j - 1]))
-        if t[-1] < 0:
-            return None
-        run = 0
-        for i, v in enumerate(t):
-            if i and v > t[i - 1]:
-                return None
-            run += v
-            if run > caps[i]:
-                return None
-        return t
-
-    def sweep(self, total_r2, add):
-        """Feed ``add`` every dominant center within sqrt(total_r2) of the
-        sorted query (faces whose affine lower bound already exceeds the
-        radius are skipped without projecting).  With P the exact projection
-        onto a convex superset of face j, every center y of the face has
-        |g - y|^2 >= |g - P|^2 + |P - y|^2, so the ball of radius^2
-        total_r2 - |g - P|^2 around P is exhaustive."""
-        for j in range(1, self.dim):
-            if self.affine_d2[j] > total_r2:
-                continue
-            point, d2 = self.clamp(j)
-            r2 = total_r2 - d2
-            if r2 < 0:
-                continue
-            # slack for float rounding only
-            root = math.sqrt(r2) + 1e-6
-            for t in _face_ball(self.caps, j, point, root * root):
-                add(t)
-
-    def collect(self, need):
-        """Dominant centers in a ball grown until ``need`` of them sit inside
-        it or the ball covers the whole polytope.
-
-        Counting only in-ball candidates matters: the sweep is exhaustive
-        within the radius, so once it holds ``need`` centers the k-th
-        smallest collected distance is the true k-th dominant distance.
-        """
-        dominants: dict[tuple[int, ...], float] = {}
-
-        def add(t):
-            if t not in dominants:
-                dominants[t] = sq_euclidean(self.gs, t)
-
-        add(self.rows)
-        for j in range(1, self.dim):
-            seed = self.affine_seed(j)
-            if seed is not None:
-                add(seed)
-
-        def nearest_face_d2():
-            # projected distance where known, affine lower bound otherwise
-            return min(self._clamps[j][1] if j in self._clamps
-                       else self.affine_d2[j] for j in range(1, self.dim))
-
-        # grow the within-face radius w (lattice units); the covered total
-        # radius is sqrt(d_min^2 + w^2), so face balls never exceed w and the
-        # work per query stays independent of the subdivision depth
-        w = math.sqrt(self.dim) / 2.0 + 0.6
-        w_cap = math.sqrt(sq_euclidean(self.gs, self.rows)) + self.diam + 1.0
-        while True:
-            r2 = nearest_face_d2() + w * w
-            self.sweep(r2, add)
-            inside = sum(1 for d2 in dominants.values() if d2 <= r2)
-            if inside >= need or w > w_cap:
-                return dominants
-            w *= 2.0
 
 
 def _widen(bound: float) -> float:
@@ -368,6 +196,22 @@ def _rank(q, s, indices, k, metric):
     return QueryResult(hits, metric, tuple(q), len(scored))
 
 
+def _search_orbits(q, s, k, metric, gs, perm, keys, radius2):
+    """The k nearest centers, given every dominant row's orbit key (the best
+    distance in its orbit from the sorted, scaled query gs): seed the bound
+    with the k-th key, expand the orbits of the rows under it in key order,
+    and rank their members against q."""
+    tuples = s.dominant_table()[0]
+    kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
+    # rows past the widened seed bound would end _pool_members' loop unseen
+    near = np.flatnonzero(keys <= _widen(kth))
+    near = near[np.argsort(keys[near], kind="stable")]
+    ranked = list(zip((tuples[i] for i in near), keys[near].tolist()))
+    dist = sq_euclidean if metric == EUCLIDEAN else cosine_distance
+    pool = _pool_members(gs, ranked, k, radius2, dist)
+    return _rank(q, s, _member_indices(pool, perm, s.levels_built, s), k, metric)
+
+
 def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
     """The query as a float tuple, after the checks every search entry point
     shares: a nonempty scattering, a matching dimension, k >= 1, and finite
@@ -389,7 +233,12 @@ def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ..
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
                    metric: str = EUCLIDEAN) -> QueryResult:
     """The k nearest centers of the scattering, exactly as a full scan would
-    rank them (distance, then descending-lex point)."""
+    rank them (distance, then descending-lex point).
+
+    With g the sorted query, the member of orbit(t) nearest to it is the one
+    sorted like it, so the dominant centers are ranked by |g - t|^2, and
+    each orbit is expanded within the k-th best squared distance itself.
+    """
     check_metric(metric)
     if metric == COSINE:
         return cosine_nearest(e, s, k)
@@ -402,12 +251,15 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
                          "at the scattering's scale")
     if not s.is_complete():
         return _rank(q, s, range(len(s)), k, EUCLIDEAN)
-    geom = _QueryGeometry(q, s)
-    ranked = sorted(geom.collect(k).items(), key=itemgetter(1))
-    pool = _pool_members(geom.gs, ranked, k, lambda bound, t: bound,
-                         sq_euclidean)
-    return _rank(q, s, _member_indices(pool, geom.perm, geom.level, s), k,
-                 EUCLIDEAN)
+    mat = s.dominant_table()[1]
+    g, perm = dominant_sort(q)
+    gs = [v * (1 << s.levels_built) for v in g]
+    # the aligned member's squared distance, from the row differences: no
+    # |g|^2 + |t|^2 - 2<g, t> cancellation for far queries
+    diff = mat - gs
+    keys = np.einsum("ij,ij->i", diff, diff)
+    return _search_orbits(q, s, k, EUCLIDEAN, gs, perm, keys,
+                          lambda bound, t: bound)
 
 
 def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult:
@@ -421,30 +273,31 @@ def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult
     expanded under the shrinking k-th best bound theta: inside orbit(t),
     d(q, sigma t) <= theta exactly when
     |g - sigma t|^2 <= (|g| - |t|)^2 + 2 theta |g| |t|.
-    No query on a complete scattering falls back to a full scan.
+    The search and the ranking see the query rescaled by a power of two to a
+    largest coordinate in [1/2, 1): that leaves the cosine distances of
+    ordinary queries bit for bit unchanged and keeps the squares of tiny
+    queries from underflowing.  ``query`` in the result is the caller's.
     """
     q = _checked_query(e, s, k)
-    if math.sqrt(sum(v * v for v in q)) == 0.0:
+    peak = max(abs(v) for v in q)
+    if peak == 0.0:
         raise ValueError("cosine query must be nonzero")
+    shift = -math.frexp(peak)[1]
+    scaled = tuple(math.ldexp(v, shift) for v in q)
     if not s.is_complete():
-        return _rank(q, s, range(len(s)), k, COSINE)
-    tuples, mat, norms = s.dominant_table()
-    g, perm = dominant_sort(q)
+        return replace(_rank(scaled, s, range(len(s)), k, COSINE), query=q)
+    _, mat, norms = s.dominant_table()
+    g, perm = dominant_sort(scaled)
     # cosine is scale-free: put the query on the sphere of the largest
     # dominant norm, where lattice distances are well conditioned
     top = float(norms.max())
     gs = [v * (top / math.hypot(*g)) for v in g]
     gn = math.hypot(*gs)
     keys = 1.0 - (mat @ gs) / (norms * gn)
-    kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
-    # rows past the widened seed bound would end _pool_members' loop unseen
-    near = np.flatnonzero(keys <= _widen(kth))
-    near = near[np.argsort(keys[near], kind="stable")]
-    ranked = list(zip((tuples[i] for i in near), keys[near].tolist()))
 
     def radius2(theta, t):
         tn = math.hypot(*t)
         return (gn - tn) ** 2 + 2.0 * theta * gn * tn
 
-    pool = _pool_members(gs, ranked, k, radius2, cosine_distance)
-    return _rank(q, s, _member_indices(pool, perm, s.levels_built, s), k, COSINE)
+    res = _search_orbits(scaled, s, k, COSINE, gs, perm, keys, radius2)
+    return replace(res, query=q)

@@ -58,6 +58,9 @@ class TestScaledPoint:
         assert p.exact_strings() == ("7/4", "5/4", "3/4", "1/4")
         assert ScaledPoint((3, 3, 2, 0), 1).exact_strings() == ("3/2", "3/2", "1", "0")
 
+    def test_no_instance_dict(self):
+        assert not hasattr(ScaledPoint((2, 1, 1, 0)), "__dict__")
+
 
 class TestPermutation:
     def test_apply_inverse_roundtrip(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qusc import (Permutation, ScaledPoint, brute_nearest,
                   build_scattering, cosine_nearest, nearest_center)
-from qusc.search import _face_clamp, _round_block
+from qusc.search import _face_clamp
 
 
 def random_queries(rng, sc, count, top):
@@ -73,12 +74,6 @@ class TestNearestCenterExamples:
                                                     bad, message):
         with pytest.raises(ValueError, match=message):
             search((bad, 1.0, 1.0, 1.0), scatterings[(2, 1, 1), 1], 1)
-
-
-def test_round_block_sum_repair_decrements_largest_residual():
-    # raw rounding gives 3 against a block sum of 2
-    assert _round_block([0.8, 0.7, 0.6], 2) == [1, 1, 0]
-    assert _round_block([0.8, 0.6, 0.7], 2) == [1, 0, 1]
 
 
 @pytest.mark.parametrize("levels", [0, 3])
@@ -225,12 +220,27 @@ class TestCosine:
 
     def test_k_exceeds_dominant_count(self, scatterings):
         # 9 dominant centers: the k-th best is not bounded until k members
-        # of their orbits have been seen
+        # of their orbits have been seen, under either metric
         s = scatterings[(3, 2, 1), 1]
         rng = random.Random(8)
         for e in random_queries(rng, s, 12, 3):
             for k in (10, len(s)):
-                self.assert_matches(e, s, k)
+                for metric in ("cosine", "euclidean"):
+                    res = nearest_center(e, s, k, metric)
+                    ref = brute_nearest(e, s, k, metric)
+                    assert (res.indices, res.distances) == \
+                        (ref.indices, ref.distances), (e, k, metric)
+
+    @pytest.mark.parametrize("m", [1e-165, 1e-300, 5e-321])
+    def test_tiny_query(self, scatterings, m):
+        # the squares underflow; the distances do not depend on the scale
+        s = scatterings[(3, 2, 1), 1]
+        e = (3 * m, 2 * m, m, m / 2)
+        shift = -math.frexp(3 * m)[1]
+        res = cosine_nearest(e, s, 4)
+        ref = brute_nearest([math.ldexp(v, shift) for v in e], s, 4, "cosine")
+        assert (res.indices, res.distances) == (ref.indices, ref.distances)
+        assert res.query == e
 
     def test_kth_distance_beyond_one_with_positive_sum(self, scatterings):
         # with a positive sum the best cosine distance is below 1 (Chebyshev's
@@ -264,7 +274,7 @@ class TestOracleAgreement:
                     brute_nearest(e, s, k).indices, (e, k)
 
     def test_far_query_k16_deep_codebook(self, diagrams):
-        # the face clamp's error bound once let center 282 (17.70124) stand
+        # an earlier face-projection search let center 282 (17.70124) stand
         # in for center 27050 (17.70020) as the 16th nearest here
         s = build_scattering(diagrams[(2, 2, 1, 1)], 4)
         e = [13.58707455302201, 6.069870277068644, 10.756373117827165,
