@@ -62,8 +62,7 @@ def cmd_generate(args) -> int:
     lam = _parse_rows(args.lam)
     if args.rank is not None and args.rank != lam.rank:
         raise InputError(f"--rank {args.rank} does not match diagram rank {lam.rank}")
-    s = build_scattering(lam, args.levels, max_points=args.max_points,
-                         whole_orbits=args.whole_orbits)
+    s = build_scattering(lam, args.levels, max_points=args.max_points)
     try:
         write_scattering(s, args.out, args.format)
     except OSError as exc:
@@ -163,8 +162,7 @@ def cmd_embed(args) -> int:
         raise InputError(f"cannot read centers: {exc}")
     target = embed_diagram(s.diagram)
     lifted = [iota_embed(p) for p in s.centers]
-    out = Scattering(target, s.levels_built, lifted, s.level_offsets,
-                     complete=False)
+    out = Scattering(target, s.levels_built, lifted, s.level_offsets)
     try:
         write_scattering(out, args.out, args.format)
     except OSError as exc:
@@ -217,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional cross-check: rank of the root system")
     g.add_argument("--levels", type=int, default=0)
     g.add_argument("--max-points", type=int, default=None)
-    g.add_argument("--whole-orbits", action="store_true",
-                   help="retreat the cut to a whole-orbit prefix")
     g.add_argument("--format", choices=FORMATS, default="binary")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)

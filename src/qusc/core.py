@@ -144,9 +144,6 @@ class ScaledPoint:
             out.append(str(num) if lev == 0 else f"{num}/{1 << lev}")
         return tuple(out)
 
-    def sorted_desc(self) -> "ScaledPoint":
-        return ScaledPoint(tuple(sorted(self.numerators, reverse=True)), self.level)
-
     def is_dominant(self) -> bool:
         n = self.numerators
         return all(map(operator.ge, n, n[1:]))
@@ -171,10 +168,6 @@ class Permutation:
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"not a permutation of 0..{len(order) - 1}: {order}")
 
-    @classmethod
-    def identity(cls, dim: int) -> "Permutation":
-        return cls(tuple(range(dim)))
-
     @property
     def dim(self) -> int:
         return len(self.order)
@@ -189,13 +182,6 @@ class Permutation:
         for i, src in enumerate(self.order):
             inv[src] = i
         return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: compose(other).apply(x) == self.apply(other.apply(x))."""
-        return Permutation(tuple(other.order[i] for i in self.order))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.order))
 
 
 def dominant_sort(vector: Sequence) -> tuple[tuple, Permutation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import BOUNDARY, ScaledPoint, YoungDiagram, membership
+from .core import ScaledPoint, YoungDiagram
 
 
 @dataclass(frozen=True)
@@ -185,22 +185,3 @@ def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
     points = tuple(ScaledPoint(c, k) for c in fresh)
     return LevelSet(lam, k, points, walk.visited)
 
-
-def check_level_set(ls: LevelSet) -> None:
-    """Assert the structural invariants of a level set (used by tests)."""
-    seen = set()
-    prev = None
-    for p in ls.points:
-        if p.level != ls.level and ls.level > 0:
-            raise AssertionError(f"{p} is not new at level {ls.level}")
-        if not p.is_dominant():
-            raise AssertionError(f"{p} is not dominant")
-        if membership(p, ls.diagram) != BOUNDARY:
-            raise AssertionError(f"{p} is not a boundary point")
-        key = p.numerators
-        if key in seen:
-            raise AssertionError(f"duplicate point {p}")
-        seen.add(key)
-        if prev is not None and key >= prev:
-            raise AssertionError("points not in descending lexicographic order")
-        prev = key

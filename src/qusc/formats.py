@@ -87,16 +87,25 @@ def read_scattering(path, fmt: str | None = None) -> Scattering:
 
 
 def _rebuild(header: CenterFileHeader, points) -> Scattering:
+    """The scattering of a file, after checking its records against its
+    header: one coordinate per diagram row, and no record finer than the
+    header's ``levels``."""
     diagram = YoungDiagram(header.rows)
+    if header.dimension != diagram.dim:
+        raise ValueError(f"header dimension {header.dimension} does not match "
+                         f"the {diagram.dim} rows of diagram {diagram}")
     offsets = []
     prev_level = None
     for i, p in enumerate(points):
+        if p.level > header.levels:
+            raise ValueError(f"record {i} is at level {p.level}, finer than "
+                             f"the header's levels={header.levels}")
         if prev_level is None or p.level > prev_level:
             offsets.append(i)
             prev_level = p.level
     if not offsets:
         offsets = [0]
-    return Scattering(diagram, header.levels, points, offsets, complete=None)
+    return Scattering(diagram, header.levels, points, offsets)
 
 
 # -- binary -------------------------------------------------------------------

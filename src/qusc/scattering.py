@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -43,28 +43,47 @@ def weyl_orbit(p: ScaledPoint) -> list[ScaledPoint]:
     return [ScaledPoint(t, p.level) for t in _multiset_perms_desc(p.numerators)]
 
 
+class CenterTable(NamedTuple):
+    """The search index of a center sequence, at the scale ``2**levels_built``.
+
+    ``orbits`` holds the dominant member of every Weyl orbit whose members
+    are all present in the sequence, each exactly once.  ``lone`` holds the
+    sequence index of every other center: members of partial orbits (a cut
+    or an embedded sequence) and repeats of an earlier center.  ``mat``
+    stacks the orbit representatives and then the lone centers as float64
+    rows, ``norms`` holds its row norms and ``top`` the largest of them.
+    """
+
+    orbits: list[tuple[int, ...]]
+    lone: list[int]
+    mat: np.ndarray
+    norms: np.ndarray
+    top: float
+
+
 class Scattering:
     """An ordered center sequence over the boundary of a weight polytope.
 
     Centers come in level blocks; inside a block the full Weyl orbits of the
-    level's new dominant points are merged and sorted descending-lex.
+    level's new dominant points are merged and sorted descending-lex.  A
+    sequence may also be a cut prefix of one, an embedded one or a corrupt
+    one with repeated centers; the search serves all of them exactly.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
-                 centers: Sequence[ScaledPoint], level_offsets: Sequence[int],
-                 complete: bool | None = True):
+                 centers: Sequence[ScaledPoint], level_offsets: Sequence[int]):
         self.diagram = diagram
         self.levels_built = levels_built
         self.centers = tuple(centers)
         self.level_offsets = tuple(level_offsets)
-        self._complete = complete
         self.index = {}
         for i, p in enumerate(self.centers):
             self.index.setdefault(p, i)
         # corrupt inputs may repeat a point; verification diagnoses that, and
-        # queries on such a sequence fall back to a full scan
+        # the search treats each repeat as a lone center
         self.has_duplicates = len(self.index) != len(self.centers)
-        self._dominants = None
+        self._complete = None
+        self._table = None
 
     def __len__(self):
         return len(self.centers)
@@ -80,47 +99,63 @@ class Scattering:
         bounds = list(self.level_offsets) + [len(self.centers)]
         return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
 
-    def dominant_table(self):
-        """The dominant centers' numerators at scale ``2**levels_built``: as
-        int tuples, as a float64 matrix, and the matrix's row norms.  Built
-        on the first query (both searches rank its rows) and cached."""
-        if self._dominants is None:
+    def dominant_table(self) -> CenterTable:
+        """The search's index of this sequence, built on the first query
+        (both searches rank its rows) and cached."""
+        if self._table is None:
             level = self.levels_built
-            tuples = [c.numerators_at(level) for c in self.centers
-                      if c.is_dominant()]
-            mat = np.array(tuples, dtype=np.float64).reshape(-1, self.dim)
-            self._dominants = (tuples, mat, np.sqrt(np.einsum("ij,ij->i", mat, mat)))
-        return self._dominants
+            # distinct present members per orbit, keyed by (sorted
+            # numerators, level), and the dominant members in sequence order
+            present: dict[tuple, int] = {}
+            dominant: list[ScaledPoint] = []
+            for p in self.index:
+                rep = tuple(sorted(p.numerators, reverse=True))
+                if rep == p.numerators:
+                    dominant.append(p)
+                key = rep, p.level
+                present[key] = present.get(key, 0) + 1
+            full = [p for p in dominant
+                    if present[p.numerators, p.level] == orbit_size(p)]
+            lone: list[int] = []
+            if len(full) != len(present) or self.has_duplicates:
+                reps = {(p.numerators, p.level) for p in full}
+                for i, c in enumerate(self.centers):
+                    rep = tuple(sorted(c.numerators, reverse=True)), c.level
+                    if self.index[c] != i or rep not in reps:
+                        lone.append(i)
+            orbits = [p.numerators_at(level) for p in full]
+            rows = orbits + [self.centers[i].numerators_at(level) for i in lone]
+            mat = np.array(rows, dtype=np.float64).reshape(-1, self.dim)
+            norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+            self._table = CenterTable(orbits, lone, mat, norms,
+                                      float(norms.max(initial=0.0)))
+        return self._table
 
     def is_complete(self) -> bool:
-        """Whether every built level carries its full set of orbit points."""
+        """Diagnostic: whether every built level carries its full set of orbit
+        points and no center repeats.  No query path needs it; it
+        re-enumerates every level on its first call and is cached."""
         if self._complete is None:
-            self._complete = self._check_complete()
+            blocks = self.level_blocks()
+            sizes = (sum(map(orbit_size, _level_set(self.diagram, k).points))
+                     for k in range(len(blocks)))
+            self._complete = (not self.has_duplicates
+                              and len(blocks) == self.levels_built + 1
+                              and all(b - a == n for (a, b), n in zip(blocks, sizes)))
         return self._complete
 
-    def _check_complete(self) -> bool:
-        if self.has_duplicates:
-            return False
-        blocks = self.level_blocks()
-        if len(blocks) != self.levels_built + 1:
-            return False
-        for k, (lo, hi) in enumerate(blocks):
-            ls = (enumerate_dominant_boundary(self.diagram) if k == 0
-                  else enumerate_level(self.diagram, k))
-            if hi - lo != sum(orbit_size(p) for p in ls.points):
-                return False
-        return True
+
+def _level_set(diagram: YoungDiagram, k: int):
+    return (enumerate_dominant_boundary(diagram) if k == 0
+            else enumerate_level(diagram, k))
 
 
 def build_scattering(diagram: YoungDiagram, max_levels: int,
-                     max_points: int | None = None,
-                     whole_orbits: bool = False) -> Scattering:
+                     max_points: int | None = None) -> Scattering:
     """Assemble the center sequence through subdivision level ``max_levels``.
 
-    ``max_points`` cuts the sequence at the tail.  By default the cut may
-    fall inside a Weyl orbit (so ``max_points=1`` yields just the highest
-    weight); with ``whole_orbits=True`` the cut retreats to the longest
-    prefix made of complete orbits.
+    ``max_points`` cuts the sequence at the tail; the cut may fall inside a
+    Weyl orbit (so ``max_points=1`` yields just the highest weight).
     """
     if max_levels < 0:
         raise ValueError("max_levels must be >= 0")
@@ -128,45 +163,19 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
         raise ValueError("max_points must be >= 0")
     centers: list[ScaledPoint] = []
     offsets: list[int] = []
-    truncated = False
     for k in range(max_levels + 1):
-        ls = enumerate_dominant_boundary(diagram) if k == 0 else enumerate_level(diagram, k)
         block: list[ScaledPoint] = []
-        for dom in ls.points:
+        for dom in _level_set(diagram, k).points:
             block.extend(weyl_orbit(dom))
         block.sort(key=lambda p: p.numerators, reverse=True)
         offsets.append(len(centers))
-        if max_points is not None and len(centers) + len(block) > max_points:
-            centers.extend(block[: max_points - len(centers)])
-            truncated = True
-            break
+        if max_points is not None:
+            del block[max_points - len(centers):]
         centers.extend(block)
         if max_points is not None and len(centers) == max_points:
             break
-    if whole_orbits and truncated:
-        centers = centers[:_last_whole_orbit_prefix(centers)]
     offsets = [o for o in offsets if o < len(centers)] or [0]
-    levels_built = len(offsets) - 1
-    # a cut that retreated to an orbit/level boundary may still be level-exact
-    complete = True if not truncated else None
-    return Scattering(diagram, levels_built, centers, offsets, complete)
-
-
-def _last_whole_orbit_prefix(centers: Sequence[ScaledPoint]) -> int:
-    emitted: dict[tuple, int] = {}
-    open_orbits = 0
-    cut = 0
-    for i, p in enumerate(centers):
-        rep = tuple(sorted(p.numerators, reverse=True)), p.level
-        seen = emitted.get(rep, 0)
-        if seen == 0:
-            open_orbits += 1
-        emitted[rep] = seen + 1
-        if emitted[rep] == orbit_size(p):
-            open_orbits -= 1
-        if open_orbits == 0:
-            cut = i + 1
-    return cut
+    return Scattering(diagram, len(offsets) - 1, centers, offsets)
 
 
 # -- dimension chaining -----------------------------------------------------

@@ -6,12 +6,15 @@ center, and by the rearrangement inequality the member of a Weyl orbit
 sorted like the query is the orbit's nearest one, under either metric.  A
 query is therefore sorted into the dominant cone by a stable descending
 sort, and one pass over the scattering's table of dominant centers gives
-every orbit's best distance in closed form.  The orbits are expanded in
-that order under a shrinking k-th best bound, and the sort is undone before
-the final ranking.  Euclidean and cosine search differ only in the orbit key
-and in the radius that bounds an orbit's expansion.  The candidate set
-provably contains the k nearest centers (ties included), so the final
-ranking agrees with a full scan.
+every orbit's best distance in closed form.  A center whose orbit is not
+wholly present, as in a cut prefix or an embedded sequence, or that repeats
+an earlier center, is a lone row of the same table, keyed by its own
+distance.  The rows are expanded in key order under a shrinking k-th best
+bound, and the sort is undone before the final ranking.  Euclidean and
+cosine search differ only in the key and in the radius that bounds an
+orbit's expansion.  The candidate set provably contains the k nearest
+centers (ties included), so the final ranking agrees with a full scan for
+every center sequence.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class QueryResult:
     """Ranked nearest centers: (sequence index, point, distance) triples.
 
     ``candidates_examined`` is the number of centers ranked: the orbit
-    members the structured search kept, or every center after a full scan.
+    members and lone centers the search kept.
     """
 
     hits: tuple[tuple[int, ScaledPoint, float], ...]
@@ -130,54 +133,57 @@ def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float)
     return out
 
 
-def _widen(bound: float) -> float:
+def _widen(bound: float, d: int) -> float:
     """A distance bound widened past the float rounding between the search's
-    distances and the final ranking's."""
-    return bound * (1.0 + 1e-9) + 1e-9
+    distances and the final ranking's, for d coordinates: euclidean keys and
+    the ranking sum the same rounded squares, scaled by a power of two, in
+    different orders, which moves a sum by at most about 2 (d - 1) 2**-53
+    relative, half the relative term.  The absolute term covers cosine keys,
+    which lie in [0, 2], and squares that underflow in one frame only."""
+    return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
 
 
-def _pool_members(gs, ranked, k, radius2, dist):
-    """Orbit members of the ranked dominant representatives under a shrinking
-    k-th best distance bound; returns sorted-frame tuples.
+def _pool_members(s, gs, inv, ranked, k, radius2, dist):
+    """Sequence indices of the centers of the ranked table rows under a
+    shrinking k-th best distance bound.
 
-    ``ranked`` holds (t, key) pairs in ascending key order, where key is the
-    best distance of any member of orbit(t).  ``radius2(bound, t)`` is the
-    squared euclidean radius around gs that holds every member of orbit(t)
-    within distance ``bound``, and ``dist(gs, member)`` scores one member.
+    ``ranked`` holds (row, key) pairs of ``s.dominant_table()`` in ascending
+    key order: an orbit row's key is the best distance in its orbit from the
+    sorted, scaled query gs, a lone row's key its own center's distance.
+    ``radius2(bound, t)`` is the squared radius around gs that holds every
+    member of orbit(t) within distance ``bound``, ``dist(gs, m)`` scores a
+    sorted-frame member m, and ``inv`` maps m back to the query's frame.
     """
+    table = s.dominant_table()
+    n = len(table.orbits)
+    level = s.levels_built
     best: list[float] = []
-    pool: list[tuple[int, ...]] = []
-    # the best members of the first k orbits are k distinct centers, so the
-    # k-th key bounds the true k-th distance before any orbit is expanded
+    pool: list[int] = []
+    # every row's key is the distance of a present center of its own, so
+    # the k-th key bounds the true k-th distance before any row is expanded
     seed_bound = ranked[k - 1][1] if len(ranked) >= k else math.inf
-    for t, key in ranked:
-        cur = _widen(seed_bound if len(best) < k else min(seed_bound, -best[0]))
+    for row, key in ranked:
+        cur = _widen(seed_bound if len(best) < k else min(seed_bound, -best[0]),
+                     len(gs))
         if key > cur:
             break
-        # each center enters the tracker once: orbits are disjoint and
-        # every dominant is expanded at most once
-        for member in _orbit_ball(gs, t, radius2(cur, t)):
-            pool.append(member)
-            dm = dist(gs, member)
+        if row >= n:
+            pool.append(table.lone[row - n])
+            found = [key]
+        else:
+            # each center enters the tracker once: rows are disjoint, and a
+            # full orbit's members are all present
+            t = table.orbits[row]
+            found = []
+            for m in _orbit_ball(gs, t, radius2(cur, t)):
+                pool.append(s.index_of(ScaledPoint(inv.apply(m), level)))
+                found.append(dist(gs, m))
+        for dm in found:
             if len(best) < k:
                 heapq.heappush(best, -dm)
             elif dm < -best[0]:
                 heapq.heapreplace(best, -dm)
     return pool
-
-
-def _member_indices(members, perm, level, s):
-    """Map sorted-frame member tuples back through the query permutation and
-    look them up in the center sequence."""
-    inv = perm.inverse()
-    indices = []
-    for member in members:
-        sp = ScaledPoint(inv.apply(member), level)
-        idx = s.index_of(sp)
-        if idx is None:
-            raise RuntimeError(f"rounded candidate {sp} is not a center")
-        indices.append(idx)
-    return indices
 
 
 def _rank(q, s, indices, k, metric):
@@ -196,20 +202,27 @@ def _rank(q, s, indices, k, metric):
     return QueryResult(hits, metric, tuple(q), len(scored))
 
 
-def _search_orbits(q, s, k, metric, gs, perm, keys, radius2):
-    """The k nearest centers, given every dominant row's orbit key (the best
-    distance in its orbit from the sorted, scaled query gs): seed the bound
-    with the k-th key, expand the orbits of the rows under it in key order,
-    and rank their members against q."""
-    tuples = s.dominant_table()[0]
+def _search_orbits(q, s, k, metric, perm, gs, score, radius2):
+    """The k nearest centers of q, given the permutation that sorts q and
+    the sorted query gs at the table's scale.  ``score(mat, norms, v)``
+    gives every row of ``mat`` its key against v: the orbit rows are scored
+    against gs, the lone rows against the unsorted query at the same scale.
+    The bound is seeded with the k-th key, the rows under it are expanded
+    in key order, and their centers are ranked against q."""
+    table = s.dominant_table()
+    n = len(table.orbits)
+    inv = perm.inverse()
+    keys = score(table.mat[:n], table.norms[:n], gs)
+    if table.lone:
+        keys = np.concatenate((keys, score(table.mat[n:], table.norms[n:],
+                                           inv.apply(gs))))
     kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
     # rows past the widened seed bound would end _pool_members' loop unseen
-    near = np.flatnonzero(keys <= _widen(kth))
+    near = np.flatnonzero(keys <= _widen(kth, len(gs)))
     near = near[np.argsort(keys[near], kind="stable")]
-    ranked = list(zip((tuples[i] for i in near), keys[near].tolist()))
+    ranked = list(zip(near.tolist(), keys[near].tolist()))
     dist = sq_euclidean if metric == EUCLIDEAN else cosine_distance
-    pool = _pool_members(gs, ranked, k, radius2, dist)
-    return _rank(q, s, _member_indices(pool, perm, s.levels_built, s), k, metric)
+    return _rank(q, s, _pool_members(s, gs, inv, ranked, k, radius2, dist), k, metric)
 
 
 def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
@@ -249,16 +262,16 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
     if not math.isfinite(64.0 * reach * reach):
         raise ValueError("query is too large: its sum of squares overflows "
                          "at the scattering's scale")
-    if not s.is_complete():
-        return _rank(q, s, range(len(s)), k, EUCLIDEAN)
-    mat = s.dominant_table()[1]
     g, perm = dominant_sort(q)
     gs = [v * (1 << s.levels_built) for v in g]
-    # the aligned member's squared distance, from the row differences: no
-    # |g|^2 + |t|^2 - 2<g, t> cancellation for far queries
-    diff = mat - gs
-    keys = np.einsum("ij,ij->i", diff, diff)
-    return _search_orbits(q, s, k, EUCLIDEAN, gs, perm, keys,
+
+    def score(mat, norms, v):
+        # the squared distance from the row differences: no
+        # |v|^2 + |t|^2 - 2<v, t> cancellation for far queries
+        diff = mat - v
+        return np.einsum("ij,ij->i", diff, diff)
+
+    return _search_orbits(q, s, k, EUCLIDEAN, perm, gs, score,
                           lambda bound, t: bound)
 
 
@@ -284,20 +297,22 @@ def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult
         raise ValueError("cosine query must be nonzero")
     shift = -math.frexp(peak)[1]
     scaled = tuple(math.ldexp(v, shift) for v in q)
-    if not s.is_complete():
-        return replace(_rank(scaled, s, range(len(s)), k, COSINE), query=q)
-    _, mat, norms = s.dominant_table()
     g, perm = dominant_sort(scaled)
+    table = s.dominant_table()
+    if not table.norms.all():
+        raise ValueError("cosine distance undefined for the zero vector")
     # cosine is scale-free: put the query on the sphere of the largest
-    # dominant norm, where lattice distances are well conditioned
-    top = float(norms.max())
+    # center norm, where lattice distances are well conditioned
+    top = table.top
     gs = [v * (top / math.hypot(*g)) for v in g]
     gn = math.hypot(*gs)
-    keys = 1.0 - (mat @ gs) / (norms * gn)
+
+    def score(mat, norms, v):
+        return 1.0 - (mat @ v) / (norms * gn)
 
     def radius2(theta, t):
         tn = math.hypot(*t)
         return (gn - tn) ** 2 + 2.0 * theta * gn * tn
 
-    res = _search_orbits(scaled, s, k, COSINE, gs, perm, keys, radius2)
+    res = _search_orbits(scaled, s, k, COSINE, perm, gs, score, radius2)
     return replace(res, query=q)

@@ -1,9 +1,28 @@
 import pytest
 
-from qusc import (ScaledPoint, TableauWord, YoungDiagram, boundary_rule,
-                  brute_boundary, enumerate_dominant_boundary, enumerate_level,
-                  initial_tableau)
-from qusc.enumeration import check_level_set
+from qusc import (BOUNDARY, LevelSet, ScaledPoint, TableauWord, YoungDiagram,
+                  boundary_rule, brute_boundary, enumerate_dominant_boundary,
+                  enumerate_level, initial_tableau, membership)
+
+
+def check_level_set(ls: LevelSet) -> None:
+    """Assert the structural invariants of a level set."""
+    seen = set()
+    prev = None
+    for p in ls.points:
+        if p.level != ls.level and ls.level > 0:
+            raise AssertionError(f"{p} is not new at level {ls.level}")
+        if not p.is_dominant():
+            raise AssertionError(f"{p} is not dominant")
+        if membership(p, ls.diagram) != BOUNDARY:
+            raise AssertionError(f"{p} is not a boundary point")
+        key = p.numerators
+        if key in seen:
+            raise AssertionError(f"duplicate point {p}")
+        seen.add(key)
+        if prev is not None and key >= prev:
+            raise AssertionError("points not in descending lexicographic order")
+        prev = key
 
 
 def pts(*tuples, level=0):

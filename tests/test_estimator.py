@@ -20,6 +20,18 @@ class TestScatteringNeighbors:
             assert list(i) == ref.indices
             assert list(d) == pytest.approx(ref.distances)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_kneighbors_cut_codebook_matches_brute(self, metric):
+        est = ScatteringNeighbors(lambda_rows=(3, 2, 1), levels=2,
+                                  metric=metric, max_points=200).fit()
+        assert est.n_centers_ == 200
+        rng = np.random.default_rng(1)
+        X = rng.uniform(-1, 4, size=(30, 4))
+        dist, idx = est.kneighbors(X, n_neighbors=4)
+        for row, d, i in zip(X, dist, idx):
+            ref = brute_nearest(tuple(row), est.scattering_, 4, metric)
+            assert (list(i), list(d)) == (ref.indices, ref.distances)
+
     def test_predict_single_row(self):
         est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=0).fit()
         assert est.predict([2.0, 1.0, 1.0, 0.0])[0] == 0

@@ -61,6 +61,30 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             read_scattering(path, "binary")
 
+    def test_header_dimension_disagrees_with_diagram(self, sample, tmp_path):
+        # a header dimension of 3 over a 4-row diagram once loaded, and
+        # queries then compared only 3 of 4 coordinates
+        path = tmp_path / "c.bin"
+        write_scattering(sample, path, "binary")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="header dimension 3"):
+            read_scattering(path)
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_record_finer_than_header_levels(self, sample, fmt, tmp_path):
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(sample, path, fmt)
+        text = path.read_text()
+        old = '"levels": 1' if fmt == "jsonl" else "levels=1"
+        assert old in text
+        path.write_text(text.replace(old, old[:-1] + "0", 1))
+        with pytest.raises(ValueError, match="finer than the header's levels=0"):
+            read_scattering(path)
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -284,6 +308,10 @@ def test_console_script_installed():
     assert "generate" in proc.stdout
 
 
-def test_missing_required_flag_exit2(capsys):
+def test_missing_required_flag_exit2(capsys, tmp_path):
     assert run_cli("generate", "--lambda", "2,1,1") == 2
+    # a removed flag is an unknown one
+    assert run_cli("generate", "--lambda", "2,1,1", "--levels", "1",
+                   "--max-points", "17", "--whole-orbits",
+                   "--out", str(tmp_path / "c.bin")) == 2
     capsys.readouterr()

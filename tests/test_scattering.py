@@ -65,11 +65,6 @@ class TestBuildScattering:
         assert s.levels_built == 0
         assert s.is_complete()
 
-    def test_whole_orbit_truncation(self, diagrams):
-        s = build_scattering(diagrams[(2, 1, 1)], 1, max_points=17,
-                             whole_orbits=True)
-        assert len(s) == 12  # the level-1 orbits interleave, so retreat
-
     def test_index_map(self, scatterings):
         s = scatterings[(2, 2, 1, 1), 1]
         for i, p in enumerate(s.centers):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qusc import (Permutation, ScaledPoint, brute_nearest,
-                  build_scattering, cosine_nearest, nearest_center)
+from qusc import (Permutation, ScaledPoint, Scattering, brute_nearest,
+                  build_scattering, cosine_nearest, embed_diagram, iota_embed,
+                  nearest_center)
 from qusc.search import _face_clamp
 
 
@@ -242,6 +243,16 @@ class TestCosine:
         assert (res.indices, res.distances) == (ref.indices, ref.distances)
         assert res.query == e
 
+    def test_zero_center_raises(self, scatterings):
+        # a corrupt sequence may hold the zero vector, where cosine distance
+        # is undefined, as it is for brute_nearest
+        s0 = scatterings[(2, 1, 1), 0]
+        s = Scattering(s0.diagram, 0, s0.centers + (ScaledPoint((0, 0, 0, 0)),), [0])
+        with pytest.raises(ValueError, match="zero vector"):
+            brute_nearest((1, 1, 1, 1), s, 1, "cosine")
+        with pytest.raises(ValueError, match="zero vector"):
+            cosine_nearest((1, 1, 1, 1), s, 1)
+
     def test_kth_distance_beyond_one_with_positive_sum(self, scatterings):
         # with a positive sum the best cosine distance is below 1 (Chebyshev's
         # sum inequality), but the k-th can exceed it
@@ -360,10 +371,90 @@ class TestScaling:
         for k in (2, 4, 8):
             assert means[k] <= base * k * 2.0, means
 
-    def test_truncated_scattering_falls_back(self, diagrams):
+    def test_truncated_scattering_searched(self, diagrams):
         s = build_scattering(diagrams[(2, 1, 1)], 1, max_points=20)
         assert not s.is_complete()
         e = (1.9, 1.1, 0.9, 0.1)
-        res = nearest_center(e, s, 2)
-        assert res.candidates_examined == len(s)
-        assert res.indices == brute_nearest(e, s, 2).indices
+        res, ref = nearest_center(e, s, 2), brute_nearest(e, s, 2)
+        assert (res.indices, res.distances) == (ref.indices, ref.distances)
+        assert res.candidates_examined < len(s)
+
+    @pytest.mark.parametrize("size", [1e8, 1e12])
+    def test_far_queries_rank_few_centers(self, diagrams, size):
+        # the search keys and the final ranking differ only in summation
+        # order; a bound widened by more than that expands every orbit here
+        s = build_scattering(diagrams[(3, 2, 1)], 3)
+        rng = random.Random(int(math.log10(size)))
+        for _ in range(20):
+            e = [rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0) * size
+                 for _ in range(4)]
+            for k in (2, 8):
+                res, ref = nearest_center(e, s, k), brute_nearest(e, s, k)
+                assert (res.indices, res.distances) == \
+                    (ref.indices, ref.distances), (e, k)
+                assert res.candidates_examined < len(s) / 10, (e, k)
+
+
+def embedded(s):
+    """The sequence that ``qusc embed`` writes for s."""
+    return Scattering(embed_diagram(s.diagram), s.levels_built,
+                      [iota_embed(p) for p in s.centers], s.level_offsets)
+
+
+class TestPartialSequences:
+    """Cut, embedded, thinned and repeated center sequences are searched
+    through the same table as complete ones, and rank like a full scan."""
+
+    @staticmethod
+    def assert_matches(s, queries, ks):
+        for e in queries:
+            for k in ks:
+                for metric in ("euclidean", "cosine"):
+                    res = nearest_center(e, s, k, metric)
+                    ref = brute_nearest(e, s, k, metric)
+                    assert (res.indices, res.distances) == \
+                        (ref.indices, ref.distances), (len(s), e, k, metric)
+
+    def test_every_cut_of_211_level2(self, scatterings):
+        full = scatterings[(2, 1, 1), 2]
+        rng = random.Random(12)
+        queries = random_queries(rng, full, 8, 2)
+        for n in range(1, len(full) + 1):
+            s = build_scattering(full.diagram, 2, max_points=n)
+            assert s.centers == full.centers[:n]
+            self.assert_matches(s, queries, (1, 4))
+
+    def test_cut_sweep_of_321_level3(self, diagrams):
+        full = build_scattering(diagrams[(3, 2, 1)], 3)
+        rng = random.Random(13)
+        queries = random_queries(rng, full, 6, 3)
+        for n in range(7, len(full), 97):
+            s = build_scattering(full.diagram, 3, max_points=n)
+            self.assert_matches(s, queries, (1, 5))
+            assert s.dominant_table().lone
+
+    @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
+    def test_embedded_chains(self, scatterings, rows):
+        once = embedded(scatterings[rows, 2])
+        twice = embedded(once)
+        rng = random.Random(14)
+        for s in (once, twice):
+            self.assert_matches(s, random_queries(rng, s, 16, rows[0]), (1, 4, 9))
+
+    def test_repeated_and_dropped_centers(self, scatterings):
+        full = scatterings[(3, 2, 1), 1]
+        rng = random.Random(15)
+        for _ in range(6):
+            centers = [c for c in full.centers if rng.random() > 0.2]
+            for _ in range(8):
+                centers.insert(rng.randrange(len(centers) + 1),
+                               rng.choice(full.centers))
+            s = Scattering(full.diagram, 1, centers, [0])
+            assert s.has_duplicates
+            self.assert_matches(s, random_queries(rng, s, 12, 3), (1, 3, 10))
+
+    def test_complete_sequence_has_no_lone_rows(self, scatterings):
+        for s in scatterings.values():
+            table = s.dominant_table()
+            assert table.lone == []
+            assert len(table.orbits) == sum(c.is_dominant() for c in s.centers)
