@@ -4,9 +4,8 @@ nearest-center search."""
 from .core import (BOUNDARY, COSINE, EUCLIDEAN, INTERIOR, METRICS, OUTSIDE,
                    Permutation, ScaledPoint, YoungDiagram, distance,
                    dominant_sort, membership, polytope_center)
-from .enumeration import (LevelSet, TableauWord, boundary_rule,
-                          enumerate_dominant_boundary, enumerate_level,
-                          initial_tableau)
+from .enumeration import (LevelSet, enumerate_dominant_boundary,
+                          enumerate_level)
 from .oracle import (OracleConfig, brute_boundary, brute_nearest,
                      brute_nn_distances, brute_nn_sq_numerators,
                      sample_queries)
@@ -22,8 +21,7 @@ __all__ = [
     "BOUNDARY", "COSINE", "EUCLIDEAN", "INTERIOR", "METRICS", "OUTSIDE",
     "Permutation", "ScaledPoint", "YoungDiagram", "distance", "dominant_sort",
     "membership", "polytope_center",
-    "LevelSet", "TableauWord", "boundary_rule", "enumerate_dominant_boundary",
-    "enumerate_level", "initial_tableau",
+    "LevelSet", "enumerate_dominant_boundary", "enumerate_level",
     "OracleConfig", "brute_boundary", "brute_nearest", "brute_nn_distances",
     "brute_nn_sq_numerators", "sample_queries",
     "PrefixStats", "Scattering", "UniformityReport", "build_scattering",

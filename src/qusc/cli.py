@@ -11,11 +11,13 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
                    distance, sq_euclidean)
 from .formats import FORMATS, read_scattering, write_scattering
 from .scattering import (Scattering, build_scattering, embed_diagram,
-                         iota_embed, verify_scattering)
+                         verify_scattering)
 from .search import cosine_nearest, nearest_center
 
 EXIT_OK = 0
@@ -75,7 +77,7 @@ def cmd_generate(args) -> int:
 
 def _spot_check(q, result, s: Scattering, k: int, metric: str) -> bool:
     """Embedded oracle: full scan, tie-normalized index-set comparison."""
-    dists = [distance(q, c.values(), metric) for c in s.centers]
+    dists = [distance(q, c, metric) for c in s.values().tolist()]
     order = sorted(range(len(dists)), key=lambda i: dists[i])
     kk = min(k, len(order))
     tau = dists[order[kk - 1]]
@@ -160,9 +162,10 @@ def cmd_embed(args) -> int:
         s = read_scattering(args.centers)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read centers: {exc}")
-    target = embed_diagram(s.diagram)
-    lifted = [iota_embed(p) for p in s.centers]
-    out = Scattering(target, s.levels_built, lifted, s.level_offsets)
+    # every center gains a coordinate of value 1, numerator 2**levels_built
+    unit = np.full((len(s), 1), 1 << s.levels_built, dtype=np.int64)
+    out = Scattering(embed_diagram(s.diagram), s.levels_built,
+                     np.hstack((s.numerators, unit)), s.level_offsets)
     try:
         write_scattering(out, args.out, args.format)
     except OSError as exc:
@@ -192,7 +195,7 @@ def cmd_bench(args) -> int:
             candidates += res.candidates_examined
         structured = (time.perf_counter() - t0) / len(queries)
 
-        flat = [c.values() for c in s.centers]
+        flat = s.values().tolist()
         t0 = time.perf_counter()
         for q in queries:
             min((kernel(q, vals), i) for i, vals in enumerate(flat))

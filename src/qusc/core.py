@@ -7,10 +7,13 @@ the distance helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"
@@ -108,13 +111,16 @@ class ScaledPoint:
     level: int = 0
 
     def __post_init__(self):
-        nums = tuple(int(v) for v in self.numerators)
+        nums = tuple(map(int, self.numerators))
         level = int(self.level)
         if level < 0:
             raise ValueError("level must be non-negative")
-        while level > 0 and all(v % 2 == 0 for v in nums):
-            nums = tuple(v // 2 for v in nums)
-            level -= 1
+        # the lowest set bit of the numerators' bitwise or is theirs
+        low = functools.reduce(operator.or_, nums, 0)
+        if level and not low & 1:
+            shift = min(level, (low & -low).bit_length() - 1) if low else level
+            nums = tuple([v >> shift for v in nums])
+            level -= shift
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "level", level)
 
@@ -150,6 +156,45 @@ class ScaledPoint:
 
     def __str__(self):
         return "(" + ",".join(self.exact_strings()) + ")"
+
+
+class PointView(Sequence):
+    """The rows of an (n, d) int64 numerator matrix at scale 2**level, read
+    as ScaledPoints.  A point is made when it is read; a slice is a view of
+    the same matrix, which the view holds read-only.  It compares and
+    hashes like the tuple of its points."""
+
+    __slots__ = ("numerators", "level")
+
+    def __init__(self, numerators: np.ndarray, level: int):
+        self.numerators = numerators.view()
+        self.numerators.flags.writeable = False
+        self.level = level
+
+    def __len__(self):
+        return len(self.numerators)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PointView(self.numerators[i], self.level)
+        return ScaledPoint(self.numerators[i].tolist(), self.level)
+
+    def __iter__(self):
+        level = self.level
+        return (ScaledPoint(row, level) for row in self.numerators.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, PointView) and other.level == self.level:
+            return bool(np.array_equal(self.numerators, other.numerators))
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"PointView({len(self)} points at level {self.level})"
 
 
 @dataclass(frozen=True)

@@ -11,61 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ScaledPoint, YoungDiagram
+import numpy as np
 
-
-@dataclass(frozen=True)
-class TableauWord:
-    """Entry counts of a non-decreasing tableau word; equivalently the lattice
-    point the word represents."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts)
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def is_dominant(self) -> bool:
-        c = self.counts
-        return all(a >= b for a, b in zip(c, c[1:]))
+from .core import PointView, YoungDiagram
 
 
 @dataclass(frozen=True)
 class LevelSet:
-    """New dominant boundary points introduced at one subdivision level."""
+    """New dominant boundary points introduced at one subdivision level, as
+    the rows of ``points.numerators`` at scale 2**level."""
 
     diagram: YoungDiagram
     level: int
-    points: tuple[ScaledPoint, ...]
+    points: PointView
     candidates_visited: int = field(default=0, compare=False)
-
-
-def initial_tableau(lam: YoungDiagram) -> TableauWord:
-    """The word of the highest-weight point: row i filled with entry i."""
-    return TableauWord(lam.rows)
-
-
-def boundary_rule(word: TableauWord, lam: YoungDiagram, scale: int = 1) -> bool:
-    """True iff some partial-sum inequality of the face system is tight.
-
-    Equivalent, on dominant words, to one row of the (scaled) diagram ending
-    with a box that carries its own row index.
-    """
-    if word.dim != lam.dim:
-        raise ValueError("word/diagram dimension mismatch")
-    caps = lam.prefix_sums()
-    acc = 0
-    for i in range(lam.dim - 1):
-        acc += word.counts[i]
-        if acc == caps[i] * scale:
-            return True
-    return False
 
 
 def _balanced(total: int, slots: int) -> list[int]:
@@ -167,8 +126,8 @@ def enumerate_dominant_boundary(lam: YoungDiagram) -> LevelSet:
     """All dominant integer boundary points of the weight polytope, in
     descending lexicographic order."""
     walk = _BoundaryWalk(lam.prefix_sums())
-    points = tuple(ScaledPoint(c, 0) for c in walk.run())
-    return LevelSet(lam, 0, points, walk.visited)
+    rows = np.array(walk.run(), dtype=np.int64).reshape(-1, lam.dim)
+    return LevelSet(lam, 0, PointView(rows, 0), walk.visited)
 
 
 def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
@@ -181,7 +140,7 @@ def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
     if k < 1:
         raise ValueError("level must be >= 1; use enumerate_dominant_boundary for 0")
     walk = _BoundaryWalk(lam.scaled(1 << k).prefix_sums())
-    fresh = [c for c in walk.run() if any(v % 2 for v in c)]
-    points = tuple(ScaledPoint(c, k) for c in fresh)
-    return LevelSet(lam, k, points, walk.visited)
+    rows = np.array(walk.run(), dtype=np.int64).reshape(-1, lam.dim)
+    fresh = rows[(rows & 1).any(axis=1)]
+    return LevelSet(lam, k, PointView(fresh, k), walk.visited)
 

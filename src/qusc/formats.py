@@ -3,24 +3,38 @@
 The binary format is exact and byte-stable: a little-endian header (magic
 "QUSC", version, dimension, center count, levels built, diagram rows)
 followed by count x dimension signed 64-bit numerators at the common scale
-2**levels.  The text formats carry the same rationals as reduced "num/2^k"
-strings next to decimal floats.
+2**levels, which are read and written as one block.  The text formats carry
+the same rationals as reduced "num/2^k" strings next to decimal floats, and
+are parsed to and printed from the same integer rows.
+
+Readers raise ValueError for a file they cannot hold exactly: a header
+whose dimension differs from its diagram's row count or whose diagram
+overflows int64 at scale 2**levels, a truncated header or record block,
+trailing bytes after the last binary record, a record count that differs
+from the header's, and a text record finer than the header's levels or
+whose numerator at that scale overflows int64 (the message names the
+record).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
-from .core import ScaledPoint, YoungDiagram
-from .scattering import Scattering
+import numpy as np
+
+from .core import YoungDiagram
+from .scattering import Scattering, canonical_levels, check_scale
 
 MAGIC = b"QUSC"
 FORMAT_VERSION = 1
 FORMATS = ("binary", "jsonl", "csv")
 
 _HEADER = struct.Struct("<4sIIQII")
+_INT64 = np.iinfo(np.int64)
+_TEXT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -48,12 +62,27 @@ def _parse_exact(txt: str) -> tuple[int, int]:
     return int(txt), 0
 
 
-def _point_from_exact(parts, dim) -> ScaledPoint:
-    pairs = [_parse_exact(p) for p in parts]
-    if len(pairs) != dim:
-        raise ValueError(f"expected {dim} coordinates, got {len(pairs)}")
-    level = max(lv for _, lv in pairs)
-    return ScaledPoint(tuple(n << (level - lv) for n, lv in pairs), level)
+def _row_from_exact(parts, header: CenterFileHeader, i: int) -> list[int]:
+    """The numerators of text record i at the header's scale 2**levels."""
+    if len(parts) != header.dimension:
+        raise ValueError(f"record {i}: expected {header.dimension} coordinates, "
+                         f"got {len(parts)}")
+    levels = header.levels
+    row = []
+    for txt in parts:
+        num, lv = _parse_exact(txt)
+        if lv > levels:
+            if num % (1 << (lv - levels)):
+                raise ValueError(f"record {i}: coordinate {txt} is finer than "
+                                 f"the header's levels={levels}")
+            num >>= lv - levels
+        else:
+            num <<= levels - lv
+        if not _INT64.min <= num <= _INT64.max:
+            raise ValueError(f"record {i}: coordinate {txt} overflows int64 "
+                             f"at the header's scale 2**{levels}")
+        row.append(num)
+    return row
 
 
 def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
@@ -86,26 +115,28 @@ def read_scattering(path, fmt: str | None = None) -> Scattering:
         return (_read_jsonl if fmt == "jsonl" else _read_csv)(fh)
 
 
-def _rebuild(header: CenterFileHeader, points) -> Scattering:
-    """The scattering of a file, after checking its records against its
-    header: one coordinate per diagram row, and no record finer than the
-    header's ``levels``."""
+def _diagram_of(header: CenterFileHeader) -> YoungDiagram:
+    """The header's diagram, after checking that the header describes
+    centers the reader can hold: one coordinate per diagram row, and
+    numerators within int64 at scale 2**levels."""
     diagram = YoungDiagram(header.rows)
     if header.dimension != diagram.dim:
         raise ValueError(f"header dimension {header.dimension} does not match "
                          f"the {diagram.dim} rows of diagram {diagram}")
-    offsets = []
-    prev_level = None
-    for i, p in enumerate(points):
-        if p.level > header.levels:
-            raise ValueError(f"record {i} is at level {p.level}, finer than "
-                             f"the header's levels={header.levels}")
-        if prev_level is None or p.level > prev_level:
-            offsets.append(i)
-            prev_level = p.level
-    if not offsets:
-        offsets = [0]
-    return Scattering(diagram, header.levels, points, offsets)
+    check_scale(diagram, header.levels)
+    return diagram
+
+
+def _rebuild(header: CenterFileHeader, diagram: YoungDiagram,
+             nums: np.ndarray) -> Scattering:
+    """The scattering of a file's numerator rows, with a level block
+    starting at every record coarser than none before it."""
+    if len(nums) != header.count:
+        raise ValueError(f"expected {header.count} records, got {len(nums)}")
+    levels = canonical_levels(nums, header.levels)
+    seen = np.maximum.accumulate(levels)
+    offsets = [0] + (np.flatnonzero(levels[1:] > seen[:-1]) + 1).tolist()
+    return Scattering(diagram, header.levels, nums, offsets)
 
 
 # -- binary -------------------------------------------------------------------
@@ -115,8 +146,7 @@ def _write_binary(s: Scattering, fh) -> None:
     fh.write(_HEADER.pack(MAGIC, h.version, h.dimension, h.count, h.levels,
                           len(h.rows)))
     fh.write(struct.pack(f"<{len(h.rows)}I", *h.rows))
-    for p in s.centers:
-        fh.write(struct.pack(f"<{h.dimension}q", *p.numerators_at(h.levels)))
+    fh.write(s.numerators.astype("<i8", copy=False).tobytes())
 
 
 def _read_binary(fh) -> Scattering:
@@ -128,19 +158,41 @@ def _read_binary(fh) -> Scattering:
         raise ValueError("bad magic, not a center file")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
+    # sizes are checked against the bytes left before anything is read
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 4 * nrows > left:
+        raise ValueError("truncated header")
     rows = struct.unpack(f"<{nrows}I", fh.read(4 * nrows))
+    left -= 4 * nrows
     header = CenterFileHeader(version, dim, count, levels, tuple(rows))
-    rec = struct.Struct(f"<{dim}q")
-    points = []
-    for _ in range(count):
-        chunk = fh.read(rec.size)
-        if len(chunk) != rec.size:
-            raise ValueError("truncated record block")
-        points.append(ScaledPoint(rec.unpack(chunk), levels))
-    return _rebuild(header, points)
+    diagram = _diagram_of(header)
+    size = count * dim * 8
+    if size > left:
+        raise ValueError("truncated record block")
+    if size < left:
+        raise ValueError(f"{left - size} trailing bytes after the last record")
+    nums = np.frombuffer(fh.read(size), dtype="<i8").reshape(count, dim)
+    return _rebuild(header, diagram, nums.astype(np.int64, copy=False))
 
 
 # -- jsonl --------------------------------------------------------------------
+
+def _text_records(s: Scattering):
+    """Each center's level in lowest terms, exact strings and float
+    coordinates, from its numerator row; rows are converted _TEXT_BLOCK at
+    a time, so the temporaries stay small."""
+    scale = s.levels_built
+    for lo in range(0, len(s), _TEXT_BLOCK):
+        nums = s.numerators[lo:lo + _TEXT_BLOCK]
+        # every coordinate reduced on its own; a row's level is its largest
+        levels = canonical_levels(nums.reshape(-1, 1), scale).reshape(nums.shape)
+        reduced = nums >> (scale - levels)
+        for level, row, lvs, coords in zip(levels.max(axis=1).tolist(),
+                                           reduced.tolist(), levels.tolist(),
+                                           (nums / float(1 << scale)).tolist()):
+            yield (level, [str(v) if lv == 0 else f"{v}/{1 << lv}"
+                           for v, lv in zip(row, lvs)], coords)
+
 
 def _write_jsonl(s: Scattering, fh) -> None:
     h = _header_of(s)
@@ -148,10 +200,9 @@ def _write_jsonl(s: Scattering, fh) -> None:
         "magic": MAGIC.decode(), "version": h.version, "dimension": h.dimension,
         "count": h.count, "levels": h.levels, "rows": list(h.rows),
     }) + "\n")
-    for i, p in enumerate(s.centers):
+    for i, (level, exact, coords) in enumerate(_text_records(s)):
         fh.write(json.dumps({
-            "index": i, "level": p.level, "exact": list(p.exact_strings()),
-            "coords": list(p.values()),
+            "index": i, "level": level, "exact": exact, "coords": coords,
         }) + "\n")
 
 
@@ -162,16 +213,15 @@ def _read_jsonl(fh) -> Scattering:
     header = CenterFileHeader(first["version"], first["dimension"],
                               first["count"], first["levels"],
                               tuple(first["rows"]))
-    points = []
+    diagram = _diagram_of(header)
+    rows = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        points.append(_point_from_exact(rec["exact"], header.dimension))
-    if len(points) != header.count:
-        raise ValueError(f"expected {header.count} records, got {len(points)}")
-    return _rebuild(header, points)
+        rows.append(_row_from_exact(json.loads(line)["exact"], header, len(rows)))
+    return _rebuild(header, diagram,
+                    np.array(rows, dtype=np.int64).reshape(-1, header.dimension))
 
 
 # -- csv ----------------------------------------------------------------------
@@ -184,10 +234,8 @@ def _write_csv(s: Scattering, fh) -> None:
     cols = (["index", "level"] + [f"exact_{i}" for i in range(dim)]
             + [f"coord_{i}" for i in range(dim)])
     fh.write(",".join(cols) + "\n")
-    for i, p in enumerate(s.centers):
-        cells = [str(i), str(p.level)]
-        cells += list(p.exact_strings())
-        cells += [f"{v:.17g}" for v in p.values()]
+    for i, (level, exact, coords) in enumerate(_text_records(s)):
+        cells = [str(i), str(level)] + exact + [f"{v:.17g}" for v in coords]
         fh.write(",".join(cells) + "\n")
 
 
@@ -201,15 +249,14 @@ def _read_csv(fh) -> Scattering:
     header = CenterFileHeader(version, int(fields["dimension"]),
                               int(fields["count"]), int(fields["levels"]),
                               tuple(int(r) for r in fields["rows"].split(",")))
+    diagram = _diagram_of(header)
     fh.readline()  # column names
     dim = header.dimension
-    points = []
+    rows = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
-        points.append(_point_from_exact(cells[2:2 + dim], dim))
-    if len(points) != header.count:
-        raise ValueError(f"expected {header.count} records, got {len(points)}")
-    return _rebuild(header, points)
+        rows.append(_row_from_exact(cells[2:2 + dim], header, len(rows)))
+    return _rebuild(header, diagram, np.array(rows, dtype=np.int64).reshape(-1, dim))

@@ -1,16 +1,32 @@
 """Center sequences: Weyl orbit expansion, level-by-level ordering,
-quasi-uniformity verification and dimension chaining."""
+quasi-uniformity verification and dimension chaining.
+
+A sequence is stored once, as an (n, d) int64 matrix of numerators at the
+common scale 2**levels_built; ScaledPoint objects are made only when a point
+is read.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import ScaledPoint, YoungDiagram, polytope_center
+from .core import PointView, ScaledPoint, YoungDiagram, polytope_center
 from .enumeration import enumerate_dominant_boundary, enumerate_level
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_scale(diagram: YoungDiagram, levels: int) -> None:
+    """Raise ValueError unless the largest numerator of the diagram's
+    polytope, its first row at scale 2**levels, fits in int64."""
+    if levels > 62 or diagram.rows[0] << levels > _INT64_MAX:
+        raise ValueError(f"levels={levels}: the numerators of diagram {diagram} "
+                         f"at scale 2**{levels} overflow int64")
 
 
 def _multiset_perms_desc(values: tuple[int, ...]):
@@ -26,36 +42,101 @@ def _multiset_perms_desc(values: tuple[int, ...]):
             yield (v,) + tail
 
 
-def orbit_size(p: ScaledPoint) -> int:
-    counts = {}
-    for v in p.numerators:
-        counts[v] = counts.get(v, 0) + 1
-    size = math.factorial(p.dim)
-    for c in counts.values():
-        size //= math.factorial(c)
+@lru_cache(maxsize=None)
+def _perm_table(starts: tuple[bool, ...]) -> np.ndarray:
+    """Source positions of every distinct permutation of a sorted tuple whose
+    runs of equal values start at the positions j with ``starts[j]`` set:
+    each slot names the first position of its run."""
+    labels: list[int] = []
+    for j, new in enumerate(starts):
+        labels.append(j if new else labels[-1])
+    table = np.array(list(_multiset_perms_desc(tuple(labels))), dtype=np.intp)
+    table.flags.writeable = False  # one cached copy serves every caller
+    return table
+
+
+def _orbit_block(dominant: np.ndarray) -> np.ndarray:
+    """Every distinct coordinate permutation of the dominant rows, sorted
+    descending-lex: one level block of a scattering."""
+    n, d = dominant.shape
+    if not n:
+        return dominant
+    # rows whose runs of equal values start at the same positions share
+    # one permutation table
+    starts = np.ones((n, d), dtype=np.bool_)
+    starts[:, 1:] = dominant[:, 1:] != dominant[:, :-1]
+    _, first, group = np.unique(starts.view(np.dtype((np.void, d))).ravel(),
+                                return_index=True, return_inverse=True)
+    parts = [dominant[group == g][:, _perm_table(tuple(starts[i].tolist()))]
+             .reshape(-1, d) for g, i in enumerate(first)]
+    block = np.concatenate(parts)
+    # orbits are disjoint, so the rows are distinct and reversing the
+    # ascending order gives the descending one
+    return block[np.lexsort(block.T[::-1])[::-1]]
+
+
+def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
+    """Weyl orbit size of each sorted row: d! over the factorials of its runs
+    of equal values, built one position at a time (exact in int64 up to
+    d = 20, in Python integers beyond)."""
+    n, d = rows.shape
+    kind = np.int64 if d <= 20 else object
+    size = np.ones(n, dtype=kind)
+    run = np.ones(n, dtype=kind)
+    for j in range(1, d):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1).astype(kind)
+        size = size * (j + 1) // run
     return size
+
+
+def orbit_size(p: ScaledPoint) -> int:
+    rep = np.array([sorted(p.numerators, reverse=True)], dtype=np.int64)
+    return int(_orbit_sizes(rep)[0])
 
 
 def weyl_orbit(p: ScaledPoint) -> list[ScaledPoint]:
     """All coordinate permutations of a dominant point, descending-lex."""
     if not p.is_dominant():
         raise ValueError(f"{p} is not dominant")
-    return [ScaledPoint(t, p.level) for t in _multiset_perms_desc(p.numerators)]
+    block = _orbit_block(np.array([p.numerators], dtype=np.int64))
+    return [ScaledPoint(row, p.level) for row in block.tolist()]
+
+
+def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
+    """The level of each numerator row at scale 2**level in lowest terms:
+    ``level`` minus the factors of two its entries share (an all-zero row
+    is at level 0)."""
+    low = np.bitwise_or.reduce(numerators, axis=1)
+    low &= -low
+    twos = np.frexp(np.abs(low.astype(np.float64)))[1] - 1
+    return level - np.where(low == 0, level, np.minimum(twos, level))
+
+
+@lru_cache(maxsize=None)
+def _row_key(d: int) -> np.dtype:
+    return np.dtype((np.void, 8 * d))
+
+
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(_row_key(rows.shape[1])).ravel()
 
 
 class CenterTable(NamedTuple):
     """The search index of a center sequence, at the scale ``2**levels_built``.
 
-    ``orbits`` holds the dominant member of every Weyl orbit whose members
-    are all present in the sequence, each exactly once.  ``lone`` holds the
-    sequence index of every other center: members of partial orbits (a cut
-    or an embedded sequence) and repeats of an earlier center.  ``mat``
-    stacks the orbit representatives and then the lone centers as float64
-    rows, ``norms`` holds its row norms and ``top`` the largest of them.
+    ``orbits`` stacks the dominant member of every Weyl orbit whose members
+    are all present in the sequence, each exactly once, as int64 rows in
+    sequence order.  ``lone`` holds the sequence index of every other center:
+    members of partial orbits (a cut or an embedded sequence) and repeats of
+    an earlier center.  ``mat`` stacks the orbit representatives and then
+    the lone centers as float64 rows, ``norms`` holds its row norms and
+    ``top`` the largest of them.
     """
 
-    orbits: list[tuple[int, ...]]
-    lone: list[int]
+    orbits: np.ndarray
+    lone: np.ndarray
     mat: np.ndarray
     norms: np.ndarray
     top: float
@@ -68,64 +149,98 @@ class Scattering:
     level's new dominant points are merged and sorted descending-lex.  A
     sequence may also be a cut prefix of one, an embedded one or a corrupt
     one with repeated centers; the search serves all of them exactly.
+
+    ``numerators`` is the only store of the centers: an (n, d) int64 matrix
+    at scale ``2**levels_built``, held without a copy and read-only.
+    ``centers`` reads its rows as ScaledPoints, made on access.  The row
+    lookup behind ``index_of`` and the search's ``dominant_table`` are built
+    on first use.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
-                 centers: Sequence[ScaledPoint], level_offsets: Sequence[int]):
+                 numerators, level_offsets: Sequence[int]):
+        nums = np.asarray(numerators, dtype=np.int64)
+        if nums.size == 0:
+            nums = nums.reshape(0, diagram.dim)
+        if nums.ndim != 2 or nums.shape[1] != diagram.dim:
+            raise ValueError(f"numerators of shape {nums.shape} do not hold "
+                             f"{diagram.dim}-coordinate rows")
         self.diagram = diagram
         self.levels_built = levels_built
-        self.centers = tuple(centers)
+        self.centers = PointView(nums, levels_built)
+        self.numerators = self.centers.numerators
         self.level_offsets = tuple(level_offsets)
-        self.index = {}
-        for i, p in enumerate(self.centers):
-            self.index.setdefault(p, i)
-        # corrupt inputs may repeat a point; verification diagnoses that, and
-        # the search treats each repeat as a lone center
-        self.has_duplicates = len(self.index) != len(self.centers)
+        self._rows = None
         self._complete = None
         self._table = None
 
     def __len__(self):
-        return len(self.centers)
+        return len(self.numerators)
 
     @property
     def dim(self) -> int:
         return self.diagram.dim
 
+    def values(self) -> np.ndarray:
+        """The centers' float coordinates, one row each."""
+        return self.numerators / float(1 << self.levels_built)
+
+    def _row_index(self):
+        """The distinct rows' keys in sorted order, the first sequence
+        position of each, and each center's distinct row."""
+        if self._rows is None:
+            self._rows = np.unique(_void_rows(self.numerators),
+                                   return_index=True, return_inverse=True)
+        return self._rows
+
+    @property
+    def has_duplicates(self) -> bool:
+        """Whether some center repeats an earlier one: verification
+        diagnoses that, and the search treats each repeat as a lone center."""
+        return len(self._row_index()[0]) != len(self)
+
+    def positions(self, rows) -> np.ndarray:
+        """The first sequence position of each numerator row (at scale
+        2**levels_built), or -1 for a row that is not a center."""
+        keys, first, _ = self._row_index()
+        probe = _void_rows(rows)
+        if not len(keys):
+            return np.full(len(probe), -1)
+        at = keys.searchsorted(probe).clip(max=len(keys) - 1)
+        return np.where(keys[at] == probe, first[at], -1)
+
     def index_of(self, p: ScaledPoint):
-        return self.index.get(p)
+        """The first sequence position of p, or None when p is no center."""
+        if p.dim != self.dim or p.level > self.levels_built:
+            return None
+        row = p.numerators_at(self.levels_built)
+        if max(map(abs, row)) > _INT64_MAX:
+            return None
+        i = int(self.positions(np.array([row]))[0])
+        return None if i < 0 else i
 
     def level_blocks(self) -> list[tuple[int, int]]:
-        bounds = list(self.level_offsets) + [len(self.centers)]
+        bounds = list(self.level_offsets) + [len(self)]
         return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
         (both searches rank its rows) and cached."""
         if self._table is None:
-            level = self.levels_built
-            # distinct present members per orbit, keyed by (sorted
-            # numerators, level), and the dominant members in sequence order
-            present: dict[tuple, int] = {}
-            dominant: list[ScaledPoint] = []
-            for p in self.index:
-                rep = tuple(sorted(p.numerators, reverse=True))
-                if rep == p.numerators:
-                    dominant.append(p)
-                key = rep, p.level
-                present[key] = present.get(key, 0) + 1
-            full = [p for p in dominant
-                    if present[p.numerators, p.level] == orbit_size(p)]
-            lone: list[int] = []
-            if len(full) != len(present) or self.has_duplicates:
-                reps = {(p.numerators, p.level) for p in full}
-                for i, c in enumerate(self.centers):
-                    rep = tuple(sorted(c.numerators, reverse=True)), c.level
-                    if self.index[c] != i or rep not in reps:
-                        lone.append(i)
-            orbits = [p.numerators_at(level) for p in full]
-            rows = orbits + [self.centers[i].numerators_at(level) for i in lone]
-            mat = np.array(rows, dtype=np.float64).reshape(-1, self.dim)
+            nums = self.numerators
+            _, first, inverse = self._row_index()
+            # one row per distinct center, its orbit's sorted representative,
+            # and whether every member of that orbit is present
+            distinct = nums[first]
+            rep = np.sort(distinct, axis=1)[:, ::-1]
+            _, orbit, present = np.unique(_void_rows(rep), return_inverse=True,
+                                          return_counts=True)
+            full = present[orbit] == _orbit_sizes(rep)
+            dominant = (distinct == rep).all(axis=1)
+            orbits = nums[np.sort(first[dominant & full])]
+            lone = np.flatnonzero((first[inverse] != np.arange(len(nums)))
+                                  | ~full[inverse])
+            mat = np.concatenate((orbits, nums[lone])).astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
             self._table = CenterTable(orbits, lone, mat, norms,
                                       float(norms.max(initial=0.0)))
@@ -137,7 +252,7 @@ class Scattering:
         re-enumerates every level on its first call and is cached."""
         if self._complete is None:
             blocks = self.level_blocks()
-            sizes = (sum(map(orbit_size, _level_set(self.diagram, k).points))
+            sizes = (_orbit_sizes(_level_set(self.diagram, k).points.numerators).sum()
                      for k in range(len(blocks)))
             self._complete = (not self.has_duplicates
                               and len(blocks) == self.levels_built + 1
@@ -155,27 +270,33 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
     """Assemble the center sequence through subdivision level ``max_levels``.
 
     ``max_points`` cuts the sequence at the tail; the cut may fall inside a
-    Weyl orbit (so ``max_points=1`` yields just the highest weight).
+    Weyl orbit (so ``max_points=1`` yields just the highest weight).  Raises
+    ValueError before enumerating a level whose numerators would overflow
+    int64; an uncut build (no ``max_points``) is refused before any level.
     """
     if max_levels < 0:
         raise ValueError("max_levels must be >= 0")
     if max_points is not None and max_points < 0:
         raise ValueError("max_points must be >= 0")
-    centers: list[ScaledPoint] = []
+    if max_points is None:
+        check_scale(diagram, max_levels)
+    blocks: list[np.ndarray] = []
     offsets: list[int] = []
+    total = 0
     for k in range(max_levels + 1):
-        block: list[ScaledPoint] = []
-        for dom in _level_set(diagram, k).points:
-            block.extend(weyl_orbit(dom))
-        block.sort(key=lambda p: p.numerators, reverse=True)
-        offsets.append(len(centers))
+        check_scale(diagram, k)
+        block = _orbit_block(_level_set(diagram, k).points.numerators)
+        offsets.append(total)
         if max_points is not None:
-            del block[max_points - len(centers):]
-        centers.extend(block)
-        if max_points is not None and len(centers) == max_points:
+            block = block[:max_points - total]
+        blocks.append(block)
+        total += len(block)
+        if total == max_points:
             break
-    offsets = [o for o in offsets if o < len(centers)] or [0]
-    return Scattering(diagram, len(offsets) - 1, centers, offsets)
+    offsets = [o for o in offsets if o < total] or [0]
+    top = len(offsets) - 1
+    nums = np.concatenate([b << (top - k) for k, b in enumerate(blocks[:top + 1])])
+    return Scattering(diagram, top, nums, offsets)
 
 
 # -- dimension chaining -----------------------------------------------------
@@ -262,8 +383,13 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     n = len(s)
     if n < 2:
         raise ValueError("need at least two centers")
-    scale = max(c.level for c in s.centers)
-    nums = np.array([c.numerators_at(scale) for c in s.centers], dtype=np.int64)
+    scale = int(canonical_levels(s.numerators, s.levels_built).max())
+    nums = s.numerators >> (s.levels_built - scale)
+    # |a|^2 + |b|^2 - 2<a, b> stays exact while it fits in int64
+    peak = max(-int(nums.min()), int(nums.max()))
+    if 4 * s.dim * peak * peak > _INT64_MAX:
+        raise ValueError(f"numerators up to {peak} overflow int64 squared "
+                         "distances")
     vals = nums.astype(np.float64)
     unit = vals / np.linalg.norm(vals, axis=1, keepdims=True)
 
@@ -312,7 +438,7 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     cos = max(math.sqrt(ratio(st.min_cosine, st.max_cosine)) for st in stats)
 
     center = polytope_center(s.diagram)
-    rad = [math.dist(c.values(), center) for c in s.centers]
+    rad = [math.dist(v, center) for v in s.values().tolist()]
     # norm extrema over the whole polytope: vertex and barycenter
     top = math.sqrt(sum(r * r for r in s.diagram.rows))
     bottom = s.diagram.boxes / math.sqrt(s.diagram.dim)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -143,6 +144,16 @@ def _widen(bound: float, d: int) -> float:
     return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
 
 
+def _member_indices(members, s, inv) -> list[int]:
+    """Sequence indices of orbit members found in the sorted frame, by one
+    lookup of their rows in the query's frame."""
+    if not members:
+        return []
+    to_query_frame = operator.itemgetter(*inv.order)
+    rows = np.array([to_query_frame(m) for m in members], dtype=np.int64)
+    return s.positions(rows).tolist()
+
+
 def _pool_members(s, gs, inv, ranked, k, radius2, dist):
     """Sequence indices of the centers of the ranked table rows under a
     shrinking k-th best distance bound.
@@ -156,9 +167,9 @@ def _pool_members(s, gs, inv, ranked, k, radius2, dist):
     """
     table = s.dominant_table()
     n = len(table.orbits)
-    level = s.levels_built
     best: list[float] = []
-    pool: list[int] = []
+    lone: list[int] = []
+    members: list[tuple[int, ...]] = []
     # every row's key is the distance of a present center of its own, so
     # the k-th key bounds the true k-th distance before any row is expanded
     seed_bound = ranked[k - 1][1] if len(ranked) >= k else math.inf
@@ -168,37 +179,42 @@ def _pool_members(s, gs, inv, ranked, k, radius2, dist):
         if key > cur:
             break
         if row >= n:
-            pool.append(table.lone[row - n])
+            lone.append(int(table.lone[row - n]))
             found = [key]
         else:
             # each center enters the tracker once: rows are disjoint, and a
             # full orbit's members are all present
-            t = table.orbits[row]
+            t = table.orbits[row].tolist()
             found = []
             for m in _orbit_ball(gs, t, radius2(cur, t)):
-                pool.append(s.index_of(ScaledPoint(inv.apply(m), level)))
+                members.append(m)
                 found.append(dist(gs, m))
         for dm in found:
             if len(best) < k:
                 heapq.heappush(best, -dm)
             elif dm < -best[0]:
                 heapq.heapreplace(best, -dm)
-    return pool
+    return _member_indices(members, s, inv) + lone
 
 
 def _rank(q, s, indices, k, metric):
-    level = max((s.centers[i].level for i in indices), default=0)
+    """The k best of the given centers in a full scan's order, scored from
+    their numerator rows; ScaledPoints are made for the hits only."""
+    level = s.levels_built
+    den = float(1 << level)
     scored = []
-    for i in indices:
-        c = s.centers[i]
+    for i, row in zip(indices, s.numerators.take(indices, axis=0).tolist()):
+        vals = [v / den for v in row]
         if metric == EUCLIDEAN:
-            key = sq_euclidean(q, c.values())
+            key = sq_euclidean(q, vals)
             dist = math.sqrt(key)
         else:
-            key = dist = cosine_distance(q, c.values())
-        scored.append((key, tuple(-v for v in c.numerators_at(level)), i, dist))
+            key = dist = cosine_distance(q, vals)
+        # indices are distinct, so the row is never compared
+        scored.append((key, [-v for v in row], i, dist, row))
     scored.sort()
-    hits = tuple((i, s.centers[i], dist) for _, _, i, dist in scored[:k])
+    hits = tuple((i, ScaledPoint(row, level), dist)
+                 for _, _, i, dist, row in scored[:k])
     return QueryResult(hits, metric, tuple(q), len(scored))
 
 
@@ -213,7 +229,7 @@ def _search_orbits(q, s, k, metric, perm, gs, score, radius2):
     n = len(table.orbits)
     inv = perm.inverse()
     keys = score(table.mat[:n], table.norms[:n], gs)
-    if table.lone:
+    if len(table.lone):
         keys = np.concatenate((keys, score(table.mat[n:], table.norms[n:],
                                            inv.apply(gs))))
     kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf

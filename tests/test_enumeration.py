@@ -1,8 +1,8 @@
 import pytest
 
-from qusc import (BOUNDARY, LevelSet, ScaledPoint, TableauWord, YoungDiagram,
-                  boundary_rule, brute_boundary, enumerate_dominant_boundary,
-                  enumerate_level, initial_tableau, membership)
+from qusc import (BOUNDARY, LevelSet, ScaledPoint, YoungDiagram,
+                  brute_boundary, enumerate_dominant_boundary, enumerate_level,
+                  membership)
 
 
 def check_level_set(ls: LevelSet) -> None:
@@ -29,35 +29,6 @@ def pts(*tuples, level=0):
     return tuple(ScaledPoint(t, level) for t in tuples)
 
 
-class TestInitialTableau:
-    @pytest.mark.parametrize("rows,counts", [
-        ((2, 1, 1), (2, 1, 1, 0)),
-        ((3, 2, 1), (3, 2, 1, 0)),
-        ((2, 2, 1, 1), (2, 2, 1, 1, 0)),
-    ])
-    def test_counts_match_rows(self, rows, counts):
-        assert initial_tableau(YoungDiagram.from_rows(rows)).counts == counts
-
-
-class TestBoundaryRule:
-    def test_interior_word(self):
-        lam = YoungDiagram.from_rows((3, 2, 1))
-        assert not boundary_rule(TableauWord((2, 2, 1, 1)), lam)
-
-    def test_tight_first_prefix(self):
-        lam = YoungDiagram.from_rows((3, 2, 1))
-        assert boundary_rule(TableauWord((3, 1, 1, 1)), lam)
-
-    def test_tight_third_prefix(self):
-        lam = YoungDiagram.from_rows((3, 2, 1))
-        assert boundary_rule(TableauWord((2, 2, 2, 0)), lam)
-
-    def test_scaled(self):
-        lam = YoungDiagram.from_rows((2, 1, 1))
-        assert boundary_rule(TableauWord((4, 2, 1, 1)), lam, scale=2)
-        assert not boundary_rule(TableauWord((3, 2, 2, 1)), lam, scale=2)
-
-
 class TestLevelZero:
     def test_single_orbit_diagram(self):
         ls = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 1, 1)))
@@ -66,6 +37,13 @@ class TestLevelZero:
     def test_two_orbit_diagram(self):
         ls = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 2, 1, 1)))
         assert ls.points == pts((2, 2, 1, 1, 0), (2, 1, 1, 1, 1))
+
+    def test_level_set_hashes_like_its_points_and_is_read_only(self):
+        ls = enumerate_level(YoungDiagram.from_rows((2, 1, 1)), 1)
+        assert hash(ls.points) == hash(tuple(ls.points))
+        assert hash(ls) == hash(enumerate_level(YoungDiagram.from_rows((2, 1, 1)), 1))
+        with pytest.raises(ValueError):
+            ls.points.numerators[0, 0] = 0
 
     def test_interior_point_excluded(self):
         ls = enumerate_dominant_boundary(YoungDiagram.from_rows((3, 2, 1)))

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from qusc import YoungDiagram, build_scattering, is_subsequence
+from qusc import Scattering, YoungDiagram, build_scattering, is_subsequence
 from qusc.cli import main
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
@@ -26,6 +28,40 @@ class TestRoundTrips:
         assert back.diagram == sample.diagram
         assert back.levels_built == sample.levels_built
         assert back.level_offsets == sample.level_offsets
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_signed_zero_and_coarse_rows(self, fmt, tmp_path):
+        # rows of a foreign file need not lie on the polytope: negative,
+        # zero and coarser-than-levels numerators keep their exact values
+        rows = [(5, -3, 0, 1), (0, 0, 0, 0), (-8, 4, 12, 0), (6, -2, 2, 2)]
+        s = Scattering(YoungDiagram.from_rows((3, 2, 1)), 2, rows, [0])
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(s, path, fmt)
+        back = read_scattering(path)
+        assert back.centers == s.centers
+        assert [p.exact_strings() for p in back.centers] == [
+            ("5/4", "-3/4", "0", "1/4"), ("0", "0", "0", "0"),
+            ("-2", "1", "3", "0"), ("3/2", "-1/2", "1/2", "1/2")]
+        assert back.level_offsets == (0,)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_text_records_across_conversion_blocks(self, fmt, tmp_path):
+        s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 4)
+        assert len(s) > 4096 + 1
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(s, path, fmt)
+        assert read_scattering(path).centers == s.centers
+        lines = path.read_text().splitlines()[1 if fmt == "jsonl" else 2:]
+        for i in (0, 4095, 4096, len(s) - 1):
+            p = s.centers[i]
+            if fmt == "jsonl":
+                rec = json.loads(lines[i])
+                got = rec["level"], tuple(rec["exact"]), tuple(rec["coords"])
+            else:
+                cells = lines[i].split(",")
+                got = (int(cells[1]), tuple(cells[2:6]),
+                       tuple(float(c) for c in cells[6:]))
+            assert got == (p.level, p.exact_strings(), p.values()), i
 
     def test_binary_reserialization_byte_identical(self, sample, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -90,6 +126,155 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+class TestReaderBoundary:
+    """Files the reader cannot hold exactly are refused with ValueError,
+    and every command exits 2 on them."""
+
+    @staticmethod
+    def binary(sample, tmp_path):
+        path = tmp_path / "c.bin"
+        write_scattering(sample, path, "binary")
+        return path, bytearray(path.read_bytes())
+
+    def test_huge_declared_count_is_truncated_without_allocating(self, sample,
+                                                                  tmp_path):
+        path, raw = self.binary(sample, tmp_path)
+        struct.pack_into("<Q", raw, 12, 10 ** 12)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated record block"):
+                read_scattering(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_cut_record_block(self, sample, tmp_path, cut):
+        path, raw = self.binary(sample, tmp_path)
+        path.write_bytes(bytes(raw[:-cut]))
+        with pytest.raises(ValueError, match="truncated record block"):
+            read_scattering(path)
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+
+    def test_trailing_bytes(self, sample, tmp_path):
+        path, raw = self.binary(sample, tmp_path)
+        path.write_bytes(bytes(raw) + b"\x00" * 7)
+        with pytest.raises(ValueError, match="7 trailing bytes"):
+            read_scattering(path)
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+
+    def test_truncated_diagram_rows(self, sample, tmp_path):
+        path, raw = self.binary(sample, tmp_path)
+        struct.pack_into("<I", raw, 24, 1 << 30)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated header"):
+            read_scattering(path)
+
+    @staticmethod
+    def with_first_numerator(sample, fmt, tmp_path, text):
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(sample, path, fmt)
+        lines = path.read_text().splitlines()
+        if fmt == "jsonl":
+            rec = json.loads(lines[1])
+            rec["exact"][0] = text
+            lines[1] = json.dumps(rec)
+        else:
+            cells = lines[2].split(",")
+            cells[2] = text
+            lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("command", ["query", "verify", "embed"])
+    def test_numerator_overflowing_int64_exit2(self, sample, fmt, command,
+                                               tmp_path, capsys):
+        path = self.with_first_numerator(sample, fmt, tmp_path, str(1 << 64))
+        with pytest.raises(ValueError, match="record 0: .* overflows int64"):
+            read_scattering(path)
+        extra = {"query": ["--point", "1,1,1,1"], "verify": [],
+                 "embed": ["--out", str(tmp_path / "e.bin")]}[command]
+        assert run_cli(command, "--centers", str(path), *extra) == 2
+        assert "record 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_header_levels_overflowing_int64(self, sample, fmt, tmp_path):
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(sample, path, fmt)
+        if fmt == "binary":
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, 20, 63)
+            path.write_bytes(bytes(raw))
+        else:
+            old = '"levels": 1' if fmt == "jsonl" else "levels=1"
+            path.write_text(path.read_text().replace(old, old[:-1] + "63", 1))
+        with pytest.raises(ValueError, match="overflow int64"):
+            read_scattering(path)
+
+
+# sha256 of the files written for these codebooks by the implementation that
+# held every center as a ScaledPoint (commit d338975); the matrix store must
+# write the same bytes
+DIGESTS = {
+    ((2, 1, 1), 2, None): (
+        "2f0e964e10fa90a90dc9e8d885bd763a2103097ad2b9e41080a15a33f9f32bf8",
+        "01ba406e0b763b86c2b9f7e0b5a72804019b0936aee7c5a82095770d6a84c96f",
+        "c638703a6dffaa0e6d778c38c75f30a3fe85f36fc8f0ec7eba34f2fd35fa4628"),
+    ((3, 2, 1), 3, None): (
+        "71acaa06a02d7ee676c184a1013fb339edd9bb95ed3d5771ad56f680283706d2",
+        "66b6e3f43a15e03e95226393f9e3bf6c0c7ca0080433ce9ae5c978dab98e1b87",
+        "f42dfc7cfaacd2553e3f5462a79e09ab54b7a7b037b32fcbde992032884ec738"),
+    ((2, 2, 1, 1), 2, None): (
+        "864dd5eec0d298bb3273d2c7c41afa887de8a321cf542d9b4ffb42191b733ca6",
+        "1ada9da1ba8b2c3dccba32be833da618482b336475c303f2edc35b89baa805a2",
+        "e4ae196ec42be0da4fda48d84b869b8c8d28a282a4afa9e34bb18abd35c563a5"),
+    ((3, 2, 1), 3, 1000): (
+        "3c4774b6c3e2308d647aeccbf9e95b973792e9ad12465c07b3f78ba2cf393881",
+        "ffbdbf54662b7b318f19fe4744b0a61acb5998ad0e5d011458e655150d17388d",
+        "4334fc55b0a79a606c18badb5fc1598334702092c08ea39b8b84ab05137b6efc"),
+}
+# `qusc embed` of the (3,2,1) L3 cut at 1000 centers, written in each format
+EMBED_DIGESTS = (
+    "56d8b80013ca8d374c3c6525621a68761ec0feca32d2a6800a7aafa26c721d23",
+    "4f6abdcd5e1ebe30b3aac1abb0608316463ecd4f85dc741fbdd23efc11eb0145",
+    "d4d61c0bcd33808de6fcb9adf870e91d140ea0ceae2f02fcc942579294785dc5")
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestByteStability:
+    @pytest.mark.parametrize("case", sorted(DIGESTS, key=str))
+    def test_written_files(self, case, tmp_path):
+        rows, levels, max_points = case
+        s = build_scattering(YoungDiagram.from_rows(rows), levels,
+                             max_points=max_points)
+        for fmt, digest in zip(FORMATS, DIGESTS[case]):
+            path = tmp_path / f"c.{fmt}"
+            write_scattering(s, path, fmt)
+            assert sha256(path) == digest, fmt
+            again = tmp_path / f"again.{fmt}"
+            write_scattering(read_scattering(path), again, fmt)
+            assert sha256(again) == digest, fmt
+
+    def test_embedded_files(self, tmp_path, capsys):
+        s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 3, max_points=1000)
+        for src_fmt in FORMATS:
+            src = tmp_path / f"c.{src_fmt}"
+            write_scattering(s, src, src_fmt)
+            for fmt, digest in zip(FORMATS, EMBED_DIGESTS):
+                out = tmp_path / f"e.{fmt}"
+                assert run_cli("embed", "--centers", str(src), "--format", fmt,
+                               "--out", str(out)) == 0
+                assert sha256(out) == digest, (src_fmt, fmt)
+        capsys.readouterr()
+
+
 class TestCliGenerate:
     def test_twelve_records(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
@@ -104,6 +289,14 @@ class TestCliGenerate:
         assert run_cli("generate", "--lambda", "2,2,1,1", "--levels", "0",
                        "--out", str(out)) == 0
         assert "level 0: 35 centers" in capsys.readouterr().out
+
+    def test_cut_far_below_overflowing_levels(self, tmp_path):
+        out = tmp_path / "c.bin"
+        assert run_cli("generate", "--lambda", "3,2,1", "--levels", "100",
+                       "--max-points", "1000", "--out", str(out)) == 0
+        assert len(read_scattering(out)) == 1000
+        assert run_cli("generate", "--lambda", "3,2,1", "--levels", "100",
+                       "--out", str(out)) == 2
 
     def test_degenerate_diagram_exit2(self, tmp_path, capsys):
         assert run_cli("generate", "--lambda", "1", "--levels", "0",

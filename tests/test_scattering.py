@@ -1,10 +1,15 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from qusc import (ScaledPoint, YoungDiagram, build_scattering, embed_diagram,
+from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
+                  embed_diagram, enumerate_dominant_boundary, enumerate_level,
                   iota_embed, is_subsequence, orbit_size, verify_scattering,
                   weyl_orbit)
+from qusc.formats import read_scattering, write_scattering
+from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
 GOLDEN_PREFIX_LEVEL0 = [
@@ -179,4 +184,99 @@ class TestUniformity:
     def test_needs_two_centers(self, diagrams):
         s = build_scattering(diagrams[(2, 1, 1)], 0, max_points=1)
         with pytest.raises(ValueError):
+            verify_scattering(s)
+
+
+def merged_orbit_sequence(lam, levels):
+    """The sequence by its first definition, one ScaledPoint per center:
+    each level's Weyl orbits, from all distinct permutations of its dominant
+    points, merged and sorted descending-lex, with the block offsets."""
+    centers, offsets = [], []
+    for k in range(levels + 1):
+        ls = enumerate_dominant_boundary(lam) if k == 0 else enumerate_level(lam, k)
+        block = [ScaledPoint(t, k) for p in ls.points
+                 for t in set(itertools.permutations(p.numerators))]
+        block.sort(key=lambda p: p.numerators, reverse=True)
+        offsets.append(len(centers))
+        centers.extend(block)
+    return centers, tuple(offsets)
+
+
+class TestMatrixBuild:
+    @pytest.mark.parametrize("rows,levels", [((2, 1, 1), 3), ((3, 2, 1), 4),
+                                             ((2, 2, 1, 1), 3)])
+    def test_matches_merged_orbit_definition(self, rows, levels):
+        lam = YoungDiagram.from_rows(rows)
+        for k in range(levels + 1):
+            centers, offsets = merged_orbit_sequence(lam, k)
+            s = build_scattering(lam, k)
+            assert list(s.centers) == centers, (rows, k)
+            assert s.centers == tuple(centers), (rows, k)
+            assert s.level_offsets == offsets, (rows, k)
+
+    def test_index_of_first_position_and_non_centers(self, scatterings):
+        base = scatterings[(2, 1, 1), 1]
+        nums = np.concatenate((base.numerators, base.numerators[3:9]))
+        s = Scattering(base.diagram, 1, nums, base.level_offsets)
+        assert s.has_duplicates and not base.has_duplicates
+        for i, p in enumerate(s.centers):
+            assert s.index_of(p) == (i if i < len(base) else i - len(base) + 3)
+        assert s.index_of(ScaledPoint((1, 1, 1, 1))) is None
+        assert s.index_of(ScaledPoint((3, 2, 2, 1), 2)) is None
+        assert s.index_of(ScaledPoint((2, 1, 1, 0, 0))) is None
+
+    def test_build_read_and_table_make_no_points(self, diagrams, tmp_path,
+                                                 monkeypatch):
+        made = []
+        post_init = ScaledPoint.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScaledPoint, "__post_init__", counted)
+        s = build_scattering(diagrams[(3, 2, 1)], 3)
+        path = tmp_path / "c.bin"
+        write_scattering(s, path, "binary")
+        loaded = read_scattering(path)
+        loaded.dominant_table()
+        assert made == []
+        # a query makes one point per hit
+        res = nearest_center((1.9, 1.1, 0.9, 0.1), loaded, 3)
+        assert made == list(res.points)
+
+    def test_levels_overflowing_int64_rejected_before_enumeration(self, diagrams):
+        for rows in ((2, 1, 1), (3, 2, 1)):
+            with pytest.raises(ValueError, match="overflow int64"):
+                build_scattering(diagrams[rows], 62)
+
+    def test_cut_build_stops_before_overflowing_levels(self, diagrams):
+        # max_points ends the build long before the scale would overflow
+        s = build_scattering(diagrams[(2, 1, 1)], 10 ** 9, max_points=1)
+        assert s.centers == (ScaledPoint((2, 1, 1, 0)),)
+        s = build_scattering(diagrams[(3, 2, 1)], 100, max_points=1000)
+        assert len(s) == 1000 and s.levels_built < 100
+        assert s.centers == build_scattering(diagrams[(3, 2, 1)],
+                                             s.levels_built).centers[:1000]
+
+    def test_orbits_beyond_64_coordinates(self):
+        # 66 coordinates: run patterns no longer fit one int64 bit word
+        s = build_scattering(YoungDiagram.from_rows((1,) * 65), 0)
+        ones = [1] * 66
+        assert [p.numerators for p in s.centers] == [
+            tuple(ones[:z] + [0] + ones[z + 1:]) for z in reversed(range(66))]
+        # (2, 1^64, 0): one orbit member per placement of the 2 and the 0
+        orbit = weyl_orbit(ScaledPoint((2,) + (1,) * 64 + (0,)))
+        expected = []
+        for top, bottom in itertools.permutations(range(66), 2):
+            row = [1] * 66
+            row[top], row[bottom] = 2, 0
+            expected.append(tuple(row))
+        assert [p.numerators for p in orbit] == sorted(expected, reverse=True)
+
+    def test_verify_rejects_squares_overflowing_int64(self, diagrams):
+        big = 1 << 40
+        s = Scattering(diagrams[(2, 1, 1)], 0,
+                       [(big, 0, 0, 0), (0, big, 0, 0)], [0])
+        with pytest.raises(ValueError, match="overflow int64 squared"):
             verify_scattering(s)

@@ -12,6 +12,12 @@ from qusc import (Permutation, ScaledPoint, Scattering, brute_nearest,
 from qusc.search import _face_clamp
 
 
+def from_points(diagram, levels, points, offsets):
+    """A scattering holding the given points, at scale 2**levels."""
+    return Scattering(diagram, levels,
+                      [p.numerators_at(levels) for p in points], offsets)
+
+
 def random_queries(rng, sc, count, top):
     """The query mix used throughout: box, center+noise, far gaussian, exact
     centers (the last two exercise the Weyl reduction and the tie paths)."""
@@ -247,7 +253,8 @@ class TestCosine:
         # a corrupt sequence may hold the zero vector, where cosine distance
         # is undefined, as it is for brute_nearest
         s0 = scatterings[(2, 1, 1), 0]
-        s = Scattering(s0.diagram, 0, s0.centers + (ScaledPoint((0, 0, 0, 0)),), [0])
+        s = from_points(s0.diagram, 0, [*s0.centers, ScaledPoint((0, 0, 0, 0))],
+                        [0])
         with pytest.raises(ValueError, match="zero vector"):
             brute_nearest((1, 1, 1, 1), s, 1, "cosine")
         with pytest.raises(ValueError, match="zero vector"):
@@ -397,8 +404,8 @@ class TestScaling:
 
 def embedded(s):
     """The sequence that ``qusc embed`` writes for s."""
-    return Scattering(embed_diagram(s.diagram), s.levels_built,
-                      [iota_embed(p) for p in s.centers], s.level_offsets)
+    return from_points(embed_diagram(s.diagram), s.levels_built,
+                       [iota_embed(p) for p in s.centers], s.level_offsets)
 
 
 class TestPartialSequences:
@@ -431,7 +438,7 @@ class TestPartialSequences:
         for n in range(7, len(full), 97):
             s = build_scattering(full.diagram, 3, max_points=n)
             self.assert_matches(s, queries, (1, 5))
-            assert s.dominant_table().lone
+            assert len(s.dominant_table().lone)
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -449,12 +456,12 @@ class TestPartialSequences:
             for _ in range(8):
                 centers.insert(rng.randrange(len(centers) + 1),
                                rng.choice(full.centers))
-            s = Scattering(full.diagram, 1, centers, [0])
+            s = from_points(full.diagram, 1, centers, [0])
             assert s.has_duplicates
             self.assert_matches(s, random_queries(rng, s, 12, 3), (1, 3, 10))
 
     def test_complete_sequence_has_no_lone_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert table.lone == []
+            assert len(table.lone) == 0
             assert len(table.orbits) == sum(c.is_dominant() for c in s.centers)
