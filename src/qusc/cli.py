@@ -18,7 +18,7 @@ from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
 from .formats import FORMATS, read_scattering, write_scattering
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          verify_scattering)
-from .search import cosine_nearest, nearest_center
+from .search import nearest_center
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,12 +102,7 @@ def cmd_query(args) -> int:
         raw_points = [line for line in sys.stdin if line.strip()]
     queries = [_parse_point(t, s.dim) for t in raw_points]
 
-    def run(q):
-        if args.metric == COSINE:
-            return cosine_nearest(q, s, args.k)
-        return nearest_center(q, s, args.k, args.metric)
-
-    results = [run(q) for q in queries]
+    results = [nearest_center(q, s, args.k, args.metric) for q in queries]
 
     failed = False
     for q, res in zip(queries, results):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import COSINE, EUCLIDEAN, YoungDiagram
 from .scattering import build_scattering
-from .search import cosine_nearest, nearest_center
+from .search import nearest_center
 
 
 def _check_matrix(X, dim: int) -> np.ndarray:
@@ -62,8 +62,6 @@ class ScatteringNeighbors:
         return self
 
     def _query(self, q, k):
-        if self.metric == COSINE:
-            return cosine_nearest(q, self.scattering_, k)
         return nearest_center(q, self.scattering_, k, self.metric)
 
     def kneighbors(self, X, n_neighbors=1):

@@ -11,9 +11,9 @@ Readers raise ValueError for a file they cannot hold exactly: a header
 whose dimension differs from its diagram's row count or whose diagram
 overflows int64 at scale 2**levels, a truncated header or record block,
 trailing bytes after the last binary record, a record count that differs
-from the header's, and a text record finer than the header's levels or
-whose numerator at that scale overflows int64 (the message names the
-record).
+from the header's, a text header or record that lacks a field, and a text
+record finer than the header's levels or whose numerator at that scale
+overflows int64 (the messages name the record).
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def _parse_exact(txt: str) -> tuple[int, int]:
             raise ValueError(f"denominator {d} is not a power of two")
         return int(num), d.bit_length() - 1
     return int(txt), 0
+
+
+def _field(header: dict, key: str, where: str):
+    """A text header's field, or a ValueError naming the one it lacks."""
+    try:
+        return header[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r} field") from None
 
 
 def _row_from_exact(parts, header: CenterFileHeader, i: int) -> list[int]:
@@ -210,16 +218,22 @@ def _read_jsonl(fh) -> Scattering:
     first = json.loads(fh.readline())
     if first.get("magic") != MAGIC.decode():
         raise ValueError("missing jsonl header record")
-    header = CenterFileHeader(first["version"], first["dimension"],
-                              first["count"], first["levels"],
-                              tuple(first["rows"]))
+    version, dimension, count, levels, lengths = (
+        _field(first, key, "jsonl header")
+        for key in ("version", "dimension", "count", "levels", "rows"))
+    header = CenterFileHeader(version, dimension, count, levels,
+                              tuple(lengths))
     diagram = _diagram_of(header)
     rows = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
-        rows.append(_row_from_exact(json.loads(line)["exact"], header, len(rows)))
+        try:
+            exact = json.loads(line)["exact"]
+        except (KeyError, TypeError):  # no such key, or no JSON object
+            raise ValueError(f"record {len(rows)} has no 'exact' field") from None
+        rows.append(_row_from_exact(exact, header, len(rows)))
     return _rebuild(header, diagram,
                     np.array(rows, dtype=np.int64).reshape(-1, header.dimension))
 
@@ -246,9 +260,11 @@ def _read_csv(fh) -> Scattering:
     tokens = meta.split()
     version = int(tokens[2].lstrip("v"))
     fields = dict(part.split("=", 1) for part in tokens[3:])
-    header = CenterFileHeader(version, int(fields["dimension"]),
-                              int(fields["count"]), int(fields["levels"]),
-                              tuple(int(r) for r in fields["rows"].split(",")))
+    dimension, count, levels, lengths = (
+        _field(fields, key, "csv header")
+        for key in ("dimension", "count", "levels", "rows"))
+    header = CenterFileHeader(version, int(dimension), int(count), int(levels),
+                              tuple(int(r) for r in lengths.split(",")))
     diagram = _diagram_of(header)
     fh.readline()  # column names
     dim = header.dimension

@@ -126,17 +126,20 @@ def _void_rows(rows: np.ndarray) -> np.ndarray:
 class CenterTable(NamedTuple):
     """The search index of a center sequence, at the scale ``2**levels_built``.
 
-    ``orbits`` stacks the dominant member of every Weyl orbit whose members
-    are all present in the sequence, each exactly once, as int64 rows in
-    sequence order.  ``lone`` holds the sequence index of every other center:
+    Row r owns the sequence indices ``members[starts[r]:starts[r + 1]]``.
+    The first ``orbit_rows`` rows are the Weyl orbits whose members are all
+    present in the sequence, each exactly once, in the sequence order of
+    their dominant members; such a row owns the whole orbit and is keyed by
+    that dominant member.  Every other center is a lone row of its own:
     members of partial orbits (a cut or an embedded sequence) and repeats of
-    an earlier center.  ``mat`` stacks the orbit representatives and then
-    the lone centers as float64 rows, ``norms`` holds its row norms and
-    ``top`` the largest of them.
+    an earlier center.  ``mat`` holds each row's key center as float64
+    numerators, ``norms`` its norm (shared by the whole orbit) and ``top``
+    the largest of them.
     """
 
-    orbits: np.ndarray
-    lone: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    orbit_rows: int
     mat: np.ndarray
     norms: np.ndarray
     top: float
@@ -199,16 +202,6 @@ class Scattering:
         diagnoses that, and the search treats each repeat as a lone center."""
         return len(self._row_index()[0]) != len(self)
 
-    def positions(self, rows) -> np.ndarray:
-        """The first sequence position of each numerator row (at scale
-        2**levels_built), or -1 for a row that is not a center."""
-        keys, first, _ = self._row_index()
-        probe = _void_rows(rows)
-        if not len(keys):
-            return np.full(len(probe), -1)
-        at = keys.searchsorted(probe).clip(max=len(keys) - 1)
-        return np.where(keys[at] == probe, first[at], -1)
-
     def index_of(self, p: ScaledPoint):
         """The first sequence position of p, or None when p is no center."""
         if p.dim != self.dim or p.level > self.levels_built:
@@ -216,8 +209,10 @@ class Scattering:
         row = p.numerators_at(self.levels_built)
         if max(map(abs, row)) > _INT64_MAX:
             return None
-        i = int(self.positions(np.array([row]))[0])
-        return None if i < 0 else i
+        keys, first, _ = self._row_index()
+        probe = _void_rows(np.array([row]))[0]
+        at = int(keys.searchsorted(probe))
+        return int(first[at]) if at < len(keys) and keys[at] == probe else None
 
     def level_blocks(self) -> list[tuple[int, int]]:
         bounds = list(self.level_offsets) + [len(self)]
@@ -237,12 +232,21 @@ class Scattering:
                                           return_counts=True)
             full = present[orbit] == _orbit_sizes(rep)
             dominant = (distinct == rep).all(axis=1)
-            orbits = nums[np.sort(first[dominant & full])]
+            heads = np.sort(first[dominant & full])
             lone = np.flatnonzero((first[inverse] != np.arange(len(nums)))
                                   | ~full[inverse])
-            mat = np.concatenate((orbits, nums[lone])).astype(np.float64)
+            keyed = np.concatenate((heads, lone))
+            # each center's row: its orbit's, or a lone row of its own
+            orbit_row = np.zeros(len(present), dtype=np.intp)
+            orbit_row[orbit[inverse[heads]]] = np.arange(len(heads))
+            row = orbit_row[orbit[inverse]]
+            row[lone] = np.arange(len(heads), len(keyed))
+            starts = np.zeros(len(keyed) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(row, minlength=len(keyed)), out=starts[1:])
+            mat = nums[keyed].astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-            self._table = CenterTable(orbits, lone, mat, norms,
+            self._table = CenterTable(np.argsort(row, kind="stable"), starts,
+                                      len(heads), mat, norms,
                                       float(norms.max(initial=0.0)))
         return self._table
 
@@ -407,13 +411,18 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     done = 0
     sq_norm = np.einsum("ij,ij->i", nums, nums)
     for mark in checkpoints:
-        for a in range(done, mark, 256):
-            b = min(a + 256, mark)
-            d2 = sq_norm[a:b, None] + sq_norm[None, :b] - 2 * (nums[a:b] @ nums[:b].T)
-            cosd = 1.0 - unit[a:b] @ unit[:b].T
-            for row, i in enumerate(range(a, b)):
-                d2[row, i] = big
-                cosd[row, i] = np.inf
+        # one (64, b) block of each kind is live at a time, built in place
+        for a in range(done, mark, 64):
+            b = min(a + 64, mark)
+            d2 = nums[a:b] @ nums[:b].T
+            d2 *= -2
+            d2 += sq_norm[a:b, None]
+            d2 += sq_norm[None, :b]
+            cosd = unit[a:b] @ unit[:b].T
+            np.subtract(1.0, cosd, out=cosd)
+            diag = np.arange(b - a)
+            d2[diag, diag + a] = big
+            cosd[diag, diag + a] = np.inf
             if b > 1:
                 np.minimum(nn_sq[:b], d2.min(axis=0), out=nn_sq[:b])
                 np.minimum(nn_cos[:b], cosd.min(axis=0), out=nn_cos[:b])

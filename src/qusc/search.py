@@ -3,32 +3,31 @@ centers the scattering holds.
 
 Every center is a coordinate permutation of a dominant (weakly decreasing)
 center, and by the rearrangement inequality the member of a Weyl orbit
-sorted like the query is the orbit's nearest one, under either metric.  A
-query is therefore sorted into the dominant cone by a stable descending
-sort, and one pass over the scattering's table of dominant centers gives
-every orbit's best distance in closed form.  A center whose orbit is not
-wholly present, as in a cut prefix or an embedded sequence, or that repeats
-an earlier center, is a lone row of the same table, keyed by its own
-distance.  The rows are expanded in key order under a shrinking k-th best
-bound, and the sort is undone before the final ranking.  Euclidean and
-cosine search differ only in the key and in the radius that bounds an
-orbit's expansion.  The candidate set provably contains the k nearest
-centers (ties included), so the final ranking agrees with a full scan for
-every center sequence.
+sorted like the query is the orbit's nearest one, under either metric.  One
+pass over the scattering's center table against the query's sorted values
+therefore gives every orbit's best distance in closed form.  A center whose
+orbit is not wholly present, as in a cut prefix or an embedded sequence, or
+that repeats an earlier center, is a lone row of the same table, keyed by
+its own distance.  Each row owns a group of sequence indices, a whole orbit
+or one lone center.  The rows are expanded in key order under a shrinking
+k-th best bound: a row's centers are scored against the query in one numpy
+pass, and those under the bound are kept.  Euclidean and cosine search
+differ only in the distance.  The candidate set provably contains the k
+nearest centers (ties included), so the final ranking agrees with a full
+scan for every center sequence.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import (COSINE, EUCLIDEAN, ScaledPoint, check_metric,
-                   cosine_distance, dominant_sort, sq_euclidean)
+                   cosine_distance, sq_euclidean)
 from .scattering import Scattering
 
 
@@ -97,42 +96,7 @@ def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
     return out
 
 
-# -- orbit expansion -----------------------------------------------------------
-
-def _orbit_ball(g: Sequence[float], values_desc: tuple[int, ...], bound2: float):
-    """Distinct coordinate permutations of a dominant tuple within squared
-    distance bound2 of g (g weakly decreasing), by branch and bound with the
-    sorted-to-sorted rearrangement lower bound."""
-    d = len(g)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def tail_lb(rem, i):
-        acc = 0.0
-        for t, v in enumerate(rem):
-            dd = v - g[i + t]
-            acc += dd * dd
-        return acc
-
-    def rec(i, rem, acc2):
-        if acc2 + tail_lb(rem, i) > bound2:
-            return
-        if i == d:
-            out.append(tuple(chosen))
-            return
-        last = None
-        for idx, v in enumerate(rem):
-            if v == last:
-                continue
-            last = v
-            dd = v - g[i]
-            chosen.append(v)
-            rec(i + 1, rem[:idx] + rem[idx + 1 :], acc2 + dd * dd)
-            chosen.pop()
-
-    rec(0, list(values_desc), 0.0)
-    return out
-
+# -- expansion and ranking -----------------------------------------------------
 
 def _widen(bound: float, d: int) -> float:
     """A distance bound widened past the float rounding between the search's
@@ -144,57 +108,37 @@ def _widen(bound: float, d: int) -> float:
     return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
 
 
-def _member_indices(members, s, inv) -> list[int]:
-    """Sequence indices of orbit members found in the sorted frame, by one
-    lookup of their rows in the query's frame."""
-    if not members:
-        return []
-    to_query_frame = operator.itemgetter(*inv.order)
-    rows = np.array([to_query_frame(m) for m in members], dtype=np.int64)
-    return s.positions(rows).tolist()
-
-
-def _pool_members(s, gs, inv, ranked, k, radius2, dist):
+def _pool_members(s, qs, ranked, k, score) -> np.ndarray:
     """Sequence indices of the centers of the ranked table rows under a
     shrinking k-th best distance bound.
 
     ``ranked`` holds (row, key) pairs of ``s.dominant_table()`` in ascending
-    key order: an orbit row's key is the best distance in its orbit from the
-    sorted, scaled query gs, a lone row's key its own center's distance.
-    ``radius2(bound, t)`` is the squared radius around gs that holds every
-    member of orbit(t) within distance ``bound``, ``dist(gs, m)`` scores a
-    sorted-frame member m, and ``inv`` maps m back to the query's frame.
+    key order: an orbit row's key is the best distance in its orbit, a lone
+    row's key its own center's distance.  A row's centers are scored against
+    the query qs, in its own frame, by ``score`` (see ``_search_orbits``).
     """
     table = s.dominant_table()
-    n = len(table.orbits)
     best: list[float] = []
-    lone: list[int] = []
-    members: list[tuple[int, ...]] = []
+    pool = []
     # every row's key is the distance of a present center of its own, so
     # the k-th key bounds the true k-th distance before any row is expanded
     seed_bound = ranked[k - 1][1] if len(ranked) >= k else math.inf
     for row, key in ranked:
         cur = _widen(seed_bound if len(best) < k else min(seed_bound, -best[0]),
-                     len(gs))
+                     len(qs))
         if key > cur:
             break
-        if row >= n:
-            lone.append(int(table.lone[row - n]))
-            found = [key]
-        else:
-            # each center enters the tracker once: rows are disjoint, and a
-            # full orbit's members are all present
-            t = table.orbits[row].tolist()
-            found = []
-            for m in _orbit_ball(gs, t, radius2(cur, t)):
-                members.append(m)
-                found.append(dist(gs, m))
-        for dm in found:
+        # each center enters the tracker once: the rows' groups are disjoint
+        group = table.members[table.starts[row]:table.starts[row + 1]]
+        found = score(s.numerators[group], table.norms[row], qs)
+        keep = found <= cur
+        pool.append(group[keep])
+        for dm in found[keep].tolist():
             if len(best) < k:
                 heapq.heappush(best, -dm)
             elif dm < -best[0]:
                 heapq.heapreplace(best, -dm)
-    return _member_indices(members, s, inv) + lone
+    return np.concatenate(pool) if pool else np.empty(0, dtype=np.intp)
 
 
 def _rank(q, s, indices, k, metric):
@@ -218,27 +162,24 @@ def _rank(q, s, indices, k, metric):
     return QueryResult(hits, metric, tuple(q), len(scored))
 
 
-def _search_orbits(q, s, k, metric, perm, gs, score, radius2):
-    """The k nearest centers of q, given the permutation that sorts q and
-    the sorted query gs at the table's scale.  ``score(mat, norms, v)``
-    gives every row of ``mat`` its key against v: the orbit rows are scored
-    against gs, the lone rows against the unsorted query at the same scale.
-    The bound is seeded with the k-th key, the rows under it are expanded
-    in key order, and their centers are ranked against q."""
+def _search_orbits(q, s, k, metric, qs, score):
+    """The k nearest centers of q, given the query qs at the table's scale.
+    ``score(mat, norms, v)`` gives each row of ``mat``, of norm ``norms``,
+    its distance from v: the orbit rows are keyed against the sorted qs, the
+    lone rows and every expanded center against qs itself.  The bound is
+    seeded with the k-th key, the rows under it are expanded in key order,
+    and their centers are ranked against q."""
     table = s.dominant_table()
-    n = len(table.orbits)
-    inv = perm.inverse()
-    keys = score(table.mat[:n], table.norms[:n], gs)
-    if len(table.lone):
-        keys = np.concatenate((keys, score(table.mat[n:], table.norms[n:],
-                                           inv.apply(gs))))
+    n = table.orbit_rows
+    keys = score(table.mat[:n], table.norms[:n], np.sort(qs)[::-1])
+    if n < len(table.mat):
+        keys = np.concatenate((keys, score(table.mat[n:], table.norms[n:], qs)))
     kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
     # rows past the widened seed bound would end _pool_members' loop unseen
-    near = np.flatnonzero(keys <= _widen(kth, len(gs)))
+    near = np.flatnonzero(keys <= _widen(kth, len(qs)))
     near = near[np.argsort(keys[near], kind="stable")]
     ranked = list(zip(near.tolist(), keys[near].tolist()))
-    dist = sq_euclidean if metric == EUCLIDEAN else cosine_distance
-    return _rank(q, s, _pool_members(s, gs, inv, ranked, k, radius2, dist), k, metric)
+    return _rank(q, s, _pool_members(s, qs, ranked, k, score).tolist(), k, metric)
 
 
 def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
@@ -265,8 +206,8 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
     rank them (distance, then descending-lex point).
 
     With g the sorted query, the member of orbit(t) nearest to it is the one
-    sorted like it, so the dominant centers are ranked by |g - t|^2, and
-    each orbit is expanded within the k-th best squared distance itself.
+    sorted like it, so the orbit rows are ranked by |g - t|^2, and each
+    orbit's members are kept within the k-th best squared distance.
     """
     check_metric(metric)
     if metric == COSINE:
@@ -278,8 +219,7 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
     if not math.isfinite(64.0 * reach * reach):
         raise ValueError("query is too large: its sum of squares overflows "
                          "at the scattering's scale")
-    g, perm = dominant_sort(q)
-    gs = [v * (1 << s.levels_built) for v in g]
+    qs = np.array(q) * float(1 << s.levels_built)
 
     def score(mat, norms, v):
         # the squared distance from the row differences: no
@@ -287,8 +227,7 @@ def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
         diff = mat - v
         return np.einsum("ij,ij->i", diff, diff)
 
-    return _search_orbits(q, s, k, EUCLIDEAN, perm, gs, score,
-                          lambda bound, t: bound)
+    return _search_orbits(q, s, k, EUCLIDEAN, qs, score)
 
 
 def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult:
@@ -297,11 +236,9 @@ def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult
     Every member of orbit(t) has norm |t|, and the member sorted like the
     query has the largest inner product with it (rearrangement inequality),
     so with g the sorted query b(t) = 1 - <g, t> / (|g| |t|) is the best
-    cosine distance in orbit(t).  The dominant centers are ranked by b in
-    one pass over the scattering's dominant table, and their orbits are
-    expanded under the shrinking k-th best bound theta: inside orbit(t),
-    d(q, sigma t) <= theta exactly when
-    |g - sigma t|^2 <= (|g| - |t|)^2 + 2 theta |g| |t|.
+    cosine distance in orbit(t).  The orbit rows are ranked by b in one
+    pass over the scattering's center table, and each orbit's members are
+    kept under the shrinking k-th best bound.
     The search and the ranking see the query rescaled by a power of two to a
     largest coordinate in [1/2, 1): that leaves the cosine distances of
     ordinary queries bit for bit unchanged and keeps the squares of tiny
@@ -313,22 +250,18 @@ def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult
         raise ValueError("cosine query must be nonzero")
     shift = -math.frexp(peak)[1]
     scaled = tuple(math.ldexp(v, shift) for v in q)
-    g, perm = dominant_sort(scaled)
     table = s.dominant_table()
     if not table.norms.all():
         raise ValueError("cosine distance undefined for the zero vector")
     # cosine is scale-free: put the query on the sphere of the largest
     # center norm, where lattice distances are well conditioned
-    top = table.top
-    gs = [v * (top / math.hypot(*g)) for v in g]
-    gn = math.hypot(*gs)
+    g = sorted(scaled, reverse=True)
+    factor = table.top / math.hypot(*g)
+    gn = math.hypot(*(v * factor for v in g))
+    qs = np.array(scaled) * factor
 
     def score(mat, norms, v):
         return 1.0 - (mat @ v) / (norms * gn)
 
-    def radius2(theta, t):
-        tn = math.hypot(*t)
-        return (gn - tn) ** 2 + 2.0 * theta * gn * tn
-
-    res = _search_orbits(scaled, s, k, COSINE, perm, gs, score, radius2)
+    res = _search_orbits(scaled, s, k, COSINE, qs, score)
     return replace(res, query=q)

@@ -201,6 +201,50 @@ class TestReaderBoundary:
         assert run_cli(command, "--centers", str(path), *extra) == 2
         assert "record 0" in capsys.readouterr().err
 
+    @staticmethod
+    def without_field(sample, fmt, part, tmp_path):
+        """A text file whose header or first record lacks a field."""
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(sample, path, fmt)
+        lines = path.read_text().splitlines()
+        if fmt == "jsonl":
+            at, key = (0, "count") if part == "header" else (1, "exact")
+            rec = json.loads(lines[at])
+            del rec[key]
+            lines[at] = json.dumps(rec)
+        elif part == "header":
+            lines[0] = " ".join(t for t in lines[0].split()
+                                if not t.startswith("count="))
+        else:
+            lines[2] = ",".join(lines[2].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fmt,part,message", [
+        ("jsonl", "header", "jsonl header has no 'count' field"),
+        ("jsonl", "record", "record 0 has no 'exact' field"),
+        ("csv", "header", "csv header has no 'count' field"),
+        ("csv", "record", "record 0: expected 4 coordinates, got 1"),
+    ])
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    def test_missing_field_exit2(self, sample, fmt, part, message, command,
+                                 tmp_path, capsys):
+        path = self.without_field(sample, fmt, part, tmp_path)
+        with pytest.raises(ValueError, match=message):
+            read_scattering(path)
+        extra = ["--point", "1,1,1,1"] if command == "query" else []
+        assert run_cli(command, "--centers", str(path), *extra) == 2
+        assert message in capsys.readouterr().err
+
+    def test_jsonl_record_not_an_object_exit2(self, sample, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        write_scattering(sample, path, "jsonl")
+        lines = path.read_text().splitlines()
+        lines[1] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
+        assert "record 0 has no 'exact' field" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_header_levels_overflowing_int64(self, sample, fmt, tmp_path):
         path = tmp_path / f"c.{fmt}"

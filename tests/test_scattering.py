@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ class TestUniformity:
         rep = verify_scattering(scatterings[(2, 1, 1), 0])
         # orbit of one point: all centers equidistant from the barycenter
         assert rep.shape_ratio == pytest.approx(1.0)
+
+    def test_memory_stays_blockwise(self, diagrams):
+        # 7,682 centers: 64-row blocks keep each pairwise temporary near 4 MB
+        s = build_scattering(diagrams[(3, 2, 1)], 4)
+        tracemalloc.start()
+        try:
+            verify_scattering(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_needs_two_centers(self, diagrams):
         s = build_scattering(diagrams[(2, 1, 1)], 0, max_points=1)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qusc import (Permutation, ScaledPoint, Scattering, brute_nearest,
-                  build_scattering, cosine_nearest, embed_diagram, iota_embed,
-                  nearest_center)
+from qusc import (Permutation, ScaledPoint, Scattering, YoungDiagram,
+                  brute_nearest, build_scattering, cosine_nearest,
+                  embed_diagram, iota_embed, nearest_center)
 from qusc.search import _face_clamp
 
 
@@ -438,7 +438,8 @@ class TestPartialSequences:
         for n in range(7, len(full), 97):
             s = build_scattering(full.diagram, 3, max_points=n)
             self.assert_matches(s, queries, (1, 5))
-            assert len(s.dominant_table().lone)
+            table = s.dominant_table()
+            assert len(table.starts) - 1 > table.orbit_rows  # some lone rows
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -463,5 +464,63 @@ class TestPartialSequences:
     def test_complete_sequence_has_no_lone_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert len(table.lone) == 0
-            assert len(table.orbits) == sum(c.is_dominant() for c in s.centers)
+            assert len(table.starts) - 1 == table.orbit_rows
+            assert table.orbit_rows == sum(c.is_dominant() for c in s.centers)
+
+
+class TestCenterTable:
+    """Every table row owns a group of sequence indices: a whole orbit or
+    one lone center, and each center lies in exactly one row."""
+
+    @staticmethod
+    def sequences(diagrams, scatterings):
+        full = scatterings[(3, 2, 1), 1]
+        rng = random.Random(31)
+        repeated = list(full.centers) + [rng.choice(full.centers)
+                                         for _ in range(6)]
+        rng.shuffle(repeated)
+        return {
+            "complete": scatterings[(2, 2, 1, 1), 2],
+            "cut": build_scattering(diagrams[(3, 2, 1)], 3, max_points=500),
+            "embedded": embedded(scatterings[(2, 1, 1), 2]),
+            "duplicated": from_points(full.diagram, 1, repeated, [0]),
+        }
+
+    @pytest.mark.parametrize("kind", ["complete", "cut", "embedded",
+                                      "duplicated"])
+    def test_rows_partition_the_sequence(self, diagrams, scatterings, kind):
+        s = self.sequences(diagrams, scatterings)[kind]
+        table = s.dominant_table()
+        assert sorted(table.members.tolist()) == list(range(len(s)))
+        assert table.starts[0] == 0 and table.starts[-1] == len(s)
+        assert len(table.starts) - 1 == len(table.mat) == len(table.norms)
+        rows = s.numerators.tolist()
+        for r in range(len(table.mat)):
+            group = table.members[table.starts[r]:table.starts[r + 1]].tolist()
+            key = tuple(int(v) for v in table.mat[r])
+            if r < table.orbit_rows:
+                assert key == tuple(sorted(key, reverse=True))
+                orbit = set(itertools.permutations(key))
+                assert len(group) == len(orbit)
+                assert {tuple(rows[i]) for i in group} == orbit
+            else:
+                assert len(group) == 1 and tuple(rows[group[0]]) == key
+        lone = len(table.mat) - table.orbit_rows
+        if kind == "cut":  # the members of the orbit the cut falls inside
+            assert 0 < lone < len(s)
+        else:
+            assert lone == {"complete": 0, "embedded": len(s),
+                            "duplicated": 6}[kind]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_large_orbits_match_brute(self, metric):
+        # (5,4,3,2,1) at level 0 has orbits of 720 members, each scored whole
+        s = build_scattering(YoungDiagram.from_rows((5, 4, 3, 2, 1)), 0)
+        assert len(s) == 2372
+        rng = random.Random(32)
+        for e in random_queries(rng, s, 12, 5):
+            for k in (1, 4, 16):
+                res = nearest_center(e, s, k, metric)
+                ref = brute_nearest(e, s, k, metric)
+                assert (res.indices, res.distances) == \
+                    (ref.indices, ref.distances), (e, k)
