@@ -13,7 +13,7 @@ from .scattering import (PrefixStats, Scattering, UniformityReport,
                          build_scattering, embed_diagram, iota_embed,
                          is_subsequence, orbit_size, verify_scattering,
                          weyl_orbit)
-from .search import QueryResult, cosine_nearest, nearest_center
+from .search import QueryResult, cosine_nearest, nearest_center, nearest_centers
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "PrefixStats", "Scattering", "UniformityReport", "build_scattering",
     "embed_diagram", "iota_embed", "is_subsequence", "orbit_size",
     "verify_scattering", "weyl_orbit",
-    "QueryResult", "cosine_nearest", "nearest_center",
+    "QueryResult", "cosine_nearest", "nearest_center", "nearest_centers",
     "__version__",
 ]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -18,7 +19,7 @@ from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
 from .formats import FORMATS, read_scattering, write_scattering
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          verify_scattering)
-from .search import nearest_center
+from .search import nearest_center, nearest_centers
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -101,14 +102,12 @@ def cmd_query(args) -> int:
     else:
         raw_points = [line for line in sys.stdin if line.strip()]
     queries = [_parse_point(t, s.dim) for t in raw_points]
-
-    results = [nearest_center(q, s, args.k, args.metric) for q in queries]
-
-    failed = False
-    for q, res in zip(queries, results):
-        if args.verify and not _spot_check(q, res, s, args.k, args.metric):
-            failed = True
-        print(json.dumps({
+    results = nearest_centers(queries, s, args.k, args.metric)
+    failed = args.verify and not all(
+        _spot_check(q, res, s, args.k, args.metric)
+        for q, res in zip(queries, results))
+    try:
+        sys.stdout.writelines(json.dumps({
             "query": list(q),
             "indices": res.indices,
             "distances": res.distances,
@@ -116,7 +115,12 @@ def cmd_query(args) -> int:
                          "coords": list(p.values())} for p in res.points],
             "metric": res.metric,
             "candidates_examined": res.candidates_examined,
-        }))
+        }) + "\n" for q, res in zip(queries, results))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; the interpreter's flush at exit must not
+        # raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if failed:
         print("self-check against embedded oracle failed", file=sys.stderr)
         return EXIT_VERIFY

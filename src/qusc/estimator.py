@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import COSINE, EUCLIDEAN, YoungDiagram
 from .scattering import build_scattering
-from .search import nearest_center
+from .search import nearest_centers
 
 
 def _check_matrix(X, dim: int) -> np.ndarray:
@@ -61,9 +61,6 @@ class ScatteringNeighbors:
         self.n_centers_ = len(self.scattering_)
         return self
 
-    def _query(self, q, k):
-        return nearest_center(q, self.scattering_, k, self.metric)
-
     def kneighbors(self, X, n_neighbors=1):
         """Distances and center indices of the n_neighbors nearest centers
         per query row."""
@@ -71,13 +68,10 @@ class ScatteringNeighbors:
             raise ValueError("call fit() before querying")
         arr = _check_matrix(X, self.scattering_.dim)
         k = min(n_neighbors, self.n_centers_)
-        dist = np.empty((arr.shape[0], k))
-        idx = np.empty((arr.shape[0], k), dtype=np.int64)
-        for r, row in enumerate(arr):
-            res = self._query(tuple(row), k)
-            dist[r] = res.distances
-            idx[r] = res.indices
-        return dist, idx
+        results = nearest_centers(arr, self.scattering_, k, self.metric)
+        dist = np.array([res.distances for res in results], dtype=float)
+        idx = np.array([res.indices for res in results], dtype=np.int64)
+        return dist.reshape(len(arr), k), idx.reshape(len(arr), k)
 
     def predict(self, X):
         """Index of the nearest center for each query row."""

@@ -1,5 +1,5 @@
-"""Exact nearest-center queries whose cost does not depend on how many
-centers the scattering holds.
+"""Exact nearest-center queries, answered for a whole block of queries at
+once, whose cost does not depend on how many centers the scattering holds.
 
 Every center is a coordinate permutation of a dominant (weakly decreasing)
 center, and by the rearrangement inequality the member of a Weyl orbit
@@ -9,25 +9,37 @@ therefore gives every orbit's best distance in closed form.  A center whose
 orbit is not wholly present, as in a cut prefix or an embedded sequence, or
 that repeats an earlier center, is a lone row of the same table, keyed by
 its own distance.  Each row owns a group of sequence indices, a whole orbit
-or one lone center.  The rows are expanded in key order under a shrinking
-k-th best bound: a row's centers are scored against the query in one numpy
-pass, and those under the bound are kept.  Euclidean and cosine search
-differ only in the distance.  The candidate set provably contains the k
-nearest centers (ties included), so the final ranking agrees with a full
-scan for every center sequence.
+or one lone center.
+
+``nearest_centers`` searches an (m, d) query block in chunks, with a fixed
+number of numpy passes per chunk (the blocked exact-distance search with
+per-row k-selection of Johnson, Douze & Jegou 2017, "Billion-scale
+similarity search with GPUs", over the table's rows):
+
+1. the block is validated once;
+2. every row is keyed against every query of the chunk, column by column;
+3. each query's k-th key bounds its k-th distance, so every row within that
+   bound, widened past float rounding, is expanded at once into its
+   centers, and all of them are scored exactly;
+4. the centers under the bound are ranked as a full scan would rank them,
+   with one lexsort over the whole chunk.
+
+The candidate set provably contains the k nearest centers (ties included),
+so the ranking agrees with a full scan for every center sequence.  A single
+query is a block of one.  Euclidean and cosine search differ only in the
+distance.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .core import (COSINE, EUCLIDEAN, ScaledPoint, check_metric,
-                   cosine_distance, sq_euclidean)
+from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric
 from .scattering import Scattering
 
 
@@ -35,8 +47,8 @@ from .scattering import Scattering
 class QueryResult:
     """Ranked nearest centers: (sequence index, point, distance) triples.
 
-    ``candidates_examined`` is the number of centers ranked: the orbit
-    members and lone centers the search kept.
+    ``candidates_examined`` is the number of centers the search kept: those
+    within the k-th distance of the query, ties included.
     """
 
     hits: tuple[tuple[int, ScaledPoint, float], ...]
@@ -96,9 +108,18 @@ def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
     return out
 
 
-# -- expansion and ranking -----------------------------------------------------
+# -- block search ------------------------------------------------------------
 
-def _widen(bound: float, d: int) -> float:
+# Elements of one chunk's (queries, table rows) key matrix, and about the
+# most coordinates of (query, center) pairs one expansion scores at once:
+# 256 KiB of float64, so a chunk's temporaries stay in a core's L2 cache.
+_BLOCK = 1 << 15
+# no coordinates of at most this size have a sum of squares that overflows,
+# in fewer than 10**8 dimensions
+_SAFE = 1e150
+
+
+def _widen(bound, d: int):
     """A distance bound widened past the float rounding between the search's
     distances and the final ranking's, for d coordinates: euclidean keys and
     the ranking sum the same rounded squares, scaled by a power of two, in
@@ -108,160 +129,204 @@ def _widen(bound: float, d: int) -> float:
     return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
 
 
-def _pool_members(s, qs, ranked, k, score) -> np.ndarray:
-    """Sequence indices of the centers of the ranked table rows under a
-    shrinking k-th best distance bound.
+def _colsum(terms: np.ndarray) -> np.ndarray:
+    """Row sums of an (m, d) array, added column by column from the left as
+    ``core.sq_euclidean`` and ``core.cosine_distance`` add: an accumulation
+    is sequential by definition.  The array is overwritten."""
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
-    ``ranked`` holds (row, key) pairs of ``s.dominant_table()`` in ascending
-    key order: an orbit row's key is the best distance in its orbit, a lone
-    row's key its own center's distance.  A row's centers are scored against
-    the query qs, in its own frame, by ``score`` (see ``_search_orbits``).
+
+def _euclidean_keys(v, mat, norms):
+    """Squared distances from every row of v to every row of mat, from the
+    coordinate differences added column by column: no
+    |v|^2 + |t|^2 - 2<v, t> cancellation for far queries."""
+    cols = zip(v.T[:, :, None], mat.T)
+    vj, tj = next(cols)
+    keys = np.square(vj - tj)
+    diff = np.empty_like(keys)
+    for vj, tj in cols:
+        np.square(np.subtract(vj, tj, out=diff), out=diff)
+        keys += diff
+    return keys
+
+
+def _cosine_keys(v, mat, norms):
+    """Cosine distances from every row of v to every row of mat, whose norms
+    are given."""
+    keys = v @ mat.T
+    keys /= np.sqrt(_colsum(v * v))[:, None]
+    keys /= norms
+    return np.subtract(1.0, keys, out=keys)
+
+
+def _euclidean_pairs(x, vals):
+    """core.sq_euclidean of each pair of rows, with its float steps; x is
+    overwritten."""
+    x -= vals
+    return _colsum(np.square(x, out=x))
+
+
+def _cosine_pairs(x, vals):
+    """core.cosine_distance of each pair of rows, with its float steps; x and
+    vals are overwritten."""
+    norms = np.sqrt(_colsum(x * x)) * np.sqrt(_colsum(vals * vals))
+    x *= vals
+    d = 1.0 - _colsum(x) / norms
+    # 1.0 - y is never -0.0, so this is the kernel's clamp bit for bit
+    return np.maximum(d, 0.0, out=d)
+
+
+_KERNELS = {EUCLIDEAN: (_euclidean_keys, _euclidean_pairs),
+            COSINE: (_cosine_keys, _cosine_pairs)}
+
+
+def _check_rows(q: np.ndarray, s: Scattering, metric: str) -> None:
+    """The per-query checks, row by row, naming the first bad row: finite
+    coordinates whose sum of squares does not overflow, and for euclidean
+    search none at the scattering's lattice scale either."""
+    rows = math.hypot(*s.diagram.rows)
+    for r, row in enumerate(q.tolist()):
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"query has a non-finite coordinate: {row} (row {r})")
+        if not math.isfinite(sum(v * v for v in row)):
+            raise ValueError("query is too large: its sum of squares overflows "
+                             f"(row {r})")
+        # the search squares distances at the lattice scale 2**levels_built;
+        # none of those squares exceeds 64 * reach**2
+        reach = (math.hypot(*row) + rows) * (1 << s.levels_built)
+        if metric == EUCLIDEAN and not math.isfinite(64.0 * reach * reach):
+            raise ValueError("query is too large: its sum of squares overflows "
+                             f"at the scattering's scale (row {r})")
+
+
+def nearest_centers(queries, s: Scattering, k: int = 1,
+                    metric: str = EUCLIDEAN) -> list[QueryResult]:
+    """The k nearest centers of every row of an (m, d) query block, exactly as
+    a full scan would rank them (distance, then descending-lex point).
+
+    The block is searched in chunks of queries whose key matrix against the
+    center table stays within a fixed number of elements.  An invalid block
+    raises ValueError naming its first bad row.
     """
-    table = s.dominant_table()
-    best: list[float] = []
-    pool = []
-    # every row's key is the distance of a present center of its own, so
-    # the k-th key bounds the true k-th distance before any row is expanded
-    seed_bound = ranked[k - 1][1] if len(ranked) >= k else math.inf
-    for row, key in ranked:
-        cur = _widen(seed_bound if len(best) < k else min(seed_bound, -best[0]),
-                     len(qs))
-        if key > cur:
-            break
-        # each center enters the tracker once: the rows' groups are disjoint
-        group = table.members[table.starts[row]:table.starts[row + 1]]
-        found = score(s.numerators[group], table.norms[row], qs)
-        keep = found <= cur
-        pool.append(group[keep])
-        for dm in found[keep].tolist():
-            if len(best) < k:
-                heapq.heappush(best, -dm)
-            elif dm < -best[0]:
-                heapq.heapreplace(best, -dm)
-    return np.concatenate(pool) if pool else np.empty(0, dtype=np.intp)
-
-
-def _rank(q, s, indices, k, metric):
-    """The k best of the given centers in a full scan's order, scored from
-    their numerator rows; ScaledPoints are made for the hits only."""
-    level = s.levels_built
-    den = float(1 << level)
-    scored = []
-    for i, row in zip(indices, s.numerators.take(indices, axis=0).tolist()):
-        vals = [v / den for v in row]
-        if metric == EUCLIDEAN:
-            key = sq_euclidean(q, vals)
-            dist = math.sqrt(key)
-        else:
-            key = dist = cosine_distance(q, vals)
-        # indices are distinct, so the row is never compared
-        scored.append((key, [-v for v in row], i, dist, row))
-    scored.sort()
-    hits = tuple((i, ScaledPoint(row, level), dist)
-                 for _, _, i, dist, row in scored[:k])
-    return QueryResult(hits, metric, tuple(q), len(scored))
-
-
-def _search_orbits(q, s, k, metric, qs, score):
-    """The k nearest centers of q, given the query qs at the table's scale.
-    ``score(mat, norms, v)`` gives each row of ``mat``, of norm ``norms``,
-    its distance from v: the orbit rows are keyed against the sorted qs, the
-    lone rows and every expanded center against qs itself.  The bound is
-    seeded with the k-th key, the rows under it are expanded in key order,
-    and their centers are ranked against q."""
-    table = s.dominant_table()
-    n = table.orbit_rows
-    keys = score(table.mat[:n], table.norms[:n], np.sort(qs)[::-1])
-    if n < len(table.mat):
-        keys = np.concatenate((keys, score(table.mat[n:], table.norms[n:], qs)))
-    kth = float(np.partition(keys, k - 1)[k - 1]) if len(keys) >= k else math.inf
-    # rows past the widened seed bound would end _pool_members' loop unseen
-    near = np.flatnonzero(keys <= _widen(kth, len(qs)))
-    near = near[np.argsort(keys[near], kind="stable")]
-    ranked = list(zip(near.tolist(), keys[near].tolist()))
-    return _rank(q, s, _pool_members(s, qs, ranked, k, score).tolist(), k, metric)
-
-
-def _checked_query(e: Sequence[float], s: Scattering, k: int) -> tuple[float, ...]:
-    """The query as a float tuple, after the checks every search entry point
-    shares: a nonempty scattering, a matching dimension, k >= 1, and finite
-    coordinates whose sum of squares does not overflow."""
-    q = tuple(float(v) for v in e)
+    check_metric(metric)
     if len(s) == 0:
         raise ValueError("empty scattering")
-    if len(q) != s.dim:
-        raise ValueError(f"query dim {len(q)} != scattering dim {s.dim}")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.shape == (0,):
+        q = q.reshape(0, s.dim)
+    if q.ndim != 2:
+        raise ValueError(f"expected an (m, {s.dim}) query block, got shape {q.shape}")
+    if q.shape[1] != s.dim:
+        raise ValueError(f"query dim {q.shape[1]} != scattering dim {s.dim}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not all(math.isfinite(v) for v in q):
-        raise ValueError(f"query has a non-finite coordinate: {list(q)}")
-    if not math.isfinite(sum(v * v for v in q)):
-        raise ValueError("query is too large: its sum of squares overflows")
-    return q
+    if not len(q):
+        return []
+    level = s.levels_built
+    big = float(np.abs(q).max())
+    # only a block that could fail a check is checked row by row; NaN fails
+    # the first comparison
+    reach = (math.sqrt(s.dim) * big + math.hypot(*s.diagram.rows)) * (1 << level)
+    if not (big <= _SAFE and math.isfinite(128.0 * reach * reach)):
+        _check_rows(q, s, metric)
+    table = s.dominant_table()
+    if metric == EUCLIDEAN:
+        # the keys are taken at the table's scale 2**level
+        frame, lattice = q, float(1 << level)
+    else:
+        peak = np.abs(q).max(axis=1)
+        if not peak.all():
+            raise ValueError(f"cosine query must be nonzero (row {int(np.argmin(peak))})")
+        if not table.norms.all():
+            r = int(np.argmin(table.norms))
+            raise ValueError("cosine distance undefined for the zero vector "
+                             f"(center {table.members[table.starts[r]]})")
+        # cosine is scale-free: rescale each query by a power of two to a
+        # largest coordinate in [1/2, 1), which leaves the distances of
+        # ordinary queries bit for bit unchanged and keeps the squares of
+        # tiny queries from underflowing
+        frame, lattice = np.ldexp(q, -np.frexp(peak)[1][:, None]), 1.0
+    step = max(1, _BLOCK // len(table.mat))
+    out: list[QueryResult] = []
+    for lo in range(0, len(q), step):
+        out += _search_chunk(s, table, q[lo:lo + step], frame[lo:lo + step], k,
+                             metric, lattice)
+    return out
+
+
+def _search_chunk(s, table, q, frame, k, metric, lattice):
+    """Key every table row against a chunk of queries, at the table's scale:
+    an orbit row against the query's sorted values, a lone row against the
+    query itself."""
+    n = table.orbit_rows
+    score = _KERNELS[metric][0]
+    keyed = frame * lattice
+    keys = score(np.sort(keyed, axis=1)[:, ::-1], table.mat[:n], table.norms[:n])
+    if n < len(table.mat):
+        keys = np.hstack((keys, score(keyed, table.mat[n:], table.norms[n:])))
+    return _expand(s, table, keys, q, frame, k, metric, lattice)
+
+
+def _expand(s, table, keys, q, frame, k, metric, lattice):
+    """Rank the centers of every row whose key is within its query's widened
+    k-th key.
+
+    Every key is the distance of a present center, so the k-th key bounds
+    the k-th distance from above and the k nearest centers, ties included,
+    lie in those rows.  Their centers are scored exactly in the ranking's
+    frame, where euclidean distances are ``lattice**2`` times smaller than
+    keys; those under the bound are ranked as a full scan would rank them,
+    and those within the k-th distance, ties included, count as examined.
+    """
+    c, d, scale = len(keys), s.dim, lattice * lattice
+    kth = (np.partition(keys, k - 1, axis=1)[:, k - 1] if k <= keys.shape[1]
+           else np.full(c, math.inf))
+    bound = _widen(kth, d)
+    qi, rows = (keys <= bound[:, None]).nonzero()
+    lo = table.starts.take(rows)
+    sizes = table.starts[1:].take(rows) - lo
+    ends = sizes.cumsum()
+    if ends[-1] * d > _BLOCK and c > 1:
+        h = c // 2
+        return (_expand(s, table, keys[:h], q[:h], frame[:h], k, metric, lattice)
+                + _expand(s, table, keys[h:], q[h:], frame[h:], k, metric,
+                          lattice))
+    # one (query, center) pair for each center of each row
+    cand = table.members.take((lo - ends + sizes).repeat(sizes)
+                              + np.arange(ends[-1]))
+    pq = qi.repeat(sizes)
+    nums = s.numerators.take(cand, axis=0)
+    dist = _KERNELS[metric][1](frame.take(pq, axis=0),
+                               nums / float(1 << s.levels_built))
+    near = (dist <= (bound / scale).take(pq)).nonzero()[0]
+    pq, cand, nums, dist = (pq.take(near), cand.take(near),
+                            nums.take(near, axis=0), dist.take(near))
+    # a full scan's order: distance, then descending-lex point, then index;
+    # pq is sorted, and every query keeps at least kk centers
+    order = np.lexsort((cand, *(~nums).T[::-1], dist, pq))
+    kk = min(k, len(s))
+    top = order.take(np.add.outer(pq.searchsorted(np.arange(c)),
+                                  np.arange(kk)).ravel())
+    kth = dist.take(top[kk - 1::kk])
+    examined = np.bincount(pq[dist <= kth.take(pq)], minlength=c)
+    if metric == EUCLIDEAN:
+        dist = np.sqrt(dist)
+    hits = list(zip(cand.take(top).tolist(),
+                    map(ScaledPoint, nums.take(top, axis=0).tolist(),
+                        repeat(s.levels_built)),
+                    dist.take(top).tolist()))
+    return [QueryResult(tuple(hits[i * kk:(i + 1) * kk]), metric, tuple(query), e)
+            for i, (query, e) in enumerate(zip(q.tolist(), examined.tolist()))]
 
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
                    metric: str = EUCLIDEAN) -> QueryResult:
-    """The k nearest centers of the scattering, exactly as a full scan would
-    rank them (distance, then descending-lex point).
-
-    With g the sorted query, the member of orbit(t) nearest to it is the one
-    sorted like it, so the orbit rows are ranked by |g - t|^2, and each
-    orbit's members are kept within the k-th best squared distance.
-    """
-    check_metric(metric)
-    if metric == COSINE:
-        return cosine_nearest(e, s, k)
-    q = _checked_query(e, s, k)
-    # the search squares distances at the lattice scale 2**levels_built; none
-    # of those squares exceeds 64 * reach**2
-    reach = (math.hypot(*q) + math.hypot(*s.diagram.rows)) * (1 << s.levels_built)
-    if not math.isfinite(64.0 * reach * reach):
-        raise ValueError("query is too large: its sum of squares overflows "
-                         "at the scattering's scale")
-    qs = np.array(q) * float(1 << s.levels_built)
-
-    def score(mat, norms, v):
-        # the squared distance from the row differences: no
-        # |v|^2 + |t|^2 - 2<v, t> cancellation for far queries
-        diff = mat - v
-        return np.einsum("ij,ij->i", diff, diff)
-
-    return _search_orbits(q, s, k, EUCLIDEAN, qs, score)
+    """The k nearest centers of one query: ``nearest_centers`` on a block of
+    one."""
+    return nearest_centers([e], s, k, metric)[0]
 
 
 def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult:
-    """Cosine k-nearest, exactly as a full scan would rank them.
-
-    Every member of orbit(t) has norm |t|, and the member sorted like the
-    query has the largest inner product with it (rearrangement inequality),
-    so with g the sorted query b(t) = 1 - <g, t> / (|g| |t|) is the best
-    cosine distance in orbit(t).  The orbit rows are ranked by b in one
-    pass over the scattering's center table, and each orbit's members are
-    kept under the shrinking k-th best bound.
-    The search and the ranking see the query rescaled by a power of two to a
-    largest coordinate in [1/2, 1): that leaves the cosine distances of
-    ordinary queries bit for bit unchanged and keeps the squares of tiny
-    queries from underflowing.  ``query`` in the result is the caller's.
-    """
-    q = _checked_query(e, s, k)
-    peak = max(abs(v) for v in q)
-    if peak == 0.0:
-        raise ValueError("cosine query must be nonzero")
-    shift = -math.frexp(peak)[1]
-    scaled = tuple(math.ldexp(v, shift) for v in q)
-    table = s.dominant_table()
-    if not table.norms.all():
-        raise ValueError("cosine distance undefined for the zero vector")
-    # cosine is scale-free: put the query on the sphere of the largest
-    # center norm, where lattice distances are well conditioned
-    g = sorted(scaled, reverse=True)
-    factor = table.top / math.hypot(*g)
-    gn = math.hypot(*(v * factor for v in g))
-    qs = np.array(scaled) * factor
-
-    def score(mat, norms, v):
-        return 1.0 - (mat @ v) / (norms * gn)
-
-    res = _search_orbits(scaled, s, k, COSINE, qs, score)
-    return replace(res, query=q)
+    """Cosine k-nearest centers of one query: ``nearest_centers`` on a block
+    of one."""
+    return nearest_centers([e], s, k, COSINE)[0]

@@ -418,6 +418,38 @@ class TestCliQuery:
         assert run_cli("query", "--centers", str(tmp_path / "nope.bin"),
                        "--point", "1,1,1,1") == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e300"])
+    def test_bad_stream_row_exit2_without_output(self, centers_file,
+                                                 monkeypatch, capsys, bad):
+        import io
+        lines = ["1,1,1,1", "2,1,1,0", f"1,{bad},1,1", "0,1,2,1"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert run_cli("query", "--centers", str(centers_file)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "(row 2)" in err
+
+    def test_closed_stdout_stops_quietly(self, tmp_path):
+        # the reader takes 300 bytes of about 800 kB and closes the pipe
+        path = tmp_path / "c.bin"
+        write_scattering(build_scattering(YoungDiagram.from_rows((3, 2, 1)), 3),
+                         path, "binary")
+        queries = tmp_path / "q.txt"
+        queries.write_text("".join(f"{i % 7 * 0.5} 1.25 {i % 3} 0.5\n"
+                                   for i in range(2000)))
+        with open(queries) as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qusc.cli", "query", "--centers",
+                 str(path), "--k", "4"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            head = proc.stdout.read(300)
+            proc.stdout.close()
+            with proc.stderr:
+                err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert len(head) == 300
+        assert err == b""
+
     def test_stdin_stream_keeps_order(self, centers_file, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("1,1,1,1\n2,1,1,0\n"))

@@ -1,14 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qusc import (Permutation, ScaledPoint, Scattering, YoungDiagram,
                   brute_nearest, build_scattering, cosine_nearest,
-                  embed_diagram, iota_embed, nearest_center)
+                  embed_diagram, iota_embed, nearest_center, nearest_centers)
 from qusc.search import _face_clamp
 
 
@@ -165,37 +167,6 @@ class TestFaceProjection:
                     gy = sum((a - b) ** 2 for a, b in zip(g, y))
                     py = sum((a - b) ** 2 for a, b in zip(p, y))
                     assert gy >= gp + py - 1e-9 * (1.0 + g2), (g, j, y)
-
-    @pytest.mark.parametrize("rows,level", CASES)
-    def test_matches_slsqp(self, rows, level, diagrams):
-        optimize = pytest.importorskip("scipy.optimize")
-        lam = diagrams[rows]
-        scaled = [r << level for r in lam.rows]
-        for g in self.queries(rows, level, 8):
-            for j in range(1, lam.dim):
-                # permutahedron of each block: every subset sum is capped by
-                # the sum of that many largest rows, the whole block is pinned
-                cons = []
-                for lo, hi, w in self.blocks(scaled, j):
-                    idx = range(lo, hi)
-                    for size in range(1, len(w) + 1):
-                        cap = sum(w[:size])
-                        for sub in itertools.combinations(idx, size):
-                            cons.append({
-                                "type": "eq" if size == len(w) else "ineq",
-                                "fun": lambda x, sub=sub, cap=cap:
-                                    cap - sum(x[i] for i in sub)})
-                # start from the feasible point of block means
-                x0 = [sum(w) / len(w) for _, _, w in self.blocks(scaled, j)
-                      for _ in w]
-                ref = optimize.minimize(
-                    lambda x: sum((a - b) ** 2 for a, b in zip(x, g)) / 2,
-                    x0=x0, jac=lambda x: [a - b for a, b in zip(x, g)],
-                    constraints=cons, method="SLSQP",
-                    options={"ftol": 1e-12, "maxiter": 1000})
-                assert ref.success, ref.message
-                got = _face_clamp(g, j, scaled)
-                assert got == pytest.approx(list(ref.x), abs=1e-7), (g, j)
 
 
 class TestCosine:
@@ -524,3 +495,114 @@ class TestCenterTable:
                 ref = brute_nearest(e, s, k, metric)
                 assert (res.indices, res.distances) == \
                     (ref.indices, ref.distances), (e, k)
+
+
+def stream_queries(rng, s, count):
+    """The five-kind query mix: box-uniform, a center plus gaussian noise, a
+    far gaussian, an exact center and a center rounded to the half-integer
+    grid, one of each in turn."""
+    top = s.diagram.rows[0]
+    out = []
+    while len(out) < count:
+        kind = len(out) % 5
+        if kind == 0:
+            e = [rng.uniform(-0.5, top + 0.5) for _ in range(s.dim)]
+        elif kind == 1:
+            e = [v + rng.gauss(0, 0.3) for v in rng.choice(s.centers).values()]
+        elif kind == 2:
+            e = [rng.gauss(0, 1) * 5 for _ in range(s.dim)]
+        elif kind == 3:
+            e = list(rng.choice(s.centers).values())
+        else:
+            e = [round(v * 2) / 2.0 for v in rng.choice(s.centers).values()]
+        out.append(e)
+    return out
+
+
+class TestBlockSearch:
+    """nearest_centers answers a block of queries as blocks of one would."""
+
+    @staticmethod
+    def sequences(diagrams, scatterings):
+        full = build_scattering(diagrams[(3, 2, 1)], 3)
+        small = scatterings[(3, 2, 1), 1]
+        rng = random.Random(41)
+        repeated = list(small.centers) + [rng.choice(small.centers)
+                                          for _ in range(9)]
+        rng.shuffle(repeated)
+        return {
+            "complete": full,
+            "cut": build_scattering(full.diagram, 3, max_points=2 * len(full) // 3),
+            "embedded": embedded(build_scattering(diagrams[(3, 2, 1)], 4)),
+            "duplicated": from_points(small.diagram, 1, repeated, [0]),
+        }
+
+    @pytest.mark.parametrize("kind", ["complete", "cut", "embedded",
+                                      "duplicated"])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_block_equals_blocks_of_one(self, diagrams, scatterings, kind,
+                                        metric):
+        s = self.sequences(diagrams, scatterings)[kind]
+        queries = stream_queries(random.Random(42), s, 40)
+        for k in (1, 4, 16, len(s) + 3):
+            block = nearest_centers(queries, s, k, metric)
+            single = [nearest_centers([e], s, k, metric)[0] for e in queries]
+            assert block == single, (kind, k)
+            assert [r.candidates_examined for r in block] == \
+                [r.candidates_examined for r in single], (kind, k)
+            assert [nearest_center(e, s, k, metric) for e in queries[:5]] == \
+                block[:5]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_matches_brute_on_small_codebooks(self, diagrams, scatterings,
+                                              metric):
+        sequences = [scatterings[(3, 2, 1), 1], scatterings[(2, 2, 1, 1), 1],
+                     build_scattering(diagrams[(3, 2, 1)], 2, max_points=400),
+                     embedded(scatterings[(2, 1, 1), 1])]
+        rng = random.Random(43)
+        for s in sequences:
+            assert len(s) <= 500
+            queries = stream_queries(rng, s, 30)
+            for k in (1, 4, 16):
+                for e, res in zip(queries, nearest_centers(queries, s, k, metric)):
+                    ref = brute_nearest(e, s, k, metric)
+                    assert (res.indices, res.distances, res.points) == \
+                        (ref.indices, ref.distances, ref.points), (len(s), e, k)
+                    assert res.query == tuple(e)
+                    assert min(k, len(s)) <= res.candidates_examined <= len(s)
+
+    def test_empty_block(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        assert nearest_centers([], s, 3) == []
+        assert nearest_centers(np.empty((0, 4)), s, 3, "cosine") == []
+
+    def test_block_shape_checked(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        with pytest.raises(ValueError, match=r"\(m, 4\) query block"):
+            nearest_centers([1.0, 1.0, 1.0, 1.0], s)
+        with pytest.raises(ValueError, match="query dim 3 != scattering dim 4"):
+            nearest_centers([[1.0, 1.0, 1.0]], s)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("bad,message", [
+        (float("nan"), "non-finite"), (float("inf"), "non-finite"),
+        (1e300, "overflows")])
+    def test_bad_row_is_named(self, scatterings, metric, bad, message):
+        s = scatterings[(2, 1, 1), 1]
+        block = [[1.0, 1.0, 1.0, 1.0]] * 5
+        block[3] = [1.0, bad, 1.0, 1.0]
+        with pytest.raises(ValueError, match=rf"{message}.*\(row 3\)"):
+            nearest_centers(block, s, 2, metric)
+
+    def test_memory_stays_chunked(self, diagrams):
+        # an unchunked (2000, 1329) key matrix alone would take 21 MB
+        s = build_scattering(diagrams[(3, 2, 1)], 5)
+        s.dominant_table()
+        queries = stream_queries(random.Random(44), s, 2000)
+        tracemalloc.start()
+        try:
+            nearest_centers(queries, s, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
