@@ -5,15 +5,22 @@ The binary format is exact and byte-stable: a little-endian header (magic
 followed by count x dimension signed 64-bit numerators at the common scale
 2**levels, which are read and written as one block.  The text formats carry
 the same rationals as reduced "num/2^k" strings next to decimal floats, and
-are parsed to and printed from the same integer rows.
+are parsed to and printed from the same integer rows.  Every coordinate of
+a codebook lies on the lattice 2**-levels, so its values repeat: the text
+writers format each distinct value of a block of rows once, and the text
+readers parse each distinct coordinate string of a file once.
 
 Readers raise ValueError for a file they cannot hold exactly: a header
 whose dimension differs from its diagram's row count or whose diagram
 overflows int64 at scale 2**levels, a truncated header or record block,
 trailing bytes after the last binary record, a record count that differs
-from the header's, a text header or record that lacks a field, and a text
-record finer than the header's levels or whose numerator at that scale
-overflows int64 (the messages name the record).
+from the header's, a text header that lacks a field or whose field is not
+a non-negative integer (a list of them for the diagram rows), a text line
+that is not a record (invalid JSON, or no 'exact' field), a jsonl 'exact'
+that is not a list of strings, a coordinate string that is not an integer
+or a "num/2^k" fraction, and a text record finer than the header's levels
+or whose numerator at that scale overflows int64 (the messages name the
+record or the header field).
 """
 
 from __future__ import annotations
@@ -51,15 +58,58 @@ def _header_of(s: Scattering) -> CenterFileHeader:
                             s.diagram.rows)
 
 
-def _parse_exact(txt: str) -> tuple[int, int]:
-    """Parse a reduced "num/2^k" coordinate string to (numerator, level)."""
+def _numerator(txt: str, levels: int) -> int:
+    """The numerator at scale 2**levels of a reduced "num/2^k" coordinate
+    string."""
     if "/" in txt:
         num, den = txt.split("/", 1)
         d = int(den)
         if d <= 0 or d & (d - 1):
             raise ValueError(f"denominator {d} is not a power of two")
-        return int(num), d.bit_length() - 1
-    return int(txt), 0
+        num, lv = int(num), d.bit_length() - 1
+    else:
+        num, lv = int(txt), 0
+    if lv > levels:
+        if num % (1 << (lv - levels)):
+            raise ValueError(f"coordinate {txt} is finer than the header's "
+                             f"levels={levels}")
+        num >>= lv - levels
+    else:
+        num <<= levels - lv
+    if not _INT64.min <= num <= _INT64.max:
+        raise ValueError(f"coordinate {txt} overflows int64 at the header's "
+                         f"scale 2**{levels}")
+    return num
+
+
+def _row_reader(header: CenterFileHeader):
+    """A function from text record i's coordinate strings to their
+    numerators at the header's scale.  Each distinct string of the file is
+    parsed once, on its first occurrence in record order, so an error names
+    the first record that holds the bad string."""
+    dim, levels = header.dimension, header.levels
+    known: dict[str, int] = {}
+
+    def row(parts, i: int) -> list[int]:
+        if len(parts) != dim:
+            raise ValueError(f"record {i}: expected {dim} coordinates, "
+                             f"got {len(parts)}")
+        try:
+            return [known[txt] for txt in parts]
+        except (KeyError, TypeError):  # a new string, or a non-string entry
+            pass
+        for txt in parts:
+            if type(txt) is not str:
+                raise ValueError(f"record {i}: coordinate {txt!r} is not a "
+                                 f"string")
+            if txt not in known:
+                try:
+                    known[txt] = _numerator(txt, levels)
+                except ValueError as exc:
+                    raise ValueError(f"record {i}: {exc}") from None
+        return [known[txt] for txt in parts]
+
+    return row
 
 
 def _field(header: dict, key: str, where: str):
@@ -70,27 +120,21 @@ def _field(header: dict, key: str, where: str):
         raise ValueError(f"{where} has no {key!r} field") from None
 
 
-def _row_from_exact(parts, header: CenterFileHeader, i: int) -> list[int]:
-    """The numerators of text record i at the header's scale 2**levels."""
-    if len(parts) != header.dimension:
-        raise ValueError(f"record {i}: expected {header.dimension} coordinates, "
-                         f"got {len(parts)}")
-    levels = header.levels
-    row = []
-    for txt in parts:
-        num, lv = _parse_exact(txt)
-        if lv > levels:
-            if num % (1 << (lv - levels)):
-                raise ValueError(f"record {i}: coordinate {txt} is finer than "
-                                 f"the header's levels={levels}")
-            num >>= lv - levels
-        else:
-            num <<= levels - lv
-        if not _INT64.min <= num <= _INT64.max:
-            raise ValueError(f"record {i}: coordinate {txt} overflows int64 "
-                             f"at the header's scale 2**{levels}")
-        row.append(num)
-    return row
+def _text_header(fields: dict, where: str) -> CenterFileHeader:
+    """The header of a text file from its fields, each a non-negative int
+    and "rows" a list of them, or a ValueError naming the field at fault."""
+    values = []
+    for key in ("version", "dimension", "count", "levels", "rows"):
+        value = _field(fields, key, where)
+        items = value if key == "rows" else [value]
+        if type(items) is not list or not all(type(v) is int and v >= 0
+                                              for v in items):
+            kind = ("a list of non-negative integers" if key == "rows"
+                    else "a non-negative integer")
+            raise ValueError(f"{where} field {key!r} is not {kind}: {value!r}")
+        values.append(value)
+    version, dimension, count, levels, rows = values
+    return CenterFileHeader(version, dimension, count, levels, tuple(rows))
 
 
 def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
@@ -183,24 +227,33 @@ def _read_binary(fh) -> Scattering:
     return _rebuild(header, diagram, nums.astype(np.int64, copy=False))
 
 
-# -- jsonl --------------------------------------------------------------------
+# -- text ---------------------------------------------------------------------
 
-def _text_records(s: Scattering):
-    """Each center's level in lowest terms, exact strings and float
-    coordinates, from its numerator row; rows are converted _TEXT_BLOCK at
-    a time, so the temporaries stay small."""
+def _text_blocks(s: Scattering, template: str, float_text):
+    """The records of s filled into ``template`` (index, level, exact
+    strings, float texts), one string per _TEXT_BLOCK rows.  Each distinct
+    numerator of a block is reduced and formatted once and reaches its
+    cells through the block's inverse index."""
     scale = s.levels_built
     for lo in range(0, len(s), _TEXT_BLOCK):
         nums = s.numerators[lo:lo + _TEXT_BLOCK]
-        # every coordinate reduced on its own; a row's level is its largest
-        levels = canonical_levels(nums.reshape(-1, 1), scale).reshape(nums.shape)
-        reduced = nums >> (scale - levels)
-        for level, row, lvs, coords in zip(levels.max(axis=1).tolist(),
-                                           reduced.tolist(), levels.tolist(),
-                                           (nums / float(1 << scale)).tolist()):
-            yield (level, [str(v) if lv == 0 else f"{v}/{1 << lv}"
-                           for v, lv in zip(row, lvs)], coords)
+        values, inverse = np.unique(nums.ravel(), return_inverse=True)
+        inverse = inverse.reshape(nums.shape).T
+        # every value reduced on its own; a row's level is its largest
+        levels = canonical_levels(values.reshape(-1, 1), scale)
+        exact = np.array([str(v) if lv == 0 else f"{v}/{1 << lv}"
+                          for v, lv in zip((values >> (scale - levels)).tolist(),
+                                           levels.tolist())], dtype=object)
+        floats = np.array(list(map(float_text,
+                                   (values / float(1 << scale)).tolist())),
+                          dtype=object)
+        cells = zip(range(lo, lo + len(nums)),
+                    levels[inverse].max(axis=0).tolist(),
+                    *exact[inverse].tolist(), *floats[inverse].tolist())
+        yield "".join(map(template.__mod__, cells))
 
+
+# -- jsonl --------------------------------------------------------------------
 
 def _write_jsonl(s: Scattering, fh) -> None:
     h = _header_of(s)
@@ -208,23 +261,25 @@ def _write_jsonl(s: Scattering, fh) -> None:
         "magic": MAGIC.decode(), "version": h.version, "dimension": h.dimension,
         "count": h.count, "levels": h.levels, "rows": list(h.rows),
     }) + "\n")
-    for i, (level, exact, coords) in enumerate(_text_records(s)):
-        fh.write(json.dumps({
-            "index": i, "level": level, "exact": exact, "coords": coords,
-        }) + "\n")
+    # the bytes json.dumps writes: its separators, and floats as repr
+    template = ('{"index": %d, "level": %d, "exact": ['
+                + ", ".join(['"%s"'] * h.dimension) + '], "coords": ['
+                + ", ".join(["%s"] * h.dimension) + "]}\n")
+    fh.writelines(_text_blocks(s, template, float.__repr__))
 
 
 def _read_jsonl(fh) -> Scattering:
-    first = json.loads(fh.readline())
-    if first.get("magic") != MAGIC.decode():
+    try:
+        first = json.loads(fh.readline())
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+        raise ValueError(f"jsonl header: {exc}") from None
+    if type(first) is not dict or first.get("magic") != MAGIC.decode():
         raise ValueError("missing jsonl header record")
-    version, dimension, count, levels, lengths = (
-        _field(first, key, "jsonl header")
-        for key in ("version", "dimension", "count", "levels", "rows"))
-    header = CenterFileHeader(version, dimension, count, levels,
-                              tuple(lengths))
+    header = _text_header(first, "jsonl header")
     diagram = _diagram_of(header)
-    rows = []
+    row = _row_reader(header)
+    nums: list[int] = []
+    i = 0
     for line in fh:
         line = line.strip()
         if not line:
@@ -232,10 +287,15 @@ def _read_jsonl(fh) -> Scattering:
         try:
             exact = json.loads(line)["exact"]
         except (KeyError, TypeError):  # no such key, or no JSON object
-            raise ValueError(f"record {len(rows)} has no 'exact' field") from None
-        rows.append(_row_from_exact(exact, header, len(rows)))
+            raise ValueError(f"record {i} has no 'exact' field") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"record {i}: {exc}") from None
+        if type(exact) is not list:
+            raise ValueError(f"record {i}: 'exact' is not a list of strings")
+        nums += row(exact, i)
+        i += 1
     return _rebuild(header, diagram,
-                    np.array(rows, dtype=np.int64).reshape(-1, header.dimension))
+                    np.array(nums, dtype=np.int64).reshape(-1, header.dimension))
 
 
 # -- csv ----------------------------------------------------------------------
@@ -248,9 +308,16 @@ def _write_csv(s: Scattering, fh) -> None:
     cols = (["index", "level"] + [f"exact_{i}" for i in range(dim)]
             + [f"coord_{i}" for i in range(dim)])
     fh.write(",".join(cols) + "\n")
-    for i, (level, exact, coords) in enumerate(_text_records(s)):
-        cells = [str(i), str(level)] + exact + [f"{v:.17g}" for v in coords]
-        fh.write(",".join(cells) + "\n")
+    template = ",".join(["%d", "%d"] + ["%s"] * (2 * dim)) + "\n"
+    fh.writelines(_text_blocks(s, template, "{:.17g}".format))
+
+
+def _csv_int(text: str):
+    """text as an int, or as it is for _text_header to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _read_csv(fh) -> Scattering:
@@ -258,21 +325,22 @@ def _read_csv(fh) -> Scattering:
     if not meta.startswith("# QUSC"):
         raise ValueError("missing csv metadata line")
     tokens = meta.split()
-    version = int(tokens[2].lstrip("v"))
-    fields = dict(part.split("=", 1) for part in tokens[3:])
-    dimension, count, levels, lengths = (
-        _field(fields, key, "csv header")
-        for key in ("dimension", "count", "levels", "rows"))
-    header = CenterFileHeader(version, int(dimension), int(count), int(levels),
-                              tuple(int(r) for r in lengths.split(",")))
+    fields = dict(part.partition("=")[::2] for part in tokens[3:])
+    if len(tokens) > 2:
+        fields["version"] = tokens[2].lstrip("v")
+    fields = {key: ([_csv_int(r) for r in value.split(",")] if key == "rows"
+                    else _csv_int(value)) for key, value in fields.items()}
+    header = _text_header(fields, "csv header")
     diagram = _diagram_of(header)
     fh.readline()  # column names
     dim = header.dimension
-    rows = []
+    row = _row_reader(header)
+    nums: list[int] = []
+    i = 0
     for line in fh:
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
-        rows.append(_row_from_exact(cells[2:2 + dim], header, len(rows)))
-    return _rebuild(header, diagram, np.array(rows, dtype=np.int64).reshape(-1, dim))
+        nums += row(line.split(",")[2:2 + dim], i)
+        i += 1
+    return _rebuild(header, diagram, np.array(nums, dtype=np.int64).reshape(-1, dim))

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qusc import Scattering, YoungDiagram, build_scattering, is_subsequence
@@ -44,13 +46,18 @@ class TestRoundTrips:
             ("-2", "1", "3", "0"), ("3/2", "-1/2", "1/2", "1/2")]
         assert back.level_offsets == (0,)
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_text_records_across_conversion_blocks(self, fmt, tmp_path):
-        s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 4)
+    @staticmethod
+    def check_text_records(s, fmt, tmp_path):
+        """s round-trips exactly through fmt, and its records at the edges
+        of the writer's 4096-row blocks hold each center's level, exact
+        strings and floats."""
         assert len(s) > 4096 + 1
         path = tmp_path / f"c.{fmt}"
         write_scattering(s, path, fmt)
-        assert read_scattering(path).centers == s.centers
+        back = read_scattering(path)
+        assert np.array_equal(back.numerators, s.numerators)
+        assert back.centers == s.centers
+        assert back.level_offsets == s.level_offsets
         lines = path.read_text().splitlines()[1 if fmt == "jsonl" else 2:]
         for i in (0, 4095, 4096, len(s) - 1):
             p = s.centers[i]
@@ -62,6 +69,25 @@ class TestRoundTrips:
                 got = (int(cells[1]), tuple(cells[2:6]),
                        tuple(float(c) for c in cells[6:]))
             assert got == (p.level, p.exact_strings(), p.values()), i
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_text_records_across_conversion_blocks(self, fmt, tmp_path):
+        s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 4)
+        self.check_text_records(s, fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_distinct_signed_numerators_across_conversion_blocks(self, fmt,
+                                                                 tmp_path):
+        # no value repeats, so every coordinate is formatted and parsed on
+        # its own: negative, odd, even and extreme numerators at the
+        # largest scale the diagram admits
+        rng = np.random.default_rng(7)
+        nums = np.unique(rng.integers(-(1 << 63), 1 << 63, 5000 * 4,
+                                      dtype=np.int64))
+        nums[:4] = (-(1 << 63), (1 << 63) - 1, 0, -1)
+        s = Scattering(YoungDiagram.from_rows((3, 2, 1)), 61,
+                       rng.permutation(nums).reshape(-1, 4), [0])
+        self.check_text_records(s, fmt, tmp_path)
 
     def test_binary_reserialization_byte_identical(self, sample, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -124,6 +150,24 @@ class TestRoundTrips:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def json_set(key, value):
+    """An edit setting ``key`` of a jsonl line to ``value``."""
+    def edit(line):
+        rec = json.loads(line)
+        rec[key] = value
+        return json.dumps(rec)
+    return edit
+
+
+def csv_cells(k, *texts):
+    """An edit setting the cells of a csv line from cell k on to texts."""
+    def edit(line):
+        cells = line.split(",")
+        cells[k:k + len(texts)] = texts
+        return ",".join(cells)
+    return edit
 
 
 class TestReaderBoundary:
@@ -244,6 +288,98 @@ class TestReaderBoundary:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("query", "--centers", str(path), "--point", "1,1,1,1") == 2
         assert "record 0 has no 'exact' field" in capsys.readouterr().err
+
+    @staticmethod
+    def edited(sample, fmt, tmp_path, edits):
+        """A text file of sample with each line ``at`` of ``edits``
+        replaced by ``edit(line)``."""
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(sample, path, fmt)
+        lines = path.read_text().splitlines()
+        for at, edit in edits.items():
+            lines[at] = edit(lines[at])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fmt,at,edit,message", [
+        pytest.param("jsonl", 1, json_set("exact", [2, 1, 1, 0]),
+                     "record 0: coordinate 2 is not a string", id="jsonl-int"),
+        pytest.param("jsonl", 1, json_set("exact", [["2"], "1", "1", "0"]),
+                     "record 0: coordinate ['2'] is not a string",
+                     id="jsonl-nested"),
+        pytest.param("jsonl", 1, json_set("exact", "2110"),
+                     "record 0: 'exact' is not a list of strings",
+                     id="jsonl-string"),
+        pytest.param("jsonl", 0, json_set("rows", 5),
+                     "jsonl header field 'rows' is not a list of non-negative "
+                     "integers: 5", id="jsonl-rows-int"),
+        pytest.param("jsonl", 0, json_set("levels", "1"),
+                     "jsonl header field 'levels' is not a non-negative "
+                     "integer: '1'", id="jsonl-levels-string"),
+        pytest.param("jsonl", 0, json_set("levels", -1),
+                     "jsonl header field 'levels' is not a non-negative "
+                     "integer: -1", id="jsonl-levels-negative"),
+        pytest.param("jsonl", 0, lambda line: line[:8],
+                     "jsonl header: Expecting ':' delimiter",
+                     id="jsonl-header-broken"),
+        pytest.param("jsonl", 1, lambda line: "{broken",
+                     "record 0: Expecting property name", id="jsonl-broken"),
+        pytest.param("jsonl", 1,
+                     lambda line: '{"exact": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
+                     "record 0: maximum recursion depth exceeded",
+                     id="jsonl-deep"),
+        pytest.param("csv", 0, lambda line: "# QUSC",
+                     "csv header has no 'version' field", id="csv-bare-meta"),
+        pytest.param("csv", 0, lambda line: line.replace("levels=1", "levels=x"),
+                     "csv header field 'levels' is not a non-negative "
+                     "integer: 'x'", id="csv-levels-string"),
+        pytest.param("csv", 2, csv_cells(2, "abc"),
+                     "record 0: invalid literal for int() with base 10: 'abc'",
+                     id="csv-abc"),
+    ])
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    def test_malformed_text_exit2(self, sample, fmt, at, edit, message,
+                                  command, tmp_path, capsys):
+        path = self.edited(sample, fmt, tmp_path, {at: edit})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_scattering(path)
+        extra = ["--point", "1,1,1,1"] if command == "query" else []
+        assert run_cli(command, "--centers", str(path), *extra) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad,message", [
+        ("abc", "invalid literal"),
+        ("1/3", "denominator 3 is not a power of two"),
+        ("1/4", "finer than the header's levels=1"),
+    ])
+    def test_repeated_bad_string_named_on_its_first_record(
+            self, sample, fmt, bad, message, tmp_path):
+        # the reader parses each distinct string once; its error still
+        # names the first record that holds it
+        first = 1 if fmt == "jsonl" else 2
+        edit = (json_set("exact", [bad, "1", "1", "0"]) if fmt == "jsonl"
+                else csv_cells(2, bad))
+        path = self.edited(sample, fmt, tmp_path,
+                           {first + i: edit for i in (3, 5, 9)})
+        with pytest.raises(ValueError, match=f"^record 3: .*{message}"):
+            read_scattering(path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_value_written_three_ways(self, sample, fmt, tmp_path):
+        # record 0 is (2, 1, 1, 0) and record 1 writes its 1 as "1"
+        first = 1 if fmt == "jsonl" else 2
+        exact = ["2", "2/2", "4/4", "0"]
+        edit = (json_set("exact", exact) if fmt == "jsonl"
+                else csv_cells(2, *exact))
+        path = self.edited(sample, fmt, tmp_path, {first: edit})
+        second = path.read_text().splitlines()[first + 1]
+        assert ("1" in json.loads(second)["exact"] if fmt == "jsonl"
+                else "1" in second.split(",")[2:6])
+        back = read_scattering(path)
+        assert back.numerators[0, 1] == back.numerators[0, 2] == 2
+        assert np.array_equal(back.numerators, sample.numerators)
+        assert back.level_offsets == sample.level_offsets
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_header_levels_overflowing_int64(self, sample, fmt, tmp_path):
