@@ -10,17 +10,18 @@ a codebook lies on the lattice 2**-levels, so its values repeat: the text
 writers format each distinct value of a block of rows once, and the text
 readers parse each distinct coordinate string of a file once.
 
-Readers raise ValueError for a file they cannot hold exactly: a header
-whose dimension differs from its diagram's row count or whose diagram
-overflows int64 at scale 2**levels, a truncated header or record block,
-trailing bytes after the last binary record, a record count that differs
-from the header's, a text header that lacks a field or whose field is not
-a non-negative integer (a list of them for the diagram rows), a text line
-that is not a record (invalid JSON, or no 'exact' field), a jsonl 'exact'
-that is not a list of strings, a coordinate string that is not an integer
-or a "num/2^k" fraction, and a text record finer than the header's levels
-or whose numerator at that scale overflows int64 (the messages name the
-record or the header field).
+Readers raise ValueError for a file they cannot hold exactly: a format
+version other than FORMAT_VERSION, a header whose dimension differs from
+its diagram's row count or whose diagram overflows int64 at scale
+2**levels, a truncated header or record block, trailing bytes after the
+last binary record, a record count that differs from the header's, a text
+header that lacks a field or whose field is not a non-negative integer (a
+list of them for the diagram rows), a text line that is not a record
+(invalid JSON, or no 'exact' field), a jsonl 'exact' that is not a list of
+strings, a coordinate string that is not an integer or a "num/2^k"
+fraction, and a text record finer than the header's levels or whose
+numerator at that scale overflows int64 (the messages name the record or
+the header field).
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def _text_header(fields: dict, where: str) -> CenterFileHeader:
             raise ValueError(f"{where} field {key!r} is not {kind}: {value!r}")
         values.append(value)
     version, dimension, count, levels, rows = values
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
     return CenterFileHeader(version, dimension, count, levels, tuple(rows))
 
 

@@ -328,8 +328,13 @@ class TestReaderBoundary:
                      lambda line: '{"exact": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
                      "record 0: maximum recursion depth exceeded",
                      id="jsonl-deep"),
+        pytest.param("jsonl", 0, json_set("version", 7),
+                     "unsupported format version 7", id="jsonl-version-7"),
         pytest.param("csv", 0, lambda line: "# QUSC",
                      "csv header has no 'version' field", id="csv-bare-meta"),
+        pytest.param("csv", 0, lambda line: line.replace("# QUSC v1 ",
+                                                         "# QUSC v7 "),
+                     "unsupported format version 7", id="csv-version-7"),
         pytest.param("csv", 0, lambda line: line.replace("levels=1", "levels=x"),
                      "csv header field 'levels' is not a non-negative "
                      "integer: 'x'", id="csv-levels-string"),
