@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
                    distance, sq_euclidean)
-from .formats import FORMATS, read_scattering, write_scattering
+from .formats import (FORMATS, coordinate_texts, read_scattering,
+                      write_scattering)
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          verify_scattering)
 from .search import nearest_center, nearest_centers
@@ -92,6 +93,32 @@ def _spot_check(q, result, s: Scattering, k: int, metric: str) -> bool:
     return must <= got
 
 
+def _records(results, scale: int, metric: str) -> list[str]:
+    """One JSON line per result, the bytes ``json.dumps`` writes for its
+    record (its separators, floats as repr), filled into one %-template.
+    Every distinct coordinate of the block's hit centers is reduced and
+    formatted once."""
+    if not results:
+        return []
+    kk, d = results[0].numerators.shape
+    nums = np.concatenate([res.numerators for res in results])
+    exact, coords, _ = coordinate_texts(nums, scale, float.__repr__)
+    # each record's centers: d exact strings, then d coordinates, per hit
+    centers = np.concatenate((exact.reshape(-1, kk, d),
+                              coords.reshape(-1, kk, d)), axis=2)
+    hit = ('{"exact": [' + ", ".join(['"%s"'] * d) + '], "coords": ['
+           + ", ".join(["%s"] * d) + "]}")
+    template = ('{"query": [' + ", ".join(["%r"] * d) + '], "indices": ['
+                + ", ".join(["%d"] * kk) + '], "distances": ['
+                + ", ".join(["%r"] * kk) + '], "centers": ['
+                + ", ".join([hit] * kk) + '], "metric": ' + json.dumps(metric)
+                + ', "candidates_examined": %d}\n')
+    return [template % (*res.query, *res.indices, *res.distances, *row,
+                        res.candidates_examined)
+            for res, row in zip(results, centers.reshape(len(results),
+                                                         -1).tolist())]
+
+
 def cmd_query(args) -> int:
     try:
         s = read_scattering(args.centers)
@@ -107,15 +134,7 @@ def cmd_query(args) -> int:
         _spot_check(q, res, s, args.k, args.metric)
         for q, res in zip(queries, results))
     try:
-        sys.stdout.writelines(json.dumps({
-            "query": list(q),
-            "indices": res.indices,
-            "distances": res.distances,
-            "centers": [{"exact": list(p.exact_strings()),
-                         "coords": list(p.values())} for p in res.points],
-            "metric": res.metric,
-            "candidates_examined": res.candidates_examined,
-        }) + "\n" for q, res in zip(queries, results))
+        sys.stdout.writelines(_records(results, s.levels_built, args.metric))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early; the interpreter's flush at exit must not

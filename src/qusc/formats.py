@@ -7,8 +7,9 @@ followed by count x dimension signed 64-bit numerators at the common scale
 the same rationals as reduced "num/2^k" strings next to decimal floats, and
 are parsed to and printed from the same integer rows.  Every coordinate of
 a codebook lies on the lattice 2**-levels, so its values repeat: the text
-writers format each distinct value of a block of rows once, and the text
-readers parse each distinct coordinate string of a file once.
+writers format each distinct value of a block of rows once (through
+``coordinate_texts``, which ``qusc query`` shares), and the text readers
+parse each distinct coordinate string of a file once.
 
 Readers raise ValueError for a file they cannot hold exactly: a format
 version other than FORMAT_VERSION, a header whose dimension differs from
@@ -232,27 +233,35 @@ def _read_binary(fh) -> Scattering:
 
 # -- text ---------------------------------------------------------------------
 
+def coordinate_texts(nums: np.ndarray, scale: int, float_text):
+    """The reduced "num/2^k" string, the float text and the level of every
+    entry of an integer numerator array at scale 2**scale, as three arrays
+    of its shape.  Each distinct value is reduced and formatted once and
+    reaches its entries through the inverse index."""
+    values, inverse = np.unique(nums.ravel(), return_inverse=True)
+    inverse = inverse.reshape(nums.shape)
+    # every value reduced on its own
+    levels = canonical_levels(values.reshape(-1, 1), scale)
+    exact = np.array([str(v) if lv == 0 else f"{v}/{1 << lv}"
+                      for v, lv in zip((values >> (scale - levels)).tolist(),
+                                       levels.tolist())], dtype=object)
+    floats = np.array(list(map(float_text,
+                               (values / float(1 << scale)).tolist())),
+                      dtype=object)
+    return exact[inverse], floats[inverse], levels[inverse]
+
+
 def _text_blocks(s: Scattering, template: str, float_text):
     """The records of s filled into ``template`` (index, level, exact
-    strings, float texts), one string per _TEXT_BLOCK rows.  Each distinct
-    numerator of a block is reduced and formatted once and reaches its
-    cells through the block's inverse index."""
-    scale = s.levels_built
+    strings, float texts), one string per _TEXT_BLOCK rows, each block's
+    distinct values formatted once."""
     for lo in range(0, len(s), _TEXT_BLOCK):
         nums = s.numerators[lo:lo + _TEXT_BLOCK]
-        values, inverse = np.unique(nums.ravel(), return_inverse=True)
-        inverse = inverse.reshape(nums.shape).T
-        # every value reduced on its own; a row's level is its largest
-        levels = canonical_levels(values.reshape(-1, 1), scale)
-        exact = np.array([str(v) if lv == 0 else f"{v}/{1 << lv}"
-                          for v, lv in zip((values >> (scale - levels)).tolist(),
-                                           levels.tolist())], dtype=object)
-        floats = np.array(list(map(float_text,
-                                   (values / float(1 << scale)).tolist())),
-                          dtype=object)
-        cells = zip(range(lo, lo + len(nums)),
-                    levels[inverse].max(axis=0).tolist(),
-                    *exact[inverse].tolist(), *floats[inverse].tolist())
+        exact, floats, levels = coordinate_texts(nums, s.levels_built,
+                                                 float_text)
+        # a row's level is its largest
+        cells = zip(range(lo, lo + len(nums)), levels.max(axis=1).tolist(),
+                    *exact.T.tolist(), *floats.T.tolist())
         yield "".join(map(template.__mod__, cells))
 
 

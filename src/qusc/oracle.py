@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import EUCLIDEAN, ScaledPoint, YoungDiagram, check_metric
 from .scattering import Scattering
 from .search import QueryResult
@@ -112,8 +114,10 @@ def brute_nearest(e: Sequence[float], centers, k: int,
             dist = key
         scored.append((key, tuple(-v for v in p.numerators_at(level)), i, dist))
     scored.sort()
-    hits = tuple((i, pts[i], dist) for _, _, i, dist in scored[:k])
-    return QueryResult(hits, metric, q, len(pts))
+    top = [i for _, _, i, _ in scored[:k]]
+    rows = np.array([pts[i].numerators_at(level) for i in top], dtype=np.int64)
+    return QueryResult(top, [dist for *_, dist in scored[:k]], rows, level,
+                       metric, q, len(pts))
 
 
 def sample_queries(lam: YoungDiagram, count: int,

@@ -123,6 +123,20 @@ def _void_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(_row_key(rows.shape[1])).ravel()
 
 
+def _group_rows(rows: np.ndarray) -> np.ndarray:
+    """A label for each row of an integer matrix, equal exactly when the rows
+    are: one lexsort, then a new label wherever a sorted row differs from
+    the one before it.  Rows that repeat often sort faster this way than as
+    opaque byte strings."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=np.intp)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    labels = np.empty_like(new)
+    labels[order] = np.cumsum(new) - 1
+    return labels
+
+
 class CenterTable(NamedTuple):
     """The search index of a center sequence, at the scale ``2**levels_built``.
 
@@ -228,8 +242,8 @@ class Scattering:
             # and whether every member of that orbit is present
             distinct = nums[first]
             rep = np.sort(distinct, axis=1)[:, ::-1]
-            _, orbit, present = np.unique(_void_rows(rep), return_inverse=True,
-                                          return_counts=True)
+            orbit = _group_rows(rep)
+            present = np.bincount(orbit)
             full = present[orbit] == _orbit_sizes(rep)
             dominant = (distinct == rep).all(axis=1)
             heads = np.sort(first[dominant & full])

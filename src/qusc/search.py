@@ -27,14 +27,14 @@ similarity search with GPUs", over the table's rows):
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
 query is a block of one.  Euclidean and cosine search differ only in the
-distance.
+distance.  Each answer keeps its hits as arrays, the indices, distances and
+numerator rows the ranking selected; a hit becomes a ScaledPoint only when
+``QueryResult.points`` or ``hits`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -43,30 +43,71 @@ from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric
 from .scattering import Scattering
 
 
-@dataclass(frozen=True)
 class QueryResult:
-    """Ranked nearest centers: (sequence index, point, distance) triples.
+    """The ranked nearest centers of one query, as a full scan ranks them.
+
+    The hits are held as arrays: ``indices`` and ``distances`` read them as
+    lists, and ``numerators`` is a (hits, d) int64 array of the hit
+    centers' numerators at scale ``2**level``.  ``points`` (ScaledPoints)
+    and ``hits`` ((sequence index, point, distance) triples) are made from
+    those rows the first time either is read, so a caller that reads only
+    indices and distances makes no point.  Two results are equal when their
+    hits, metric and query are.
 
     ``candidates_examined`` is the number of centers the search kept: those
     within the k-th distance of the query, ties included.
     """
 
-    hits: tuple[tuple[int, ScaledPoint, float], ...]
-    metric: str
-    query: tuple[float, ...]
-    candidates_examined: int = field(default=0, compare=False)
+    __slots__ = ("_indices", "_distances", "numerators", "level", "metric",
+                 "query", "candidates_examined", "_points")
+
+    def __init__(self, indices, distances, numerators: np.ndarray, level: int,
+                 metric: str, query: tuple[float, ...],
+                 candidates_examined: int = 0):
+        self._indices = indices
+        self._distances = distances
+        self.numerators = numerators
+        self.level = level
+        self.metric = metric
+        self.query = query
+        self.candidates_examined = candidates_examined
+        self._points = None
 
     @property
     def indices(self) -> list[int]:
-        return [h[0] for h in self.hits]
-
-    @property
-    def points(self) -> list[ScaledPoint]:
-        return [h[1] for h in self.hits]
+        return list(self._indices)
 
     @property
     def distances(self) -> list[float]:
-        return [h[2] for h in self.hits]
+        return list(self._distances)
+
+    @property
+    def points(self) -> list[ScaledPoint]:
+        if self._points is None:
+            level = self.level
+            self._points = tuple(ScaledPoint(row, level)
+                                 for row in self.numerators.tolist())
+        return list(self._points)
+
+    @property
+    def hits(self) -> tuple[tuple[int, ScaledPoint, float], ...]:
+        return tuple(zip(self._indices, self.points, self._distances))
+
+    def _key(self):
+        return self.hits, self.metric, self.query
+
+    def __eq__(self, other):
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"QueryResult(hits={self.hits!r}, metric={self.metric!r}, "
+                f"query={self.query!r}, "
+                f"candidates_examined={self.candidates_examined!r})")
 
 
 # -- convex geometry helpers -------------------------------------------------
@@ -131,9 +172,13 @@ def _widen(bound, d: int):
 
 def _colsum(terms: np.ndarray) -> np.ndarray:
     """Row sums of an (m, d) array, added column by column from the left as
-    ``core.sq_euclidean`` and ``core.cosine_distance`` add: an accumulation
-    is sequential by definition.  The array is overwritten."""
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    ``core.sq_euclidean`` and ``core.cosine_distance`` add: d - 1 in-place
+    adds into the first column, which is returned.  The array is
+    overwritten."""
+    out = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        out += terms[:, j]
+    return out
 
 
 def _euclidean_keys(v, mat, norms):
@@ -311,12 +356,13 @@ def _expand(s, table, keys, q, frame, k, metric, lattice):
     examined = np.bincount(pq[dist <= kth.take(pq)], minlength=c)
     if metric == EUCLIDEAN:
         dist = np.sqrt(dist)
-    hits = list(zip(cand.take(top).tolist(),
-                    map(ScaledPoint, nums.take(top, axis=0).tolist(),
-                        repeat(s.levels_built)),
-                    dist.take(top).tolist()))
-    return [QueryResult(tuple(hits[i * kk:(i + 1) * kk]), metric, tuple(query), e)
-            for i, (query, e) in enumerate(zip(q.tolist(), examined.tolist()))]
+    level = s.levels_built
+    return [QueryResult(idx, dd, rows, level, metric, tuple(query), e)
+            for idx, dd, rows, query, e in zip(
+                cand.take(top).reshape(c, kk).tolist(),
+                dist.take(top).reshape(c, kk).tolist(),
+                nums.take(top, axis=0).reshape(c, kk, d), q.tolist(),
+                examined.tolist())]
 
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,

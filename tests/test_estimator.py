@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qusc import brute_nearest
+from qusc import ScaledPoint, brute_nearest, nearest_centers
 from qusc.estimator import ScatteringNeighbors
 
 
@@ -19,6 +19,27 @@ class TestScatteringNeighbors:
             ref = brute_nearest(tuple(row), est.scattering_, 3)
             assert list(i) == ref.indices
             assert list(d) == pytest.approx(ref.distances)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_kneighbors_and_predict_make_no_points(self, metric, monkeypatch):
+        est = ScatteringNeighbors(lambda_rows=(3, 2, 1), levels=2,
+                                  metric=metric).fit()
+        X = np.random.default_rng(3).uniform(-1, 4, size=(50, 4))
+        made = []
+        post_init = ScaledPoint.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScaledPoint, "__post_init__", counted)
+        est.kneighbors(X, n_neighbors=4)
+        est.predict(X)
+        assert made == []
+        # the count sees the points a caller reads
+        res = nearest_centers(X[:2], est.scattering_, 3, metric)
+        assert made == []
+        assert res[1].points == made
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_kneighbors_cut_codebook_matches_brute(self, metric):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from qusc import (Permutation, ScaledPoint, Scattering, YoungDiagram,
                   brute_nearest, build_scattering, cosine_nearest,
                   embed_diagram, iota_embed, nearest_center, nearest_centers)
-from qusc.search import _face_clamp
+from qusc.search import _colsum, _face_clamp
 
 
 def from_points(diagram, levels, points, offsets):
@@ -483,6 +484,42 @@ class TestCenterTable:
             assert lone == {"complete": 0, "embedded": len(s),
                             "duplicated": 6}[kind]
 
+    # sha256 of (orbit_rows, members, starts, mat, norms) as built by the
+    # table that grouped orbit representatives with np.unique (commit 1cb17ff)
+    FROZEN = {
+        "complete": "15a1020c64837e8b8b2521002e3fa62719c8b631e95a18abd4ef408a6895b48b",
+        "complete-2211": "e5f6308144b550bb0f4a71d14f604cb23e2d29ba5e8c69b88a000d5177d2b664",
+        "cut": "0a00ad316173c2a23c022227410d8201c7863bd0577933845a7da53c4b4d6222",
+        "embedded": "fa7e3090adfc132504af9df94252bd009666ffc570a6205ea4f07518865884d9",
+        "d9": "15df8670239d3d1f32e4c6742341e6c05f7e5cc337760ebbe50f041ade95c6c2",
+        "duplicated": "139b64a02103c3a82b64474afc04214ec1f71cd2b1f115486ec6d091e8be4d32",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN))
+    def test_frozen_table(self, diagrams, kind):
+        if kind == "duplicated":
+            s = build_scattering(diagrams[(3, 2, 1)], 2)
+            s = Scattering(s.diagram, 2, np.vstack((s.numerators,
+                                                    s.numerators[::7])),
+                           s.level_offsets)
+        else:
+            rows, levels, cut = {
+                "complete": ((3, 2, 1), 4, None),
+                "complete-2211": ((2, 2, 1, 1), 3, None),
+                "cut": ((3, 2, 1), 4, 5000),
+                "embedded": ((3, 2, 1), 3, None),
+                "d9": ((2, 1, 1, 1, 1, 1, 1, 1), 2, None)}[kind]
+            s = build_scattering(YoungDiagram.from_rows(rows), levels,
+                                 max_points=cut)
+            if kind == "embedded":
+                s = embedded(s)
+        t = s.dominant_table()
+        h = hashlib.sha256(str(t.orbit_rows).encode())
+        for part, dtype in ((t.members, "<i8"), (t.starts, "<i8"),
+                            (t.mat, "<f8"), (t.norms, "<f8")):
+            h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+        assert h.hexdigest() == self.FROZEN[kind]
+
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_large_orbits_match_brute(self, metric):
         # (5,4,3,2,1) at level 0 has orbits of 720 members, each scored whole
@@ -517,6 +554,20 @@ def stream_queries(rng, s, count):
             e = [round(v * 2) / 2.0 for v in rng.choice(s.centers).values()]
         out.append(e)
     return out
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_colsum_adds_like_accumulate(d):
+    """Column by column in place, bit for bit the left-to-right sum of an
+    accumulation, on sums whose rounding depends on the order."""
+    rng = np.random.default_rng(d)
+    for m in (0, 1, 5, 3000):
+        terms = (rng.standard_normal((m, d))
+                 * 10.0 ** rng.integers(-12, 12, size=(m, d)))
+        want = np.add.accumulate(terms, axis=1)[:, -1]
+        got = _colsum(terms.copy())
+        assert got.shape == (m,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBlockSearch:
