@@ -43,7 +43,7 @@ def _multiset_perms_desc(values: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _perm_table(starts: tuple[bool, ...]) -> np.ndarray:
+def _perm_table(starts: tuple[int, ...]) -> np.ndarray:
     """Source positions of every distinct permutation of a sorted tuple whose
     runs of equal values start at the positions j with ``starts[j]`` set:
     each slot names the first position of its run."""
@@ -55,24 +55,84 @@ def _perm_table(starts: tuple[bool, ...]) -> np.ndarray:
     return table
 
 
-def _orbit_block(dominant: np.ndarray) -> np.ndarray:
+def _pack_rows(rows: np.ndarray, low: int, high: int) -> np.ndarray:
+    """One exact key per row of an int64 matrix whose entries lie in
+    [low, high]: each entry less ``low`` takes the bit width of high - low,
+    the first entry the highest bits, and as many entries as fit share a
+    uint64 word.  Keys are equal exactly when the rows are and sort as the
+    rows do, lexicographically.  A one-word key is a uint64; wider keys are
+    opaque big-endian byte strings, which compare word by word."""
+    n, d = rows.shape
+    width = max((high - low).bit_length(), 1)
+    per = 64 // width
+    words = np.zeros((-(-max(d, 1) // per), n), dtype=np.uint64)
+    offset = np.uint64(low % (1 << 64))
+    for j in range(d):
+        word = words[j // per]
+        if j % per:
+            word <<= np.uint64(width)
+        # in place and modulo 2**64, so exact and without a temporary
+        word += rows[:, j].view(np.uint64)
+        word -= offset
+    if len(words) == 1:
+        return words[0]
+    return (np.ascontiguousarray(words.T, dtype=">u8")
+            .view(np.dtype((np.void, 8 * len(words)))).ravel())
+
+
+def _unpack_rows(keys: np.ndarray, low: int, high: int,
+                 out: np.ndarray) -> np.ndarray:
+    """The rows whose ``_pack_rows`` keys over [low, high] are ``keys``,
+    written to ``out``, one row per key."""
+    d = out.shape[1]
+    width = max((high - low).bit_length(), 1)
+    per = 64 // width
+    words = keys[:, None].view(np.uint64 if keys.dtype == np.uint64 else ">u8")
+    mask = np.uint64((1 << width) - 1)
+    offset = np.uint64(low % (1 << 64))
+    entry = np.empty(len(keys), dtype=np.uint64)
+    for j in range(d):
+        last = min(j - j % per + per, d) - 1  # the word's lowest entry
+        np.right_shift(words[:, j // per], np.uint64(width * (last - j)), out=entry)
+        entry &= mask
+        entry += offset
+        out[:, j] = entry.view(np.int64)
+    return out
+
+
+def _orbit_block(dominant: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Every distinct coordinate permutation of the dominant rows, sorted
-    descending-lex: one level block of a scattering."""
+    descending-lex: one level block of a scattering, of which the first
+    len(out) rows are written to ``out``."""
     n, d = dominant.shape
     if not n:
-        return dominant
+        return out
     # rows whose runs of equal values start at the same positions share
     # one permutation table
-    starts = np.ones((n, d), dtype=np.bool_)
+    starts = np.ones((n, d), dtype=np.int64)
     starts[:, 1:] = dominant[:, 1:] != dominant[:, :-1]
-    _, first, group = np.unique(starts.view(np.dtype((np.void, d))).ravel(),
-                                return_index=True, return_inverse=True)
-    parts = [dominant[group == g][:, _perm_table(tuple(starts[i].tolist()))]
-             .reshape(-1, d) for g, i in enumerate(first)]
-    block = np.concatenate(parts)
+    _, first, group = np.unique(_pack_rows(starts, 0, 1), return_index=True,
+                                return_inverse=True)
+    tables = [_perm_table(tuple(starts[i].tolist())) for i in first]
+    sizes = np.bincount(group) * [len(t) for t in tables]
+    # an uncut block is built in ``out`` itself: its rows are packed into
+    # keys, which are sorted and unpacked back in place
+    total = int(sizes.sum())
+    block = out if len(out) == total else np.empty((total, d), dtype=np.int64)
+    # np.take writes straight into the block only when it need not check
+    # the indices (mode "clip"); they are all in range
+    at = 0
+    for g, (table, size) in enumerate(zip(tables, sizes)):
+        rows = dominant[group == g]
+        np.take(rows, table, axis=1, mode="clip",
+                out=block[at:at + size].reshape(len(rows), len(table), d))
+        at += size
+    low, high = int(dominant.min()), int(dominant.max())
+    keys = _pack_rows(block, low, high)
+    keys.sort()
     # orbits are disjoint, so the rows are distinct and reversing the
     # ascending order gives the descending one
-    return block[np.lexsort(block.T[::-1])[::-1]]
+    return _unpack_rows(keys[::-1][:len(out)], low, high, out)
 
 
 def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
@@ -98,7 +158,8 @@ def weyl_orbit(p: ScaledPoint) -> list[ScaledPoint]:
     """All coordinate permutations of a dominant point, descending-lex."""
     if not p.is_dominant():
         raise ValueError(f"{p} is not dominant")
-    block = _orbit_block(np.array([p.numerators], dtype=np.int64))
+    block = _orbit_block(np.array([p.numerators], dtype=np.int64),
+                         np.empty((orbit_size(p), p.dim), dtype=np.int64))
     return [ScaledPoint(row, p.level) for row in block.tolist()]
 
 
@@ -112,29 +173,15 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     return level - np.where(low == 0, level, np.minimum(twos, level))
 
 
-@lru_cache(maxsize=None)
-def _row_key(d: int) -> np.dtype:
-    return np.dtype((np.void, 8 * d))
+class _RowIndex(NamedTuple):
+    """The distinct packed row keys of a sequence whose entries lie in
+    [low, high], in ascending order, and the first sequence position of
+    each."""
 
-
-def _void_rows(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(_row_key(rows.shape[1])).ravel()
-
-
-def _group_rows(rows: np.ndarray) -> np.ndarray:
-    """A label for each row of an integer matrix, equal exactly when the rows
-    are: one lexsort, then a new label wherever a sorted row differs from
-    the one before it.  Rows that repeat often sort faster this way than as
-    opaque byte strings."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=np.intp)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    labels = np.empty_like(new)
-    labels[order] = np.cumsum(new) - 1
-    return labels
+    low: int
+    high: int
+    distinct: np.ndarray
+    first: np.ndarray
 
 
 class CenterTable(NamedTuple):
@@ -149,6 +196,12 @@ class CenterTable(NamedTuple):
     an earlier center.  ``mat`` holds each row's key center as float64
     numerators, ``norms`` its norm (shared by the whole orbit) and ``top``
     the largest of them.
+
+    The table is built from the sequence's packed row keys in a few linear
+    passes: each center's orbit is the key of its values sorted descending,
+    looked up among the keys of the dominant first occurrences, and an
+    orbit is whole when it counts as many distinct members as its
+    multinomial size.
     """
 
     members: np.ndarray
@@ -169,9 +222,14 @@ class Scattering:
 
     ``numerators`` is the only store of the centers: an (n, d) int64 matrix
     at scale ``2**levels_built``, held without a copy and read-only.
-    ``centers`` reads its rows as ScaledPoints, made on access.  The row
-    lookup behind ``index_of`` and the search's ``dominant_table`` are built
-    on first use.
+    ``centers`` reads its rows as ScaledPoints, made on access.
+
+    ``index_of``, ``has_duplicates`` and the search's ``dominant_table``
+    rest on one exact key per row, built on first use: the row's entries
+    less the matrix minimum, packed into as few uint64 words as the entries'
+    bit width allows (one word on every standard codebook).  Equal keys mean
+    equal rows and keys sort as the rows do, lexicographically, for any
+    int64 entries, negative ones included.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
@@ -202,31 +260,39 @@ class Scattering:
         """The centers' float coordinates, one row each."""
         return self.numerators / float(1 << self.levels_built)
 
-    def _row_index(self):
-        """The distinct rows' keys in sorted order, the first sequence
-        position of each, and each center's distinct row."""
+    def _row_index(self) -> _RowIndex:
+        """The packed row keys behind ``index_of``, ``has_duplicates`` and
+        the table: one stable sort, near-linear on the descending-lex runs
+        of the level blocks."""
         if self._rows is None:
-            self._rows = np.unique(_void_rows(self.numerators),
-                                   return_index=True, return_inverse=True)
+            nums = self.numerators
+            low, high = (int(nums.min()), int(nums.max())) if nums.size else (0, 0)
+            keys = _pack_rows(nums, low, high)
+            order = np.argsort(keys, kind="stable")
+            ranked = keys[order]
+            new = np.ones(len(keys), dtype=np.bool_)
+            new[1:] = ranked[1:] != ranked[:-1]
+            self._rows = _RowIndex(low, high, ranked[new], order[new])
         return self._rows
 
     @property
     def has_duplicates(self) -> bool:
         """Whether some center repeats an earlier one: verification
         diagnoses that, and the search treats each repeat as a lone center."""
-        return len(self._row_index()[0]) != len(self)
+        return len(self._row_index().distinct) != len(self)
 
     def index_of(self, p: ScaledPoint):
         """The first sequence position of p, or None when p is no center."""
         if p.dim != self.dim or p.level > self.levels_built:
             return None
         row = p.numerators_at(self.levels_built)
-        if max(map(abs, row)) > _INT64_MAX:
+        rows = self._row_index()
+        if min(row) < rows.low or max(row) > rows.high:
             return None
-        keys, first, _ = self._row_index()
-        probe = _void_rows(np.array([row]))[0]
-        at = int(keys.searchsorted(probe))
-        return int(first[at]) if at < len(keys) and keys[at] == probe else None
+        probe = _pack_rows(np.array([row], dtype=np.int64), rows.low, rows.high)
+        at = int(rows.distinct.searchsorted(probe[0]))
+        found = at < len(rows.distinct) and rows.distinct[at] == probe[0]
+        return int(rows.first[at]) if found else None
 
     def level_blocks(self) -> list[tuple[int, int]]:
         bounds = list(self.level_offsets) + [len(self)]
@@ -237,23 +303,35 @@ class Scattering:
         (both searches rank its rows) and cached."""
         if self._table is None:
             nums = self.numerators
-            _, first, inverse = self._row_index()
-            # one row per distinct center, its orbit's sorted representative,
-            # and whether every member of that orbit is present
-            distinct = nums[first]
-            rep = np.sort(distinct, axis=1)[:, ::-1]
-            orbit = _group_rows(rep)
-            present = np.bincount(orbit)
-            full = present[orbit] == _orbit_sizes(rep)
-            dominant = (distinct == rep).all(axis=1)
-            heads = np.sort(first[dominant & full])
-            lone = np.flatnonzero((first[inverse] != np.arange(len(nums)))
-                                  | ~full[inverse])
+            rows = self._row_index()
+            # each center's orbit, named by the key of its dominant member
+            orbit = _pack_rows(np.sort(nums, axis=1)[:, ::-1], rows.low, rows.high)
+            is_dom = orbit[rows.first] == rows.distinct
+            dom, dom_keys = rows.first[is_dom], rows.distinct[is_dom]
+            # the dominant first occurrence heading each center's orbit; m
+            # where that member is absent
+            m = len(dom)
+            at = dom_keys.searchsorted(orbit)
+            found = at < m
+            found[found] = dom_keys[at[found]] == orbit[found]
+            at[~found] = m
+            is_first = np.zeros(len(nums), dtype=np.bool_)
+            is_first[rows.first] = True
+            # an orbit is whole when each of its members is present
+            full = np.bincount(at[is_first], minlength=m + 1) == np.append(
+                _orbit_sizes(nums[dom]), -1)
+            held = np.flatnonzero(full[:m])
+            held = held[np.argsort(dom[held])]
+            heads = dom[held]
+            lone = np.flatnonzero(~(is_first & full[at]))
             keyed = np.concatenate((heads, lone))
-            # each center's row: its orbit's, or a lone row of its own
-            orbit_row = np.zeros(len(present), dtype=np.intp)
-            orbit_row[orbit[inverse[heads]]] = np.arange(len(heads))
-            row = orbit_row[orbit[inverse]]
+            # each center's row: its orbit's, or a lone row of its own, in
+            # the smallest dtype that holds it (a stable sort of labels of
+            # 16 bits or fewer is a radix sort)
+            kind = np.min_scalar_type(max(len(keyed) - 1, 0))
+            orbit_row = np.zeros(m + 1, dtype=kind)
+            orbit_row[held] = np.arange(len(heads))
+            row = orbit_row[at]
             row[lone] = np.arange(len(heads), len(keyed))
             starts = np.zeros(len(keyed) + 1, dtype=np.intp)
             np.cumsum(np.bincount(row, minlength=len(keyed)), out=starts[1:])
@@ -298,22 +376,28 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
         raise ValueError("max_points must be >= 0")
     if max_points is None:
         check_scale(diagram, max_levels)
-    blocks: list[np.ndarray] = []
+    # the level sets' dominant rows first, so each block is written straight
+    # into the one matrix, shifted to the common scale
+    levels: list[np.ndarray] = []
     offsets: list[int] = []
     total = 0
     for k in range(max_levels + 1):
         check_scale(diagram, k)
-        block = _orbit_block(_level_set(diagram, k).points.numerators)
-        offsets.append(total)
+        dominant = _level_set(diagram, k).points.numerators
+        size = int(_orbit_sizes(dominant).sum())
         if max_points is not None:
-            block = block[:max_points - total]
-        blocks.append(block)
-        total += len(block)
+            size = min(size, max_points - total)
+        levels.append(dominant)
+        offsets.append(total)
+        total += size
         if total == max_points:
             break
     offsets = [o for o in offsets if o < total] or [0]
     top = len(offsets) - 1
-    nums = np.concatenate([b << (top - k) for k, b in enumerate(blocks[:top + 1])])
+    nums = np.empty((total, diagram.dim), dtype=np.int64)
+    for k, (a, b) in enumerate(zip(offsets, offsets[1:] + [total])):
+        _orbit_block(levels[k], out=nums[a:b])
+        nums[a:b] <<= top - k
     return Scattering(diagram, top, nums, offsets)
 
 

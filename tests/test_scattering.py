@@ -237,6 +237,45 @@ class TestMatrixBuild:
         assert s.index_of(ScaledPoint((3, 2, 2, 1), 2)) is None
         assert s.index_of(ScaledPoint((2, 1, 1, 0, 0))) is None
 
+    @pytest.mark.parametrize("repeats", [False, True])
+    @pytest.mark.parametrize("shape", ["plain", "multiword", "negative"])
+    def test_index_of_outside_range_and_multiword_keys(self, scatterings, shape,
+                                                       repeats):
+        base = scatterings[(2, 1, 1), 1]
+        nums = {"plain": base.numerators,
+                # 53-bit entries: each key spans four words
+                "multiword": base.numerators << 50,
+                "negative": (base.numerators << 58) - (1 << 62)}[shape]
+        if repeats:
+            nums = np.concatenate((nums, nums[3:9]))
+        s = Scattering(base.diagram, 1, nums, base.level_offsets)
+        assert s.has_duplicates == repeats
+        first = {}
+        for i, row in enumerate(nums.tolist()):
+            first.setdefault(tuple(row), i)
+        lo, hi = int(nums.min()), int(nums.max())
+        top, bottom = (1 << 63) - 1, -(1 << 63)
+        probes = list(first) + [
+            (lo - 1, lo, lo, lo), (hi + 1, lo, lo, lo), (hi, hi, hi, hi + 1),
+            (lo, lo, lo, lo), (hi, hi, hi, hi), (top,) * 4, (bottom,) * 4,
+            (top, hi, lo, lo), (bottom, hi, lo, lo), (top + 1, 0, 0, 0),
+            (0, 0, 0, bottom - 1)]
+        probes += [row[:-1] + (row[-1] + 1,) for row in first]
+        for row in probes:
+            assert s.index_of(ScaledPoint(row, 1)) == first.get(row), row
+
+    def test_build_peak_memory(self, diagrams):
+        # each level block is sorted in place in the one output matrix
+        # (about 1.5x the output); a second copy of the last block would
+        # take it past 2x
+        tracemalloc.start()
+        try:
+            s = build_scattering(diagrams[(3, 2, 1)], 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * s.numerators.nbytes, (peak, s.numerators.nbytes)
+
     def test_build_read_and_table_make_no_points(self, diagrams, tmp_path,
                                                  monkeypatch):
         made = []

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -440,6 +441,87 @@ class TestPartialSequences:
             assert table.orbit_rows == sum(c.is_dominant() for c in s.centers)
 
 
+def distinct_perms(values):
+    """Every distinct ordering of a tuple of values."""
+    if not values:
+        yield ()
+        return
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        for tail in distinct_perms(tuple(rest)):
+            yield (v,) + tail
+
+
+def reference_table(rows):
+    """The center table by its definition, over rows as tuples: the number
+    of orbit rows, each table row's sequence indices and key row.  An orbit
+    (its values sorted descending) gets a row, keyed by its dominant member,
+    when every one of its multinomial-many members is present; the row lists
+    the first occurrence of each member and comes in the sequence order of
+    the dominant member.  Every other center is a lone row."""
+    rows = [tuple(r) for r in rows]
+    first, owned = {}, {}
+    for i, r in enumerate(rows):
+        if r not in first:
+            first[r] = i
+            owned.setdefault(tuple(sorted(r, reverse=True)), []).append(i)
+
+    def size(orbit):
+        out = math.factorial(len(orbit))
+        for v in set(orbit):
+            out //= math.factorial(orbit.count(v))
+        return out
+
+    full = {o for o, got in owned.items() if len(got) == size(o)}
+    heads = sorted(first[o] for o in full)
+    lone = [i for i, r in enumerate(rows)
+            if first[r] != i or tuple(sorted(r, reverse=True)) not in full]
+    groups = [owned[rows[h]] for h in heads] + [[i] for i in lone]
+    return len(heads), groups, [rows[i] for i in heads + lone]
+
+
+def random_table_rows(rng, d, values):
+    """Rows drawn from a few orbits over ``values``, each orbit whole or in
+    part (its dominant member sometimes missing), plus stray rows; then
+    shuffled or not, cut or not, and with repeats or not."""
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        rep = sorted((rng.choice(values) for _ in range(d)), reverse=True)
+        orbit = list(itertools.islice(distinct_perms(tuple(rep)), 400))
+        if rng.random() < 0.4:
+            orbit = rng.sample(orbit, rng.randint(1, len(orbit)))
+        rows += orbit
+    rows += [tuple(rng.choice(values) for _ in range(d))
+             for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    if rng.random() < 0.3:
+        rows = rows[:rng.randint(1, len(rows))]
+    for _ in range(rng.choice((0, 0, 3))):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+    return rows
+
+
+def table_sequence(rows, d):
+    """A sequence holding the given numerator rows; the table reads no more
+    of the diagram than its dimension, so any d from 1 up will do."""
+    return Scattering(types.SimpleNamespace(dim=d), 0,
+                      np.array(rows, dtype=np.int64).reshape(-1, d), [0])
+
+
+def assert_table_matches_reference(s):
+    orbit_rows, groups, keys = reference_table(s.numerators.tolist())
+    t = s.dominant_table()
+    assert t.orbit_rows == orbit_rows
+    assert [t.members[a:b].tolist()
+            for a, b in zip(t.starts[:-1], t.starts[1:])] == groups
+    assert t.mat.tolist() == [[float(v) for v in r] for r in keys]
+    np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in t.mat.tolist()],
+                               rtol=1e-15)
+    assert t.top == max(t.norms.tolist(), default=0.0)
+
+
 class TestCenterTable:
     """Every table row owns a group of sequence indices: a whole orbit or
     one lone center, and each center lies in exactly one row."""
@@ -519,6 +601,39 @@ class TestCenterTable:
                             (t.mat, "<f8"), (t.norms, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
+
+    # entries small, wide (two per key word), and near +-2**62 or at the
+    # int64 extremes (one per word); all but "wide" include negative ones
+    VALUES = {
+        "small": tuple(range(-3, 4)),
+        "wide": (0, 5, 1 << 20, (1 << 25) - 1, 1 << 25),
+        "2^62": ((1 << 62) - 1, 1 << 62, 7, 0, -(1 << 62), 1 - (1 << 62)),
+        "int64": (-(1 << 63), -1, 0, 1, (1 << 63) - 1),
+    }
+
+    @pytest.mark.parametrize("values", sorted(VALUES))
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_reference(self, values, d):
+        rng = random.Random(f"{values}:{d}")
+        for _ in range(4):
+            rows = random_table_rows(rng, d, self.VALUES[values])
+            assert_table_matches_reference(table_sequence(rows, d))
+
+    @pytest.mark.parametrize("rows", [[], [(5, -2, 0)], [(1 << 62,) * 9]])
+    def test_empty_and_single_row_match_reference(self, rows):
+        d = len(rows[0]) if rows else 4
+        assert_table_matches_reference(table_sequence(rows, d))
+
+    def test_multiword_keys_match_reference(self, diagrams):
+        s = build_scattering(diagrams[(3, 2, 1)], 5)
+        shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50,
+                             s.level_offsets)
+        # 57-bit entries, so each key spans four words
+        assert shifted._row_index().distinct.dtype.itemsize == 32
+        assert_table_matches_reference(shifted)
+        t, u = s.dominant_table(), shifted.dominant_table()
+        assert t.orbit_rows == u.orbit_rows
+        assert (t.members == u.members).all() and (t.starts == u.starts).all()
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_large_orbits_match_brute(self, metric):
