@@ -1,32 +1,22 @@
 """Quasi-uniform scatterings on weight polytope boundaries, with exact
 nearest-center search."""
 
-from .core import (BOUNDARY, COSINE, EUCLIDEAN, INTERIOR, METRICS, OUTSIDE,
-                   Permutation, ScaledPoint, YoungDiagram, distance,
-                   dominant_sort, membership, polytope_center)
-from .enumeration import (LevelSet, enumerate_dominant_boundary,
-                          enumerate_level)
-from .oracle import (OracleConfig, brute_boundary, brute_nearest,
-                     brute_nn_distances, brute_nn_sq_numerators,
-                     sample_queries)
+from .core import (COSINE, EUCLIDEAN, METRICS, ScaledPoint, YoungDiagram,
+                   polytope_center)
+from .oracle import brute_nearest
 from .scattering import (PrefixStats, Scattering, UniformityReport,
                          build_scattering, embed_diagram, iota_embed,
-                         is_subsequence, orbit_size, verify_scattering,
-                         weyl_orbit)
+                         is_subsequence, verify_scattering)
 from .search import QueryResult, cosine_nearest, nearest_center, nearest_centers
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY", "COSINE", "EUCLIDEAN", "INTERIOR", "METRICS", "OUTSIDE",
-    "Permutation", "ScaledPoint", "YoungDiagram", "distance", "dominant_sort",
-    "membership", "polytope_center",
-    "LevelSet", "enumerate_dominant_boundary", "enumerate_level",
-    "OracleConfig", "brute_boundary", "brute_nearest", "brute_nn_distances",
-    "brute_nn_sq_numerators", "sample_queries",
+    "COSINE", "EUCLIDEAN", "METRICS", "ScaledPoint", "YoungDiagram",
+    "polytope_center",
+    "brute_nearest",
     "PrefixStats", "Scattering", "UniformityReport", "build_scattering",
-    "embed_diagram", "iota_embed", "is_subsequence", "orbit_size",
-    "verify_scattering", "weyl_orbit",
+    "embed_diagram", "iota_embed", "is_subsequence", "verify_scattering",
     "QueryResult", "cosine_nearest", "nearest_center", "nearest_centers",
     "__version__",
 ]

@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
-from .core import (COSINE, EUCLIDEAN, YoungDiagram, cosine_distance,
-                   distance, sq_euclidean)
+from .core import COSINE, EUCLIDEAN, YoungDiagram
 from .formats import (FORMATS, coordinate_texts, read_scattering,
                       write_scattering)
+from .oracle import brute_nearest
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          verify_scattering)
 from .search import nearest_center, nearest_centers
@@ -77,22 +77,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _spot_check(q, result, s: Scattering, k: int, metric: str) -> bool:
-    """Embedded oracle: full scan, tie-normalized index-set comparison."""
-    dists = [distance(q, c, metric) for c in s.values().tolist()]
-    order = sorted(range(len(dists)), key=lambda i: dists[i])
-    kk = min(k, len(order))
-    tau = dists[order[kk - 1]]
-    tol = 1e-9 * (1.0 + abs(tau))
-    got = set(result.indices)
-    if len(got) != kk:
-        return False
-    if any(dists[i] > tau + tol for i in got):
-        return False
-    must = {i for i in order if dists[i] < tau - tol}
-    return must <= got
-
-
 def _records(results, scale: int, metric: str) -> list[str]:
     """One JSON line per result, the bytes ``json.dumps`` writes for its
     record (its separators, floats as repr), filled into one %-template.
@@ -130,8 +114,8 @@ def cmd_query(args) -> int:
         raw_points = [line for line in sys.stdin if line.strip()]
     queries = [_parse_point(t, s.dim) for t in raw_points]
     results = nearest_centers(queries, s, args.k, args.metric)
-    failed = args.verify and not all(
-        _spot_check(q, res, s, args.k, args.metric)
+    failed = args.verify and any(
+        res != brute_nearest(q, s, args.k, args.metric)
         for q, res in zip(queries, results))
     try:
         sys.stdout.writelines(_records(results, s.levels_built, args.metric))
@@ -141,7 +125,7 @@ def cmd_query(args) -> int:
         # raise again on the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if failed:
-        print("self-check against embedded oracle failed", file=sys.stderr)
+        print("self-check against the full-scan oracle failed", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -198,7 +182,6 @@ def cmd_bench(args) -> int:
         levels = [int(t) for t in args.levels.split(",")]
     except ValueError:
         raise InputError(f"cannot parse levels list {args.levels!r}")
-    kernel = cosine_distance if args.metric == COSINE else sq_euclidean
     rng = random.Random(args.seed)
     print("levels,centers,structured_ms,brute_ms,mean_candidates")
     for lv in levels:
@@ -213,10 +196,10 @@ def cmd_bench(args) -> int:
             candidates += res.candidates_examined
         structured = (time.perf_counter() - t0) / len(queries)
 
-        flat = s.values().tolist()
+        centers = list(s.centers)
         t0 = time.perf_counter()
         for q in queries:
-            min((kernel(q, vals), i) for i, vals in enumerate(flat))
+            brute_nearest(q, centers, args.k, args.metric)
         brute = (time.perf_counter() - t0) / len(queries)
         print(f"{lv},{len(s)},{structured * 1e3:.4f},{brute * 1e3:.4f},"
               f"{candidates / len(queries):.1f}")
@@ -247,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--metric", choices=(EUCLIDEAN, COSINE), default=EUCLIDEAN)
     q.add_argument("--verify", action="store_true",
-                   help="cross-check each result against a full scan")
+                   help="check each result equals the full-scan oracle's, "
+                        "tie order included (exit 3 if not)")
     q.set_defaults(func=cmd_query)
 
     v = sub.add_parser("verify", help="quasi-uniformity report for a file")

@@ -1,14 +1,13 @@
-"""Exact primitives: diagrams, dyadic lattice points, coordinate permutations,
-metrics and polytope membership.
+"""Exact primitives: diagrams, dyadic lattice points, metric names and
+polytope membership.
 
-Everything here is integer-exact; floats only enter through query vectors and
-the distance helpers.
+Everything here is integer-exact.  Distances are computed in ``search``,
+and independently in ``oracle``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -91,9 +90,6 @@ class YoungDiagram:
         if factor < 1:
             raise ValueError("scale factor must be >= 1")
         return YoungDiagram(tuple(r * factor for r in self.rows))
-
-    def highest_weight(self) -> "ScaledPoint":
-        return ScaledPoint(self.rows, 0)
 
     def __str__(self):
         return "(" + ",".join(str(r) for r in self.rows) + ")"
@@ -197,46 +193,6 @@ class PointView(Sequence):
         return f"PointView({len(self)} points at level {self.level})"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A rearrangement of coordinate slots.
-
-    ``order[i]`` is the source slot feeding result slot i, so
-    ``apply(x)[i] == x[order[i]]``.
-    """
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        object.__setattr__(self, "order", order)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError(f"not a permutation of 0..{len(order) - 1}: {order}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.order)
-
-    def apply(self, seq: Sequence) -> tuple:
-        if len(seq) != self.dim:
-            raise ValueError("length mismatch")
-        return tuple(seq[i] for i in self.order)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.dim
-        for i, src in enumerate(self.order):
-            inv[src] = i
-        return Permutation(tuple(inv))
-
-
-def dominant_sort(vector: Sequence) -> tuple[tuple, Permutation]:
-    """Stable descending sort: returns the sorted vector and the permutation
-    that produced it (ties keep their original order)."""
-    idx = sorted(range(len(vector)), key=lambda i: (-vector[i], i))
-    perm = Permutation(tuple(idx))
-    return perm.apply(vector), perm
-
-
 def membership(p: ScaledPoint, lam: YoungDiagram) -> str:
     """Classify a lattice point against the weight polytope of ``lam``.
 
@@ -260,36 +216,6 @@ def membership(p: ScaledPoint, lam: YoungDiagram) -> str:
     if acc != caps[-1]:
         return OUTSIDE
     return BOUNDARY if tight else INTERIOR
-
-
-def distance(a: Sequence[float], b: Sequence[float], metric: str = EUCLIDEAN) -> float:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    check_metric(metric)
-    if metric == EUCLIDEAN:
-        return math.sqrt(sq_euclidean(a, b))
-    return cosine_distance(a, b)
-
-
-def sq_euclidean(a: Sequence[float], b: Sequence[float]) -> float:
-    """Squared euclidean distance, summed left to right."""
-    acc = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        acc += d * d
-    return acc
-
-
-def cosine_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """1 - cos(a, b), clamped at 0."""
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for the zero vector")
-    dot = sum(x * y for x, y in zip(a, b))
-    d = 1.0 - dot / (na * nb)
-    # parallel vectors can land an ulp below zero
-    return d if d > 0.0 else 0.0
 
 
 def polytope_center(lam: YoungDiagram) -> tuple[float, ...]:

@@ -5,20 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COSINE, EUCLIDEAN, YoungDiagram
+from .core import EUCLIDEAN, YoungDiagram, check_metric
 from .scattering import build_scattering
 from .search import nearest_centers
 
 
-def _check_matrix(X, dim: int) -> np.ndarray:
+def _check_matrix(X) -> np.ndarray:
+    """X as a query block: a single query becomes a block of one.  The search
+    checks the block's shape and values."""
     arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"expected an (n_queries, {dim}) array, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("queries must be finite")
-    return arr
+    return arr[None, :] if arr.ndim == 1 else arr
 
 
 class ScatteringNeighbors:
@@ -53,8 +49,7 @@ class ScatteringNeighbors:
         return self
 
     def fit(self, X=None, y=None):
-        if self.metric not in (EUCLIDEAN, COSINE):
-            raise ValueError(f"unknown metric {self.metric!r}")
+        check_metric(self.metric)
         diagram = YoungDiagram.from_rows(self.lambda_rows)
         self.scattering_ = build_scattering(diagram, self.levels,
                                             max_points=self.max_points)
@@ -66,7 +61,7 @@ class ScatteringNeighbors:
         per query row."""
         if not hasattr(self, "scattering_"):
             raise ValueError("call fit() before querying")
-        arr = _check_matrix(X, self.scattering_.dim)
+        arr = _check_matrix(X)
         k = min(n_neighbors, self.n_centers_)
         results = nearest_centers(arr, self.scattering_, k, self.metric)
         dist = np.array([res.distances for res in results], dtype=float)

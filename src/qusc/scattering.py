@@ -194,8 +194,7 @@ class CenterTable(NamedTuple):
     that dominant member.  Every other center is a lone row of its own:
     members of partial orbits (a cut or an embedded sequence) and repeats of
     an earlier center.  ``mat`` holds each row's key center as float64
-    numerators, ``norms`` its norm (shared by the whole orbit) and ``top``
-    the largest of them.
+    numerators and ``norms`` its norm (shared by the whole orbit).
 
     The table is built from the sequence's packed row keys in a few linear
     passes: each center's orbit is the key of its values sorted descending,
@@ -209,7 +208,6 @@ class CenterTable(NamedTuple):
     orbit_rows: int
     mat: np.ndarray
     norms: np.ndarray
-    top: float
 
 
 class Scattering:
@@ -338,8 +336,7 @@ class Scattering:
             mat = nums[keyed].astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
             self._table = CenterTable(np.argsort(row, kind="stable"), starts,
-                                      len(heads), mat, norms,
-                                      float(norms.max(initial=0.0)))
+                                      len(heads), mat, norms)
         return self._table
 
     def is_complete(self) -> bool:
@@ -462,7 +459,7 @@ class UniformityReport:
 
     ``euclidean_exponent`` is the largest max/min ratio of euclidean NN
     distances over all checked prefixes.  ``cosine_exponent`` is the same
-    ratio measured in the chordal metric sqrt(2 * cosine_distance), which is
+    ratio measured in the chordal metric sqrt(2 * (1 - cos)), which is
     the quantity bounded by ``cosine_exponent_bound`` =
     2 * max_norm / min_norm over the polytope (vertex norm over barycenter
     norm).  ``shape_ratio`` compares center distances from the barycenter.

@@ -172,9 +172,8 @@ def _widen(bound, d: int):
 
 def _colsum(terms: np.ndarray) -> np.ndarray:
     """Row sums of an (m, d) array, added column by column from the left as
-    ``core.sq_euclidean`` and ``core.cosine_distance`` add: d - 1 in-place
-    adds into the first column, which is returned.  The array is
-    overwritten."""
+    the reference scan in ``oracle.brute_nearest`` adds: d - 1 in-place adds
+    into the first column, which is returned.  The array is overwritten."""
     out = terms[:, 0]
     for j in range(1, terms.shape[1]):
         out += terms[:, j]
@@ -205,15 +204,15 @@ def _cosine_keys(v, mat, norms):
 
 
 def _euclidean_pairs(x, vals):
-    """core.sq_euclidean of each pair of rows, with its float steps; x is
-    overwritten."""
+    """The reference scan's squared euclidean distance of each pair of rows,
+    with its float steps; x is overwritten."""
     x -= vals
     return _colsum(np.square(x, out=x))
 
 
 def _cosine_pairs(x, vals):
-    """core.cosine_distance of each pair of rows, with its float steps; x and
-    vals are overwritten."""
+    """The reference scan's cosine distance of each pair of rows, with its
+    float steps; x and vals are overwritten."""
     norms = np.sqrt(_colsum(x * x)) * np.sqrt(_colsum(vals * vals))
     x *= vals
     d = 1.0 - _colsum(x) / norms

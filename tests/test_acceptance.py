@@ -8,14 +8,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from qusc import (INTERIOR, ScaledPoint, YoungDiagram, brute_boundary,
-                  brute_nn_sq_numerators, build_scattering, cosine_nearest,
-                  enumerate_dominant_boundary, enumerate_level, iota_embed,
-                  is_subsequence, membership, nearest_center,
+from qusc import (ScaledPoint, YoungDiagram, build_scattering, cosine_nearest,
+                  iota_embed, is_subsequence, nearest_center,
                   verify_scattering)
 from qusc.cli import main
-from qusc.core import cosine_distance
+from qusc.core import INTERIOR, membership
+from qusc.enumeration import enumerate_dominant_boundary, enumerate_level
 from qusc.formats import FORMATS, read_scattering, write_scattering
+from qusc.oracle import _oracle_cos, brute_boundary, brute_nn_sq_numerators
 
 SWEEP_ROWS = [(2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]
 
@@ -254,7 +254,6 @@ def test_criterion_8_fast_search_scaling():
 
 def test_criterion_9_weyl_equivariance():
     with criterion(9, "200 random (query, permutation) pairs commute"):
-        from qusc import Permutation
         s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 1)
         lvl = s.levels_built
         rng = random.Random(424242)
@@ -262,10 +261,10 @@ def test_criterion_9_weyl_equivariance():
             e = [rng.uniform(-1.0, 4.0) for _ in range(4)]
             order = list(range(4))
             rng.shuffle(order)
-            w = Permutation(tuple(order))
-            direct = set(nearest_center(w.apply(e), s, 3).indices)
+            direct = set(nearest_center([e[i] for i in order], s, 3).indices)
             base = nearest_center(e, s, 3)
-            mapped = {s.index_of(ScaledPoint(w.apply(p.numerators_at(lvl)), lvl))
+            mapped = {s.index_of(ScaledPoint(
+                          [p.numerators_at(lvl)[i] for i in order], lvl))
                       for p in base.points}
             assert direct == mapped, (e, order)
 
@@ -333,6 +332,6 @@ def test_criterion_11_cosine_search_scaling():
         flat = [c.values() for c in big.centers]
         t0 = time.perf_counter()
         for e in bench:
-            min((cosine_distance(e, vals), i) for i, vals in enumerate(flat))
+            min((_oracle_cos(e, vals), i) for i, vals in enumerate(flat))
         brute = time.perf_counter() - t0
         assert brute >= 10.0 * structured, (structured, brute)

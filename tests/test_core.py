@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qusc import (BOUNDARY, INTERIOR, OUTSIDE, Permutation, ScaledPoint,
-                  YoungDiagram, distance, dominant_sort, membership,
+from qusc import (ScaledPoint, YoungDiagram, build_scattering, nearest_center,
                   polytope_center)
+from qusc.core import BOUNDARY, INTERIOR, OUTSIDE, membership
+from qusc.search import _cosine_pairs, _euclidean_pairs
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -62,47 +64,6 @@ class TestScaledPoint:
         assert not hasattr(ScaledPoint((2, 1, 1, 0)), "__dict__")
 
 
-class TestPermutation:
-    def test_apply_inverse_roundtrip(self):
-        p = Permutation((2, 0, 3, 1))
-        x = ("a", "b", "c", "d")
-        assert p.inverse().apply(p.apply(x)) == x
-        assert p.apply(p.inverse().apply(x)) == x
-        assert p.inverse().inverse().order == p.order
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-
-
-class TestDominantSort:
-    def test_basic(self):
-        vec, perm = dominant_sort((0, 1, 2, 1))
-        assert vec == (2, 1, 1, 0)
-        # value 2 came from slot 3 (1-based)
-        assert perm.order[0] == 2
-        assert perm.apply((0, 1, 2, 1)) == vec
-
-    def test_already_dominant_is_identity(self):
-        vec, perm = dominant_sort((2, 1, 1, 0))
-        assert vec == (2, 1, 1, 0) and perm.order == (0, 1, 2, 3)
-
-    def test_all_ties_stable(self):
-        vec, perm = dominant_sort((1, 1, 1, 1))
-        assert vec == (1, 1, 1, 1) and perm.order == (0, 1, 2, 3)
-
-    @given(st.lists(finite, min_size=1, max_size=8))
-    def test_idempotent(self, xs):
-        vec, _ = dominant_sort(xs)
-        again, perm = dominant_sort(vec)
-        assert again == vec and perm.order == tuple(range(len(vec)))
-
-    @given(st.lists(finite, min_size=1, max_size=8))
-    def test_output_sorted(self, xs):
-        vec, _ = dominant_sort(xs)
-        assert all(a >= b for a, b in zip(vec, vec[1:]))
-
-
 class TestMembership:
     def test_examples(self):
         lam = YoungDiagram.from_rows((3, 2, 1))
@@ -122,39 +83,47 @@ class TestMembership:
     @given(st.permutations(list(range(4))))
     def test_weyl_invariance(self, order):
         lam = YoungDiagram.from_rows((3, 2, 1))
-        perm = Permutation(tuple(order))
         for nums in [(3, 2, 1, 0), (2, 2, 1, 1), (4, 1, 1, 0), (2, 2, 2, 0)]:
             p = ScaledPoint(nums)
-            q = ScaledPoint(perm.apply(nums))
+            q = ScaledPoint([nums[i] for i in order])
             assert membership(p, lam) == membership(q, lam)
+
+
+def pair_distance(a, b, metric="euclidean"):
+    """The search's distance kernel on one pair of rows."""
+    x, vals = np.array([a], dtype=float), np.array([b], dtype=float)
+    if metric == "euclidean":
+        return math.sqrt(_euclidean_pairs(x, vals)[0])
+    return float(_cosine_pairs(x, vals)[0])
 
 
 class TestDistance:
     def test_euclidean_example(self):
-        assert distance((2, 1, 1, 0), (2, 1, 0, 1)) == pytest.approx(math.sqrt(2))
+        assert pair_distance((2, 1, 1, 0), (2, 1, 0, 1)) == pytest.approx(math.sqrt(2))
 
     def test_cosine_orthogonal(self):
-        assert distance((1, 0), (0, 1), "cosine") == pytest.approx(1.0)
+        assert pair_distance((1, 0), (0, 1), "cosine") == pytest.approx(1.0)
 
     def test_cosine_same_ray(self):
-        assert distance((1, 0), (2, 0), "cosine") == 0.0
+        assert pair_distance((1, 0), (2, 0), "cosine") == 0.0
 
     def test_cosine_zero_vector(self):
+        s = build_scattering(YoungDiagram.from_rows((2, 1, 1)), 0)
         with pytest.raises(ValueError):
-            distance((0, 0), (1, 0), "cosine")
+            nearest_center((0, 0, 0, 0), s, 1, "cosine")
 
     def test_unknown_metric(self):
+        s = build_scattering(YoungDiagram.from_rows((2, 1, 1)), 0)
         with pytest.raises(ValueError):
-            distance((1,), (1,), "manhattan")
+            nearest_center((1, 1, 1, 1), s, 1, "manhattan")
 
     @given(st.permutations(list(range(5))),
            st.lists(finite, min_size=5, max_size=5),
            st.lists(finite, min_size=5, max_size=5))
     @settings(max_examples=60)
     def test_permutation_equivariance(self, order, a, b):
-        perm = Permutation(tuple(order))
-        d1 = distance(a, b)
-        d2 = distance(perm.apply(a), perm.apply(b))
+        d1 = pair_distance(a, b)
+        d2 = pair_distance([a[i] for i in order], [b[i] for i in order])
         assert d1 == pytest.approx(d2, abs=1e-12)
 
 
@@ -162,3 +131,22 @@ def test_polytope_center():
     assert polytope_center(YoungDiagram.from_rows((2, 1, 1))) == (1, 1, 1, 1)
     assert polytope_center(YoungDiagram.from_rows((3, 2, 1))) == (1.5,) * 4
     assert polytope_center(YoungDiagram.from_rows((2, 2, 1, 1))) == pytest.approx((1.2,) * 5)
+
+
+PUBLIC_API = [
+    "COSINE", "EUCLIDEAN", "METRICS", "ScaledPoint", "YoungDiagram",
+    "polytope_center", "brute_nearest", "PrefixStats", "Scattering",
+    "UniformityReport", "build_scattering", "embed_diagram", "iota_embed",
+    "is_subsequence", "verify_scattering", "QueryResult", "cosine_nearest",
+    "nearest_center", "nearest_centers", "__version__",
+]
+
+
+def test_public_api():
+    """The package exports what the query pipeline, CLI and estimator use,
+    and the embedding map, and nothing else."""
+    import qusc
+    assert sorted(qusc.__all__) == sorted(PUBLIC_API)
+    scope = {}
+    exec("from qusc import *", scope)
+    assert all(name in scope for name in PUBLIC_API)

@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from qusc import (BOUNDARY, LevelSet, ScaledPoint, YoungDiagram,
-                  brute_boundary, enumerate_dominant_boundary, enumerate_level,
-                  membership)
+from qusc import ScaledPoint, YoungDiagram
+from qusc.core import BOUNDARY, membership
+from qusc.enumeration import (LevelSet, enumerate_dominant_boundary,
+                              enumerate_level)
+from qusc.oracle import brute_boundary
 
 
 def check_level_set(ls: LevelSet) -> None:

@@ -535,6 +535,31 @@ class TestCliQuery:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1000
 
+    def test_verify_holds_tie_order(self, tmp_path, monkeypatch, capsys):
+        """A k=2 query at the midpoint of two centers ties them; an answer
+        with the right index set in the wrong order fails the check."""
+        from qusc import QueryResult, nearest_centers
+        path = tmp_path / "c.bin"
+        write_scattering(build_scattering(YoungDiagram.from_rows((2, 1, 1)), 0),
+                         path, "binary")
+        argv = ("query", "--centers", str(path), "--point", "1.5,1.5,1,0",
+                "--k", "2", "--verify")
+        assert run_cli(*argv) == 0
+
+        def swapped(queries, s, k, metric):
+            out = []
+            for res in nearest_centers(queries, s, k, metric):
+                assert res.distances[0] == res.distances[1]
+                out.append(QueryResult(res.indices[::-1], res.distances[::-1],
+                                       res.numerators[::-1], res.level,
+                                       res.metric, res.query,
+                                       res.candidates_examined))
+            return out
+
+        monkeypatch.setattr("qusc.cli.nearest_centers", swapped)
+        assert run_cli(*argv) == 3
+        assert "oracle" in capsys.readouterr().err
+
     def test_malformed_point_exit2(self, centers_file):
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "1,2") == 2

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from qusc import (OracleConfig, ScaledPoint, YoungDiagram, brute_boundary,
-                  brute_nearest, brute_nn_distances, brute_nn_sq_numerators,
-                  sample_queries, weyl_orbit)
+from qusc import ScaledPoint, YoungDiagram, brute_nearest
+from qusc.oracle import (OracleConfig, brute_boundary, brute_nn_distances,
+                         brute_nn_sq_numerators, sample_queries)
+from qusc.scattering import weyl_orbit
 
 
 class TestBruteBoundary:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
-                  embed_diagram, enumerate_dominant_boundary, enumerate_level,
-                  iota_embed, is_subsequence, orbit_size, verify_scattering,
-                  weyl_orbit)
+                  embed_diagram, iota_embed, is_subsequence, verify_scattering)
+from qusc.enumeration import enumerate_dominant_boundary, enumerate_level
 from qusc.formats import read_scattering, write_scattering
+from qusc.scattering import orbit_size, weyl_orbit
 from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
@@ -78,13 +78,13 @@ class TestBuildScattering:
         assert s.index_of(ScaledPoint((9, 9, 9, 9, 9))) is None
 
     def test_every_center_is_boundary(self, scatterings):
-        from qusc import BOUNDARY, membership
+        from qusc.core import BOUNDARY, membership
         for (rows, _), s in scatterings.items():
             for p in s.centers:
                 assert membership(p, s.diagram) == BOUNDARY, (rows, p)
 
     def test_center_count_matches_oracle_orbits(self, scatterings):
-        from qusc import brute_boundary
+        from qusc.oracle import brute_boundary
         for (rows, levels), s in scatterings.items():
             expected = sum(orbit_size(p)
                            for p in brute_boundary(s.diagram, levels))

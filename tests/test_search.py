@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qusc import (Permutation, ScaledPoint, Scattering, YoungDiagram,
-                  brute_nearest, build_scattering, cosine_nearest,
-                  embed_diagram, iota_embed, nearest_center, nearest_centers)
+from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
+                  build_scattering, cosine_nearest, embed_diagram, iota_embed,
+                  nearest_center, nearest_centers)
 from qusc.search import _colsum, _face_clamp
 
 
@@ -318,10 +318,10 @@ class TestWeylEquivariance:
             e = [rng.uniform(-1, 4) for _ in range(4)]
             order = list(range(4))
             rng.shuffle(order)
-            w = Permutation(tuple(order))
-            direct = nearest_center(w.apply(e), s, 3)
+            direct = nearest_center([e[i] for i in order], s, 3)
             base = nearest_center(e, s, 3)
-            mapped = {s.index_of(ScaledPoint(w.apply(p.numerators_at(lvl)), lvl))
+            mapped = {s.index_of(ScaledPoint(
+                          [p.numerators_at(lvl)[i] for i in order], lvl))
                       for p in base.points}
             assert set(direct.indices) == mapped
 
@@ -519,7 +519,6 @@ def assert_table_matches_reference(s):
     assert t.mat.tolist() == [[float(v) for v in r] for r in keys]
     np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in t.mat.tolist()],
                                rtol=1e-15)
-    assert t.top == max(t.norms.tolist(), default=0.0)
 
 
 class TestCenterTable:
