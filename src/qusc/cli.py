@@ -1,4 +1,4 @@
-"""Command-line interface: generate, query, verify, embed, bench.
+"""Command-line interface: generate, query, verify, embed.
 
 Exit codes: 0 success, 2 input error, 3 verification failure.
 """
@@ -8,9 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from .formats import (FORMATS, coordinate_texts, read_scattering,
 from .oracle import brute_nearest
 from .scattering import (Scattering, build_scattering, embed_diagram,
                          verify_scattering)
-from .search import nearest_center, nearest_centers
+from .search import nearest_centers
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,9 +112,12 @@ def cmd_query(args) -> int:
         raw_points = [line for line in sys.stdin if line.strip()]
     queries = [_parse_point(t, s.dim) for t in raw_points]
     results = nearest_centers(queries, s, args.k, args.metric)
-    failed = args.verify and any(
-        res != brute_nearest(q, s, args.k, args.metric)
-        for q, res in zip(queries, results))
+    failed = False
+    if args.verify:
+        # the oracle scans points: make them once, not once per query
+        centers = list(s.centers)
+        failed = any(res != brute_nearest(q, centers, args.k, args.metric)
+                     for q, res in zip(queries, results))
     try:
         sys.stdout.writelines(_records(results, s.levels_built, args.metric))
         sys.stdout.flush()
@@ -176,36 +177,6 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    lam = _parse_rows(args.lam)
-    try:
-        levels = [int(t) for t in args.levels.split(",")]
-    except ValueError:
-        raise InputError(f"cannot parse levels list {args.levels!r}")
-    rng = random.Random(args.seed)
-    print("levels,centers,structured_ms,brute_ms,mean_candidates")
-    for lv in levels:
-        s = build_scattering(lam, lv)
-        top = lam.rows[0]
-        queries = [[rng.uniform(-0.5, top + 0.5) for _ in range(s.dim)]
-                   for _ in range(args.queries)]
-        t0 = time.perf_counter()
-        candidates = 0
-        for q in queries:
-            res = nearest_center(q, s, args.k, args.metric)
-            candidates += res.candidates_examined
-        structured = (time.perf_counter() - t0) / len(queries)
-
-        centers = list(s.centers)
-        t0 = time.perf_counter()
-        for q in queries:
-            brute_nearest(q, centers, args.k, args.metric)
-        brute = (time.perf_counter() - t0) / len(queries)
-        print(f"{lv},{len(s)},{structured * 1e3:.4f},{brute * 1e3:.4f},"
-              f"{candidates / len(queries):.1f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qusc",
                                  description="quasi-uniform scatterings on "
@@ -245,14 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_embed)
 
-    b = sub.add_parser("bench", help="structured vs brute-force query timing")
-    b.add_argument("--lambda", dest="lam", required=True)
-    b.add_argument("--levels", required=True, help="comma-separated level counts")
-    b.add_argument("--queries", type=int, default=200)
-    b.add_argument("--k", type=int, default=1)
-    b.add_argument("--metric", choices=(EUCLIDEAN, COSINE), default=EUCLIDEAN)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
     return ap
 
 

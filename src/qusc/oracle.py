@@ -102,6 +102,10 @@ def brute_nearest(e: Sequence[float], centers, k: int,
     if not pts:
         raise ValueError("no centers")
     q = tuple(float(v) for v in e)
+    peak = max(map(abs, q), default=0.0)
+    # cosine is scale-free: scan at the search's power-of-two scale, so the
+    # squares of a tiny query do not underflow
+    x = tuple(math.ldexp(v, -math.frexp(peak)[1]) for v in q) if peak else q
     level = max(p.level for p in pts)
     scored = []
     for i, p in enumerate(pts):
@@ -110,7 +114,7 @@ def brute_nearest(e: Sequence[float], centers, k: int,
             key = _oracle_sq(q, vals)
             dist = math.sqrt(key)
         else:
-            key = _oracle_cos(q, vals)
+            key = _oracle_cos(x, vals)
             dist = key
         scored.append((key, tuple(-v for v in p.numerators_at(level)), i, dist))
     scored.sort()

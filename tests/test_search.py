@@ -7,7 +7,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
@@ -216,11 +216,25 @@ class TestCosine:
         # the squares underflow; the distances do not depend on the scale
         s = scatterings[(3, 2, 1), 1]
         e = (3 * m, 2 * m, m, m / 2)
-        shift = -math.frexp(3 * m)[1]
         res = cosine_nearest(e, s, 4)
-        ref = brute_nearest([math.ldexp(v, shift) for v in e], s, 4, "cosine")
-        assert (res.indices, res.distances) == (ref.indices, ref.distances)
+        assert res == brute_nearest(e, s, 4, "cosine")
         assert res.query == e
+
+    @pytest.mark.parametrize("kind", ["complete", "cut", "embedded"])
+    @pytest.mark.parametrize("e", [
+        # the oracle once squared these coordinates raw: the first query's
+        # squares lose bits as subnormals, the second's underflow to zero
+        (-6.884544480689334e-156, 8.269460883629814e-156,
+         -7.161469209698075e-156, 7.582428876585324e-156),
+        (1e-200, 2e-200, 3e-200, -1e-200)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tiny_query_matches_oracle(self, scatterings, kind, e, k):
+        s = scatterings[(3, 2, 1), 1]
+        if kind != "complete":
+            s = build_scattering(s.diagram, 1, max_points=50)
+        if kind == "embedded":
+            s, e = embedded(s), (*e, e[0])
+        assert cosine_nearest(e, s, k) == brute_nearest(e, s, k, "cosine")
 
     def test_zero_center_raises(self, scatterings):
         # a corrupt sequence may hold the zero vector, where cosine distance
@@ -278,6 +292,23 @@ class TestOracleAgreement:
     def test_hypothesis_queries(self, scatterings, e):
         s = scatterings[(2, 1, 1), 1]
         assert nearest_center(e, s, 2).indices == brute_nearest(e, s, 2).indices
+
+    @given(base=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
+                         min_size=4, max_size=4),
+           exp=st.integers(min_value=-1070, max_value=460),
+           k=st.integers(min_value=1, max_value=4),
+           metric=st.sampled_from(["euclidean", "cosine"]), cut=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_magnitudes(self, scatterings, base, exp, k, metric,
+                                   cut):
+        """Queries from subnormal to about 2**463, exactly as the full scan
+        ranks them, tie order included."""
+        e = [math.ldexp(v, exp) for v in base]
+        assume(any(e))
+        s = scatterings[(3, 2, 1), 1]
+        if cut:
+            s = build_scattering(s.diagram, 1, max_points=50)
+        assert nearest_center(e, s, k, metric) == brute_nearest(e, s, k, metric)
 
 
 class TestTieBreaking:
