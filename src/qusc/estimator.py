@@ -62,8 +62,10 @@ class ScatteringNeighbors:
         if not hasattr(self, "scattering_"):
             raise ValueError("call fit() before querying")
         arr = _check_matrix(X)
+        # the search checks n_neighbors and answers at most n_centers_ each
+        results = nearest_centers(arr, self.scattering_, n_neighbors,
+                                  self.metric)
         k = min(n_neighbors, self.n_centers_)
-        results = nearest_centers(arr, self.scattering_, k, self.metric)
         dist = np.array([res.distances for res in results], dtype=float)
         idx = np.array([res.indices for res in results], dtype=np.int64)
         return dist.reshape(len(arr), k), idx.reshape(len(arr), k)

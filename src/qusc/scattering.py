@@ -176,25 +176,37 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
 class _RowIndex(NamedTuple):
     """The distinct packed row keys of a sequence whose entries lie in
     [low, high], in ascending order, and the first sequence position of
-    each."""
+    each; and each center's place in a full scan's tie order."""
 
     low: int
     high: int
     distinct: np.ndarray
     first: np.ndarray
+    tie: np.ndarray
 
 
 class CenterTable(NamedTuple):
     """The search index of a center sequence, at the scale ``2**levels_built``.
 
-    Row r owns the sequence indices ``members[starts[r]:starts[r + 1]]``.
+    Row r owns the sequence indices ``members[starts[r]:starts[r + 1]]``,
+    ``starts`` being read from ``spans``.
     The first ``orbit_rows`` rows are the Weyl orbits whose members are all
     present in the sequence, each exactly once, in the sequence order of
     their dominant members; such a row owns the whole orbit and is keyed by
     that dominant member.  Every other center is a lone row of its own:
     members of partial orbits (a cut or an embedded sequence) and repeats of
-    an earlier center.  ``mat`` holds each row's key center as float64
-    numerators and ``norms`` its norm (shared by the whole orbit).
+    an earlier center.  ``cols`` holds the rows' key centers as float64
+    numerators, column-major: a contiguous (d, rows) array, of which ``mat``
+    is the (rows, d) view.  ``norms`` holds each key center's norm (shared
+    by the whole orbit), and the (2, rows) array ``spans`` each row's end
+    in ``members`` over its size.
+
+    ``tie`` gives each center, by sequence index, its place in a full
+    scan's order of equal distances: descending-lex point, then sequence
+    index, in the smallest unsigned type that holds it.  ``zero`` is the
+    sequence index of the first zero center, or -1 when there is none.
+    ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
+    largest key norm, which bounds every center's norm.
 
     The table is built from the sequence's packed row keys in a few linear
     passes: each center's orbit is the key of its values sorted descending,
@@ -204,10 +216,22 @@ class CenterTable(NamedTuple):
     """
 
     members: np.ndarray
-    starts: np.ndarray
+    spans: np.ndarray
     orbit_rows: int
-    mat: np.ndarray
+    cols: np.ndarray
     norms: np.ndarray
+    tie: np.ndarray
+    zero: int
+    lattice: float
+    radius: float
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.concatenate(([0], self.spans[0]))
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self.cols.T
 
 
 class Scattering:
@@ -264,13 +288,23 @@ class Scattering:
         of the level blocks."""
         if self._rows is None:
             nums = self.numerators
+            n = len(nums)
             low, high = (int(nums.min()), int(nums.max())) if nums.size else (0, 0)
             keys = _pack_rows(nums, low, high)
             order = np.argsort(keys, kind="stable")
             ranked = keys[order]
-            new = np.ones(len(keys), dtype=np.bool_)
+            new = np.ones(n, dtype=np.bool_)
             new[1:] = ranked[1:] != ranked[:-1]
-            self._rows = _RowIndex(low, high, ranked[new], order[new])
+            # the tie order reverses the sort's runs of equal keys and keeps
+            # each run's ascending sequence indices: the run at [at, end)
+            # moves to [n - end, n - at)
+            at = np.flatnonzero(new)
+            end = np.append(at[1:], n)
+            place = (n - at - end).repeat(end - at)
+            place += np.arange(n)
+            tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+            tie[order] = place
+            self._rows = _RowIndex(low, high, ranked[new], order[new], tie)
         return self._rows
 
     @property
@@ -331,12 +365,17 @@ class Scattering:
             orbit_row[held] = np.arange(len(heads))
             row = orbit_row[at]
             row[lone] = np.arange(len(heads), len(keyed))
-            starts = np.zeros(len(keyed) + 1, dtype=np.intp)
-            np.cumsum(np.bincount(row, minlength=len(keyed)), out=starts[1:])
+            sizes = np.bincount(row, minlength=len(keyed))
+            ends = sizes.cumsum()
+            members = np.argsort(row, kind="stable")
             mat = nums[keyed].astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-            self._table = CenterTable(np.argsort(row, kind="stable"), starts,
-                                      len(heads), mat, norms)
+            zero = -1 if norms.all() else int(
+                members[(ends - sizes)[np.argmin(norms)]])
+            self._table = CenterTable(
+                members, np.stack((ends, sizes)), len(heads),
+                np.ascontiguousarray(mat.T), norms, rows.tie, zero,
+                float(1 << self.levels_built), float(norms.max(initial=0.0)))
         return self._table
 
     def is_complete(self) -> bool:

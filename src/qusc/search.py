@@ -17,12 +17,16 @@ per-row k-selection of Johnson, Douze & Jegou 2017, "Billion-scale
 similarity search with GPUs", over the table's rows):
 
 1. the block is validated once;
-2. every row is keyed against every query of the chunk, column by column;
+2. every row is keyed against every query of the chunk, column by column
+   over the table's contiguous key columns;
 3. each query's k-th key bounds its k-th distance, so every row within that
    bound, widened past float rounding, is expanded at once into its
    centers, and all of them are scored exactly;
 4. the centers under the bound are ranked as a full scan would rank them,
-   with one lexsort over the whole chunk.
+   with one lexsort over the whole chunk on three keys: the query, the
+   distance and the center's tie rank, its precomputed place in a full
+   scan's order of equal distances (descending-lex point, then sequence
+   index).  Numerator rows are gathered for the k hits only.
 
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
@@ -35,6 +39,7 @@ numerator rows the ranking selected; a hit becomes a ScaledPoint only when
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -155,9 +160,6 @@ def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
 # most coordinates of (query, center) pairs one expansion scores at once:
 # 256 KiB of float64, so a chunk's temporaries stay in a core's L2 cache.
 _BLOCK = 1 << 15
-# no coordinates of at most this size have a sum of squares that overflows,
-# in fewer than 10**8 dimensions
-_SAFE = 1e150
 
 
 def _widen(bound, d: int):
@@ -180,24 +182,26 @@ def _colsum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euclidean_keys(v, mat, norms):
-    """Squared distances from every row of v to every row of mat, from the
-    coordinate differences added column by column: no
+def _euclidean_keys(v, cols, norms):
+    """Squared distances from every row of v to every column of cols, from
+    the coordinate differences added column by column: no
     |v|^2 + |t|^2 - 2<v, t> cancellation for far queries."""
-    cols = zip(v.T[:, :, None], mat.T)
-    vj, tj = next(cols)
-    keys = np.square(vj - tj)
-    diff = np.empty_like(keys)
-    for vj, tj in cols:
-        np.square(np.subtract(vj, tj, out=diff), out=diff)
+    pairs = zip(v.T[:, :, None], cols)
+    vj, tj = next(pairs)
+    keys = vj - tj
+    np.square(keys, keys)
+    diff = None
+    for vj, tj in pairs:
+        diff = np.subtract(vj, tj, diff)
+        np.square(diff, diff)
         keys += diff
     return keys
 
 
-def _cosine_keys(v, mat, norms):
-    """Cosine distances from every row of v to every row of mat, whose norms
-    are given."""
-    keys = v @ mat.T
+def _cosine_keys(v, cols, norms):
+    """Cosine distances from every row of v to every column of cols, whose
+    norms are given."""
+    keys = v @ cols
     keys /= np.sqrt(_colsum(v * v))[:, None]
     keys /= norms
     return np.subtract(1.0, keys, out=keys)
@@ -207,7 +211,7 @@ def _euclidean_pairs(x, vals):
     """The reference scan's squared euclidean distance of each pair of rows,
     with its float steps; x is overwritten."""
     x -= vals
-    return _colsum(np.square(x, out=x))
+    return _colsum(np.square(x, x))
 
 
 def _cosine_pairs(x, vals):
@@ -224,20 +228,32 @@ _KERNELS = {EUCLIDEAN: (_euclidean_keys, _euclidean_pairs),
             COSINE: (_cosine_keys, _cosine_pairs)}
 
 
-def _check_rows(q: np.ndarray, s: Scattering, metric: str) -> None:
+def _check_k(k) -> int:
+    """k as an int of at least 1: any integer but a bool."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
+def _check_rows(q: np.ndarray, table, metric: str) -> None:
     """The per-query checks, row by row, naming the first bad row: finite
     coordinates whose sum of squares does not overflow, and for euclidean
-    search none at the scattering's lattice scale either."""
-    rows = math.hypot(*s.diagram.rows)
+    search none at the table's lattice scale either."""
     for r, row in enumerate(q.tolist()):
         if not all(math.isfinite(v) for v in row):
             raise ValueError(f"query has a non-finite coordinate: {row} (row {r})")
         if not math.isfinite(sum(v * v for v in row)):
             raise ValueError("query is too large: its sum of squares overflows "
                              f"(row {r})")
-        # the search squares distances at the lattice scale 2**levels_built;
-        # none of those squares exceeds 64 * reach**2
-        reach = (math.hypot(*row) + rows) * (1 << s.levels_built)
+        # the search squares distances to the table's key centers at the
+        # lattice scale; none of those squares exceeds 64 * reach**2
+        reach = math.hypot(*row) * table.lattice + table.radius
         if metric == EUCLIDEAN and not math.isfinite(64.0 * reach * reach):
             raise ValueError("query is too large: its sum of squares overflows "
                              f"at the scattering's scale (row {r})")
@@ -250,47 +266,45 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
     The block is searched in chunks of queries whose key matrix against the
     center table stays within a fixed number of elements.  An invalid block
-    raises ValueError naming its first bad row.
+    raises ValueError naming its first bad row; a k that is not an integer
+    of at least 1 raises ValueError.
     """
     check_metric(metric)
+    k = _check_k(k)
     if len(s) == 0:
         raise ValueError("empty scattering")
+    table = s.dominant_table()
+    d = len(table.cols)
     q = np.asarray(queries, dtype=np.float64)
     if q.shape == (0,):
-        q = q.reshape(0, s.dim)
+        q = q.reshape(0, d)
     if q.ndim != 2:
-        raise ValueError(f"expected an (m, {s.dim}) query block, got shape {q.shape}")
-    if q.shape[1] != s.dim:
-        raise ValueError(f"query dim {q.shape[1]} != scattering dim {s.dim}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"expected an (m, {d}) query block, got shape {q.shape}")
+    if q.shape[1] != d:
+        raise ValueError(f"query dim {q.shape[1]} != scattering dim {d}")
     if not len(q):
         return []
-    level = s.levels_built
-    big = float(np.abs(q).max())
-    # only a block that could fail a check is checked row by row; NaN fails
-    # the first comparison
-    reach = (math.sqrt(s.dim) * big + math.hypot(*s.diagram.rows)) * (1 << level)
-    if not (big <= _SAFE and math.isfinite(128.0 * reach * reach)):
-        _check_rows(q, s, metric)
-    table = s.dominant_table()
+    # only a block that could fail a check is checked row by row: the
+    # block's norm bounds every row's, and is not finite when a row is not
+    reach = float(np.hypot.reduce(q.ravel())) * table.lattice + table.radius
+    if not math.isfinite(128.0 * reach * reach):
+        _check_rows(q, table, metric)
     if metric == EUCLIDEAN:
-        # the keys are taken at the table's scale 2**level
-        frame, lattice = q, float(1 << level)
+        # the keys are taken at the table's scale
+        frame, lattice = q, table.lattice
     else:
-        peak = np.abs(q).max(axis=1)
-        if not peak.all():
+        peak = np.maximum.reduce(np.abs(q), axis=1)
+        if not np.minimum.reduce(peak):
             raise ValueError(f"cosine query must be nonzero (row {int(np.argmin(peak))})")
-        if not table.norms.all():
-            r = int(np.argmin(table.norms))
+        if table.zero >= 0:
             raise ValueError("cosine distance undefined for the zero vector "
-                             f"(center {table.members[table.starts[r]]})")
+                             f"(center {table.zero})")
         # cosine is scale-free: rescale each query by a power of two to a
         # largest coordinate in [1/2, 1), which leaves the distances of
         # ordinary queries bit for bit unchanged and keeps the squares of
         # tiny queries from underflowing
         frame, lattice = np.ldexp(q, -np.frexp(peak)[1][:, None]), 1.0
-    step = max(1, _BLOCK // len(table.mat))
+    step = max(1, _BLOCK // len(table.norms))
     out: list[QueryResult] = []
     for lo in range(0, len(q), step):
         out += _search_chunk(s, table, q[lo:lo + step], frame[lo:lo + step], k,
@@ -305,9 +319,13 @@ def _search_chunk(s, table, q, frame, k, metric, lattice):
     n = table.orbit_rows
     score = _KERNELS[metric][0]
     keyed = frame * lattice
-    keys = score(np.sort(keyed, axis=1)[:, ::-1], table.mat[:n], table.norms[:n])
-    if n < len(table.mat):
-        keys = np.hstack((keys, score(keyed, table.mat[n:], table.norms[n:])))
+    lone = n < len(table.norms)
+    srt = keyed.copy() if lone else keyed
+    srt.sort(axis=1)
+    keys = score(srt[:, ::-1], table.cols[:, :n], table.norms[:n])
+    if lone:
+        keys = np.concatenate(
+            (keys, score(keyed, table.cols[:, n:], table.norms[n:])), axis=1)
     return _expand(s, table, keys, q, frame, k, metric, lattice)
 
 
@@ -322,45 +340,55 @@ def _expand(s, table, keys, q, frame, k, metric, lattice):
     keys; those under the bound are ranked as a full scan would rank them,
     and those within the k-th distance, ties included, count as examined.
     """
-    c, d, scale = len(keys), s.dim, lattice * lattice
-    kth = (np.partition(keys, k - 1, axis=1)[:, k - 1] if k <= keys.shape[1]
-           else np.full(c, math.inf))
+    c, d = len(keys), len(table.cols)
+    if k == 1:
+        kth = np.minimum.reduce(keys, axis=1)
+    elif k <= keys.shape[1]:
+        kth = keys.copy()
+        kth.partition(k - 1, axis=1)
+        kth = kth[:, k - 1]
+    else:
+        kth = np.full(c, math.inf)
     bound = _widen(kth, d)
-    qi, rows = (keys <= bound[:, None]).nonzero()
-    lo = table.starts.take(rows)
-    sizes = table.starts[1:].take(rows) - lo
-    ends = sizes.cumsum()
-    if ends[-1] * d > _BLOCK and c > 1:
+    # the (query, row) pairs within the bound: a flat nonzero is several
+    # times cheaper than a two-dimensional one
+    qi, rows = np.divmod((keys <= bound[:, None]).ravel().nonzero()[0],
+                         np.intp(keys.shape[1]))
+    # each row's end in members, and its size
+    span = table.spans.take(rows, axis=1)
+    ends, sizes = span[0], span[1]
+    at = sizes.cumsum()
+    if c > 1 and at[-1] * d > _BLOCK:
         h = c // 2
         return (_expand(s, table, keys[:h], q[:h], frame[:h], k, metric, lattice)
                 + _expand(s, table, keys[h:], q[h:], frame[h:], k, metric,
                           lattice))
     # one (query, center) pair for each center of each row
-    cand = table.members.take((lo - ends + sizes).repeat(sizes)
-                              + np.arange(ends[-1]))
+    pos = (ends - at).repeat(sizes)
+    pos += np.arange(at[-1])
+    cand = table.members.take(pos)
     pq = qi.repeat(sizes)
-    nums = s.numerators.take(cand, axis=0)
-    dist = _KERNELS[metric][1](frame.take(pq, axis=0),
-                               nums / float(1 << s.levels_built))
-    near = (dist <= (bound / scale).take(pq)).nonzero()[0]
-    pq, cand, nums, dist = (pq.take(near), cand.take(near),
-                            nums.take(near, axis=0), dist.take(near))
-    # a full scan's order: distance, then descending-lex point, then index;
-    # pq is sorted, and every query keeps at least kk centers
-    order = np.lexsort((cand, *(~nums).T[::-1], dist, pq))
-    kk = min(k, len(s))
+    vals = s.numerators.take(cand, axis=0).astype(np.float64)
+    vals *= 1.0 / table.lattice
+    dist = _KERNELS[metric][1](frame.take(pq, axis=0), vals)
+    bound /= lattice * lattice
+    near = (dist <= bound.take(pq)).nonzero()[0]
+    pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
+    # a full scan's order: distance, then the tie rank; pq is sorted, and
+    # every query keeps at least kk centers
+    order = np.lexsort((table.tie.take(cand), dist, pq))
+    kk = min(k, len(table.tie))
     top = order.take(np.add.outer(pq.searchsorted(np.arange(c)),
-                                  np.arange(kk)).ravel())
-    kth = dist.take(top[kk - 1::kk])
-    examined = np.bincount(pq[dist <= kth.take(pq)], minlength=c)
+                                  np.arange(kk)))
+    hits, hit_dist = cand.take(top), dist.take(top)
+    examined = np.bincount(pq[dist <= hit_dist[:, -1].take(pq)], minlength=c)
     if metric == EUCLIDEAN:
-        dist = np.sqrt(dist)
+        np.sqrt(hit_dist, out=hit_dist)
     level = s.levels_built
     return [QueryResult(idx, dd, rows, level, metric, tuple(query), e)
             for idx, dd, rows, query, e in zip(
-                cand.take(top).reshape(c, kk).tolist(),
-                dist.take(top).reshape(c, kk).tolist(),
-                nums.take(top, axis=0).reshape(c, kk, d), q.tolist(),
+                hits.tolist(), hit_dist.tolist(),
+                s.numerators.take(hits, axis=0), q.tolist(),
                 examined.tolist())]
 
 

@@ -83,6 +83,20 @@ class TestScatteringNeighbors:
         with pytest.raises(ValueError):
             ScatteringNeighbors().kneighbors([[1, 1, 1, 1]])
 
+    @pytest.mark.parametrize("n", [2.0, True, "3", None])
+    def test_n_neighbors_must_be_an_integer(self, n):
+        est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
+        with pytest.raises(ValueError, match="k must be an integer"):
+            est.kneighbors([[1.0, 1.0, 1.0, 1.0]], n_neighbors=n)
+
+    def test_numpy_integer_n_neighbors(self):
+        est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
+        X = [[1.9, 1.1, 0.9, 0.1], [0.0, 0.5, 1.0, 2.0]]
+        dist, idx = est.kneighbors(X, n_neighbors=np.int64(3))
+        want = est.kneighbors(X, n_neighbors=3)
+        assert (dist == want[0]).all() and (idx == want[1]).all()
+        assert idx.shape == (2, 3)
+
     def test_bad_input(self):
         est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=0).fit()
         with pytest.raises(ValueError):

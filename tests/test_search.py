@@ -77,6 +77,20 @@ class TestNearestCenterExamples:
         with pytest.raises(ValueError):
             cosine_nearest((0, 0, 0, 0), s, 1)
 
+    @pytest.mark.parametrize("k", [2.0, True, "3", None, 0])
+    def test_k_must_be_an_integer(self, scatterings, k):
+        s = scatterings[(2, 1, 1), 1]
+        with pytest.raises(ValueError, match="k must be"):
+            nearest_center((1.0, 1.0, 1.0, 1.0), s, k)
+        with pytest.raises(ValueError, match="k must be"):
+            nearest_centers([[1.0, 1.0, 1.0, 1.0]], s, k, "cosine")
+
+    def test_numpy_integer_k(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        e = (1.9, 1.1, 0.9, 0.1)
+        res = nearest_center(e, s, np.int64(3))
+        assert res == nearest_center(e, s, 3) and len(res.indices) == 3
+
     @pytest.mark.parametrize("search", [nearest_center, cosine_nearest])
     @pytest.mark.parametrize("bad,message", [
         (float("nan"), "non-finite"), (float("inf"), "non-finite"),
@@ -293,21 +307,44 @@ class TestOracleAgreement:
         s = scatterings[(2, 1, 1), 1]
         assert nearest_center(e, s, 2).indices == brute_nearest(e, s, 2).indices
 
-    @given(base=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
-                         min_size=4, max_size=4),
-           exp=st.integers(min_value=-1070, max_value=460),
-           k=st.integers(min_value=1, max_value=4),
-           metric=st.sampled_from(["euclidean", "cosine"]), cut=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_hypothesis_magnitudes(self, scatterings, base, exp, k, metric,
-                                   cut):
-        """Queries from subnormal to about 2**463, exactly as the full scan
-        ranks them, tie order included."""
-        e = [math.ldexp(v, exp) for v in base]
-        assume(any(e))
+    @pytest.fixture(scope="class")
+    def magnitude_sequences(self, scatterings):
+        """(3,2,1) L1 whole, cut inside an orbit, with every 7th center
+        repeated, and embedded."""
         s = scatterings[(3, 2, 1), 1]
-        if cut:
-            s = build_scattering(s.diagram, 1, max_points=50)
+        return {"complete": s,
+                "cut": build_scattering(s.diagram, 1, max_points=50),
+                "duplicated": Scattering(s.diagram, 1, np.vstack(
+                    (s.numerators, s.numerators[::7])), s.level_offsets),
+                "embedded": embedded(s)}
+
+    @given(data=st.data(),
+           base=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
+                         min_size=5, max_size=5),
+           exp=st.integers(min_value=-1070, max_value=460),
+           metric=st.sampled_from(["euclidean", "cosine"]),
+           kind=st.sampled_from(["complete", "cut", "duplicated", "embedded"]),
+           point=st.sampled_from(["scaled", "midpoint", "nudged"]))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_magnitudes(self, magnitude_sequences, data, base, exp,
+                                   metric, kind, point):
+        """Queries from subnormal to about 2**463, exact midpoints of two
+        centers and their 1-ulp nudges, where the tie order alone decides,
+        with k from 1 to every center: exactly as the full scan ranks them,
+        tie order included."""
+        s = magnitude_sequences[kind]
+        if point == "scaled":
+            e = [math.ldexp(v, exp) for v in base[:s.dim]]
+        else:
+            a, b = (s.centers[data.draw(st.integers(0, len(s) - 1))].values()
+                    for _ in range(2))
+            e = [(x + y) / 2 for x, y in zip(a, b)]
+            if point == "nudged":
+                at = data.draw(st.integers(0, s.dim - 1))
+                e[at] = math.nextafter(e[at], data.draw(
+                    st.sampled_from([-math.inf, math.inf])))
+        assume(any(e))
+        k = data.draw(st.one_of(st.integers(1, 4), st.integers(1, len(s))))
         assert nearest_center(e, s, k, metric) == brute_nearest(e, s, k, metric)
 
 
@@ -541,8 +578,20 @@ def table_sequence(rows, d):
                       np.array(rows, dtype=np.int64).reshape(-1, d), [0])
 
 
+def reference_tie(rows):
+    """Each center's place in a full scan's tie order, by a Python sort on
+    (descending-lex point, sequence index)."""
+    order = sorted(range(len(rows)),
+                   key=lambda i: (tuple(-v for v in rows[i]), i))
+    tie = [0] * len(rows)
+    for place, i in enumerate(order):
+        tie[i] = place
+    return tie
+
+
 def assert_table_matches_reference(s):
-    orbit_rows, groups, keys = reference_table(s.numerators.tolist())
+    rows = s.numerators.tolist()
+    orbit_rows, groups, keys = reference_table(rows)
     t = s.dominant_table()
     assert t.orbit_rows == orbit_rows
     assert [t.members[a:b].tolist()
@@ -550,6 +599,10 @@ def assert_table_matches_reference(s):
     assert t.mat.tolist() == [[float(v) for v in r] for r in keys]
     np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in t.mat.tolist()],
                                rtol=1e-15)
+    assert t.tie.tolist() == reference_tie(rows)
+    assert t.tie.dtype.itemsize <= 4
+    assert t.spans[1].tolist() == list(map(len, groups))
+    assert t.zero == next((i for i, r in enumerate(rows) if not any(r)), -1)
 
 
 class TestCenterTable:
