@@ -51,13 +51,24 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
     try:
         if text.startswith("["):
             vals = json.loads(text)
+            # JSON numbers only; exact types, as a bool is an int too
+            if not all(type(v) in (int, float) for v in vals):
+                raise ValueError
+            vals = [float(v) for v in vals]
         else:
             vals = [float(t) for t in text.replace(",", " ").split()]
-    except (ValueError, json.JSONDecodeError):
+    except (ValueError, OverflowError):
         raise InputError(f"cannot parse query point {text!r}")
     if len(vals) != dim:
         raise InputError(f"query has {len(vals)} coordinates, centers have {dim}")
-    return tuple(float(v) for v in vals)
+    return tuple(vals)
+
+
+def _read_centers(path: str) -> Scattering:
+    try:
+        return read_scattering(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read centers: {exc}")
 
 
 def cmd_generate(args) -> int:
@@ -102,10 +113,7 @@ def _records(results, scale: int, metric: str) -> list[str]:
 
 
 def cmd_query(args) -> int:
-    try:
-        s = read_scattering(args.centers)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read centers: {exc}")
+    s = _read_centers(args.centers)
     if args.point is not None:
         raw_points = [args.point]
     else:
@@ -132,14 +140,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        s = read_scattering(args.centers)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read centers: {exc}")
-    try:
-        rep = verify_scattering(s, prefix_stride=args.stride)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    s = _read_centers(args.centers)
+    rep = verify_scattering(s, prefix_stride=args.stride)
     print(json.dumps({
         "euclidean_exponent": rep.euclidean_exponent,
         "cosine_exponent": rep.cosine_exponent,
@@ -161,10 +163,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        s = read_scattering(args.centers)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read centers: {exc}")
+    s = _read_centers(args.centers)
     # every center gains a coordinate of value 1, numerator 2**levels_built
     unit = np.full((len(s), 1), 1 << s.levels_built, dtype=np.int64)
     out = Scattering(embed_diagram(s.diagram), s.levels_built,
@@ -227,10 +226,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -136,22 +136,17 @@ def _walk(caps: tuple[int, ...]) -> tuple[np.ndarray, int]:
     return prefix, visited + len(placed)
 
 
-def enumerate_dominant_boundary(lam: YoungDiagram) -> LevelSet:
-    """All dominant integer boundary points of the weight polytope, in
-    descending lexicographic order."""
-    rows, visited = _walk(lam.prefix_sums())
-    return LevelSet(lam, 0, PointView(rows, 0), visited)
-
-
 def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
-    """Dominant boundary points new at subdivision level k >= 1.
+    """Dominant boundary points new at subdivision level k >= 0, in
+    descending lexicographic order.
 
-    These are the boundary points of the horizontally 2**k-scaled diagram
-    that have at least one odd coordinate; all-even points already appeared
-    at a coarser level.
+    These are the boundary points of the horizontally 2**k-scaled diagram:
+    all of them at level 0, and beyond it those with at least one odd
+    coordinate, as all-even points already appeared at a coarser level.
     """
-    if k < 1:
-        raise ValueError("level must be >= 1; use enumerate_dominant_boundary for 0")
+    if k < 0:
+        raise ValueError("level must be >= 0")
     rows, visited = _walk(lam.scaled(1 << k).prefix_sums())
-    fresh = rows[(rows & 1).any(axis=1)]
-    return LevelSet(lam, k, PointView(fresh, k), visited)
+    if k:
+        rows = rows[(rows & 1).any(axis=1)]
+    return LevelSet(lam, k, PointView(rows, k), visited)

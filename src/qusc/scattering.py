@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .core import PointView, ScaledPoint, YoungDiagram, polytope_center
-from .enumeration import enumerate_dominant_boundary, enumerate_level
+from .enumeration import enumerate_level
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -29,28 +29,21 @@ def check_scale(diagram: YoungDiagram, levels: int) -> None:
                          f"at scale 2**{levels} overflow int64")
 
 
-def _multiset_perms_desc(values: tuple[int, ...]):
-    """Distinct permutations of a multiset in descending lexicographic order."""
-    if not values:
-        yield ()
-        return
-    distinct = sorted(set(values), reverse=True)
-    for v in distinct:
-        rest = list(values)
-        rest.remove(v)
-        for tail in _multiset_perms_desc(tuple(rest)):
-            yield (v,) + tail
-
-
 @lru_cache(maxsize=None)
 def _perm_table(starts: tuple[int, ...]) -> np.ndarray:
     """Source positions of every distinct permutation of a sorted tuple whose
     runs of equal values start at the positions j with ``starts[j]`` set:
-    each slot names the first position of its run."""
-    labels: list[int] = []
-    for j, new in enumerate(starts):
-        labels.append(j if new else labels[-1])
-    table = np.array(list(_multiset_perms_desc(tuple(labels))), dtype=np.intp)
+    each slot names the first position of its run.  The rows grow one
+    position at a time: each partial row is extended by every run that has
+    values left, so they come out in ascending lexicographic order."""
+    heads = np.flatnonzero(starts)
+    left = np.diff(heads, append=len(starts))[None, :]
+    table = np.empty((1, 0), dtype=np.intp)
+    for _ in starts:
+        row, run = np.nonzero(left)
+        table = np.column_stack((table[row], heads[run]))
+        left = left[row]
+        left[np.arange(len(row)), run] -= 1
     table.flags.writeable = False  # one cached copy serves every caller
     return table
 
@@ -384,17 +377,13 @@ class Scattering:
         re-enumerates every level on its first call and is cached."""
         if self._complete is None:
             blocks = self.level_blocks()
-            sizes = (_orbit_sizes(_level_set(self.diagram, k).points.numerators).sum()
+            sizes = (_orbit_sizes(enumerate_level(self.diagram, k)
+                                  .points.numerators).sum()
                      for k in range(len(blocks)))
             self._complete = (not self.has_duplicates
                               and len(blocks) == self.levels_built + 1
                               and all(b - a == n for (a, b), n in zip(blocks, sizes)))
         return self._complete
-
-
-def _level_set(diagram: YoungDiagram, k: int):
-    return (enumerate_dominant_boundary(diagram) if k == 0
-            else enumerate_level(diagram, k))
 
 
 def build_scattering(diagram: YoungDiagram, max_levels: int,
@@ -419,7 +408,7 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
     total = 0
     for k in range(max_levels + 1):
         check_scale(diagram, k)
-        dominant = _level_set(diagram, k).points.numerators
+        dominant = enumerate_level(diagram, k).points.numerators
         size = int(_orbit_sizes(dominant).sum())
         if max_points is not None:
             size = min(size, max_points - total)

@@ -13,7 +13,7 @@ from qusc import (ScaledPoint, YoungDiagram, build_scattering, cosine_nearest,
                   verify_scattering)
 from qusc.cli import main
 from qusc.core import INTERIOR, membership
-from qusc.enumeration import enumerate_dominant_boundary, enumerate_level
+from qusc.enumeration import enumerate_level
 from qusc.formats import FORMATS, read_scattering, write_scattering
 from qusc.oracle import _oracle_cos, brute_boundary, brute_nn_sq_numerators
 
@@ -60,12 +60,12 @@ def mixed_queries(rng, sc, count):
 
 def test_criterion_1_golden_enumeration():
     with criterion(1, "golden level-0 enumeration", budget=1.0):
-        got = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 1, 1)))
+        got = enumerate_level(YoungDiagram.from_rows((2, 1, 1)), 0)
         assert set(got.points) == {ScaledPoint((2, 1, 1, 0))}
-        got = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 2, 1, 1)))
+        got = enumerate_level(YoungDiagram.from_rows((2, 2, 1, 1)), 0)
         assert set(got.points) == {ScaledPoint((2, 2, 1, 1, 0)),
                                    ScaledPoint((2, 1, 1, 1, 1))}
-        got = enumerate_dominant_boundary(YoungDiagram.from_rows((3, 2, 1)))
+        got = enumerate_level(YoungDiagram.from_rows((3, 2, 1)), 0)
         assert set(got.points) == {ScaledPoint((3, 2, 1, 0)),
                                    ScaledPoint((3, 1, 1, 1)),
                                    ScaledPoint((2, 2, 2, 0))}
@@ -104,8 +104,7 @@ def test_criterion_3_oracle_equivalence_sweep():
             coarser = frozenset()
             for k in (0, 1, 2):
                 full = brute_boundary(lam, k)
-                mine = (set(enumerate_dominant_boundary(lam).points) if k == 0
-                        else set(enumerate_level(lam, k).points))
+                mine = set(enumerate_level(lam, k).points)
                 assert mine == full - coarser, (rows, k)
                 coarser = full
 

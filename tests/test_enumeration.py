@@ -5,8 +5,7 @@ import pytest
 
 from qusc import ScaledPoint, YoungDiagram
 from qusc.core import BOUNDARY, membership
-from qusc.enumeration import (LevelSet, enumerate_dominant_boundary,
-                              enumerate_level)
+from qusc.enumeration import LevelSet, enumerate_level
 from qusc.oracle import brute_boundary
 
 
@@ -36,11 +35,11 @@ def pts(*tuples, level=0):
 
 class TestLevelZero:
     def test_single_orbit_diagram(self):
-        ls = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 1, 1)))
+        ls = enumerate_level(YoungDiagram.from_rows((2, 1, 1)), 0)
         assert ls.points == pts((2, 1, 1, 0))
 
     def test_two_orbit_diagram(self):
-        ls = enumerate_dominant_boundary(YoungDiagram.from_rows((2, 2, 1, 1)))
+        ls = enumerate_level(YoungDiagram.from_rows((2, 2, 1, 1)), 0)
         assert ls.points == pts((2, 2, 1, 1, 0), (2, 1, 1, 1, 1))
 
     def test_level_set_hashes_like_its_points_and_is_read_only(self):
@@ -51,7 +50,7 @@ class TestLevelZero:
             ls.points.numerators[0, 0] = 0
 
     def test_interior_point_excluded(self):
-        ls = enumerate_dominant_boundary(YoungDiagram.from_rows((3, 2, 1)))
+        ls = enumerate_level(YoungDiagram.from_rows((3, 2, 1)), 0)
         assert ls.points == pts((3, 2, 1, 0), (3, 1, 1, 1), (2, 2, 2, 0))
         assert ScaledPoint((2, 2, 1, 1)) not in ls.points
 
@@ -78,9 +77,9 @@ class TestSubdivision:
         assert set(listed) <= set(ls.points)
         assert ls.points == listed + pts((3, 3, 3, 3, 0), level=1)
 
-    def test_level_zero_rejected(self):
+    def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_level(YoungDiagram.from_rows((2, 1, 1)), 0)
+            enumerate_level(YoungDiagram.from_rows((2, 1, 1)), -1)
 
     def test_new_points_have_odd_numerator(self, diagrams):
         for lam in diagrams.values():
@@ -93,7 +92,7 @@ class TestSubdivision:
 class TestInvariants:
     def test_level_set_structure(self, diagrams):
         for lam in diagrams.values():
-            check_level_set(enumerate_dominant_boundary(lam))
+            check_level_set(enumerate_level(lam, 0))
             for k in (1, 2):
                 check_level_set(enumerate_level(lam, k))
 
@@ -105,8 +104,7 @@ class TestInvariants:
             coarser = frozenset()
             for k in range(top + 1):
                 full = brute_boundary(lam, k)
-                mine = (set(enumerate_dominant_boundary(lam).points) if k == 0
-                        else set(enumerate_level(lam, k).points))
+                mine = set(enumerate_level(lam, k).points)
                 assert mine == full - coarser, (lam, k)
                 coarser = full
 
@@ -114,8 +112,7 @@ class TestInvariants:
         for lam in diagrams.values():
             union, total = set(), 0
             for k in (0, 1, 2):
-                new = (set(enumerate_dominant_boundary(lam).points) if k == 0
-                       else set(enumerate_level(lam, k).points))
+                new = set(enumerate_level(lam, k).points)
                 assert not (union & new)
                 union |= new
                 total += len(new)
@@ -125,7 +122,7 @@ class TestInvariants:
     def test_linear_work_bound(self, diagrams):
         for lam in diagrams.values():
             n = lam.rank
-            ls = enumerate_dominant_boundary(lam)
+            ls = enumerate_level(lam, 0)
             assert ls.candidates_visited <= (1 << n) * len(ls.points)
             for k in (1, 2):
                 ls = enumerate_level(lam, k)
@@ -190,7 +187,7 @@ FROZEN_WALKS = [
                               for r, k, *_ in FROZEN_WALKS])
 def test_frozen_walk(rows, k, count, visited, digest):
     lam = YoungDiagram.from_rows(rows)
-    ls = enumerate_dominant_boundary(lam) if k == 0 else enumerate_level(lam, k)
+    ls = enumerate_level(lam, k)
     raw = np.ascontiguousarray(ls.points.numerators, dtype="<i8").tobytes()
     assert (len(ls.points), ls.candidates_visited) == (count, visited)
     assert hashlib.sha256(raw).hexdigest() == digest

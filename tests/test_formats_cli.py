@@ -566,6 +566,23 @@ class TestCliQuery:
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "a,b,c,d") == 2
 
+    @pytest.mark.parametrize("text", ["[null,1,2,3]", "[[1],2,3,4]",
+                                      '[1,2,3,"x"]', "[true,1,2,3]",
+                                      '["1",2,3,4]', f"[{10 ** 309},1,2,3]"])
+    def test_json_point_of_non_numbers_exit2(self, centers_file, capsys, text):
+        assert run_cli("query", "--centers", str(centers_file),
+                       "--point", text) == 2
+        assert f"cannot parse query point {text!r}" in capsys.readouterr().err
+
+    def test_json_point_of_non_numbers_in_stream_exit2(self, centers_file,
+                                                       monkeypatch, capsys):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1,1,1,1]\n[null,1,2,3]\n"))
+        assert run_cli("query", "--centers", str(centers_file)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot parse query point '[null,1,2,3]'" in err
+
     def test_nonfinite_point_exit2(self, centers_file, capsys):
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "nan,1,1,1") == 2

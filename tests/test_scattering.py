@@ -7,9 +7,9 @@ import pytest
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
                   embed_diagram, iota_embed, is_subsequence, verify_scattering)
-from qusc.enumeration import enumerate_dominant_boundary, enumerate_level
+from qusc.enumeration import enumerate_level
 from qusc.formats import read_scattering, write_scattering
-from qusc.scattering import orbit_size, weyl_orbit
+from qusc.scattering import _perm_table, orbit_size, weyl_orbit
 from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
@@ -37,6 +37,20 @@ class TestWeylOrbit:
     def test_multinomial_size(self):
         assert len(weyl_orbit(ScaledPoint((2, 1, 1, 1, 1)))) == 5
         assert orbit_size(ScaledPoint((2, 2, 1, 1, 0))) == 30
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_perm_table_matches_itertools(self, d):
+        # every run pattern of d positions: each distinct permutation of its
+        # run-head labels exactly once, in a read-only table
+        for rest in itertools.product((0, 1), repeat=d - 1):
+            starts = (1,) + rest
+            labels = [max(j for j in range(i + 1) if starts[j])
+                      for i in range(d)]
+            table = _perm_table(starts)
+            want = set(itertools.permutations(labels))
+            assert table.shape == (len(want), d)
+            assert set(map(tuple, table.tolist())) == want
+            assert not table.flags.writeable
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
@@ -205,7 +219,7 @@ def merged_orbit_sequence(lam, levels):
     points, merged and sorted descending-lex, with the block offsets."""
     centers, offsets = [], []
     for k in range(levels + 1):
-        ls = enumerate_dominant_boundary(lam) if k == 0 else enumerate_level(lam, k)
+        ls = enumerate_level(lam, k)
         block = [ScaledPoint(t, k) for p in ls.points
                  for t in set(itertools.permutations(p.numerators))]
         block.sort(key=lambda p: p.numerators, reverse=True)
