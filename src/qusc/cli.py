@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -139,23 +140,28 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+def _number(x: float):
+    """x for a JSON report, or None (null) when it is not finite."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_verify(args) -> int:
     s = _read_centers(args.centers)
     rep = verify_scattering(s, prefix_stride=args.stride)
     print(json.dumps({
-        "euclidean_exponent": rep.euclidean_exponent,
-        "cosine_exponent": rep.cosine_exponent,
-        "cosine_exponent_bound": rep.cosine_exponent_bound,
-        "shape_ratio": rep.shape_ratio,
+        "euclidean_exponent": _number(rep.euclidean_exponent),
+        "cosine_exponent": _number(rep.cosine_exponent),
+        "cosine_exponent_bound": _number(rep.cosine_exponent_bound),
+        "shape_ratio": _number(rep.shape_ratio),
         "prefixes": [{
             "length": st.length,
-            "min_distance": st.min_distance,
-            "max_distance": st.max_distance,
-            "min_cosine": st.min_cosine,
-            "max_cosine": st.max_cosine,
+            "min_distance": _number(st.min_distance),
+            "max_distance": _number(st.max_distance),
+            "min_cosine": _number(st.min_cosine),
+            "max_cosine": _number(st.max_cosine),
             "at_level_boundary": st.at_level_boundary,
         } for st in rep.prefixes],
-    }))
+    }, allow_nan=False))
     if not rep.euclidean_exponent <= 2.0 + 1e-9:
         print(f"euclidean ratio {rep.euclidean_exponent} exceeds 2", file=sys.stderr)
         return EXIT_VERIFY

@@ -27,6 +27,7 @@ the header field).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -84,36 +85,6 @@ def _numerator(txt: str, levels: int) -> int:
     return num
 
 
-def _row_reader(header: CenterFileHeader):
-    """A function from text record i's coordinate strings to their
-    numerators at the header's scale.  Each distinct string of the file is
-    parsed once, on its first occurrence in record order, so an error names
-    the first record that holds the bad string."""
-    dim, levels = header.dimension, header.levels
-    known: dict[str, int] = {}
-
-    def row(parts, i: int) -> list[int]:
-        if len(parts) != dim:
-            raise ValueError(f"record {i}: expected {dim} coordinates, "
-                             f"got {len(parts)}")
-        try:
-            return [known[txt] for txt in parts]
-        except (KeyError, TypeError):  # a new string, or a non-string entry
-            pass
-        for txt in parts:
-            if type(txt) is not str:
-                raise ValueError(f"record {i}: coordinate {txt!r} is not a "
-                                 f"string")
-            if txt not in known:
-                try:
-                    known[txt] = _numerator(txt, levels)
-                except ValueError as exc:
-                    raise ValueError(f"record {i}: {exc}") from None
-        return [known[txt] for txt in parts]
-
-    return row
-
-
 def _field(header: dict, key: str, where: str):
     """A text header's field, or a ValueError naming the one it lacks."""
     try:
@@ -155,20 +126,20 @@ def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
 def read_scattering(path, fmt: str | None = None) -> Scattering:
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if fmt is None:
-        if head == MAGIC:
-            fmt = "binary"
-        elif head[:1] == b"{":
-            fmt = "jsonl"
-        elif head[:1] == b"#":
-            fmt = "csv"
-        else:
-            raise ValueError(f"cannot sniff format of {path}")
-    if fmt == "binary":
-        with open(path, "rb") as fh:
+        if fmt is None:
+            if head == MAGIC:
+                fmt = "binary"
+            elif head[:1] == b"{":
+                fmt = "jsonl"
+            elif head[:1] == b"#":
+                fmt = "csv"
+            else:
+                raise ValueError(f"cannot sniff format of {path}")
+        fh.seek(0)
+        if fmt == "binary":
             return _read_binary(fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        return (_read_jsonl if fmt == "jsonl" else _read_csv)(fh)
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        return (_read_jsonl if fmt == "jsonl" else _read_csv)(text)
 
 
 def _diagram_of(header: CenterFileHeader) -> YoungDiagram:
@@ -265,6 +236,42 @@ def _text_blocks(s: Scattering, template: str, float_text):
         yield "".join(map(template.__mod__, cells))
 
 
+def _read_records(fh, header: CenterFileHeader, coordinates) -> Scattering:
+    """The scattering of a text file's records, the non-blank lines of fh
+    after its header, ``coordinates(line, i)`` giving record i's coordinate
+    strings.  Each distinct string of the file is parsed once, on its first
+    occurrence in record order, so an error names the first record that
+    holds the bad string."""
+    diagram = _diagram_of(header)
+    dim, levels = header.dimension, header.levels
+    known: dict[str, int] = {}
+    nums: list[int] = []
+    i = 0
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        parts = coordinates(line, i)
+        if len(parts) != dim:
+            raise ValueError(f"record {i}: expected {dim} coordinates, "
+                             f"got {len(parts)}")
+        try:
+            nums += [known[txt] for txt in parts]
+        except (KeyError, TypeError):  # a new string, or a non-string entry
+            for txt in parts:
+                if type(txt) is not str:
+                    raise ValueError(f"record {i}: coordinate {txt!r} is not "
+                                     f"a string") from None
+                if txt not in known:
+                    try:
+                        known[txt] = _numerator(txt, levels)
+                    except ValueError as exc:
+                        raise ValueError(f"record {i}: {exc}") from None
+            nums += [known[txt] for txt in parts]
+        i += 1
+    return _rebuild(header, diagram, np.array(nums, dtype=np.int64).reshape(-1, dim))
+
+
 # -- jsonl --------------------------------------------------------------------
 
 def _write_jsonl(s: Scattering, fh) -> None:
@@ -287,27 +294,20 @@ def _read_jsonl(fh) -> Scattering:
         raise ValueError(f"jsonl header: {exc}") from None
     if type(first) is not dict or first.get("magic") != MAGIC.decode():
         raise ValueError("missing jsonl header record")
-    header = _text_header(first, "jsonl header")
-    diagram = _diagram_of(header)
-    row = _row_reader(header)
-    nums: list[int] = []
-    i = 0
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            exact = json.loads(line)["exact"]
-        except (KeyError, TypeError):  # no such key, or no JSON object
-            raise ValueError(f"record {i} has no 'exact' field") from None
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-        if type(exact) is not list:
-            raise ValueError(f"record {i}: 'exact' is not a list of strings")
-        nums += row(exact, i)
-        i += 1
-    return _rebuild(header, diagram,
-                    np.array(nums, dtype=np.int64).reshape(-1, header.dimension))
+    return _read_records(fh, _text_header(first, "jsonl header"), _jsonl_exact)
+
+
+def _jsonl_exact(line: str, i: int):
+    """The 'exact' list of jsonl record i."""
+    try:
+        exact = json.loads(line)["exact"]
+    except (KeyError, TypeError):  # no such key, or no JSON object
+        raise ValueError(f"record {i} has no 'exact' field") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"record {i}: {exc}") from None
+    if type(exact) is not list:
+        raise ValueError(f"record {i}: 'exact' is not a list of strings")
+    return exact
 
 
 # -- csv ----------------------------------------------------------------------
@@ -343,16 +343,6 @@ def _read_csv(fh) -> Scattering:
     fields = {key: ([_csv_int(r) for r in value.split(",")] if key == "rows"
                     else _csv_int(value)) for key, value in fields.items()}
     header = _text_header(fields, "csv header")
-    diagram = _diagram_of(header)
     fh.readline()  # column names
     dim = header.dimension
-    row = _row_reader(header)
-    nums: list[int] = []
-    i = 0
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        nums += row(line.split(",")[2:2 + dim], i)
-        i += 1
-    return _rebuild(header, diagram, np.array(nums, dtype=np.int64).reshape(-1, dim))
+    return _read_records(fh, header, lambda line, i: line.split(",")[2:2 + dim])

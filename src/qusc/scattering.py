@@ -261,7 +261,6 @@ class Scattering:
         self.numerators = self.centers.numerators
         self.level_offsets = tuple(level_offsets)
         self._rows = None
-        self._complete = None
         self._table = None
 
     def __len__(self):
@@ -372,18 +371,15 @@ class Scattering:
         return self._table
 
     def is_complete(self) -> bool:
-        """Diagnostic: whether every built level carries its full set of orbit
-        points and no center repeats.  No query path needs it; it
-        re-enumerates every level on its first call and is cached."""
-        if self._complete is None:
-            blocks = self.level_blocks()
-            sizes = (_orbit_sizes(enumerate_level(self.diagram, k)
-                                  .points.numerators).sum()
-                     for k in range(len(blocks)))
-            self._complete = (not self.has_duplicates
-                              and len(blocks) == self.levels_built + 1
-                              and all(b - a == n for (a, b), n in zip(blocks, sizes)))
-        return self._complete
+        """Diagnostic: whether this is the sequence ``build_scattering``
+        makes for its diagram through ``levels_built``, center for center
+        and block for block, so order counts.  No query path needs it; it
+        builds that sequence, cut one center past this one's length, on
+        every call."""
+        built = build_scattering(self.diagram, self.levels_built,
+                                 max_points=len(self) + 1)
+        return (built.level_offsets == self.level_offsets
+                and np.array_equal(built.numerators, self.numerators))
 
 
 def build_scattering(diagram: YoungDiagram, max_levels: int,

@@ -89,6 +89,46 @@ class TestRoundTrips:
                        rng.permutation(nums).reshape(-1, 4), [0])
         self.check_text_records(s, fmt, tmp_path)
 
+    @staticmethod
+    def altered(sample, kind):
+        """sample, (2,1,1) L1, as itself, cut at its level boundary, or
+        changed in one way that leaves it incomplete."""
+        if kind == "complete":
+            return sample
+        if kind == "level-cut":
+            return build_scattering(sample.diagram, 1, max_points=12)
+        nums = sample.numerators.copy()
+        if kind == "non-center":
+            # (5,1,1,1)/2 lies outside the polytope
+            at = [tuple(r) for r in nums.tolist()].index((4, 2, 1, 1))
+            nums[at] = (5, 1, 1, 1)
+        elif kind == "reordered":
+            nums[12:] = nums[12:][::-1].copy()
+        elif kind == "missing":
+            nums = np.delete(nums, 20, axis=0)
+        elif kind == "added":
+            nums = np.vstack((nums, nums[:1]))
+        elif kind == "deep-header":
+            # ten centers that claim 40 levels
+            return Scattering(sample.diagram, 40, nums[:10] << 39, [0])
+        return Scattering(sample.diagram, 1, nums, sample.level_offsets)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kind,complete", [
+        ("complete", True), ("level-cut", True), ("non-center", False),
+        ("reordered", False), ("missing", False), ("added", False),
+        ("deep-header", False)])
+    def test_is_complete_after_round_trip(self, sample, fmt, kind, complete,
+                                          tmp_path):
+        # complete means equal to the construction, center for center
+        s = self.altered(sample, kind)
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(s, path, fmt)
+        back = read_scattering(path)
+        assert np.array_equal(back.numerators, s.numerators)
+        assert s.is_complete() is complete
+        assert back.is_complete() is complete
+
     def test_binary_reserialization_byte_identical(self, sample, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         write_scattering(sample, p1, "binary")
@@ -670,6 +710,13 @@ class TestCliVerify:
         corrupt = tmp_path / "dup.bin"
         corrupt.write_bytes(bytes(raw))
         assert run_cli("verify", "--centers", str(corrupt)) == 3
+        # the infinite ratio is written as null: standard JSON, no Infinity
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rep["euclidean_exponent"] is None
 
     def test_malformed_file_exit2(self, tmp_path):
         bad = tmp_path / "bad.bin"
