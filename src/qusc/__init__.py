@@ -5,8 +5,7 @@ from .core import (COSINE, EUCLIDEAN, METRICS, ScaledPoint, YoungDiagram,
                    polytope_center)
 from .oracle import brute_nearest
 from .scattering import (PrefixStats, Scattering, UniformityReport,
-                         build_scattering, embed_diagram, iota_embed,
-                         is_subsequence, verify_scattering)
+                         build_scattering, embed_scattering, verify_scattering)
 from .search import QueryResult, cosine_nearest, nearest_center, nearest_centers
 
 __version__ = "0.1.0"
@@ -16,7 +15,7 @@ __all__ = [
     "polytope_center",
     "brute_nearest",
     "PrefixStats", "Scattering", "UniformityReport", "build_scattering",
-    "embed_diagram", "iota_embed", "is_subsequence", "verify_scattering",
+    "embed_scattering", "verify_scattering",
     "QueryResult", "cosine_nearest", "nearest_center", "nearest_centers",
     "__version__",
 ]

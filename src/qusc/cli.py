@@ -17,7 +17,7 @@ from .core import COSINE, EUCLIDEAN, YoungDiagram
 from .formats import (FORMATS, coordinate_texts, read_scattering,
                       write_scattering)
 from .oracle import brute_nearest
-from .scattering import (Scattering, build_scattering, embed_diagram,
+from .scattering import (Scattering, build_scattering, embed_scattering,
                          verify_scattering)
 from .search import nearest_centers
 
@@ -58,7 +58,7 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
             vals = [float(v) for v in vals]
         else:
             vals = [float(t) for t in text.replace(",", " ").split()]
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, RecursionError):
         raise InputError(f"cannot parse query point {text!r}")
     if len(vals) != dim:
         raise InputError(f"query has {len(vals)} coordinates, centers have {dim}")
@@ -169,11 +169,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    s = _read_centers(args.centers)
-    # every center gains a coordinate of value 1, numerator 2**levels_built
-    unit = np.full((len(s), 1), 1 << s.levels_built, dtype=np.int64)
-    out = Scattering(embed_diagram(s.diagram), s.levels_built,
-                     np.hstack((s.numerators, unit)), s.level_offsets)
+    out = embed_scattering(_read_centers(args.centers))
     try:
         write_scattering(out, args.out, args.format)
     except OSError as exc:

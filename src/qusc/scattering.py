@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,20 +142,6 @@ def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
     return size
 
 
-def orbit_size(p: ScaledPoint) -> int:
-    rep = np.array([sorted(p.numerators, reverse=True)], dtype=np.int64)
-    return int(_orbit_sizes(rep)[0])
-
-
-def weyl_orbit(p: ScaledPoint) -> list[ScaledPoint]:
-    """All coordinate permutations of a dominant point, descending-lex."""
-    if not p.is_dominant():
-        raise ValueError(f"{p} is not dominant")
-    block = _orbit_block(np.array([p.numerators], dtype=np.int64),
-                         np.empty((orbit_size(p), p.dim), dtype=np.int64))
-    return [ScaledPoint(row, p.level) for row in block.tolist()]
-
-
 def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     """The level of each numerator row at scale 2**level in lowest terms:
     ``level`` minus the factors of two its entries share (an all-zero row
@@ -239,12 +225,12 @@ class Scattering:
     at scale ``2**levels_built``, held without a copy and read-only.
     ``centers`` reads its rows as ScaledPoints, made on access.
 
-    ``index_of``, ``has_duplicates`` and the search's ``dominant_table``
-    rest on one exact key per row, built on first use: the row's entries
-    less the matrix minimum, packed into as few uint64 words as the entries'
-    bit width allows (one word on every standard codebook).  Equal keys mean
-    equal rows and keys sort as the rows do, lexicographically, for any
-    int64 entries, negative ones included.
+    ``index_of`` and the search's ``dominant_table`` rest on one exact key
+    per row, built on first use: the row's entries less the matrix minimum,
+    packed into as few uint64 words as the entries' bit width allows (one
+    word on every standard codebook).  Equal keys mean equal rows and keys
+    sort as the rows do, lexicographically, for any int64 entries, negative
+    ones included.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
@@ -275,9 +261,9 @@ class Scattering:
         return self.numerators / float(1 << self.levels_built)
 
     def _row_index(self) -> _RowIndex:
-        """The packed row keys behind ``index_of``, ``has_duplicates`` and
-        the table: one stable sort, near-linear on the descending-lex runs
-        of the level blocks."""
+        """The packed row keys behind ``index_of`` and the table: one
+        stable sort, near-linear on the descending-lex runs of the level
+        blocks."""
         if self._rows is None:
             nums = self.numerators
             n = len(nums)
@@ -298,12 +284,6 @@ class Scattering:
             tie[order] = place
             self._rows = _RowIndex(low, high, ranked[new], order[new], tie)
         return self._rows
-
-    @property
-    def has_duplicates(self) -> bool:
-        """Whether some center repeats an earlier one: verification
-        diagnoses that, and the search treats each repeat as a lone center."""
-        return len(self._row_index().distinct) != len(self)
 
     def index_of(self, p: ScaledPoint):
         """The first sequence position of p, or None when p is no center."""
@@ -424,36 +404,15 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
 
 # -- dimension chaining -----------------------------------------------------
 
-def iota_embed(p: ScaledPoint) -> ScaledPoint:
-    """Append a coordinate of value 1 (numerator 2**level)."""
-    return ScaledPoint(p.numerators + (1 << p.level,), p.level)
-
-
-def embed_diagram(diagram: YoungDiagram) -> YoungDiagram:
-    """The target diagram of the chaining map: one extra row of length 1."""
-    return YoungDiagram(tuple(sorted(diagram.rows + (1,), reverse=True)))
-
-
-PointSeq = Union[Scattering, Sequence[ScaledPoint]]
-
-
-def _as_points(seq: PointSeq) -> Sequence[ScaledPoint]:
-    return seq.centers if isinstance(seq, Scattering) else seq
-
-
-def is_subsequence(a: PointSeq, b: PointSeq) -> bool:
-    """Whether sequence ``a`` appears inside ``b`` in order."""
-    pa, pb = _as_points(a), _as_points(b)
-    if pa and pb and pa[0].dim != pb[0].dim:
-        raise ValueError("dimension mismatch between sequences")
-    it = iter(pb)
-    for p in pa:
-        for q in it:
-            if q == p:
-                break
-        else:
-            return False
-    return True
+def embed_scattering(s: Scattering) -> Scattering:
+    """The chaining map: the diagram gains a row of length 1 and every
+    center a last coordinate of value 1 (numerator 2**levels_built), so the
+    sequence keeps its order, level blocks and distances and becomes a
+    subsequence of the higher-rank diagram's."""
+    diagram = YoungDiagram(tuple(sorted(s.diagram.rows + (1,), reverse=True)))
+    unit = np.full((len(s), 1), 1 << s.levels_built, dtype=np.int64)
+    return Scattering(diagram, s.levels_built, np.hstack((s.numerators, unit)),
+                      s.level_offsets)
 
 
 # -- uniformity verification -------------------------------------------------
@@ -502,10 +461,14 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     Checks run at every level boundary (where the ratio peaks) plus, when
     ``prefix_stride`` > 0, every ``prefix_stride`` positions inside a block.
     Euclidean distances are exact scaled integers; cosine runs in floats.
+    Raises ValueError on a negative stride and on a zero center, whose
+    cosine distance is undefined.
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two centers")
+    if prefix_stride < 0:
+        raise ValueError(f"prefix_stride must be >= 0, not {prefix_stride}")
     scale = int(canonical_levels(s.numerators, s.levels_built).max())
     nums = s.numerators >> (s.levels_built - scale)
     # |a|^2 + |b|^2 - 2<a, b> stays exact while it fits in int64
@@ -514,7 +477,11 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
         raise ValueError(f"numerators up to {peak} overflow int64 squared "
                          "distances")
     vals = nums.astype(np.float64)
-    unit = vals / np.linalg.norm(vals, axis=1, keepdims=True)
+    norm = np.linalg.norm(vals, axis=1, keepdims=True)
+    if not norm.all():
+        raise ValueError("cosine distance undefined for the zero vector "
+                         f"(center {int(np.argmin(norm))})")
+    unit = vals / norm
 
     boundary_marks = {hi for _, hi in s.level_blocks() if hi >= 2}
     checkpoints = set(boundary_marks)

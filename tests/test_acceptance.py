@@ -9,8 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from qusc import (ScaledPoint, YoungDiagram, build_scattering, cosine_nearest,
-                  iota_embed, is_subsequence, nearest_center,
-                  verify_scattering)
+                  embed_scattering, nearest_center, verify_scattering)
 from qusc.cli import main
 from qusc.core import INTERIOR, membership
 from qusc.enumeration import enumerate_level
@@ -148,20 +147,21 @@ def test_criterion_6_series_property():
         for K in (0, 1, 2):
             a = build_scattering(lam, K)
             b = build_scattering(lam4, K)
-            lifted = [iota_embed(p) for p in a.centers]
-            assert is_subsequence(lifted, b), K
-            lvl = max(p.level for p in a.centers)
-            for p in a.centers[:20]:
-                for q in a.centers[:20]:
+            lifted = embed_scattering(a)
+            # a subsequence: each lifted center is in b, in the same order
+            at = [b.index_of(p) for p in lifted.centers]
+            assert None not in at, K
+            assert all(i < j for i, j in zip(at, at[1:])), K
+            for p, q in zip(a.centers[:20], lifted.centers[:20]):
+                for p2, q2 in zip(a.centers[:20], lifted.centers[:20]):
                     d0 = sum((x - y) ** 2 for x, y in
-                             zip(p.numerators_at(lvl), q.numerators_at(lvl)))
+                             zip(p.numerators_at(K), p2.numerators_at(K)))
                     d1 = sum((x - y) ** 2 for x, y in
-                             zip(iota_embed(p).numerators_at(lvl),
-                                 iota_embed(q).numerators_at(lvl)))
+                             zip(q.numerators_at(K), q2.numerators_at(K)))
                     assert d0 == d1
-            for p in a.centers:
-                assert iota_embed(iota_embed(p)) == \
-                    ScaledPoint(p.numerators + (1 << p.level,) * 2, p.level)
+            twice = embed_scattering(lifted)
+            for p, q in zip(a.centers, twice.centers):
+                assert q == ScaledPoint(p.numerators_at(K) + (1 << K,) * 2, K)
 
 
 def tie_normalized_match(indices, dist_row, k):

@@ -136,9 +136,9 @@ def test_polytope_center():
 PUBLIC_API = [
     "COSINE", "EUCLIDEAN", "METRICS", "ScaledPoint", "YoungDiagram",
     "polytope_center", "brute_nearest", "PrefixStats", "Scattering",
-    "UniformityReport", "build_scattering", "embed_diagram", "iota_embed",
-    "is_subsequence", "verify_scattering", "QueryResult", "cosine_nearest",
-    "nearest_center", "nearest_centers", "__version__",
+    "UniformityReport", "build_scattering", "embed_scattering",
+    "verify_scattering", "QueryResult", "cosine_nearest", "nearest_center",
+    "nearest_centers", "__version__",
 ]
 
 

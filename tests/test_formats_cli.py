@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qusc import Scattering, YoungDiagram, build_scattering, is_subsequence
+from qusc import Scattering, YoungDiagram, build_scattering
 from qusc.cli import main
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
@@ -606,9 +606,11 @@ class TestCliQuery:
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "a,b,c,d") == 2
 
-    @pytest.mark.parametrize("text", ["[null,1,2,3]", "[[1],2,3,4]",
-                                      '[1,2,3,"x"]', "[true,1,2,3]",
-                                      '["1",2,3,4]', f"[{10 ** 309},1,2,3]"])
+    @pytest.mark.parametrize("text", [
+        "[null,1,2,3]", "[[1],2,3,4]", '[1,2,3,"x"]', "[true,1,2,3]",
+        '["1",2,3,4]', f"[{10 ** 309},1,2,3]",
+        # nested past the interpreter's recursion limit
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000")])
     def test_json_point_of_non_numbers_exit2(self, centers_file, capsys, text):
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", text) == 2
@@ -622,6 +624,12 @@ class TestCliQuery:
         out, err = capsys.readouterr()
         assert out == ""
         assert "cannot parse query point '[null,1,2,3]'" in err
+        deep = "[" * 100000 + "]" * 100000
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"[1,1,1,1]\n{deep}\n"))
+        assert run_cli("query", "--centers", str(centers_file)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"cannot parse query point {deep!r}" in err
 
     def test_nonfinite_point_exit2(self, centers_file, capsys):
         assert run_cli("query", "--centers", str(centers_file),
@@ -723,6 +731,25 @@ class TestCliVerify:
         bad.write_bytes(b"QUSC" + b"\x01" * 8)
         assert run_cli("verify", "--centers", str(bad)) == 2
 
+    def test_zero_center_exit2(self, scatterings, tmp_path, capsys):
+        s = scatterings[(2, 1, 1), 1]
+        path = tmp_path / "zero.bin"
+        write_scattering(Scattering(s.diagram, 1, np.vstack(
+            (s.numerators, np.zeros((1, 4), dtype=np.int64))),
+            s.level_offsets), path, "binary")
+        assert run_cli("verify", "--centers", str(path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "zero vector (center 42)" in err
+
+    def test_negative_stride_exit2(self, scatterings, tmp_path, capsys):
+        path = tmp_path / "c.bin"
+        write_scattering(scatterings[(2, 1, 1), 1], path, "binary")
+        assert run_cli("verify", "--centers", str(path), "--stride", "-3") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "prefix_stride must be >= 0" in err
+
 
 class TestCliEmbed:
     def test_embed_appends_unit_coordinate(self, sample, tmp_path, capsys):
@@ -750,7 +777,8 @@ class TestCliEmbed:
         run_cli("embed", "--centers", str(src), "--out", str(dst))
         emb = read_scattering(dst)
         target = build_scattering(YoungDiagram.from_rows((2, 1, 1, 1)), 1)
-        assert is_subsequence(emb.centers, target)
+        at = [target.index_of(p) for p in emb.centers]
+        assert None not in at and all(a < b for a, b in zip(at, at[1:]))
 
     def test_embedded_file_is_queryable(self, sample, tmp_path, capsys):
         from qusc import brute_nearest

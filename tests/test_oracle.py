@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from qusc import ScaledPoint, YoungDiagram, brute_nearest
+from qusc import ScaledPoint, YoungDiagram, brute_nearest, build_scattering
 from qusc.oracle import (OracleConfig, brute_boundary, brute_nn_distances,
                          brute_nn_sq_numerators, sample_queries)
-from qusc.scattering import weyl_orbit
 
 
 class TestBruteBoundary:
@@ -60,7 +59,8 @@ class TestBruteNearest:
 
 class TestBruteNNDistances:
     def test_level0_all_sqrt2(self):
-        pts = weyl_orbit(ScaledPoint((2, 1, 1, 0)))
+        # the Weyl orbit of (2, 1, 1, 0)
+        pts = build_scattering(YoungDiagram.from_rows((2, 1, 1)), 0).centers
         dists = brute_nn_distances(pts)
         assert len(dists) == 12
         for d in dists:

@@ -1,15 +1,16 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
-                  embed_diagram, iota_embed, is_subsequence, verify_scattering)
+                  embed_scattering, verify_scattering)
 from qusc.enumeration import enumerate_level
 from qusc.formats import read_scattering, write_scattering
-from qusc.scattering import _perm_table, orbit_size, weyl_orbit
+from qusc.scattering import _orbit_block, _orbit_sizes, _perm_table
 from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
@@ -26,17 +27,23 @@ GOLDEN_PREFIX_LEVEL1 = [
 
 class TestWeylOrbit:
     def test_listed_order(self):
-        orb = weyl_orbit(ScaledPoint((2, 1, 1, 0)))
-        assert [p.numerators for p in orb] == GOLDEN_PREFIX_LEVEL0
-        assert len(orb) == 12
+        dominant = np.array([(2, 1, 1, 0)])
+        assert _orbit_sizes(dominant).tolist() == [12]
+        orb = _orbit_block(dominant, np.empty((12, 4), dtype=np.int64))
+        assert list(map(tuple, orb.tolist())) == GOLDEN_PREFIX_LEVEL0
 
     def test_fixed_point(self):
-        orb = weyl_orbit(ScaledPoint((1, 1, 1, 1)))
-        assert [p.numerators for p in orb] == [(1, 1, 1, 1)]
+        dominant = np.array([(1, 1, 1, 1)])
+        assert _orbit_sizes(dominant).tolist() == [1]
+        orb = _orbit_block(dominant, np.empty((1, 4), dtype=np.int64))
+        assert orb.tolist() == [[1, 1, 1, 1]]
 
     def test_multinomial_size(self):
-        assert len(weyl_orbit(ScaledPoint((2, 1, 1, 1, 1)))) == 5
-        assert orbit_size(ScaledPoint((2, 2, 1, 1, 0))) == 30
+        dominant = np.array([(2, 1, 1, 1, 1), (2, 2, 1, 1, 0)])
+        assert _orbit_sizes(dominant).tolist() == [5, 30]
+        # the two orbits' 35 distinct members
+        orb = _orbit_block(dominant, np.empty((35, 5), dtype=np.int64))
+        assert len(np.unique(orb, axis=0)) == 35
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_perm_table_matches_itertools(self, d):
@@ -51,10 +58,6 @@ class TestWeylOrbit:
             assert table.shape == (len(want), d)
             assert set(map(tuple, table.tolist())) == want
             assert not table.flags.writeable
-
-    def test_rejects_non_dominant(self):
-        with pytest.raises(ValueError):
-            weyl_orbit(ScaledPoint((1, 2, 0)))
 
 
 class TestBuildScattering:
@@ -100,41 +103,47 @@ class TestBuildScattering:
     def test_center_count_matches_oracle_orbits(self, scatterings):
         from qusc.oracle import brute_boundary
         for (rows, levels), s in scatterings.items():
-            expected = sum(orbit_size(p)
-                           for p in brute_boundary(s.diagram, levels))
+            # the multinomial d! / (r_1! r_2! ...) over runs of equal values
+            expected = sum(
+                math.factorial(p.dim) // math.prod(
+                    map(math.factorial, Counter(p.numerators).values()))
+                for p in brute_boundary(s.diagram, levels))
             assert len(s) == expected, (rows, levels)
 
 
 class TestIotaEmbedding:
-    def test_append_one(self):
-        assert iota_embed(ScaledPoint((2, 1, 1, 0))) == ScaledPoint((2, 1, 1, 0, 1))
+    def test_append_one(self, scatterings):
+        s = scatterings[(2, 1, 1), 0]
+        e = embed_scattering(s)
+        assert e.centers[0] == ScaledPoint((2, 1, 1, 0, 1))
+        assert [p.numerators for p in e.centers] == \
+            [p.numerators + (1,) for p in s.centers]
+        assert (e.levels_built, e.level_offsets) == (0, s.level_offsets)
 
-    def test_append_one_at_level(self):
-        p = ScaledPoint((3, 3, 2, 0), 1)
-        assert iota_embed(p) == ScaledPoint((3, 3, 2, 0, 2), 1)
-        assert iota_embed(p).values() == (1.5, 1.5, 1.0, 0.0, 1.0)
+    def test_append_one_at_level(self, diagrams):
+        s = Scattering(diagrams[(2, 1, 1)], 1, [(3, 3, 2, 0)], [0])
+        p = embed_scattering(s).centers[0]
+        assert p == ScaledPoint((3, 3, 2, 0, 2), 1)
+        assert p.values() == (1.5, 1.5, 1.0, 0.0, 1.0)
 
     def test_isometry_exact(self, scatterings):
         s = scatterings[(2, 1, 1), 1]
-        lvl = s.levels_built
-        for a in s.centers[:10]:
-            for b in s.centers[:10]:
-                d0 = sum((x - y) ** 2 for x, y in
-                         zip(a.numerators_at(lvl), b.numerators_at(lvl)))
-                ea, eb = iota_embed(a), iota_embed(b)
-                d1 = sum((x - y) ** 2 for x, y in
-                         zip(ea.numerators_at(lvl), eb.numerators_at(lvl)))
-                assert d0 == d1
+        a, e = s.numerators, embed_scattering(s).numerators
+        d0 = ((a[:, None] - a[None]) ** 2).sum(axis=2)
+        d1 = ((e[:, None] - e[None]) ** 2).sum(axis=2)
+        assert np.array_equal(d0, d1)
 
     def test_double_embedding_is_two_suffix(self, scatterings):
-        for p in scatterings[(2, 1, 1), 1].centers:
-            twice = iota_embed(iota_embed(p))
-            lvl = p.level
-            assert twice == ScaledPoint(p.numerators + (1 << lvl, 1 << lvl), lvl)
+        s = scatterings[(2, 1, 1), 1]
+        twice = embed_scattering(embed_scattering(s))
+        lvl = s.levels_built
+        assert [q.numerators_at(lvl) for q in twice.centers] == \
+            [p.numerators_at(lvl) + (1 << lvl, 1 << lvl) for p in s.centers]
+        assert twice.level_offsets == s.level_offsets
 
-    def test_embed_diagram(self):
-        lam = YoungDiagram.from_rows((2, 1, 1))
-        assert embed_diagram(lam).rows == (2, 1, 1, 1, 0)
+    def test_embed_diagram(self, scatterings):
+        e = embed_scattering(scatterings[(2, 1, 1), 0])
+        assert e.diagram.rows == (2, 1, 1, 1, 0)
 
 
 class TestSubsequence:
@@ -143,20 +152,8 @@ class TestSubsequence:
         for levels in (0, 1):
             small = build_scattering(diagrams[(2, 1, 1)], levels)
             big = build_scattering(lam4, levels)
-            lifted = [iota_embed(p) for p in small.centers]
-            assert is_subsequence(lifted, big)
-
-    def test_self_subsequence(self, scatterings):
-        s = scatterings[(2, 1, 1), 1]
-        assert is_subsequence(s, s)
-
-    def test_reversed_fails(self, scatterings):
-        s = scatterings[(2, 1, 1), 0]
-        assert not is_subsequence(list(reversed(s.centers)), s)
-
-    def test_dimension_mismatch(self, scatterings):
-        with pytest.raises(ValueError):
-            is_subsequence(scatterings[(2, 1, 1), 0], scatterings[(2, 2, 1, 1), 0])
+            at = [big.index_of(p) for p in embed_scattering(small).centers]
+            assert None not in at and all(a < b for a, b in zip(at, at[1:]))
 
 
 class TestUniformity:
@@ -212,6 +209,21 @@ class TestUniformity:
         with pytest.raises(ValueError):
             verify_scattering(s)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("at", [0, 17, 42])
+    def test_rejects_zero_center(self, scatterings, at):
+        # its cosine distance is undefined: no NaN may reach the report
+        base = scatterings[(2, 1, 1), 1]
+        nums = np.insert(base.numerators, at, 0, axis=0)
+        s = Scattering(base.diagram, 1, nums, base.level_offsets)
+        with pytest.raises(ValueError,
+                           match=rf"zero vector \(center {at}\)"):
+            verify_scattering(s)
+
+    def test_rejects_negative_stride(self, scatterings):
+        with pytest.raises(ValueError, match="prefix_stride"):
+            verify_scattering(scatterings[(2, 1, 1), 1], prefix_stride=-3)
+
 
 def merged_orbit_sequence(lam, levels):
     """The sequence by its first definition, one ScaledPoint per center:
@@ -244,7 +256,8 @@ class TestMatrixBuild:
         base = scatterings[(2, 1, 1), 1]
         nums = np.concatenate((base.numerators, base.numerators[3:9]))
         s = Scattering(base.diagram, 1, nums, base.level_offsets)
-        assert s.has_duplicates and not base.has_duplicates
+        assert len(np.unique(s.numerators, axis=0)) < len(s)
+        assert len(np.unique(base.numerators, axis=0)) == len(base)
         for i, p in enumerate(s.centers):
             assert s.index_of(p) == (i if i < len(base) else i - len(base) + 3)
         assert s.index_of(ScaledPoint((1, 1, 1, 1))) is None
@@ -263,7 +276,7 @@ class TestMatrixBuild:
         if repeats:
             nums = np.concatenate((nums, nums[3:9]))
         s = Scattering(base.diagram, 1, nums, base.level_offsets)
-        assert s.has_duplicates == repeats
+        assert (len(np.unique(s.numerators, axis=0)) < len(s)) == repeats
         first = {}
         for i, row in enumerate(nums.tolist()):
             first.setdefault(tuple(row), i)
@@ -331,13 +344,15 @@ class TestMatrixBuild:
         assert [p.numerators for p in s.centers] == [
             tuple(ones[:z] + [0] + ones[z + 1:]) for z in reversed(range(66))]
         # (2, 1^64, 0): one orbit member per placement of the 2 and the 0
-        orbit = weyl_orbit(ScaledPoint((2,) + (1,) * 64 + (0,)))
+        dominant = np.array([(2,) + (1,) * 64 + (0,)])
+        assert _orbit_sizes(dominant).tolist() == [66 * 65]
+        orbit = _orbit_block(dominant, np.empty((66 * 65, 66), dtype=np.int64))
         expected = []
         for top, bottom in itertools.permutations(range(66), 2):
             row = [1] * 66
             row[top], row[bottom] = 2, 0
             expected.append(tuple(row))
-        assert [p.numerators for p in orbit] == sorted(expected, reverse=True)
+        assert list(map(tuple, orbit.tolist())) == sorted(expected, reverse=True)
 
     def test_verify_rejects_squares_overflowing_int64(self, diagrams):
         big = 1 << 40

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
-                  build_scattering, cosine_nearest, embed_diagram, iota_embed,
+                  build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
 from qusc.search import _colsum, _face_clamp
 
@@ -247,7 +247,7 @@ class TestCosine:
         if kind != "complete":
             s = build_scattering(s.diagram, 1, max_points=50)
         if kind == "embedded":
-            s, e = embedded(s), (*e, e[0])
+            s, e = embed_scattering(s), (*e, e[0])
         assert cosine_nearest(e, s, k) == brute_nearest(e, s, k, "cosine")
 
     def test_zero_center_raises(self, scatterings):
@@ -310,20 +310,30 @@ class TestOracleAgreement:
     @pytest.fixture(scope="class")
     def magnitude_sequences(self, scatterings):
         """(3,2,1) L1 whole, cut inside an orbit, with every 7th center
-        repeated, and embedded."""
+        repeated, embedded, and with its numerators times 2**40 and times
+        10**12; and the level-0 codebooks at d = 7 and d = 9."""
         s = scatterings[(3, 2, 1), 1]
         return {"complete": s,
                 "cut": build_scattering(s.diagram, 1, max_points=50),
                 "duplicated": Scattering(s.diagram, 1, np.vstack(
                     (s.numerators, s.numerators[::7])), s.level_offsets),
-                "embedded": embedded(s)}
+                "embedded": embed_scattering(s),
+                "times-2^40": Scattering(s.diagram, 1, s.numerators << 40,
+                                         s.level_offsets),
+                "times-10^12": Scattering(s.diagram, 1, s.numerators * 10 ** 12,
+                                          s.level_offsets),
+                "d7": build_scattering(
+                    YoungDiagram.from_rows((3, 2, 1, 1, 1, 1)), 0),
+                "d9": build_scattering(
+                    YoungDiagram.from_rows((2, 1, 1, 1, 1, 1, 1, 1)), 0)}
 
     @given(data=st.data(),
            base=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
-                         min_size=5, max_size=5),
+                         min_size=9, max_size=9),
            exp=st.integers(min_value=-1070, max_value=460),
            metric=st.sampled_from(["euclidean", "cosine"]),
-           kind=st.sampled_from(["complete", "cut", "duplicated", "embedded"]),
+           kind=st.sampled_from(["complete", "cut", "duplicated", "embedded",
+                                 "times-2^40", "times-10^12", "d7", "d9"]),
            point=st.sampled_from(["scaled", "midpoint", "nudged"]))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_magnitudes(self, magnitude_sequences, data, base, exp,
@@ -443,12 +453,6 @@ class TestScaling:
                 assert res.candidates_examined < len(s) / 10, (e, k)
 
 
-def embedded(s):
-    """The sequence that ``qusc embed`` writes for s."""
-    return from_points(embed_diagram(s.diagram), s.levels_built,
-                       [iota_embed(p) for p in s.centers], s.level_offsets)
-
-
 class TestPartialSequences:
     """Cut, embedded, thinned and repeated center sequences are searched
     through the same table as complete ones, and rank like a full scan."""
@@ -484,8 +488,8 @@ class TestPartialSequences:
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
-        once = embedded(scatterings[rows, 2])
-        twice = embedded(once)
+        once = embed_scattering(scatterings[rows, 2])
+        twice = embed_scattering(once)
         rng = random.Random(14)
         for s in (once, twice):
             self.assert_matches(s, random_queries(rng, s, 16, rows[0]), (1, 4, 9))
@@ -499,7 +503,7 @@ class TestPartialSequences:
                 centers.insert(rng.randrange(len(centers) + 1),
                                rng.choice(full.centers))
             s = from_points(full.diagram, 1, centers, [0])
-            assert s.has_duplicates
+            assert len(np.unique(s.numerators, axis=0)) < len(s)
             self.assert_matches(s, random_queries(rng, s, 12, 3), (1, 3, 10))
 
     def test_complete_sequence_has_no_lone_rows(self, scatterings):
@@ -619,7 +623,7 @@ class TestCenterTable:
         return {
             "complete": scatterings[(2, 2, 1, 1), 2],
             "cut": build_scattering(diagrams[(3, 2, 1)], 3, max_points=500),
-            "embedded": embedded(scatterings[(2, 1, 1), 2]),
+            "embedded": embed_scattering(scatterings[(2, 1, 1), 2]),
             "duplicated": from_points(full.diagram, 1, repeated, [0]),
         }
 
@@ -677,7 +681,7 @@ class TestCenterTable:
             s = build_scattering(YoungDiagram.from_rows(rows), levels,
                                  max_points=cut)
             if kind == "embedded":
-                s = embedded(s)
+                s = embed_scattering(s)
         t = s.dominant_table()
         h = hashlib.sha256(str(t.orbit_rows).encode())
         for part, dtype in ((t.members, "<i8"), (t.starts, "<i8"),
@@ -782,8 +786,9 @@ class TestBlockSearch:
         return {
             "complete": full,
             "cut": build_scattering(full.diagram, 3, max_points=2 * len(full) // 3),
-            "embedded": embedded(build_scattering(diagrams[(3, 2, 1)], 4)),
-            "cut-embedded": embedded(build_scattering(
+            "embedded": embed_scattering(build_scattering(diagrams[(3, 2, 1)],
+                                                          4)),
+            "cut-embedded": embed_scattering(build_scattering(
                 full.diagram, 3, max_points=2 * len(full) // 3)),
             "duplicated": from_points(small.diagram, 1, repeated, [0]),
         }
@@ -809,9 +814,9 @@ class TestBlockSearch:
                                               metric):
         sequences = [scatterings[(3, 2, 1), 1], scatterings[(2, 2, 1, 1), 1],
                      build_scattering(diagrams[(3, 2, 1)], 2, max_points=400),
-                     embedded(scatterings[(2, 1, 1), 1]),
-                     embedded(build_scattering(diagrams[(3, 2, 1)], 2,
-                                               max_points=400))]
+                     embed_scattering(scatterings[(2, 1, 1), 1]),
+                     embed_scattering(build_scattering(diagrams[(3, 2, 1)], 2,
+                                                       max_points=400))]
         rng = random.Random(43)
         for s in sequences:
             assert len(s) <= 500
