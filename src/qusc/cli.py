@@ -59,7 +59,10 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         else:
             vals = [float(t) for t in text.replace(",", " ").split()]
     except (ValueError, OverflowError, RecursionError):
-        raise InputError(f"cannot parse query point {text!r}")
+        # a long text is quoted by its start and length
+        shown = (repr(text) if len(text) <= 80
+                 else f"{text[:80]!r}... ({len(text)} characters)")
+        raise InputError(f"cannot parse query point {shown}")
     if len(vals) != dim:
         raise InputError(f"query has {len(vals)} coordinates, centers have {dim}")
     return tuple(vals)

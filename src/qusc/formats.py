@@ -11,6 +11,18 @@ writers format each distinct value of a block of rows once (through
 ``coordinate_texts``, which ``qusc query`` shares), and the text readers
 parse each distinct coordinate string of a file once.
 
+The text readers take a file _TEXT_BLOCK lines at a time.  Each format has
+one compiled pattern for the exact line its writer makes: an integer index
+and level, coordinate strings of digits, "-" and "/", and for jsonl float
+coordinates that are JSON numbers, with the writer's separators.  A block
+whose every line matches takes one ``findall`` pass that pulls out the
+strings and skips the floats.  Any other block (other key order, spacing
+or extra fields, escapes, blank lines, surrounding whitespace), and a
+block holding a string that does not parse, goes to the per-line decoder
+(``json.loads`` or a comma split), which numbers records across the whole
+file.  It is the only source of record errors, so a file reads to the same
+centers, or fails with the same message, whichever path a block takes.
+
 Readers raise ValueError for a file they cannot hold exactly: a format
 version other than FORMAT_VERSION, a header whose dimension differs from
 its diagram's row count or whose diagram overflows int64 at scale
@@ -28,8 +40,10 @@ the header field).
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -236,18 +250,80 @@ def _text_blocks(s: Scattering, template: str, float_text):
         yield "".join(map(template.__mod__, cells))
 
 
-def _read_records(fh, header: CenterFileHeader, coordinates) -> Scattering:
+def _line_blocks(fh):
+    """The lines of fh, _TEXT_BLOCK at a time.  A block cut short by bytes
+    that do not decode is yielded before the error is raised, so its
+    records are read first, as they would be line by line."""
+    while True:
+        block = []
+        try:
+            block.extend(itertools.islice(fh, _TEXT_BLOCK))
+        except UnicodeDecodeError:
+            yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _read_records(fh, header: CenterFileHeader, record: re.Pattern, sep: str,
+                  coordinates) -> Scattering:
     """The scattering of a text file's records, the non-blank lines of fh
-    after its header, ``coordinates(line, i)`` giving record i's coordinate
-    strings.  Each distinct string of the file is parsed once, on its first
-    occurrence in record order, so an error names the first record that
-    holds the bad string."""
+    after its header.  A block of lines that all match ``record``, the
+    line its writer makes, takes one pattern pass, the pattern's one group
+    holding a record's coordinate strings joined by ``sep``.  Any other
+    block, and one that holds a string that does not parse, is decoded
+    line by line, ``coordinates(line, i)`` giving record i's coordinate
+    strings, so an error names the first record that holds the bad
+    string.  Each distinct string that parses is parsed once per file."""
     diagram = _diagram_of(header)
     dim, levels = header.dimension, header.levels
     known: dict[str, int] = {}
-    nums: list[int] = []
+    blocks: list[np.ndarray] = []
     i = 0
-    for line in fh:
+    for lines in _line_blocks(fh):
+        nums = _match_block(lines, record, sep, levels, known)
+        if nums is None:
+            nums = _decode_lines(lines, i, dim, levels, known, coordinates)
+        blocks.append(nums)
+        i += len(nums) // dim
+    nums = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    return _rebuild(header, diagram, nums.reshape(-1, dim))
+
+
+def _match_block(lines: list[str], record: re.Pattern, sep: str, levels: int,
+                 known: dict[str, int]):
+    """The numerators of a block of lines that each match ``record`` in
+    full, with every coordinate string parsed, or None."""
+    # a block of another writer's lines is turned away by its first line,
+    # before a pass over all of them
+    if not record.match(lines[0]):
+        return None
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    # a match starts at a line's start and ends at its newline, so one
+    # match per line means every line matched in full
+    groups = record.findall(text)
+    if len(groups) != len(lines):
+        return None
+    strings = sep.join(groups).split(sep)
+    try:
+        for txt in set(strings).difference(known):
+            known[txt] = _numerator(txt, levels)
+    except ValueError:
+        return None
+    return np.fromiter(map(known.__getitem__, strings), np.int64,
+                       len(strings))
+
+
+def _decode_lines(lines: list[str], i: int, dim: int, levels: int,
+                  known: dict[str, int], coordinates) -> np.ndarray:
+    """The numerators of a block's records, record i first, each line
+    decoded on its own and each new string parsed on its first
+    occurrence in record order."""
+    nums: list[int] = []
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -269,7 +345,16 @@ def _read_records(fh, header: CenterFileHeader, coordinates) -> Scattering:
                         raise ValueError(f"record {i}: {exc}") from None
             nums += [known[txt] for txt in parts]
         i += 1
-    return _rebuild(header, diagram, np.array(nums, dtype=np.int64).reshape(-1, dim))
+    return np.array(nums, dtype=np.int64)
+
+
+# The parts of the record lines the writers make.  An index or level of at
+# most 18 digits parses as an int under any limit Python sets on digits; a
+# JSON float with a fraction or an exponent never parses as an int.
+_INDEX = "(?:0|[1-9][0-9]{0,17})"
+_EXACT = "[-0-9/]+"
+_JSON_FLOAT = (r"-?(?:0|[1-9][0-9]*)"
+               r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
 
 # -- jsonl --------------------------------------------------------------------
@@ -294,7 +379,20 @@ def _read_jsonl(fh) -> Scattering:
         raise ValueError(f"jsonl header: {exc}") from None
     if type(first) is not dict or first.get("magic") != MAGIC.decode():
         raise ValueError("missing jsonl header record")
-    return _read_records(fh, _text_header(first, "jsonl header"), _jsonl_exact)
+    header = _text_header(first, "jsonl header")
+    return _read_records(fh, header, _jsonl_record(header.dimension), '", "',
+                         _jsonl_exact)
+
+
+def _jsonl_record(dim: int) -> re.Pattern:
+    """The pattern of the line _write_jsonl makes for a record of dim
+    coordinates, its 'exact' strings in one group.  A line it matches is
+    one JSON object whose 'exact' list holds those strings."""
+    exact = '", "'.join([_EXACT] * dim)
+    floats = ", ".join([_JSON_FLOAT] * dim)
+    return re.compile('^\\{"index": %s, "level": %s, "exact": \\["(%s)"\\], '
+                      '"coords": \\[%s\\]\\}\n'
+                      % (_INDEX, _INDEX, exact, floats), re.MULTILINE)
 
 
 def _jsonl_exact(line: str, i: int):
@@ -345,4 +443,16 @@ def _read_csv(fh) -> Scattering:
     header = _text_header(fields, "csv header")
     fh.readline()  # column names
     dim = header.dimension
-    return _read_records(fh, header, lambda line, i: line.split(",")[2:2 + dim])
+    return _read_records(fh, header, _csv_record(dim), ",",
+                         lambda line, i: line.split(",")[2:2 + dim])
+
+
+def _csv_record(dim: int) -> re.Pattern:
+    """The pattern of the line _write_csv makes for a record of dim
+    coordinates, its exact strings in one group.  Its float cells, which
+    the reader skips, hold no comma and no whitespace, so the line splits
+    into the same cells with or without its ends stripped."""
+    exact = ",".join([_EXACT] * dim)
+    floats = r",[^,\s]+" * dim
+    return re.compile("^%s,%s,(%s)%s\n" % (_INDEX, _INDEX, exact, floats),
+                      re.MULTILINE)

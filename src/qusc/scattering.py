@@ -482,6 +482,10 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
         raise ValueError("cosine distance undefined for the zero vector "
                          f"(center {int(np.argmin(norm))})")
     unit = vals / norm
+    # below 2**53 every product, partial sum and squared distance is an
+    # integer that float64 holds exactly, in any summation order, so BLAS
+    # forms them; above, numpy's integer loop does
+    mat = vals if 4 * s.dim * peak * peak < 1 << 53 else nums
 
     boundary_marks = {hi for _, hi in s.level_blocks() if hi >= 2}
     checkpoints = set(boundary_marks)
@@ -491,17 +495,17 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     checkpoints = sorted(m for m in checkpoints if m >= 2)
 
     big = np.iinfo(np.int64).max
-    nn_sq = np.full(n, big, dtype=np.int64)
+    nn_sq = np.full(n, big, dtype=mat.dtype)
     nn_cos = np.full(n, np.inf)
     stats = []
     done = 0
-    sq_norm = np.einsum("ij,ij->i", nums, nums)
+    sq_norm = np.einsum("ij,ij->i", mat, mat)
     for mark in checkpoints:
         # one (64, b) block of each kind is live at a time, built in place
+        # and freed before the next block's products are formed
         for a in range(done, mark, 64):
             b = min(a + 64, mark)
-            d2 = nums[a:b] @ nums[:b].T
-            d2 *= -2
+            d2 = (-2 * mat[a:b]) @ mat[:b].T
             d2 += sq_norm[a:b, None]
             d2 += sq_norm[None, :b]
             cosd = unit[a:b] @ unit[:b].T
@@ -514,6 +518,7 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
                 np.minimum(nn_cos[:b], cosd.min(axis=0), out=nn_cos[:b])
                 nn_sq[a:b] = np.minimum(nn_sq[a:b], d2.min(axis=1))
                 nn_cos[a:b] = np.minimum(nn_cos[a:b], cosd.min(axis=1))
+            del d2, cosd
         done = mark
         stats.append(PrefixStats(
             length=mark,

@@ -6,11 +6,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qusc import Scattering, YoungDiagram, build_scattering
+from qusc import Scattering, YoungDiagram, build_scattering, formats
 from qusc.cli import main
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
@@ -441,6 +444,147 @@ class TestReaderBoundary:
             read_scattering(path)
 
 
+def compact(line):
+    """A jsonl line with json.dumps's compact separators."""
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+class TestTextReaderPaths:
+    """A block of records the writer made is read by one pattern pass, any
+    other block line by line; both give the same scattering or error."""
+
+    @staticmethod
+    def written(s, fmt, tmp_path):
+        path = tmp_path / f"c.{fmt}"
+        write_scattering(s, path, fmt)
+        return path, path.read_text().split("\n")
+
+    @staticmethod
+    def same_as(s, back):
+        assert np.array_equal(back.numerators, s.numerators)
+        assert back.level_offsets == s.level_offsets
+        assert (back.diagram, back.levels_built) == (s.diagram, s.levels_built)
+
+    @pytest.mark.parametrize("fmt,edit", [
+        pytest.param("jsonl", compact, id="jsonl-compact"),
+        pytest.param("jsonl", lambda line: json.dumps(json.loads(line),
+                                                      sort_keys=True),
+                     id="jsonl-sorted-keys"),
+        pytest.param("jsonl", lambda line: line[:-1] + ', "note": "x, y"}',
+                     id="jsonl-extra-key"),
+        pytest.param("jsonl", lambda line: line + "\r", id="jsonl-crlf"),
+        pytest.param("csv", lambda line: line + "\r", id="csv-crlf"),
+        pytest.param("csv", lambda line: line + ",x,", id="csv-extra-columns"),
+        pytest.param("csv", lambda line: " " + line + "\t", id="csv-spaces"),
+    ])
+    def test_valid_non_canonical_files(self, sample, fmt, edit, tmp_path):
+        path, lines = self.written(sample, fmt, tmp_path)
+        first = 1 if fmt == "jsonl" else 2
+        lines[first:-1] = map(edit, lines[first:-1])
+        path.write_text("\n".join(lines), newline="")
+        self.same_as(sample, read_scattering(path))
+
+    @pytest.fixture(scope="class")
+    def two_blocks(self):
+        """(3,2,1) L4: 7,682 records, two blocks of the reader."""
+        return build_scattering(YoungDiagram.from_rows((3, 2, 1)), 4)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_reformatted_line_falls_back_in_its_block_only(
+            self, two_blocks, fmt, tmp_path):
+        path, lines = self.written(two_blocks, fmt, tmp_path)
+        first = 1 if fmt == "jsonl" else 2
+        at = first + 5000
+        lines[at] = compact(lines[at]) if fmt == "jsonl" else lines[at] + ",x"
+        path.write_text("\n".join(lines))
+        with mock.patch.object(formats, "_decode_lines",
+                               wraps=formats._decode_lines) as decode:
+            back = read_scattering(path)
+        self.same_as(two_blocks, back)
+        # only the second block, whose first record is 4096, is decoded
+        # line by line
+        assert [c.args[1] for c in decode.call_args_list] == [4096]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad,message", [
+        ("1/3", "denominator 3 is not a power of two"),
+        ("1/32", "finer than the header's levels=4"),
+        ("abc", "invalid literal"),
+    ])
+    def test_bad_coordinate_in_second_block_names_its_record(
+            self, two_blocks, fmt, bad, message, tmp_path):
+        path, lines = self.written(two_blocks, fmt, tmp_path)
+        first = 1 if fmt == "jsonl" else 2
+        edit = (json_set("exact", [bad, "1", "1", "0"]) if fmt == "jsonl"
+                else csv_cells(2, bad))
+        lines[first + 5000] = edit(lines[first + 5000])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^record 5000: .*{message}"):
+            read_scattering(path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_record_error_before_undecodable_bytes(self, two_blocks, fmt,
+                                                   tmp_path):
+        # record 0 is bad and record 3000, 150 kB on, does not decode: the
+        # record is read first, as it would be line by line
+        path, lines = self.written(two_blocks, fmt, tmp_path)
+        first = 1 if fmt == "jsonl" else 2
+        edit = (json_set("exact", ["1/3", "1", "1", "0"]) if fmt == "jsonl"
+                else csv_cells(2, "1/3"))
+        lines[first] = edit(lines[first])
+        raw = "\n".join(lines).encode().split(b"\n")
+        raw[first + 3000] += b"\xff"
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ValueError, match="^record 0: denominator 3"):
+            read_scattering(path)
+
+    @staticmethod
+    def outcome(path):
+        try:
+            s = read_scattering(path)
+        except ValueError as exc:
+            return str(exc)
+        return s.numerators.tolist(), s.level_offsets
+
+    @given(data=st.data(), fmt=st.sampled_from(["jsonl", "csv"]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pattern_pass_agrees_with_line_decoder(self, scatterings, tmp_path,
+                                                   data, fmt):
+        # (2,2,1,1) L2, 1,640 records in one block, with one line edited
+        path, lines = self.written(scatterings[(2, 2, 1, 1), 2], fmt, tmp_path)
+        first = 1 if fmt == "jsonl" else 2
+        at = data.draw(st.integers(first, len(lines) - 2), label="line")
+        line = lines[at]
+        pos = data.draw(st.integers(0, len(line)), label="position")
+        char = data.draw(st.sampled_from('0123456789-/.,:" []{}eE+\t\r\x0b\xa0x٣')
+                         | st.characters(max_codepoint=0xD7FF),
+                         label="character")
+        kind = data.draw(st.sampled_from(
+            ["insert", "delete", "replace", "whitespace", "sorted", "blank",
+             "column"]), label="edit")
+        if kind == "insert":
+            line = line[:pos] + char + line[pos:]
+        elif kind == "delete":
+            line = line[:pos] + line[pos + 1:]
+        elif kind == "replace":
+            line = line[:pos] + char + line[pos + 1:]
+        elif kind == "whitespace":
+            line = line[:pos] + data.draw(st.sampled_from([" ", "\t", "  "]),
+                                          label="space") + line[pos:]
+        elif kind == "sorted" and fmt == "jsonl":
+            line = json.dumps(json.loads(line), sort_keys=True)
+        elif kind == "blank":
+            line += "\n"
+        elif kind == "column" and fmt == "csv":
+            line += "," + char
+        lines[at] = line
+        path.write_text("\n".join(lines), newline="")
+        fast = self.outcome(path)
+        with mock.patch.object(formats, "_match_block", return_value=None):
+            assert self.outcome(path) == fast
+
+
 # sha256 of the files written for these codebooks by the implementation that
 # held every center as a ScaledPoint (commit d338975); the matrix store must
 # write the same bytes
@@ -614,7 +758,16 @@ class TestCliQuery:
     def test_json_point_of_non_numbers_exit2(self, centers_file, capsys, text):
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", text) == 2
-        assert f"cannot parse query point {text!r}" in capsys.readouterr().err
+        self.check_quoted(capsys.readouterr().err, text)
+
+    @staticmethod
+    def check_quoted(err, text):
+        """err quotes text in full up to 80 characters, else by its first
+        80 and its length, and stays short."""
+        assert f"cannot parse query point {text[:80]!r}" in err
+        if len(text) > 80:
+            assert f"{text[:80]!r}... ({len(text)} characters)" in err
+        assert len(err) < 1024
 
     def test_json_point_of_non_numbers_in_stream_exit2(self, centers_file,
                                                        monkeypatch, capsys):
@@ -629,7 +782,7 @@ class TestCliQuery:
         assert run_cli("query", "--centers", str(centers_file)) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"cannot parse query point {deep!r}" in err
+        self.check_quoted(err, deep)
 
     def test_nonfinite_point_exit2(self, centers_file, capsys):
         assert run_cli("query", "--centers", str(centers_file),

@@ -220,6 +220,23 @@ class TestUniformity:
                            match=rf"zero vector \(center {at}\)"):
             verify_scattering(s)
 
+    @pytest.mark.parametrize("peak", [23_726_566, 1 << 28])
+    def test_squared_distances_exact_across_2_53(self, diagrams, peak):
+        # 4*d*peak**2 is just below 2**53 (float64 products) or far above
+        # it (int64 products); every prefix's extremes are exact either way
+        rng = np.random.default_rng(peak)
+        rows = rng.integers(-peak, peak + 1, (40, 4), dtype=np.int64)
+        rows[7, 2] = peak
+        s = Scattering(diagrams[(2, 1, 1)], 0, rows, [0])
+        rep = verify_scattering(s, prefix_stride=1)
+        pts = rows.tolist()
+        for st in rep.prefixes:
+            nn = [min(sum((x - y) ** 2 for x, y in zip(pts[i], pts[j]))
+                      for j in range(st.length) if j != i)
+                  for i in range(st.length)]
+            assert (st.min_sq_numerator, st.max_sq_numerator) == (min(nn),
+                                                                  max(nn))
+
     def test_rejects_negative_stride(self, scatterings):
         with pytest.raises(ValueError, match="prefix_stride"):
             verify_scattering(scatterings[(2, 1, 1), 1], prefix_stride=-3)
