@@ -26,23 +26,16 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_rows(text: str) -> YoungDiagram:
     try:
         rows = tuple(int(t) for t in text.replace(" ", "").split(",") if t != "")
     except ValueError:
-        raise InputError(f"cannot parse row list {text!r}")
+        raise ValueError(f"cannot parse row list {text!r}")
     if not rows:
-        raise InputError("empty row list")
-    try:
-        lam = YoungDiagram.from_rows(rows)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        raise ValueError("empty row list")
+    lam = YoungDiagram.from_rows(rows)
     if lam.rank < 2:
-        raise InputError(
+        raise ValueError(
             f"diagram {lam} is degenerate: rank {lam.rank} scatterings do not grow")
     return lam
 
@@ -62,9 +55,9 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         # a long text is quoted by its start and length
         shown = (repr(text) if len(text) <= 80
                  else f"{text[:80]!r}... ({len(text)} characters)")
-        raise InputError(f"cannot parse query point {shown}")
+        raise ValueError(f"cannot parse query point {shown}")
     if len(vals) != dim:
-        raise InputError(f"query has {len(vals)} coordinates, centers have {dim}")
+        raise ValueError(f"query has {len(vals)} coordinates, centers have {dim}")
     return tuple(vals)
 
 
@@ -72,21 +65,33 @@ def _read_centers(path: str) -> Scattering:
     try:
         return read_scattering(path)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read centers: {exc}")
+        raise ValueError(f"cannot read centers: {exc}")
+
+
+def _write_stdout(lines) -> None:
+    """Write lines to stdout and flush them.  A reader that closes the pipe
+    early ends the output quietly, and the command keeps its exit code."""
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter's flush at exit must not raise again on the
+        # closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_generate(args) -> int:
     lam = _parse_rows(args.lam)
     if args.rank is not None and args.rank != lam.rank:
-        raise InputError(f"--rank {args.rank} does not match diagram rank {lam.rank}")
+        raise ValueError(f"--rank {args.rank} does not match diagram rank {lam.rank}")
     s = build_scattering(lam, args.levels, max_points=args.max_points)
     try:
         write_scattering(s, args.out, args.format)
     except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}")
-    for k, (lo, hi) in enumerate(s.level_blocks()):
-        print(f"level {k}: {hi - lo} centers")
-    print(f"total: {len(s)} centers -> {args.out} ({args.format})")
+        raise ValueError(f"cannot write {args.out}: {exc}")
+    _write_stdout([f"level {k}: {hi - lo} centers\n"
+                   for k, (lo, hi) in enumerate(s.level_blocks())]
+                  + [f"total: {len(s)} centers -> {args.out} ({args.format})\n"])
     return EXIT_OK
 
 
@@ -130,13 +135,7 @@ def cmd_query(args) -> int:
         centers = list(s.centers)
         failed = any(res != brute_nearest(q, centers, args.k, args.metric)
                      for q, res in zip(queries, results))
-    try:
-        sys.stdout.writelines(_records(results, s.levels_built, args.metric))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early; the interpreter's flush at exit must not
-        # raise again on the closed pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _write_stdout(_records(results, s.levels_built, args.metric))
     if failed:
         print("self-check against the full-scan oracle failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -151,7 +150,7 @@ def _number(x: float):
 def cmd_verify(args) -> int:
     s = _read_centers(args.centers)
     rep = verify_scattering(s, prefix_stride=args.stride)
-    print(json.dumps({
+    _write_stdout([json.dumps({
         "euclidean_exponent": _number(rep.euclidean_exponent),
         "cosine_exponent": _number(rep.cosine_exponent),
         "cosine_exponent_bound": _number(rep.cosine_exponent_bound),
@@ -164,8 +163,12 @@ def cmd_verify(args) -> int:
             "max_cosine": _number(st.max_cosine),
             "at_level_boundary": st.at_level_boundary,
         } for st in rep.prefixes],
-    }, allow_nan=False))
-    if not rep.euclidean_exponent <= 2.0 + 1e-9:
+    }, allow_nan=False) + "\n"])
+    # the ratio of nearest-neighbour distances is at most 2 exactly when
+    # their squared numerators are positive and at most 4 to 1
+    if not all(0 < st.min_sq_numerator and
+               st.max_sq_numerator <= 4 * st.min_sq_numerator
+               for st in rep.prefixes):
         print(f"euclidean ratio {rep.euclidean_exponent} exceeds 2", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -176,8 +179,9 @@ def cmd_embed(args) -> int:
     try:
         write_scattering(out, args.out, args.format)
     except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}")
-    print(f"embedded {len(out)} centers into dimension {out.dim} -> {args.out}")
+        raise ValueError(f"cannot write {args.out}: {exc}")
+    _write_stdout([f"embedded {len(out)} centers into dimension {out.dim} "
+                   f"-> {args.out}\n"])
     return EXIT_OK
 
 
@@ -231,7 +235,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

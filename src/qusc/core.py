@@ -146,10 +146,6 @@ class ScaledPoint:
             out.append(str(num) if lev == 0 else f"{num}/{1 << lev}")
         return tuple(out)
 
-    def is_dominant(self) -> bool:
-        n = self.numerators
-        return all(map(operator.ge, n, n[1:]))
-
     def __str__(self):
         return "(" + ",".join(self.exact_strings()) + ")"
 

@@ -5,11 +5,13 @@ The binary format is exact and byte-stable: a little-endian header (magic
 followed by count x dimension signed 64-bit numerators at the common scale
 2**levels, which are read and written as one block.  The text formats carry
 the same rationals as reduced "num/2^k" strings next to decimal floats, and
-are parsed to and printed from the same integer rows.  Every coordinate of
-a codebook lies on the lattice 2**-levels, so its values repeat: the text
-writers format each distinct value of a block of rows once (through
-``coordinate_texts``, which ``qusc query`` shares), and the text readers
-parse each distinct coordinate string of a file once.
+are parsed to and printed from the same integer rows.  A text record is
+read from its exact strings alone: its index, level and float fields are
+written for people and other tools, and the readers never read them.
+Every coordinate of a codebook lies on the lattice 2**-levels, so its
+values repeat: the text writers format each distinct value of a block of
+rows once (through ``coordinate_texts``, which ``qusc query`` shares), and
+the text readers parse each distinct coordinate string of a file once.
 
 The text readers take a file _TEXT_BLOCK lines at a time.  Each format has
 one compiled pattern for the exact line its writer makes: an integer index
@@ -45,7 +47,6 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,20 +60,6 @@ FORMATS = ("binary", "jsonl", "csv")
 _HEADER = struct.Struct("<4sIIQII")
 _INT64 = np.iinfo(np.int64)
 _TEXT_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class CenterFileHeader:
-    version: int
-    dimension: int
-    count: int
-    levels: int
-    rows: tuple[int, ...]
-
-
-def _header_of(s: Scattering) -> CenterFileHeader:
-    return CenterFileHeader(FORMAT_VERSION, s.dim, len(s), s.levels_built,
-                            s.diagram.rows)
 
 
 def _numerator(txt: str, levels: int) -> int:
@@ -107,9 +94,10 @@ def _field(header: dict, key: str, where: str):
         raise ValueError(f"{where} has no {key!r} field") from None
 
 
-def _text_header(fields: dict, where: str) -> CenterFileHeader:
-    """The header of a text file from its fields, each a non-negative int
-    and "rows" a list of them, or a ValueError naming the field at fault."""
+def _text_header(fields: dict, where: str):
+    """The dimension, count, levels and diagram rows of a text file's
+    header fields, each a non-negative int and "rows" a list of them, or a
+    ValueError naming the field at fault."""
     values = []
     for key in ("version", "dimension", "count", "levels", "rows"):
         value = _field(fields, key, where)
@@ -123,7 +111,7 @@ def _text_header(fields: dict, where: str) -> CenterFileHeader:
     version, dimension, count, levels, rows = values
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    return CenterFileHeader(version, dimension, count, levels, tuple(rows))
+    return dimension, count, levels, rows
 
 
 def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
@@ -156,37 +144,37 @@ def read_scattering(path, fmt: str | None = None) -> Scattering:
         return (_read_jsonl if fmt == "jsonl" else _read_csv)(text)
 
 
-def _diagram_of(header: CenterFileHeader) -> YoungDiagram:
-    """The header's diagram, after checking that the header describes
-    centers the reader can hold: one coordinate per diagram row, and
-    numerators within int64 at scale 2**levels."""
-    diagram = YoungDiagram(header.rows)
-    if header.dimension != diagram.dim:
-        raise ValueError(f"header dimension {header.dimension} does not match "
+def _diagram_of(rows, dimension: int, levels: int) -> YoungDiagram:
+    """The diagram of a header's rows, after checking that the header
+    describes centers the reader can hold: one coordinate per diagram row,
+    and numerators within int64 at scale 2**levels."""
+    diagram = YoungDiagram(rows)
+    if dimension != diagram.dim:
+        raise ValueError(f"header dimension {dimension} does not match "
                          f"the {diagram.dim} rows of diagram {diagram}")
-    check_scale(diagram, header.levels)
+    check_scale(diagram, levels)
     return diagram
 
 
-def _rebuild(header: CenterFileHeader, diagram: YoungDiagram,
+def _rebuild(diagram: YoungDiagram, levels: int, count: int,
              nums: np.ndarray) -> Scattering:
     """The scattering of a file's numerator rows, with a level block
     starting at every record coarser than none before it."""
-    if len(nums) != header.count:
-        raise ValueError(f"expected {header.count} records, got {len(nums)}")
-    levels = canonical_levels(nums, header.levels)
-    seen = np.maximum.accumulate(levels)
-    offsets = [0] + (np.flatnonzero(levels[1:] > seen[:-1]) + 1).tolist()
-    return Scattering(diagram, header.levels, nums, offsets)
+    if len(nums) != count:
+        raise ValueError(f"expected {count} records, got {len(nums)}")
+    own = canonical_levels(nums, levels)  # each record's own level
+    seen = np.maximum.accumulate(own)
+    offsets = [0] + (np.flatnonzero(own[1:] > seen[:-1]) + 1).tolist()
+    return Scattering(diagram, levels, nums, offsets)
 
 
 # -- binary -------------------------------------------------------------------
 
 def _write_binary(s: Scattering, fh) -> None:
-    h = _header_of(s)
-    fh.write(_HEADER.pack(MAGIC, h.version, h.dimension, h.count, h.levels,
-                          len(h.rows)))
-    fh.write(struct.pack(f"<{len(h.rows)}I", *h.rows))
+    rows = s.diagram.rows
+    fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, s.dim, len(s), s.levels_built,
+                          len(rows)))
+    fh.write(struct.pack(f"<{len(rows)}I", *rows))
     fh.write(s.numerators.astype("<i8", copy=False).tobytes())
 
 
@@ -205,15 +193,14 @@ def _read_binary(fh) -> Scattering:
         raise ValueError("truncated header")
     rows = struct.unpack(f"<{nrows}I", fh.read(4 * nrows))
     left -= 4 * nrows
-    header = CenterFileHeader(version, dim, count, levels, tuple(rows))
-    diagram = _diagram_of(header)
+    diagram = _diagram_of(rows, dim, levels)
     size = count * dim * 8
     if size > left:
         raise ValueError("truncated record block")
     if size < left:
         raise ValueError(f"{left - size} trailing bytes after the last record")
     nums = np.frombuffer(fh.read(size), dtype="<i8").reshape(count, dim)
-    return _rebuild(header, diagram, nums.astype(np.int64, copy=False))
+    return _rebuild(diagram, levels, count, nums.astype(np.int64, copy=False))
 
 
 # -- text ---------------------------------------------------------------------
@@ -266,18 +253,18 @@ def _line_blocks(fh):
         yield block
 
 
-def _read_records(fh, header: CenterFileHeader, record: re.Pattern, sep: str,
-                  coordinates) -> Scattering:
+def _read_records(fh, diagram: YoungDiagram, count: int, levels: int,
+                  record: re.Pattern, sep: str, coordinates) -> Scattering:
     """The scattering of a text file's records, the non-blank lines of fh
-    after its header.  A block of lines that all match ``record``, the
-    line its writer makes, takes one pattern pass, the pattern's one group
-    holding a record's coordinate strings joined by ``sep``.  Any other
-    block, and one that holds a string that does not parse, is decoded
-    line by line, ``coordinates(line, i)`` giving record i's coordinate
-    strings, so an error names the first record that holds the bad
-    string.  Each distinct string that parses is parsed once per file."""
-    diagram = _diagram_of(header)
-    dim, levels = header.dimension, header.levels
+    after its header, which declares ``count`` of them at scale 2**levels.
+    A block of lines that all match ``record``, the line its writer makes,
+    takes one pattern pass, the pattern's one group holding a record's
+    coordinate strings joined by ``sep``.  Any other block, and one that
+    holds a string that does not parse, is decoded line by line,
+    ``coordinates(line, i)`` giving record i's coordinate strings, so an
+    error names the first record that holds the bad string.  Each distinct
+    string that parses is parsed once per file."""
+    dim = diagram.dim
     known: dict[str, int] = {}
     blocks: list[np.ndarray] = []
     i = 0
@@ -288,7 +275,7 @@ def _read_records(fh, header: CenterFileHeader, record: re.Pattern, sep: str,
         blocks.append(nums)
         i += len(nums) // dim
     nums = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-    return _rebuild(header, diagram, nums.reshape(-1, dim))
+    return _rebuild(diagram, levels, count, nums.reshape(-1, dim))
 
 
 def _match_block(lines: list[str], record: re.Pattern, sep: str, levels: int,
@@ -360,15 +347,15 @@ _JSON_FLOAT = (r"-?(?:0|[1-9][0-9]*)"
 # -- jsonl --------------------------------------------------------------------
 
 def _write_jsonl(s: Scattering, fh) -> None:
-    h = _header_of(s)
     fh.write(json.dumps({
-        "magic": MAGIC.decode(), "version": h.version, "dimension": h.dimension,
-        "count": h.count, "levels": h.levels, "rows": list(h.rows),
+        "magic": MAGIC.decode(), "version": FORMAT_VERSION, "dimension": s.dim,
+        "count": len(s), "levels": s.levels_built,
+        "rows": list(s.diagram.rows),
     }) + "\n")
     # the bytes json.dumps writes: its separators, and floats as repr
     template = ('{"index": %d, "level": %d, "exact": ['
-                + ", ".join(['"%s"'] * h.dimension) + '], "coords": ['
-                + ", ".join(["%s"] * h.dimension) + "]}\n")
+                + ", ".join(['"%s"'] * s.dim) + '], "coords": ['
+                + ", ".join(["%s"] * s.dim) + "]}\n")
     fh.writelines(_text_blocks(s, template, float.__repr__))
 
 
@@ -379,9 +366,9 @@ def _read_jsonl(fh) -> Scattering:
         raise ValueError(f"jsonl header: {exc}") from None
     if type(first) is not dict or first.get("magic") != MAGIC.decode():
         raise ValueError("missing jsonl header record")
-    header = _text_header(first, "jsonl header")
-    return _read_records(fh, header, _jsonl_record(header.dimension), '", "',
-                         _jsonl_exact)
+    dim, count, levels, rows = _text_header(first, "jsonl header")
+    return _read_records(fh, _diagram_of(rows, dim, levels), count, levels,
+                         _jsonl_record(dim), '", "', _jsonl_exact)
 
 
 def _jsonl_record(dim: int) -> re.Pattern:
@@ -411,10 +398,10 @@ def _jsonl_exact(line: str, i: int):
 # -- csv ----------------------------------------------------------------------
 
 def _write_csv(s: Scattering, fh) -> None:
-    h = _header_of(s)
-    fh.write(f"# QUSC v{h.version} dimension={h.dimension} count={h.count} "
-             f"levels={h.levels} rows={','.join(map(str, h.rows))}\n")
-    dim = h.dimension
+    dim = s.dim
+    fh.write(f"# QUSC v{FORMAT_VERSION} dimension={dim} count={len(s)} "
+             f"levels={s.levels_built} "
+             f"rows={','.join(map(str, s.diagram.rows))}\n")
     cols = (["index", "level"] + [f"exact_{i}" for i in range(dim)]
             + [f"coord_{i}" for i in range(dim)])
     fh.write(",".join(cols) + "\n")
@@ -440,10 +427,10 @@ def _read_csv(fh) -> Scattering:
         fields["version"] = tokens[2].lstrip("v")
     fields = {key: ([_csv_int(r) for r in value.split(",")] if key == "rows"
                     else _csv_int(value)) for key, value in fields.items()}
-    header = _text_header(fields, "csv header")
+    dim, count, levels, rows = _text_header(fields, "csv header")
     fh.readline()  # column names
-    dim = header.dimension
-    return _read_records(fh, header, _csv_record(dim), ",",
+    return _read_records(fh, _diagram_of(rows, dim, levels), count, levels,
+                         _csv_record(dim), ",",
                          lambda line, i: line.split(",")[2:2 + dim])
 
 

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EUCLIDEAN, ScaledPoint, YoungDiagram, check_metric
+from .core import (BOUNDARY, EUCLIDEAN, ScaledPoint, YoungDiagram,
+                   check_metric, membership)
 from .scattering import Scattering
 from .search import QueryResult
 
@@ -37,7 +38,6 @@ def brute_boundary(lam: YoungDiagram, k: int = 0,
     total = lam.boxes * scale
     if total > config.max_total_boxes:
         raise ValueError(f"|2^k * diagram| = {total} exceeds cap {config.max_total_boxes}")
-    caps = [c * scale for c in lam.prefix_sums()]
     d = lam.dim
     found: list[tuple[int, ...]] = []
     budget = [config.max_candidates]
@@ -56,23 +56,9 @@ def brute_boundary(lam: YoungDiagram, k: int = 0,
 
     count_down([], total)
 
-    out = set()
-    for vec in found:
-        if sum(vec) != total:
-            continue
-        run = 0
-        ok = True
-        tight = False
-        for i in range(d - 1):
-            run += vec[i]
-            if run > caps[i]:
-                ok = False
-                break
-            if run == caps[i]:
-                tight = True
-        if ok and tight:
-            out.add(ScaledPoint(vec, k))
-    return frozenset(out)
+    # a vector of another sum is outside; skip making its point
+    points = (ScaledPoint(vec, k) for vec in found if sum(vec) == total)
+    return frozenset(p for p in points if membership(p, lam) == BOUNDARY)
 
 
 def _oracle_sq(a, b) -> float:

@@ -167,18 +167,16 @@ class _RowIndex(NamedTuple):
 class CenterTable(NamedTuple):
     """The search index of a center sequence, at the scale ``2**levels_built``.
 
-    Row r owns the sequence indices ``members[starts[r]:starts[r + 1]]``,
-    ``starts`` being read from ``spans``.
+    Row r owns the sequence indices ``members[end - size:end]``, where the
+    (2, rows) array ``spans`` holds each row's ``end`` over its ``size``.
     The first ``orbit_rows`` rows are the Weyl orbits whose members are all
     present in the sequence, each exactly once, in the sequence order of
     their dominant members; such a row owns the whole orbit and is keyed by
     that dominant member.  Every other center is a lone row of its own:
     members of partial orbits (a cut or an embedded sequence) and repeats of
     an earlier center.  ``cols`` holds the rows' key centers as float64
-    numerators, column-major: a contiguous (d, rows) array, of which ``mat``
-    is the (rows, d) view.  ``norms`` holds each key center's norm (shared
-    by the whole orbit), and the (2, rows) array ``spans`` each row's end
-    in ``members`` over its size.
+    numerators, column-major: a contiguous (d, rows) array, one column per
+    row.  ``norms`` holds each key center's norm, shared by the whole orbit.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -203,14 +201,6 @@ class CenterTable(NamedTuple):
     zero: int
     lattice: float
     radius: float
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.concatenate(([0], self.spans[0]))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.cols.T
 
 
 class Scattering:

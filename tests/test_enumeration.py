@@ -16,7 +16,7 @@ def check_level_set(ls: LevelSet) -> None:
     for p in ls.points:
         if p.level != ls.level and ls.level > 0:
             raise AssertionError(f"{p} is not new at level {ls.level}")
-        if not p.is_dominant():
+        if list(p.numerators) != sorted(p.numerators, reverse=True):
             raise AssertionError(f"{p} is not dominant")
         if membership(p, ls.diagram) != BOUNDARY:
             raise AssertionError(f"{p} is not a boundary point")

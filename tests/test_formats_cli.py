@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -834,6 +835,32 @@ class TestCliQuery:
         assert len(head) == 300
         assert err == b""
 
+    @pytest.mark.parametrize("command,code", [
+        ("generate", 0), ("verify", 0), ("verify-failing", 3), ("embed", 0)])
+    def test_closed_stdout_ends_every_command_quietly(self, centers_file,
+                                                      tmp_path, command, code):
+        """Whatever it writes, a command whose stdout reader is gone ends
+        with the exit code it would have had, and no traceback."""
+        failing = tmp_path / "ratio.bin"
+        write_scattering(three_centers(2), failing, "binary")
+        argv = {
+            "generate": ["generate", "--lambda", "3,2,1", "--levels", "1",
+                         "--out", str(tmp_path / "g.bin")],
+            "verify": ["verify", "--centers", str(centers_file),
+                       "--stride", "1"],
+            "verify-failing": ["verify", "--centers", str(failing)],
+            "embed": ["embed", "--centers", str(centers_file),
+                      "--out", str(tmp_path / "e.bin")]}[command]
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "qusc.cli", *argv],
+                                  stdout=stdout, stderr=subprocess.PIPE,
+                                  timeout=120)
+        assert proc.returncode == code
+        assert b"Traceback" not in proc.stderr
+        assert (proc.stderr == b"") == (code == 0)
+
     def test_stdin_stream_keeps_order(self, centers_file, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("1,1,1,1\n2,1,1,0\n"))
@@ -843,7 +870,28 @@ class TestCliQuery:
             [[1, 1, 1, 1], [2, 1, 1, 0]]
 
 
+def three_centers(spread: int) -> Scattering:
+    """Three centers whose squared nearest-neighbour numerators are 10**10
+    and 4 * 10**10 + (spread - 1)**2: a prefix ratio of exactly 2 for
+    spread 1, and of 2.000000000025 for spread 2."""
+    return Scattering(YoungDiagram((300001, 0)), 0,
+                      [(1, 1), (100001, 1), (300001, spread)], [0])
+
+
 class TestCliVerify:
+    def test_ratio_decided_exactly(self, tmp_path, capsys):
+        """A ratio within 1e-9 of 2 fails when it is above 2, and one of
+        exactly 2 passes."""
+        path = tmp_path / "ratio.bin"
+        write_scattering(three_centers(2), path, "binary")
+        assert run_cli("verify", "--centers", str(path)) == 3
+        out, err = capsys.readouterr()
+        assert 2.0 < json.loads(out)["euclidean_exponent"] < 2.0 + 1e-9
+        assert "euclidean ratio 2.000000000025 exceeds 2" in err
+        write_scattering(three_centers(1), path, "binary")
+        assert run_cli("verify", "--centers", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["euclidean_exponent"] == 2.0
+
     def test_passes_to_level2(self, scatterings, tmp_path, capsys):
         path = tmp_path / "c.bin"
         write_scattering(scatterings[(2, 1, 1), 2], path, "binary")

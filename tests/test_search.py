@@ -145,24 +145,6 @@ class TestFaceProjection:
                         for _ in range(d)), reverse=True)
                 for _ in range(count)]
 
-    @staticmethod
-    def blocks(rows, j):
-        return ((0, j, rows[:j]), (j, len(rows), rows[j:]))
-
-    @pytest.mark.parametrize("rows,level", CASES)
-    def test_blocks_majorized_with_exact_sums(self, rows, level, diagrams):
-        lam = diagrams[rows]
-        scaled = [r << level for r in lam.rows]
-        for g in self.queries(rows, level, 40):
-            for j in range(1, lam.dim):
-                p = _face_clamp(g, j, scaled)
-                tol = 1e-9 * (1.0 + max(abs(v) for v in g))
-                for lo, hi, w in self.blocks(scaled, j):
-                    block = sorted(p[lo:hi], reverse=True)
-                    assert sum(block) == pytest.approx(sum(w), abs=tol)
-                    for t in range(1, len(w)):
-                        assert sum(block[:t]) <= sum(w[:t]) + tol
-
     @pytest.mark.parametrize("rows,level", CASES)
     def test_pythagoras_against_tight_centers(self, rows, level, diagrams,
                                               scatterings):
@@ -311,7 +293,7 @@ class TestOracleAgreement:
     def magnitude_sequences(self, scatterings):
         """(3,2,1) L1 whole, cut inside an orbit, with every 7th center
         repeated, embedded, and with its numerators times 2**40 and times
-        10**12; and the level-0 codebooks at d = 7 and d = 9."""
+        10**12; and the level-0 codebooks at d = 7, 8 and 9."""
         s = scatterings[(3, 2, 1), 1]
         return {"complete": s,
                 "cut": build_scattering(s.diagram, 1, max_points=50),
@@ -324,24 +306,28 @@ class TestOracleAgreement:
                                           s.level_offsets),
                 "d7": build_scattering(
                     YoungDiagram.from_rows((3, 2, 1, 1, 1, 1)), 0),
+                "d8": build_scattering(
+                    YoungDiagram.from_rows((2, 2, 1, 1, 1, 1, 1)), 0),
                 "d9": build_scattering(
                     YoungDiagram.from_rows((2, 1, 1, 1, 1, 1, 1, 1)), 0)}
 
     @given(data=st.data(),
            base=st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False),
                          min_size=9, max_size=9),
-           exp=st.integers(min_value=-1070, max_value=460),
+           exp=st.integers(min_value=-1070, max_value=510),
            metric=st.sampled_from(["euclidean", "cosine"]),
            kind=st.sampled_from(["complete", "cut", "duplicated", "embedded",
-                                 "times-2^40", "times-10^12", "d7", "d9"]),
+                                 "times-2^40", "times-10^12", "d7", "d8",
+                                 "d9"]),
            point=st.sampled_from(["scaled", "midpoint", "nudged"]))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_magnitudes(self, magnitude_sequences, data, base, exp,
                                    metric, kind, point):
-        """Queries from subnormal to about 2**463, exact midpoints of two
+        """Queries from subnormal to about 2**513, exact midpoints of two
         centers and their 1-ulp nudges, where the tie order alone decides,
         with k from 1 to every center: exactly as the full scan ranks them,
-        tie order included."""
+        tie order included.  A query is refused only as too large, and only
+        where the overflow gate's own condition holds for it."""
         s = magnitude_sequences[kind]
         if point == "scaled":
             e = [math.ldexp(v, exp) for v in base[:s.dim]]
@@ -355,7 +341,16 @@ class TestOracleAgreement:
                     st.sampled_from([-math.inf, math.inf])))
         assume(any(e))
         k = data.draw(st.one_of(st.integers(1, 4), st.integers(1, len(s))))
-        assert nearest_center(e, s, k, metric) == brute_nearest(e, s, k, metric)
+        try:
+            res = nearest_center(e, s, k, metric)
+        except ValueError as exc:
+            assert "query is too large" in str(exc)
+            table = s.dominant_table()
+            reach = math.hypot(*e) * table.lattice + table.radius
+            assert not math.isfinite(sum(v * v for v in e)) or (
+                metric == "euclidean" and not math.isfinite(64.0 * reach * reach))
+            return
+        assert res == brute_nearest(e, s, k, metric)
 
 
 class TestTieBreaking:
@@ -484,7 +479,7 @@ class TestPartialSequences:
             s = build_scattering(full.diagram, 3, max_points=n)
             self.assert_matches(s, queries, (1, 5))
             table = s.dominant_table()
-            assert len(table.starts) - 1 > table.orbit_rows  # some lone rows
+            assert table.spans.shape[1] > table.orbit_rows  # some lone rows
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -509,8 +504,9 @@ class TestPartialSequences:
     def test_complete_sequence_has_no_lone_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert len(table.starts) - 1 == table.orbit_rows
-            assert table.orbit_rows == sum(c.is_dominant() for c in s.centers)
+            assert table.spans.shape[1] == table.orbit_rows
+            assert table.orbit_rows == sum(
+                list(n) == sorted(n, reverse=True) for n in s.numerators.tolist())
 
 
 def distinct_perms(values):
@@ -597,11 +593,12 @@ def assert_table_matches_reference(s):
     rows = s.numerators.tolist()
     orbit_rows, groups, keys = reference_table(rows)
     t = s.dominant_table()
+    starts, mat = np.concatenate(([0], t.spans[0])), t.cols.T.tolist()
     assert t.orbit_rows == orbit_rows
     assert [t.members[a:b].tolist()
-            for a, b in zip(t.starts[:-1], t.starts[1:])] == groups
-    assert t.mat.tolist() == [[float(v) for v in r] for r in keys]
-    np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in t.mat.tolist()],
+            for a, b in zip(starts[:-1], starts[1:])] == groups
+    assert mat == [[float(v) for v in r] for r in keys]
+    np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in mat],
                                rtol=1e-15)
     assert t.tie.tolist() == reference_tie(rows)
     assert t.tie.dtype.itemsize <= 4
@@ -632,13 +629,14 @@ class TestCenterTable:
     def test_rows_partition_the_sequence(self, diagrams, scatterings, kind):
         s = self.sequences(diagrams, scatterings)[kind]
         table = s.dominant_table()
+        starts, mat = np.concatenate(([0], table.spans[0])), table.cols.T
         assert sorted(table.members.tolist()) == list(range(len(s)))
-        assert table.starts[0] == 0 and table.starts[-1] == len(s)
-        assert len(table.starts) - 1 == len(table.mat) == len(table.norms)
+        assert starts[0] == 0 and starts[-1] == len(s)
+        assert len(starts) - 1 == len(mat) == len(table.norms)
         rows = s.numerators.tolist()
-        for r in range(len(table.mat)):
-            group = table.members[table.starts[r]:table.starts[r + 1]].tolist()
-            key = tuple(int(v) for v in table.mat[r])
+        for r in range(len(mat)):
+            group = table.members[starts[r]:starts[r + 1]].tolist()
+            key = tuple(int(v) for v in mat[r])
             if r < table.orbit_rows:
                 assert key == tuple(sorted(key, reverse=True))
                 orbit = set(itertools.permutations(key))
@@ -646,7 +644,7 @@ class TestCenterTable:
                 assert {tuple(rows[i]) for i in group} == orbit
             else:
                 assert len(group) == 1 and tuple(rows[group[0]]) == key
-        lone = len(table.mat) - table.orbit_rows
+        lone = len(mat) - table.orbit_rows
         if kind == "cut":  # the members of the orbit the cut falls inside
             assert 0 < lone < len(s)
         else:
@@ -684,8 +682,9 @@ class TestCenterTable:
                 s = embed_scattering(s)
         t = s.dominant_table()
         h = hashlib.sha256(str(t.orbit_rows).encode())
-        for part, dtype in ((t.members, "<i8"), (t.starts, "<i8"),
-                            (t.mat, "<f8"), (t.norms, "<f8")):
+        for part, dtype in ((t.members, "<i8"),
+                            (np.concatenate(([0], t.spans[0])), "<i8"),
+                            (t.cols.T, "<f8"), (t.norms, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
 
@@ -720,7 +719,7 @@ class TestCenterTable:
         assert_table_matches_reference(shifted)
         t, u = s.dominant_table(), shifted.dominant_table()
         assert t.orbit_rows == u.orbit_rows
-        assert (t.members == u.members).all() and (t.starts == u.starts).all()
+        assert (t.members == u.members).all() and (t.spans == u.spans).all()
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_large_orbits_match_brute(self, metric):
