@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -24,6 +25,26 @@ class TestBruteBoundary:
         assert fresh == frozenset({ScaledPoint((4, 2, 1, 1), 1),
                                    ScaledPoint((3, 3, 2, 0), 1),
                                    ScaledPoint((3, 3, 1, 1), 1)})
+
+    @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1), (2, 2, 1, 1),
+                                      (3, 3), (4, 1), (1,)])
+    def test_matches_prefix_sum_reference(self, rows):
+        """The membership filter keeps exactly the weakly decreasing vectors
+        of the right sum whose prefix sums stay under the scaled diagram's
+        and meet it at least once before the last coordinate."""
+        lam = YoungDiagram.from_rows(rows)
+        for k in range(3):
+            total = lam.boxes << k
+            caps = [c << k for c in lam.prefix_sums()]
+            want = set()
+            for vec in itertools.combinations_with_replacement(
+                    range(total, -1, -1), lam.dim):
+                runs = list(itertools.accumulate(vec))[:-1]
+                if (sum(vec) == total
+                        and all(r <= c for r, c in zip(runs, caps))
+                        and any(r == c for r, c in zip(runs, caps))):
+                    want.add(ScaledPoint(vec, k))
+            assert brute_boundary(lam, k) == want
 
     def test_cap_enforced(self):
         lam = YoungDiagram.from_rows((2, 1, 1))
