@@ -8,7 +8,6 @@ so agreement with the fast path is meaningful evidence.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ from .search import QueryResult
 class OracleConfig:
     max_total_boxes: int = 48
     max_candidates: int = 10_000_000
-    seed: int = 0
 
 
 DEFAULT = OracleConfig()
@@ -108,44 +106,6 @@ def brute_nearest(e: Sequence[float], centers, k: int,
     rows = np.array([pts[i].numerators_at(level) for i in top], dtype=np.int64)
     return QueryResult(top, [dist for *_, dist in scored[:k]], rows, level,
                        metric, q, len(pts))
-
-
-def sample_queries(lam: YoungDiagram, count: int,
-                   config: OracleConfig = DEFAULT) -> list[list[float]]:
-    """Deterministic query cloud for cross-checks: box points around the
-    polytope, centers with noise, far gaussians, exact vertices and
-    half-integer wall points."""
-    rng = random.Random(config.seed)
-    top = lam.rows[0]
-    d = lam.dim
-    vertex = list(map(float, lam.rows))
-    out = []
-    while len(out) < count:
-        kind = len(out) % 5
-        if kind == 0:
-            e = [rng.uniform(-0.5, top + 0.5) for _ in range(d)]
-        elif kind == 1:
-            e = [v + rng.gauss(0, 0.3) for v in vertex]
-            rng.shuffle(e)
-        elif kind == 2:
-            e = [rng.gauss(0, 1) * 5 for _ in range(d)]
-        elif kind == 3:
-            e = vertex[:]
-            rng.shuffle(e)
-        else:
-            e = [round(rng.uniform(0, top) * 2) / 2.0 for _ in range(d)]
-        if any(abs(v) > 1e-9 for v in e):
-            out.append(e)
-    return out
-
-
-def brute_nn_distances(points: Sequence[ScaledPoint]) -> list[float]:
-    """Exact all-pairs nearest-neighbor distance for each point of a prefix."""
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    sq, level = brute_nn_sq_numerators(points)
-    den = 1 << level
-    return [math.sqrt(v) / den for v in sq]
 
 
 def brute_nn_sq_numerators(points: Sequence[ScaledPoint]) -> tuple[list[int], int]:

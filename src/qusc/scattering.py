@@ -9,7 +9,7 @@ is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -442,7 +442,7 @@ class UniformityReport:
     euclidean_exponent: float
     cosine_exponent: float
     shape_ratio: float
-    cosine_exponent_bound: float = field(default=float("nan"))
+    cosine_exponent_bound: float
 
 
 def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport:

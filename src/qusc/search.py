@@ -115,45 +115,6 @@ class QueryResult:
                 f"candidates_examined={self.candidates_examined!r})")
 
 
-# -- convex geometry helpers -------------------------------------------------
-# No search path calls these since euclidean search ranks the dominant table;
-# ROADMAP's "Smaller surface" item schedules their removal.
-
-def _pava_nonincreasing(x: Sequence[float]) -> list[float]:
-    """L2 projection onto weakly decreasing vectors (pool adjacent violators)."""
-    sums: list[float] = []
-    counts: list[int] = []
-    for v in reversed(x):
-        s, c = v, 1
-        while sums and sums[-1] * c > s * counts[-1]:
-            s += sums.pop()
-            c += counts.pop()
-        sums.append(s)
-        counts.append(c)
-    out: list[float] = []
-    for s, c in zip(sums, counts):
-        out.extend([s / c] * c)
-    out.reverse()
-    return out
-
-
-def _face_clamp(g: Sequence[float], j: int, rows: Sequence[int]) -> list[float]:
-    """Nearest point to the sorted query g of P(rows[:j]) x P(rows[j:]), the
-    product of the permutahedra of the two row blocks split at prefix j.
-
-    Every dominant center tight at prefix j lies in this set: each block is
-    majorized by its rows, and only the cross-block order x_j >= x_{j+1} is
-    dropped.  Projecting onto a permutahedron is one pool-adjacent-violators
-    pass on the sorted block minus its rows (Blondel et al. 2020, "Fast
-    Differentiable Sorting and Ranking"); the blocks of g are already sorted.
-    """
-    out: list[float] = []
-    for lo, hi in ((0, j), (j, len(g))):
-        v = _pava_nonincreasing([g[i] - rows[i] for i in range(lo, hi)])
-        out.extend(g[i] - vi for i, vi in zip(range(lo, hi), v))
-    return out
-
-
 # -- block search ------------------------------------------------------------
 
 # Elements of one chunk's (queries, table rows) key matrix, and about the
@@ -243,16 +204,16 @@ def _check_k(k) -> int:
 
 def _check_rows(q: np.ndarray, table, metric: str) -> None:
     """The per-query checks, row by row, naming the first bad row: finite
-    coordinates whose sum of squares does not overflow, and for euclidean
-    search none at the table's lattice scale either."""
+    coordinates, and for euclidean search a sum of squares that does not
+    overflow at the table's lattice scale.  Cosine search rescales each
+    query by a power of two before squaring it, so no finite query is too
+    large for it."""
     for r, row in enumerate(q.tolist()):
         if not all(math.isfinite(v) for v in row):
             raise ValueError(f"query has a non-finite coordinate: {row} (row {r})")
-        if not math.isfinite(sum(v * v for v in row)):
-            raise ValueError("query is too large: its sum of squares overflows "
-                             f"(row {r})")
         # the search squares distances to the table's key centers at the
-        # lattice scale; none of those squares exceeds 64 * reach**2
+        # lattice scale; none of those squares exceeds 64 * reach**2, which
+        # bounds the query's own sum of squares too, as the lattice is >= 1
         reach = math.hypot(*row) * table.lattice + table.radius
         if metric == EUCLIDEAN and not math.isfinite(64.0 * reach * reach):
             raise ValueError("query is too large: its sum of squares overflows "
@@ -266,8 +227,10 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
     The block is searched in chunks of queries whose key matrix against the
     center table stays within a fixed number of elements.  An invalid block
-    raises ValueError naming its first bad row; a k that is not an integer
-    of at least 1 raises ValueError.
+    raises ValueError naming its first bad row: a non-finite coordinate, a
+    zero cosine query, or a euclidean query whose squares overflow at the
+    table's lattice scale; only euclidean search refuses a query for its
+    size.  A k that is not an integer of at least 1 raises ValueError.
     """
     check_metric(metric)
     k = _check_k(k)
@@ -286,7 +249,7 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         return []
     # only a block that could fail a check is checked row by row: the
     # block's norm bounds every row's, and is not finite when a row is not
-    reach = float(np.hypot.reduce(q.ravel())) * table.lattice + table.radius
+    reach = math.sqrt(float(np.vdot(q, q))) * table.lattice + table.radius
     if not math.isfinite(128.0 * reach * reach):
         _check_rows(q, table, metric)
     if metric == EUCLIDEAN:

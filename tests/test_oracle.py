@@ -4,8 +4,7 @@ import math
 import pytest
 
 from qusc import ScaledPoint, YoungDiagram, brute_nearest, build_scattering
-from qusc.oracle import (OracleConfig, brute_boundary, brute_nn_distances,
-                         brute_nn_sq_numerators, sample_queries)
+from qusc.oracle import OracleConfig, brute_boundary, brute_nn_sq_numerators
 
 
 class TestBruteBoundary:
@@ -82,29 +81,19 @@ class TestBruteNNDistances:
     def test_level0_all_sqrt2(self):
         # the Weyl orbit of (2, 1, 1, 0)
         pts = build_scattering(YoungDiagram.from_rows((2, 1, 1)), 0).centers
-        dists = brute_nn_distances(pts)
+        sq, level = brute_nn_sq_numerators(pts)
+        dists = [math.sqrt(v) / 2 ** level for v in sq]
         assert len(dists) == 12
         for d in dists:
             assert d == pytest.approx(math.sqrt(2))
-        sq, level = brute_nn_sq_numerators(pts)
         assert set(sq) == {2} and level == 0
 
     def test_two_points(self):
         pts = [ScaledPoint((2, 1, 1, 0)), ScaledPoint((0, 1, 1, 2))]
-        dists = brute_nn_distances(pts)
+        sq, level = brute_nn_sq_numerators(pts)
+        dists = [math.sqrt(v) / 2 ** level for v in sq]
         assert dists[0] == dists[1] == pytest.approx(math.sqrt(8))
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            brute_nn_distances([ScaledPoint((2, 1, 1, 0))])
-
-
-class TestSampleQueries:
-    def test_deterministic_given_seed(self):
-        lam = YoungDiagram.from_rows((3, 2, 1))
-        a = sample_queries(lam, 50, OracleConfig(seed=7))
-        b = sample_queries(lam, 50, OracleConfig(seed=7))
-        c = sample_queries(lam, 50, OracleConfig(seed=8))
-        assert a == b
-        assert a != c
-        assert all(len(q) == lam.dim for q in a)
+            brute_nn_sq_numerators([ScaledPoint((2, 1, 1, 0))])

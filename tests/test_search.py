@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 import types
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
-from qusc.search import _colsum, _face_clamp
+from qusc.search import _colsum
 
 
 def from_points(diagram, levels, points, offsets):
@@ -97,8 +98,13 @@ class TestNearestCenterExamples:
         (-float("inf"), "non-finite"), (1e300, "overflows")])
     def test_rejects_nonfinite_or_overflowing_query(self, scatterings, search,
                                                     bad, message):
+        e, s = (bad, 1.0, 1.0, 1.0), scatterings[(2, 1, 1), 1]
+        if search is cosine_nearest and math.isfinite(bad):
+            # cosine search is scale-free: no finite query is too large
+            assert search(e, s, 1) == brute_nearest(e, s, 1, "cosine")
+            return
         with pytest.raises(ValueError, match=message):
-            search((bad, 1.0, 1.0, 1.0), scatterings[(2, 1, 1), 1], 1)
+            search(e, s, 1)
 
 
 @pytest.mark.parametrize("levels", [0, 3])
@@ -115,9 +121,9 @@ def test_huge_queries_match_brute(diagrams, levels):
 
 
 def test_query_too_large_at_scattering_scale(diagrams, scatterings):
-    """A query that passes the plain overflow check but whose squares
-    overflow at the lattice scale is rejected by euclidean search and
-    answered by the scale-free cosine search."""
+    """A query whose sum of squares is finite but overflows at the lattice
+    scale is rejected by euclidean search and answered by the scale-free
+    cosine search."""
     deep = build_scattering(diagrams[(3, 2, 1)], 5)
     cases = [(deep, 5e152), (deep, 1e154), (scatterings[(3, 2, 1), 1], 1e154),
              (scatterings[(3, 2, 1), 2], 1e154)]
@@ -128,43 +134,6 @@ def test_query_too_large_at_scattering_scale(diagrams, scatterings):
         res, ref = cosine_nearest(e, s, 4), brute_nearest(e, s, 4, "cosine")
         assert (res.indices, res.distances) == (ref.indices, ref.distances)
         assert res.candidates_examined < len(s)
-
-
-class TestFaceProjection:
-    """_face_clamp is the exact projection onto P(rows[:j]) x P(rows[j:])."""
-
-    CASES = [(rows, level) for rows in ((2, 1, 1), (3, 2, 1), (2, 2, 1, 1))
-             for level in (0, 1, 2)]
-
-    @staticmethod
-    def queries(rows, level, count):
-        rng = random.Random(hash((rows, level)) & 0xFFFF)
-        scale = 1 << level
-        d = len(rows) + 1
-        return [sorted((rng.uniform(-2.0, rows[0] + 2.0) * scale
-                        for _ in range(d)), reverse=True)
-                for _ in range(count)]
-
-    @pytest.mark.parametrize("rows,level", CASES)
-    def test_pythagoras_against_tight_centers(self, rows, level, diagrams,
-                                              scatterings):
-        lam = diagrams[rows]
-        scaled = [r << level for r in lam.rows]
-        caps = [c << level for c in lam.prefix_sums()]
-        dominant = [t for t in (c.numerators_at(level)
-                                for c in scatterings[rows, level].centers)
-                    if list(t) == sorted(t, reverse=True)]
-        for g in self.queries(rows, level, 15):
-            g2 = sum(v * v for v in g)
-            for j in range(1, lam.dim):
-                p = _face_clamp(g, j, scaled)
-                gp = sum((a - b) ** 2 for a, b in zip(g, p))
-                tight = [y for y in dominant if sum(y[:j]) == caps[j - 1]]
-                assert tight
-                for y in tight:
-                    gy = sum((a - b) ** 2 for a, b in zip(g, y))
-                    py = sum((a - b) ** 2 for a, b in zip(p, y))
-                    assert gy >= gp + py - 1e-9 * (1.0 + g2), (g, j, y)
 
 
 class TestCosine:
@@ -255,6 +224,11 @@ class TestCosine:
         assert res.candidates_examined < len(s)
 
 
+MAGNITUDE_KINDS = ["complete", "cut", "duplicated", "embedded", "times-2^40",
+                   "times-10^12", "times-2^59", "times-2^60-1", "d7", "d8",
+                   "d9"]
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1), (2, 2, 1, 1)])
     @pytest.mark.parametrize("levels", [0, 1, 2])
@@ -292,8 +266,10 @@ class TestOracleAgreement:
     @pytest.fixture(scope="class")
     def magnitude_sequences(self, scatterings):
         """(3,2,1) L1 whole, cut inside an orbit, with every 7th center
-        repeated, embedded, and with its numerators times 2**40 and times
-        10**12; and the level-0 codebooks at d = 7, 8 and 9."""
+        repeated, embedded, and with its numerators times 2**40, 10**12,
+        2**59 and 2**60 - 1 (up to about 6.9e18, near the int64 limit; the
+        odd factor leaves no nonzero numerator exact in float64); and the
+        level-0 codebooks at d = 7, 8 and 9."""
         s = scatterings[(3, 2, 1), 1]
         return {"complete": s,
                 "cut": build_scattering(s.diagram, 1, max_points=50),
@@ -304,6 +280,11 @@ class TestOracleAgreement:
                                          s.level_offsets),
                 "times-10^12": Scattering(s.diagram, 1, s.numerators * 10 ** 12,
                                           s.level_offsets),
+                "times-2^59": Scattering(s.diagram, 1, s.numerators << 59,
+                                         s.level_offsets),
+                "times-2^60-1": Scattering(s.diagram, 1,
+                                           s.numerators * (2 ** 60 - 1),
+                                           s.level_offsets),
                 "d7": build_scattering(
                     YoungDiagram.from_rows((3, 2, 1, 1, 1, 1)), 0),
                 "d8": build_scattering(
@@ -316,9 +297,7 @@ class TestOracleAgreement:
                          min_size=9, max_size=9),
            exp=st.integers(min_value=-1070, max_value=510),
            metric=st.sampled_from(["euclidean", "cosine"]),
-           kind=st.sampled_from(["complete", "cut", "duplicated", "embedded",
-                                 "times-2^40", "times-10^12", "d7", "d8",
-                                 "d9"]),
+           kind=st.sampled_from(MAGNITUDE_KINDS),
            point=st.sampled_from(["scaled", "midpoint", "nudged"]))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_magnitudes(self, magnitude_sequences, data, base, exp,
@@ -326,8 +305,9 @@ class TestOracleAgreement:
         """Queries from subnormal to about 2**513, exact midpoints of two
         centers and their 1-ulp nudges, where the tie order alone decides,
         with k from 1 to every center: exactly as the full scan ranks them,
-        tie order included.  A query is refused only as too large, and only
-        where the overflow gate's own condition holds for it."""
+        tie order included.  Only euclidean search refuses a query, as too
+        large, and only where the overflow gate's own condition holds for
+        it."""
         s = magnitude_sequences[kind]
         if point == "scaled":
             e = [math.ldexp(v, exp) for v in base[:s.dim]]
@@ -344,13 +324,32 @@ class TestOracleAgreement:
         try:
             res = nearest_center(e, s, k, metric)
         except ValueError as exc:
-            assert "query is too large" in str(exc)
+            assert metric == "euclidean" and "query is too large" in str(exc)
             table = s.dominant_table()
             reach = math.hypot(*e) * table.lattice + table.radius
-            assert not math.isfinite(sum(v * v for v in e)) or (
-                metric == "euclidean" and not math.isfinite(64.0 * reach * reach))
+            assert not math.isfinite(64.0 * reach * reach)
             return
         assert res == brute_nearest(e, s, k, metric)
+
+    @pytest.mark.parametrize("kind", MAGNITUDE_KINDS)
+    def test_cosine_past_the_overflow_gate(self, magnitude_sequences, kind):
+        """Cosine search is scale-free: queries whose sum of squares
+        overflows, from 2**600 up to the largest float, are answered as the
+        full scan answers them, one by one and as a block."""
+        s = magnitude_sequences[kind]
+        rng = random.Random(kind)
+        queries = [[sys.float_info.max, 1e308, -1e308] + [1e-300] * (s.dim - 3)]
+        for exp in (601, 700, 850, 1000, 1024):
+            a, b = (rng.choice(s.centers).values() for _ in range(2))
+            for e in ([rng.uniform(-1.0, 1.0) for _ in range(s.dim)], a,
+                      [(x + y) / 2 for x, y in zip(a, b)]):
+                # the largest coordinate lies in [2**(exp - 1), 2**exp)
+                shift = exp - math.frexp(max(map(abs, e)))[1]
+                queries.append([math.ldexp(v, shift) for v in e])
+        for k in (1, 4, len(s)):
+            ref = [brute_nearest(e, s, k, "cosine") for e in queries]
+            assert [cosine_nearest(e, s, k) for e in queries] == ref, k
+            assert nearest_centers(queries, s, k, "cosine") == ref, k
 
 
 class TestTieBreaking:
@@ -840,14 +839,21 @@ class TestBlockSearch:
         with pytest.raises(ValueError, match="query dim 3 != scattering dim 4"):
             nearest_centers([[1.0, 1.0, 1.0]], s)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("bad,message", [
         (float("nan"), "non-finite"), (float("inf"), "non-finite"),
-        (1e300, "overflows")])
+        (1e300, "overflows"), (1.7976931348623157e308, "overflows")])
     def test_bad_row_is_named(self, scatterings, metric, bad, message):
+        """A refused block names its first bad row, and numpy warns of
+        nothing on the way.  Cosine search refuses no finite query."""
         s = scatterings[(2, 1, 1), 1]
         block = [[1.0, 1.0, 1.0, 1.0]] * 5
-        block[3] = [1.0, bad, 1.0, 1.0]
+        block[3] = [1.0, bad, -bad, 1.0]
+        if metric == "cosine" and math.isfinite(bad):
+            assert nearest_centers(block, s, 2, metric) == \
+                [brute_nearest(e, s, 2, metric) for e in block]
+            return
         with pytest.raises(ValueError, match=rf"{message}.*\(row 3\)"):
             nearest_centers(block, s, 2, metric)
 
