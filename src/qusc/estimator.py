@@ -10,11 +10,10 @@ from .scattering import build_scattering
 from .search import nearest_centers
 
 
-def _check_matrix(X) -> np.ndarray:
+def _check_matrix(X):
     """X as a query block: a single query becomes a block of one.  The search
-    checks the block's shape and values."""
-    arr = np.asarray(X, dtype=float)
-    return arr[None, :] if arr.ndim == 1 else arr
+    converts the block to floats and checks its shape and values."""
+    return [X] if np.ndim(X) == 1 else X
 
 
 class ScatteringNeighbors:
@@ -61,14 +60,13 @@ class ScatteringNeighbors:
         per query row."""
         if not hasattr(self, "scattering_"):
             raise ValueError("call fit() before querying")
-        arr = _check_matrix(X)
         # the search checks n_neighbors and answers at most n_centers_ each
-        results = nearest_centers(arr, self.scattering_, n_neighbors,
-                                  self.metric)
+        results = nearest_centers(_check_matrix(X), self.scattering_,
+                                  n_neighbors, self.metric)
         k = min(n_neighbors, self.n_centers_)
         dist = np.array([res.distances for res in results], dtype=float)
         idx = np.array([res.indices for res in results], dtype=np.int64)
-        return dist.reshape(len(arr), k), idx.reshape(len(arr), k)
+        return dist.reshape(len(results), k), idx.reshape(len(results), k)
 
     def predict(self, X):
         """Index of the nearest center for each query row."""

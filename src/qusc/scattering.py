@@ -152,20 +152,8 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     return level - np.where(low == 0, level, np.minimum(twos, level))
 
 
-class _RowIndex(NamedTuple):
-    """The distinct packed row keys of a sequence whose entries lie in
-    [low, high], in ascending order, and the first sequence position of
-    each; and each center's place in a full scan's tie order."""
-
-    low: int
-    high: int
-    distinct: np.ndarray
-    first: np.ndarray
-    tie: np.ndarray
-
-
 class CenterTable(NamedTuple):
-    """The search index of a center sequence, at the scale ``2**levels_built``.
+    """The index of a center sequence, behind the search and ``index_of``.
 
     Row r owns the sequence indices ``members[end - size:end]``, where the
     (2, rows) array ``spans`` holds each row's ``end`` over its ``size``.
@@ -175,8 +163,9 @@ class CenterTable(NamedTuple):
     that dominant member.  Every other center is a lone row of its own:
     members of partial orbits (a cut or an embedded sequence) and repeats of
     an earlier center.  ``cols`` holds the rows' key centers as float64
-    numerators, column-major: a contiguous (d, rows) array, one column per
-    row.  ``norms`` holds each key center's norm, shared by the whole orbit.
+    values, the numerators over ``lattice``, column-major: a contiguous
+    (d, rows) array, one column per row.  ``norms`` holds each key center's
+    norm, shared by the whole orbit.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -185,11 +174,13 @@ class CenterTable(NamedTuple):
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
 
-    The table is built from the sequence's packed row keys in a few linear
-    passes: each center's orbit is the key of its values sorted descending,
-    looked up among the keys of the dominant first occurrences, and an
-    orbit is whole when it counts as many distinct members as its
-    multinomial size.
+    The table is built from the sequence's packed row keys over [``low``,
+    ``high``], the numerators' range.  One stable sort of them gives the
+    tie order, the ``distinct`` keys in ascending order and the ``first``
+    sequence index of each.  Then, in a few linear passes, each center's
+    orbit is the key of its values sorted descending, looked up among the
+    keys of the dominant first occurrences, and an orbit is whole when it
+    counts as many distinct members as its multinomial size.
     """
 
     members: np.ndarray
@@ -201,6 +192,10 @@ class CenterTable(NamedTuple):
     zero: int
     lattice: float
     radius: float
+    low: int
+    high: int
+    distinct: np.ndarray
+    first: np.ndarray
 
 
 class Scattering:
@@ -236,7 +231,6 @@ class Scattering:
         self.centers = PointView(nums, levels_built)
         self.numerators = self.centers.numerators
         self.level_offsets = tuple(level_offsets)
-        self._rows = None
         self._table = None
 
     def __len__(self):
@@ -250,11 +244,28 @@ class Scattering:
         """The centers' float coordinates, one row each."""
         return self.numerators / float(1 << self.levels_built)
 
-    def _row_index(self) -> _RowIndex:
-        """The packed row keys behind ``index_of`` and the table: one
-        stable sort, near-linear on the descending-lex runs of the level
-        blocks."""
-        if self._rows is None:
+    def index_of(self, p: ScaledPoint):
+        """The first sequence position of p, or None when p is no center."""
+        if p.dim != self.dim or p.level > self.levels_built:
+            return None
+        row = p.numerators_at(self.levels_built)
+        table = self.dominant_table()
+        if min(row) < table.low or max(row) > table.high:
+            return None
+        probe = _pack_rows(np.array([row], dtype=np.int64), table.low, table.high)
+        at = int(table.distinct.searchsorted(probe[0]))
+        found = at < len(table.distinct) and table.distinct[at] == probe[0]
+        return int(table.first[at]) if found else None
+
+    def level_blocks(self) -> list[tuple[int, int]]:
+        bounds = list(self.level_offsets) + [len(self)]
+        return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
+
+    def dominant_table(self) -> CenterTable:
+        """The index of this sequence, built on first use (the first query
+        or ``index_of``) and cached; its one sort of the row keys is
+        near-linear on the descending-lex runs of the level blocks."""
+        if self._table is None:
             nums = self.numerators
             n = len(nums)
             low, high = (int(nums.min()), int(nums.max())) if nums.size else (0, 0)
@@ -264,44 +275,19 @@ class Scattering:
             new = np.ones(n, dtype=np.bool_)
             new[1:] = ranked[1:] != ranked[:-1]
             # the tie order reverses the sort's runs of equal keys and keeps
-            # each run's ascending sequence indices: the run at [at, end)
-            # moves to [n - end, n - at)
-            at = np.flatnonzero(new)
-            end = np.append(at[1:], n)
-            place = (n - at - end).repeat(end - at)
+            # each run's ascending sequence indices: the run at [start, end)
+            # moves to [n - end, n - start)
+            start = np.flatnonzero(new)
+            end = np.append(start[1:], n)
+            place = (n - start - end).repeat(end - start)
             place += np.arange(n)
             tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
             tie[order] = place
-            self._rows = _RowIndex(low, high, ranked[new], order[new], tie)
-        return self._rows
-
-    def index_of(self, p: ScaledPoint):
-        """The first sequence position of p, or None when p is no center."""
-        if p.dim != self.dim or p.level > self.levels_built:
-            return None
-        row = p.numerators_at(self.levels_built)
-        rows = self._row_index()
-        if min(row) < rows.low or max(row) > rows.high:
-            return None
-        probe = _pack_rows(np.array([row], dtype=np.int64), rows.low, rows.high)
-        at = int(rows.distinct.searchsorted(probe[0]))
-        found = at < len(rows.distinct) and rows.distinct[at] == probe[0]
-        return int(rows.first[at]) if found else None
-
-    def level_blocks(self) -> list[tuple[int, int]]:
-        bounds = list(self.level_offsets) + [len(self)]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
-
-    def dominant_table(self) -> CenterTable:
-        """The search's index of this sequence, built on the first query
-        (both searches rank its rows) and cached."""
-        if self._table is None:
-            nums = self.numerators
-            rows = self._row_index()
+            distinct, first = ranked[new], order[new]
             # each center's orbit, named by the key of its dominant member
-            orbit = _pack_rows(np.sort(nums, axis=1)[:, ::-1], rows.low, rows.high)
-            is_dom = orbit[rows.first] == rows.distinct
-            dom, dom_keys = rows.first[is_dom], rows.distinct[is_dom]
+            orbit = _pack_rows(np.sort(nums, axis=1)[:, ::-1], low, high)
+            is_dom = orbit[first] == distinct
+            dom, dom_keys = first[is_dom], distinct[is_dom]
             # the dominant first occurrence heading each center's orbit; m
             # where that member is absent
             m = len(dom)
@@ -309,8 +295,8 @@ class Scattering:
             found = at < m
             found[found] = dom_keys[at[found]] == orbit[found]
             at[~found] = m
-            is_first = np.zeros(len(nums), dtype=np.bool_)
-            is_first[rows.first] = True
+            is_first = np.zeros(n, dtype=np.bool_)
+            is_first[first] = True
             # an orbit is whole when each of its members is present
             full = np.bincount(at[is_first], minlength=m + 1) == np.append(
                 _orbit_sizes(nums[dom]), -1)
@@ -330,14 +316,16 @@ class Scattering:
             sizes = np.bincount(row, minlength=len(keyed))
             ends = sizes.cumsum()
             members = np.argsort(row, kind="stable")
-            mat = nums[keyed].astype(np.float64)
+            # the search's frame: a power-of-two division, so exact
+            lattice = float(1 << self.levels_built)
+            mat = nums[keyed] / lattice
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
             zero = -1 if norms.all() else int(
                 members[(ends - sizes)[np.argmin(norms)]])
             self._table = CenterTable(
                 members, np.stack((ends, sizes)), len(heads),
-                np.ascontiguousarray(mat.T), norms, rows.tie, zero,
-                float(1 << self.levels_built), float(norms.max(initial=0.0)))
+                np.ascontiguousarray(mat.T), norms, tie, zero, lattice,
+                float(norms.max(initial=0.0)), low, high, distinct, first)
         return self._table
 
     def is_complete(self) -> bool:
@@ -503,11 +491,10 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
             diag = np.arange(b - a)
             d2[diag, diag + a] = big
             cosd[diag, diag + a] = np.inf
-            if b > 1:
-                np.minimum(nn_sq[:b], d2.min(axis=0), out=nn_sq[:b])
-                np.minimum(nn_cos[:b], cosd.min(axis=0), out=nn_cos[:b])
-                nn_sq[a:b] = np.minimum(nn_sq[a:b], d2.min(axis=1))
-                nn_cos[a:b] = np.minimum(nn_cos[a:b], cosd.min(axis=1))
+            np.minimum(nn_sq[:b], d2.min(axis=0), out=nn_sq[:b])
+            np.minimum(nn_cos[:b], cosd.min(axis=0), out=nn_cos[:b])
+            nn_sq[a:b] = np.minimum(nn_sq[a:b], d2.min(axis=1))
+            nn_cos[a:b] = np.minimum(nn_cos[a:b], cosd.min(axis=1))
             del d2, cosd
         done = mark
         stats.append(PrefixStats(

@@ -18,7 +18,8 @@ similarity search with GPUs", over the table's rows):
 
 1. the block is validated once;
 2. every row is keyed against every query of the chunk, column by column
-   over the table's contiguous key columns;
+   over the table's contiguous key columns, which hold the centers' own
+   values: the keys are taken in the frame the ranking scores in;
 3. each query's k-th key bounds its k-th distance, so every row within that
    bound, widened past float rounding, is expanded at once into its
    centers, and all of them are scored exactly;
@@ -126,10 +127,10 @@ _BLOCK = 1 << 15
 def _widen(bound, d: int):
     """A distance bound widened past the float rounding between the search's
     distances and the final ranking's, for d coordinates: euclidean keys and
-    the ranking sum the same rounded squares, scaled by a power of two, in
-    different orders, which moves a sum by at most about 2 (d - 1) 2**-53
-    relative, half the relative term.  The absolute term covers cosine keys,
-    which lie in [0, 2], and squares that underflow in one frame only."""
+    the ranking sum the same rounded squares in different orders, which
+    moves a sum by at most about 2 (d - 1) 2**-53 relative, half the
+    relative term.  The absolute term covers cosine keys, which lie in
+    [0, 2], and their products that underflow in one frame only."""
     return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
 
 
@@ -204,20 +205,18 @@ def _check_k(k) -> int:
 
 def _check_rows(q: np.ndarray, table, metric: str) -> None:
     """The per-query checks, row by row, naming the first bad row: finite
-    coordinates, and for euclidean search a sum of squares that does not
-    overflow at the table's lattice scale.  Cosine search rescales each
-    query by a power of two before squaring it, so no finite query is too
-    large for it."""
+    coordinates, and for euclidean search squared distances to the centers
+    that cannot overflow.  Cosine search rescales each query by a power of
+    two before squaring it, so no finite query is too large for it."""
     for r, row in enumerate(q.tolist()):
         if not all(math.isfinite(v) for v in row):
             raise ValueError(f"query has a non-finite coordinate: {row} (row {r})")
-        # the search squares distances to the table's key centers at the
-        # lattice scale; none of those squares exceeds 64 * reach**2, which
-        # bounds the query's own sum of squares too, as the lattice is >= 1
-        reach = math.hypot(*row) * table.lattice + table.radius
+        # neither a squared distance to a center nor the query's own sum of
+        # squares exceeds reach**2; the factor 64 leaves room for rounding
+        reach = math.hypot(*row) + table.radius
         if metric == EUCLIDEAN and not math.isfinite(64.0 * reach * reach):
-            raise ValueError("query is too large: its sum of squares overflows "
-                             f"at the scattering's scale (row {r})")
+            raise ValueError("query is too large: squaring its distances to "
+                             f"the centers overflows (row {r})")
 
 
 def nearest_centers(queries, s: Scattering, k: int = 1,
@@ -226,11 +225,12 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     a full scan would rank them (distance, then descending-lex point).
 
     The block is searched in chunks of queries whose key matrix against the
-    center table stays within a fixed number of elements.  An invalid block
-    raises ValueError naming its first bad row: a non-finite coordinate, a
-    zero cosine query, or a euclidean query whose squares overflow at the
-    table's lattice scale; only euclidean search refuses a query for its
-    size.  A k that is not an integer of at least 1 raises ValueError.
+    center table stays within a fixed number of elements.  A block that
+    does not convert to floats raises ValueError, and so does an invalid
+    one, naming its first bad row: a non-finite coordinate, a zero cosine
+    query, or a euclidean query whose squared distances to the centers
+    could overflow; only euclidean search refuses a query for its size.  A
+    k that is not an integer of at least 1 raises ValueError.
     """
     check_metric(metric)
     k = _check_k(k)
@@ -238,7 +238,11 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         raise ValueError("empty scattering")
     table = s.dominant_table()
     d = len(table.cols)
-    q = np.asarray(queries, dtype=np.float64)
+    try:
+        q = np.asarray(queries, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("cannot convert the query block to floats: "
+                         f"{exc}") from None
     if q.shape == (0,):
         q = q.reshape(0, d)
     if q.ndim != 2:
@@ -249,12 +253,11 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         return []
     # only a block that could fail a check is checked row by row: the
     # block's norm bounds every row's, and is not finite when a row is not
-    reach = math.sqrt(float(np.vdot(q, q))) * table.lattice + table.radius
+    reach = math.sqrt(float(np.vdot(q, q))) + table.radius
     if not math.isfinite(128.0 * reach * reach):
         _check_rows(q, table, metric)
     if metric == EUCLIDEAN:
-        # the keys are taken at the table's scale
-        frame, lattice = q, table.lattice
+        frame = q
     else:
         peak = np.maximum.reduce(np.abs(q), axis=1)
         if not np.minimum.reduce(peak):
@@ -266,42 +269,38 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         # largest coordinate in [1/2, 1), which leaves the distances of
         # ordinary queries bit for bit unchanged and keeps the squares of
         # tiny queries from underflowing
-        frame, lattice = np.ldexp(q, -np.frexp(peak)[1][:, None]), 1.0
+        frame = np.ldexp(q, -np.frexp(peak)[1][:, None])
     step = max(1, _BLOCK // len(table.norms))
     out: list[QueryResult] = []
     for lo in range(0, len(q), step):
         out += _search_chunk(s, table, q[lo:lo + step], frame[lo:lo + step], k,
-                             metric, lattice)
+                             metric)
     return out
 
 
-def _search_chunk(s, table, q, frame, k, metric, lattice):
-    """Key every table row against a chunk of queries, at the table's scale:
-    an orbit row against the query's sorted values, a lone row against the
-    query itself."""
+def _search_chunk(s, table, q, frame, k, metric):
+    """Key every table row against a chunk of queries in the ranking's
+    frame: an orbit row against the query's sorted values, a lone row
+    against the query itself."""
     n = table.orbit_rows
     score = _KERNELS[metric][0]
-    keyed = frame * lattice
-    lone = n < len(table.norms)
-    srt = keyed.copy() if lone else keyed
-    srt.sort(axis=1)
+    srt = np.sort(frame, axis=1)
     keys = score(srt[:, ::-1], table.cols[:, :n], table.norms[:n])
-    if lone:
+    if n < len(table.norms):
         keys = np.concatenate(
-            (keys, score(keyed, table.cols[:, n:], table.norms[n:])), axis=1)
-    return _expand(s, table, keys, q, frame, k, metric, lattice)
+            (keys, score(frame, table.cols[:, n:], table.norms[n:])), axis=1)
+    return _expand(s, table, keys, q, frame, k, metric)
 
 
-def _expand(s, table, keys, q, frame, k, metric, lattice):
+def _expand(s, table, keys, q, frame, k, metric):
     """Rank the centers of every row whose key is within its query's widened
     k-th key.
 
     Every key is the distance of a present center, so the k-th key bounds
     the k-th distance from above and the k nearest centers, ties included,
-    lie in those rows.  Their centers are scored exactly in the ranking's
-    frame, where euclidean distances are ``lattice**2`` times smaller than
-    keys; those under the bound are ranked as a full scan would rank them,
-    and those within the k-th distance, ties included, count as examined.
+    lie in those rows.  Their centers are scored exactly; those under the
+    bound are ranked as a full scan would rank them, and those within the
+    k-th distance, ties included, count as examined.
     """
     c, d = len(keys), len(table.cols)
     if k == 1:
@@ -323,9 +322,8 @@ def _expand(s, table, keys, q, frame, k, metric, lattice):
     at = sizes.cumsum()
     if c > 1 and at[-1] * d > _BLOCK:
         h = c // 2
-        return (_expand(s, table, keys[:h], q[:h], frame[:h], k, metric, lattice)
-                + _expand(s, table, keys[h:], q[h:], frame[h:], k, metric,
-                          lattice))
+        return (_expand(s, table, keys[:h], q[:h], frame[:h], k, metric)
+                + _expand(s, table, keys[h:], q[h:], frame[h:], k, metric))
     # one (query, center) pair for each center of each row
     pos = (ends - at).repeat(sizes)
     pos += np.arange(at[-1])
@@ -334,7 +332,6 @@ def _expand(s, table, keys, q, frame, k, metric, lattice):
     vals = s.numerators.take(cand, axis=0).astype(np.float64)
     vals *= 1.0 / table.lattice
     dist = _KERNELS[metric][1](frame.take(pq, axis=0), vals)
-    bound /= lattice * lattice
     near = (dist <= bound.take(pq)).nonzero()[0]
     pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
     # a full scan's order: distance, then the tie rank; pq is sorted, and

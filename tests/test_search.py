@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
+from qusc.estimator import ScatteringNeighbors
 from qusc.search import _colsum
 
 
@@ -107,6 +108,24 @@ class TestNearestCenterExamples:
             search(e, s, 1)
 
 
+@pytest.mark.parametrize("caller", ["nearest_center", "nearest_centers",
+                                    "kneighbors", "kneighbors-block"])
+@pytest.mark.parametrize("bad", [10 ** 400, -(2 ** 1024), 1j],
+                         ids=["10^400", "-2^1024", "1j"])
+def test_unconvertible_query_is_a_value_error(scatterings, caller, bad):
+    """A coordinate numpy cannot convert to a float, alone or in the second
+    row of a block, is refused as bad input."""
+    s = scatterings[(2, 1, 1), 1]
+    est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
+    e, block = [bad, 0, 0, 0], [[1.0, 1.0, 1.0, 1.0], [bad, 0, 0, 0]]
+    call = {"nearest_center": lambda: nearest_center(e, s, 2),
+            "nearest_centers": lambda: nearest_centers(block, s, 2),
+            "kneighbors": lambda: est.kneighbors(e, 2),
+            "kneighbors-block": lambda: est.kneighbors(block, 2)}[caller]
+    with pytest.raises(ValueError, match="cannot convert the query block"):
+        call()
+
+
 @pytest.mark.parametrize("levels", [0, 3])
 def test_huge_queries_match_brute(diagrams, levels):
     # the affine seed's rounding deficit grows with |q|; it was once repaired
@@ -120,15 +139,17 @@ def test_huge_queries_match_brute(diagrams, levels):
         assert (res.indices, res.distances) == (ref.indices, ref.distances), e
 
 
-def test_query_too_large_at_scattering_scale(diagrams, scatterings):
-    """A query whose sum of squares is finite but overflows at the lattice
-    scale is rejected by euclidean search and answered by the scale-free
-    cosine search."""
+def test_query_too_large_at_every_depth(diagrams, scatterings):
+    """Euclidean search refuses a query only where its squared distances to
+    the centers could overflow, at any depth: the same query is refused or
+    answered at L1, L2 and L5.  The scale-free cosine search answers all of
+    them."""
     deep = build_scattering(diagrams[(3, 2, 1)], 5)
-    cases = [(deep, 5e152), (deep, 1e154), (scatterings[(3, 2, 1), 1], 1e154),
-             (scatterings[(3, 2, 1), 2], 1e154)]
-    for s, m in cases:
-        e = (m, 0.3 * m, -0.2 * m, 0.1)
+    e = (5e152, 1.5e152, -1e152, 0.1)
+    for k in (1, 4):
+        assert nearest_center(e, deep, k) == brute_nearest(e, deep, k)
+    for s in (scatterings[(3, 2, 1), 1], scatterings[(3, 2, 1), 2], deep):
+        e = (1e154, 3e153, -2e153, 0.1)
         with pytest.raises(ValueError, match="query is too large"):
             nearest_center(e, s, 1)
         res, ref = cosine_nearest(e, s, 4), brute_nearest(e, s, 4, "cosine")
@@ -326,7 +347,7 @@ class TestOracleAgreement:
         except ValueError as exc:
             assert metric == "euclidean" and "query is too large" in str(exc)
             table = s.dominant_table()
-            reach = math.hypot(*e) * table.lattice + table.radius
+            reach = math.hypot(*e) + table.radius
             assert not math.isfinite(64.0 * reach * reach)
             return
         assert res == brute_nearest(e, s, k, metric)
@@ -592,13 +613,14 @@ def assert_table_matches_reference(s):
     rows = s.numerators.tolist()
     orbit_rows, groups, keys = reference_table(rows)
     t = s.dominant_table()
-    starts, mat = np.concatenate(([0], t.spans[0])), t.cols.T.tolist()
+    starts = np.concatenate(([0], t.spans[0]))
+    mat = (t.cols.T * t.lattice).tolist()
     assert t.orbit_rows == orbit_rows
     assert [t.members[a:b].tolist()
             for a, b in zip(starts[:-1], starts[1:])] == groups
     assert mat == [[float(v) for v in r] for r in keys]
-    np.testing.assert_allclose(t.norms, [math.hypot(*r) for r in mat],
-                               rtol=1e-15)
+    np.testing.assert_allclose(t.norms * t.lattice,
+                               [math.hypot(*r) for r in mat], rtol=1e-15)
     assert t.tie.tolist() == reference_tie(rows)
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1].tolist() == list(map(len, groups))
@@ -628,7 +650,8 @@ class TestCenterTable:
     def test_rows_partition_the_sequence(self, diagrams, scatterings, kind):
         s = self.sequences(diagrams, scatterings)[kind]
         table = s.dominant_table()
-        starts, mat = np.concatenate(([0], table.spans[0])), table.cols.T
+        starts = np.concatenate(([0], table.spans[0]))
+        mat = table.cols.T * table.lattice
         assert sorted(table.members.tolist()) == list(range(len(s)))
         assert starts[0] == 0 and starts[-1] == len(s)
         assert len(starts) - 1 == len(mat) == len(table.norms)
@@ -650,8 +673,9 @@ class TestCenterTable:
             assert lone == {"complete": 0, "embedded": len(s),
                             "duplicated": 6}[kind]
 
-    # sha256 of (orbit_rows, members, starts, mat, norms) as built by the
-    # table that grouped orbit representatives with np.unique (commit 1cb17ff)
+    # sha256 of (orbit_rows, members, starts, mat, norms), the key rows and
+    # norms at the lattice scale, as built by the table that grouped orbit
+    # representatives with np.unique (commit 1cb17ff)
     FROZEN = {
         "complete": "15a1020c64837e8b8b2521002e3fa62719c8b631e95a18abd4ef408a6895b48b",
         "complete-2211": "e5f6308144b550bb0f4a71d14f604cb23e2d29ba5e8c69b88a000d5177d2b664",
@@ -683,7 +707,8 @@ class TestCenterTable:
         h = hashlib.sha256(str(t.orbit_rows).encode())
         for part, dtype in ((t.members, "<i8"),
                             (np.concatenate(([0], t.spans[0])), "<i8"),
-                            (t.cols.T, "<f8"), (t.norms, "<f8")):
+                            (t.cols.T * t.lattice, "<f8"),
+                            (t.norms * t.lattice, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
 
@@ -714,7 +739,7 @@ class TestCenterTable:
         shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50,
                              s.level_offsets)
         # 57-bit entries, so each key spans four words
-        assert shifted._row_index().distinct.dtype.itemsize == 32
+        assert shifted.dominant_table().distinct.dtype.itemsize == 32
         assert_table_matches_reference(shifted)
         t, u = s.dominant_table(), shifted.dominant_table()
         assert t.orbit_rows == u.orbit_rows
