@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import PointView, ScaledPoint, YoungDiagram, polytope_center
+from .core import PointView, YoungDiagram, polytope_center
 from .enumeration import enumerate_level
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -153,7 +153,7 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
 
 
 class CenterTable(NamedTuple):
-    """The index of a center sequence, behind the search and ``index_of``.
+    """The index of a center sequence that the nearest-center search runs on.
 
     Row r owns the sequence indices ``members[end - size:end]``, where the
     (2, rows) array ``spans`` holds each row's ``end`` over its ``size``.
@@ -173,14 +173,6 @@ class CenterTable(NamedTuple):
     sequence index of the first zero center, or -1 when there is none.
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
-
-    The table is built from the sequence's packed row keys over [``low``,
-    ``high``], the numerators' range.  One stable sort of them gives the
-    tie order, the ``distinct`` keys in ascending order and the ``first``
-    sequence index of each.  Then, in a few linear passes, each center's
-    orbit is the key of its values sorted descending, looked up among the
-    keys of the dominant first occurrences, and an orbit is whole when it
-    counts as many distinct members as its multinomial size.
     """
 
     members: np.ndarray
@@ -192,10 +184,6 @@ class CenterTable(NamedTuple):
     zero: int
     lattice: float
     radius: float
-    low: int
-    high: int
-    distinct: np.ndarray
-    first: np.ndarray
 
 
 class Scattering:
@@ -210,12 +198,12 @@ class Scattering:
     at scale ``2**levels_built``, held without a copy and read-only.
     ``centers`` reads its rows as ScaledPoints, made on access.
 
-    ``index_of`` and the search's ``dominant_table`` rest on one exact key
-    per row, built on first use: the row's entries less the matrix minimum,
-    packed into as few uint64 words as the entries' bit width allows (one
-    word on every standard codebook).  Equal keys mean equal rows and keys
-    sort as the rows do, lexicographically, for any int64 entries, negative
-    ones included.
+    The search's ``dominant_table`` rests on one exact key per row, built
+    on first use: the row's entries less the matrix minimum, packed into as
+    few uint64 words as the entries' bit width allows (one word on every
+    standard codebook).  Equal keys mean equal rows and keys sort as the
+    rows do, lexicographically, for any int64 entries, negative ones
+    included.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
@@ -244,27 +232,15 @@ class Scattering:
         """The centers' float coordinates, one row each."""
         return self.numerators / float(1 << self.levels_built)
 
-    def index_of(self, p: ScaledPoint):
-        """The first sequence position of p, or None when p is no center."""
-        if p.dim != self.dim or p.level > self.levels_built:
-            return None
-        row = p.numerators_at(self.levels_built)
-        table = self.dominant_table()
-        if min(row) < table.low or max(row) > table.high:
-            return None
-        probe = _pack_rows(np.array([row], dtype=np.int64), table.low, table.high)
-        at = int(table.distinct.searchsorted(probe[0]))
-        found = at < len(table.distinct) and table.distinct[at] == probe[0]
-        return int(table.first[at]) if found else None
-
     def level_blocks(self) -> list[tuple[int, int]]:
         bounds = list(self.level_offsets) + [len(self)]
         return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
 
     def dominant_table(self) -> CenterTable:
-        """The index of this sequence, built on first use (the first query
-        or ``index_of``) and cached; its one sort of the row keys is
-        near-linear on the descending-lex runs of the level blocks."""
+        """The search's index of this sequence, built on the first query
+        and cached.  One stable sort of the row keys (near-linear on the
+        level blocks' descending runs) gives the tie order and the first
+        occurrences, from which a few linear passes find each orbit."""
         if self._table is None:
             nums = self.numerators
             n = len(nums)
@@ -325,7 +301,7 @@ class Scattering:
             self._table = CenterTable(
                 members, np.stack((ends, sizes)), len(heads),
                 np.ascontiguousarray(mat.T), norms, tie, zero, lattice,
-                float(norms.max(initial=0.0)), low, high, distinct, first)
+                float(norms.max(initial=0.0)))
         return self._table
 
     def is_complete(self) -> bool:

@@ -124,14 +124,26 @@ class QueryResult:
 _BLOCK = 1 << 15
 
 
-def _widen(bound, d: int):
-    """A distance bound widened past the float rounding between the search's
-    distances and the final ranking's, for d coordinates: euclidean keys and
-    the ranking sum the same rounded squares in different orders, which
-    moves a sum by at most about 2 (d - 1) 2**-53 relative, half the
-    relative term.  The absolute term covers cosine keys, which lie in
-    [0, 2], and their products that underflow in one frame only."""
-    return bound * (1.0 + 4 * d * 2.0 ** -53) + 1e-9
+def _widen(bound, d: int, metric: str):
+    """The k-th key widened past float rounding (d coordinates, u = 2**-53)
+    so that the rows within it hold all of a full scan's k nearest centers.
+    A row's key is its best member's float distance, and that member's
+    exact distance is the row's least, so an answer's row key is four
+    float-to-exact steps from the k-th key: via the answer, the k-th
+    answer and the k-th row's best member.
+
+    Euclidean sums of rounded squares of rounded differences are within
+    (d + 2) u of exact, relatively, and a row's key and its best member's
+    distance, the same terms summed in other orders, within 2 (d - 1) u of
+    each other: (4 d + 2) u, 4 (d + 1) u with second-order terms.  Only a
+    query within about 2**-511 of a center, then its row's best member,
+    underflows far enough to matter.  Cosine keys and distances, from dot
+    products within d u |q| |c|, norms within (d / 2 + 1) u and 4 u more,
+    are within (2 d + 6) u of exact, absolutely: 8 (d + 3) u in four steps,
+    half the term; rescaled queries underflow far less."""
+    if metric == EUCLIDEAN:
+        return bound * (1.0 + 4 * (d + 1) * 2.0 ** -53)
+    return bound + 16 * (d + 2) * 2.0 ** -53
 
 
 def _colsum(terms: np.ndarray) -> np.ndarray:
@@ -226,7 +238,8 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
     The block is searched in chunks of queries whose key matrix against the
     center table stays within a fixed number of elements.  A block that
-    does not convert to floats raises ValueError, and so does an invalid
+    does not convert to floats (complex, string or bytes coordinates, or an
+    integer past the float range) raises ValueError, and so does an invalid
     one, naming its first bad row: a non-finite coordinate, a zero cosine
     query, or a euclidean query whose squared distances to the centers
     could overflow; only euclidean search refuses a query for its size.  A
@@ -239,7 +252,11 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     table = s.dominant_table()
     d = len(table.cols)
     try:
-        q = np.asarray(queries, dtype=np.float64)
+        # numpy would drop imaginary parts and parse strings as floats
+        q = np.asarray(queries)
+        if q.dtype.kind in "cSU":
+            raise TypeError(f"the block holds {q.dtype} values")
+        q = q.astype(np.float64, copy=False)
     except (TypeError, OverflowError) as exc:
         raise ValueError("cannot convert the query block to floats: "
                          f"{exc}") from None
@@ -311,7 +328,7 @@ def _expand(s, table, keys, q, frame, k, metric):
         kth = kth[:, k - 1]
     else:
         kth = np.full(c, math.inf)
-    bound = _widen(kth, d)
+    bound = _widen(kth, d, metric)
     # the (query, row) pairs within the bound: a flat nonzero is several
     # times cheaper than a two-dimensional one
     qi, rows = np.divmod((keys <= bound[:, None]).ravel().nonzero()[0],
@@ -334,10 +351,16 @@ def _expand(s, table, keys, q, frame, k, metric):
     dist = _KERNELS[metric][1](frame.take(pq, axis=0), vals)
     near = (dist <= bound.take(pq)).nonzero()[0]
     pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
-    # a full scan's order: distance, then the tie rank; pq is sorted, and
-    # every query keeps at least kk centers
-    order = np.lexsort((table.tie.take(cand), dist, pq))
+    # every query keeps at least kk centers, or the bound is wrong and its
+    # top kk would run into the next query's centers
     kk = min(k, len(table.tie))
+    kept = np.bincount(pq, minlength=c).tolist()
+    if min(kept) < kk:
+        r = kept.index(min(kept))
+        raise RuntimeError(f"search bound too tight: query {q[r].tolist()} "
+                           f"kept {kept[r]} centers, fewer than {kk}")
+    # a full scan's order: distance, then the tie rank; pq is sorted
+    order = np.lexsort((table.tie.take(cand), dist, pq))
     top = order.take(np.add.outer(pq.searchsorted(np.arange(c)),
                                   np.arange(kk)))
     hits, hit_dist = cand.take(top), dist.take(top)

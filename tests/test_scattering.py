@@ -88,12 +88,6 @@ class TestBuildScattering:
         assert s.levels_built == 0
         assert s.is_complete()
 
-    def test_index_map(self, scatterings):
-        s = scatterings[(2, 2, 1, 1), 1]
-        for i, p in enumerate(s.centers):
-            assert s.index_of(p) == i
-        assert s.index_of(ScaledPoint((9, 9, 9, 9, 9))) is None
-
     def test_every_center_is_boundary(self, scatterings):
         from qusc.core import BOUNDARY, membership
         for (rows, _), s in scatterings.items():
@@ -152,7 +146,8 @@ class TestSubsequence:
         for levels in (0, 1):
             small = build_scattering(diagrams[(2, 1, 1)], levels)
             big = build_scattering(lam4, levels)
-            at = [big.index_of(p) for p in embed_scattering(small).centers]
+            first = {p: i for i, p in reversed(list(enumerate(big.centers)))}
+            at = [first.get(p) for p in embed_scattering(small).centers]
             assert None not in at and all(a < b for a, b in zip(at, at[1:]))
 
 
@@ -268,45 +263,6 @@ class TestMatrixBuild:
             assert list(s.centers) == centers, (rows, k)
             assert s.centers == tuple(centers), (rows, k)
             assert s.level_offsets == offsets, (rows, k)
-
-    def test_index_of_first_position_and_non_centers(self, scatterings):
-        base = scatterings[(2, 1, 1), 1]
-        nums = np.concatenate((base.numerators, base.numerators[3:9]))
-        s = Scattering(base.diagram, 1, nums, base.level_offsets)
-        assert len(np.unique(s.numerators, axis=0)) < len(s)
-        assert len(np.unique(base.numerators, axis=0)) == len(base)
-        for i, p in enumerate(s.centers):
-            assert s.index_of(p) == (i if i < len(base) else i - len(base) + 3)
-        assert s.index_of(ScaledPoint((1, 1, 1, 1))) is None
-        assert s.index_of(ScaledPoint((3, 2, 2, 1), 2)) is None
-        assert s.index_of(ScaledPoint((2, 1, 1, 0, 0))) is None
-
-    @pytest.mark.parametrize("repeats", [False, True])
-    @pytest.mark.parametrize("shape", ["plain", "multiword", "negative"])
-    def test_index_of_outside_range_and_multiword_keys(self, scatterings, shape,
-                                                       repeats):
-        base = scatterings[(2, 1, 1), 1]
-        nums = {"plain": base.numerators,
-                # 53-bit entries: each key spans four words
-                "multiword": base.numerators << 50,
-                "negative": (base.numerators << 58) - (1 << 62)}[shape]
-        if repeats:
-            nums = np.concatenate((nums, nums[3:9]))
-        s = Scattering(base.diagram, 1, nums, base.level_offsets)
-        assert (len(np.unique(s.numerators, axis=0)) < len(s)) == repeats
-        first = {}
-        for i, row in enumerate(nums.tolist()):
-            first.setdefault(tuple(row), i)
-        lo, hi = int(nums.min()), int(nums.max())
-        top, bottom = (1 << 63) - 1, -(1 << 63)
-        probes = list(first) + [
-            (lo - 1, lo, lo, lo), (hi + 1, lo, lo, lo), (hi, hi, hi, hi + 1),
-            (lo, lo, lo, lo), (hi, hi, hi, hi), (top,) * 4, (bottom,) * 4,
-            (top, hi, lo, lo), (bottom, hi, lo, lo), (top + 1, 0, 0, 0),
-            (0, 0, 0, bottom - 1)]
-        probes += [row[:-1] + (row[-1] + 1,) for row in first]
-        for row in probes:
-            assert s.index_of(ScaledPoint(row, 1)) == first.get(row), row
 
     def test_build_peak_memory(self, diagrams):
         # each level block is sorted in place in the one output matrix

@@ -15,7 +15,8 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
-from qusc.search import _colsum
+from qusc.scattering import _pack_rows
+from qusc.search import _colsum, _widen
 
 
 def from_points(diagram, levels, points, offsets):
@@ -110,14 +111,20 @@ class TestNearestCenterExamples:
 
 @pytest.mark.parametrize("caller", ["nearest_center", "nearest_centers",
                                     "kneighbors", "kneighbors-block"])
-@pytest.mark.parametrize("bad", [10 ** 400, -(2 ** 1024), 1j],
-                         ids=["10^400", "-2^1024", "1j"])
+@pytest.mark.parametrize("bad", [10 ** 400, -(2 ** 1024), 1j, "1.9", b"1",
+                                 np.complex128(1 + 5j)],
+                         ids=["10^400", "-2^1024", "1j", "str-1.9", "bytes-1",
+                              "complex128-array"])
 def test_unconvertible_query_is_a_value_error(scatterings, caller, bad):
     """A coordinate numpy cannot convert to a float, alone or in the second
-    row of a block, is refused as bad input."""
+    row of a block, is refused as bad input; so is a string, which numpy
+    would parse, and a complex array, whose imaginary part it would drop."""
     s = scatterings[(2, 1, 1), 1]
     est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
     e, block = [bad, 0, 0, 0], [[1.0, 1.0, 1.0, 1.0], [bad, 0, 0, 0]]
+    if isinstance(bad, np.complex128):
+        e, block = np.array(e), np.array(block)
+        assert e.dtype == block.dtype == np.complex128
     call = {"nearest_center": lambda: nearest_center(e, s, 2),
             "nearest_centers": lambda: nearest_centers(block, s, 2),
             "kneighbors": lambda: est.kneighbors(e, 2),
@@ -137,6 +144,49 @@ def test_huge_queries_match_brute(diagrams, levels):
              for _ in range(4)]
         res, ref = nearest_center(e, s, 2), brute_nearest(e, s, 2)
         assert (res.indices, res.distances) == (ref.indices, ref.distances), e
+
+
+# Mutants of the search's bound, each with queries it fails on: drawn from
+# test_huge_queries_match_brute and acceptance criterion 7 as (metric,
+# rows, levels, k, query).
+WIDEN_MUTANTS = {
+    "euclidean-relative-dropped": (
+        lambda bound, d, metric:
+            bound if metric == "euclidean" else _widen(bound, d, metric),
+        [("euclidean", (3, 2, 1), 0, 2,
+          (2.507597016674415e+21, -2.0783685077639566e+21,
+           -4.89337678106148e+21, 8.569412824611896e+21)),
+         ("euclidean", (2, 1, 1), 0, 1,
+          (1.8485003249925052, -0.07871212847772822, 0.6540391682984953,
+           0.998487865599122))]),
+    "cosine-absolute-1d": (
+        lambda bound, d, metric:
+            bound + d * 2.0 ** -53 if metric == "cosine"
+            else _widen(bound, d, metric),
+        [("cosine", (3, 2, 1), 1, 1,
+          (1.248294247670282, 0.5811560359148507, 0.23351428395503016,
+           2.0564086670629913))]),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDEN_MUTANTS))
+def test_widen_mutants_are_caught(diagrams, monkeypatch, name):
+    """Each term of the bound's widening is load-bearing: with it weakened,
+    every listed query either stops the search with its named error or
+    gets an answer that differs from a full scan's."""
+    mutant, cases = WIDEN_MUTANTS[name]
+    runs = [(e, build_scattering(diagrams[rows], levels), k, metric)
+            for metric, rows, levels, k, e in cases]
+    for run in runs:
+        assert nearest_center(*run) == brute_nearest(*run)
+    monkeypatch.setattr("qusc.search._widen", mutant)
+    for run in runs:
+        try:
+            res = nearest_center(*run)
+        except RuntimeError as exc:
+            assert "search bound too tight" in str(exc)
+        else:
+            assert res != brute_nearest(*run), run[0]
 
 
 def test_query_too_large_at_every_depth(diagrams, scatterings):
@@ -406,6 +456,7 @@ class TestWeylEquivariance:
     def test_result_sets_commute(self, scatterings):
         s = scatterings[(3, 2, 1), 1]
         lvl = s.levels_built
+        first = {p: i for i, p in reversed(list(enumerate(s.centers)))}
         rng = random.Random(5)
         for _ in range(60):
             e = [rng.uniform(-1, 4) for _ in range(4)]
@@ -413,8 +464,8 @@ class TestWeylEquivariance:
             rng.shuffle(order)
             direct = nearest_center([e[i] for i in order], s, 3)
             base = nearest_center(e, s, 3)
-            mapped = {s.index_of(ScaledPoint(
-                          [p.numerators_at(lvl)[i] for i in order], lvl))
+            mapped = {first[ScaledPoint(
+                          [p.numerators_at(lvl)[i] for i in order], lvl)]
                       for p in base.points}
             assert set(direct.indices) == mapped
 
@@ -739,7 +790,8 @@ class TestCenterTable:
         shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50,
                              s.level_offsets)
         # 57-bit entries, so each key spans four words
-        assert shifted.dominant_table().distinct.dtype.itemsize == 32
+        lo, hi = int(shifted.numerators.min()), int(shifted.numerators.max())
+        assert _pack_rows(shifted.numerators, lo, hi).dtype.itemsize == 32
         assert_table_matches_reference(shifted)
         t, u = s.dominant_table(), shifted.dominant_table()
         assert t.orbit_rows == u.orbit_rows
