@@ -142,6 +142,16 @@ def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
     return size
 
 
+def dominant_rows(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Each row's dominant permutation on the columns ``free``: their values
+    sorted descending, the other columns' in place."""
+    if len(free) == rows.shape[1]:
+        return np.sort(rows, axis=1)[:, ::-1]
+    out = rows.copy()
+    out[:, free] = np.sort(rows[:, free], axis=1)[:, ::-1]
+    return out
+
+
 def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     """The level of each numerator row at scale 2**level in lowest terms:
     ``level`` minus the factors of two its entries share (an all-zero row
@@ -155,17 +165,16 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
 class CenterTable(NamedTuple):
     """The index of a center sequence that the nearest-center search runs on.
 
-    Row r owns the sequence indices ``members[end - size:end]``, where the
-    (2, rows) array ``spans`` holds each row's ``end`` over its ``size``.
-    The first ``orbit_rows`` rows are the Weyl orbits whose members are all
-    present in the sequence, each exactly once, in the sequence order of
-    their dominant members; such a row owns the whole orbit and is keyed by
-    that dominant member.  Every other center is a lone row of its own:
-    members of partial orbits (a cut or an embedded sequence) and repeats of
-    an earlier center.  ``cols`` holds the rows' key centers as float64
-    values, the numerators over ``lattice``, column-major: a contiguous
-    (d, rows) array, one column per row.  ``norms`` holds each key center's
-    norm, shared by the whole orbit.
+    Row r is an orbit: the centers, repeats included, that permute one
+    another's coordinates ``free``, those that vary along the sequence.  It
+    owns the sequence indices ``members[end - size:end]``, ascending, where
+    the (2, rows) array ``spans`` holds each row's ``end`` over its
+    ``size``.  Whole orbits come first, then partial ones, each in the
+    sequence order of their dominant members (of their first where that is
+    absent).  ``cols`` holds key centers as float64 values, the numerators
+    over ``lattice``, as a contiguous (d, columns) array: each row's
+    dominant member, then each partial row's first member.  ``norms`` holds
+    each column's norm.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -177,7 +186,7 @@ class CenterTable(NamedTuple):
 
     members: np.ndarray
     spans: np.ndarray
-    orbit_rows: int
+    free: np.ndarray
     cols: np.ndarray
     norms: np.ndarray
     tie: np.ndarray
@@ -197,13 +206,6 @@ class Scattering:
     ``numerators`` is the only store of the centers: an (n, d) int64 matrix
     at scale ``2**levels_built``, held without a copy and read-only.
     ``centers`` reads its rows as ScaledPoints, made on access.
-
-    The search's ``dominant_table`` rests on one exact key per row, built
-    on first use: the row's entries less the matrix minimum, packed into as
-    few uint64 words as the entries' bit width allows (one word on every
-    standard codebook).  Equal keys mean equal rows and keys sort as the
-    rows do, lexicographically, for any int64 entries, negative ones
-    included.
     """
 
     def __init__(self, diagram: YoungDiagram, levels_built: int,
@@ -238,9 +240,10 @@ class Scattering:
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
-        and cached.  One stable sort of the row keys (near-linear on the
-        level blocks' descending runs) gives the tie order and the first
-        occurrences, from which a few linear passes find each orbit."""
+        and cached.  One stable sort of the rows' exact ``_pack_rows`` keys
+        (near-linear on the level blocks' descending runs) gives the tie
+        order and the first occurrences, among which a lookup of each
+        center's dominant member names its orbit."""
         if self._table is None:
             nums = self.numerators
             n = len(nums)
@@ -260,46 +263,46 @@ class Scattering:
             tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
             tie[order] = place
             distinct, first = ranked[new], order[new]
+            # the free coordinates, most of them shown by a few spread rows
+            vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
+            vary[~vary] = (nums[:, ~vary] != nums[:1, ~vary]).any(axis=0)
+            free = np.flatnonzero(vary)
             # each center's orbit, named by the key of its dominant member
-            orbit = _pack_rows(np.sort(nums, axis=1)[:, ::-1], low, high)
+            dominant = dominant_rows(nums, free)
+            orbit = _pack_rows(dominant, low, high)
             is_dom = orbit[first] == distinct
-            dom, dom_keys = first[is_dom], distinct[is_dom]
-            # the dominant first occurrence heading each center's orbit; m
-            # where that member is absent
-            m = len(dom)
-            at = dom_keys.searchsorted(orbit)
+            heads, dom_keys = first[is_dom], distinct[is_dom]
+            # each center's orbit number: its dominant member's place among
+            # the present ones, or past them where that member is absent
+            at, m = dom_keys.searchsorted(orbit), len(heads)
             found = at < m
             found[found] = dom_keys[at[found]] == orbit[found]
-            at[~found] = m
-            is_first = np.zeros(n, dtype=np.bool_)
-            is_first[first] = True
+            lost = np.flatnonzero(~found)
+            _, head, at[lost] = np.unique(orbit[lost], return_index=True,
+                                          return_inverse=True)
+            at[lost] += m
+            heads = np.append(heads, lost[head])
             # an orbit is whole when each of its members is present
-            full = np.bincount(at[is_first], minlength=m + 1) == np.append(
-                _orbit_sizes(nums[dom]), -1)
-            held = np.flatnonzero(full[:m])
-            held = held[np.argsort(dom[held])]
-            heads = dom[held]
-            lone = np.flatnonzero(~(is_first & full[at]))
-            keyed = np.concatenate((heads, lone))
-            # each center's row: its orbit's, or a lone row of its own, in
-            # the smallest dtype that holds it (a stable sort of labels of
-            # 16 bits or fewer is a radix sort)
-            kind = np.min_scalar_type(max(len(keyed) - 1, 0))
-            orbit_row = np.zeros(m + 1, dtype=kind)
-            orbit_row[held] = np.arange(len(heads))
-            row = orbit_row[at]
-            row[lone] = np.arange(len(heads), len(keyed))
-            sizes = np.bincount(row, minlength=len(keyed))
+            whole = np.bincount(at[first], minlength=len(heads)) == \
+                _orbit_sizes(dominant[heads][:, free])
+            rank = np.lexsort((heads, ~whole))
+            # each center's row, in the smallest dtype that holds it (a
+            # stable sort of labels of 16 bits or fewer is a radix sort)
+            kind = np.min_scalar_type(max(len(heads) - 1, 0))
+            row = np.argsort(rank).astype(kind)[at]
+            sizes = np.bincount(row, minlength=len(heads))
             ends = sizes.cumsum()
             members = np.argsort(row, kind="stable")
+            partial = members[(ends - sizes)[np.count_nonzero(whole):]]
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
-            mat = nums[keyed] / lattice
+            mat = np.concatenate((dominant[heads[rank]], nums[partial])) / lattice
             norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+            # a zero center is a whole orbit, so argmin finds its key column
             zero = -1 if norms.all() else int(
                 members[(ends - sizes)[np.argmin(norms)]])
             self._table = CenterTable(
-                members, np.stack((ends, sizes)), len(heads),
+                members, np.stack((ends, sizes)), free,
                 np.ascontiguousarray(mat.T), norms, tie, zero, lattice,
                 float(norms.max(initial=0.0)))
         return self._table

@@ -1,15 +1,12 @@
 """Exact nearest-center queries, answered for a whole block of queries at
 once, whose cost does not depend on how many centers the scattering holds.
 
-Every center is a coordinate permutation of a dominant (weakly decreasing)
-center, and by the rearrangement inequality the member of a Weyl orbit
-sorted like the query is the orbit's nearest one, under either metric.  One
-pass over the scattering's center table against the query's sorted values
-therefore gives every orbit's best distance in closed form.  A center whose
-orbit is not wholly present, as in a cut prefix or an embedded sequence, or
-that repeats an earlier center, is a lone row of the same table, keyed by
-its own distance.  Each row owns a group of sequence indices, a whole orbit
-or one lone center.
+The scattering's center table has one row per orbit, the centers that
+permute one another's free coordinates.  By the rearrangement inequality
+(Hardy, Littlewood & Polya 1934) the member sorted like the query is the
+orbit's nearest under either metric: the query, its free values sorted,
+against the row's dominant member gives the row's lower key, which a
+whole orbit attains; a partial one's upper key is its first member's.
 
 ``nearest_centers`` searches an (m, d) query block in chunks, with a fixed
 number of numpy passes per chunk (the blocked exact-distance search with
@@ -20,9 +17,10 @@ similarity search with GPUs", over the table's rows):
 2. every row is keyed against every query of the chunk, column by column
    over the table's contiguous key columns, which hold the centers' own
    values: the keys are taken in the frame the ranking scores in;
-3. each query's k-th key bounds its k-th distance, so every row within that
-   bound, widened past float rounding, is expanded at once into its
-   centers, and all of them are scored exactly;
+3. each query's k-th upper key (a whole row's is its lower key) bounds its
+   k-th distance, so every row whose lower key is within that bound,
+   widened past float rounding, is expanded at once into its centers, and
+   all of them are scored exactly;
 4. the centers under the bound are ranked as a full scan would rank them,
    with one lexsort over the whole chunk on three keys: the query, the
    distance and the center's tie rank, its precomputed place in a full
@@ -32,9 +30,7 @@ similarity search with GPUs", over the table's rows):
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
 query is a block of one.  Euclidean and cosine search differ only in the
-distance.  Each answer keeps its hits as arrays, the indices, distances and
-numerator rows the ranking selected; a hit becomes a ScaledPoint only when
-``QueryResult.points`` or ``hits`` is read.
+distance.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric
-from .scattering import Scattering
+from .scattering import Scattering, dominant_rows
 
 
 class QueryResult:
@@ -125,16 +121,18 @@ _BLOCK = 1 << 15
 
 
 def _widen(bound, d: int, metric: str):
-    """The k-th key widened past float rounding (d coordinates, u = 2**-53)
-    so that the rows within it hold all of a full scan's k nearest centers.
-    A row's key is its best member's float distance, and that member's
-    exact distance is the row's least, so an answer's row key is four
-    float-to-exact steps from the k-th key: via the answer, the k-th
-    answer and the k-th row's best member.
+    """The k-th upper key widened past float rounding (d coordinates,
+    u = 2**-53) so that the rows whose lower keys lie within it hold all of a
+    full scan's k nearest centers.  Any row's lower key is the float
+    distance of its orbit's best member, whose exact distance is the row's
+    least, and an upper key a present member's: the best one's in a whole
+    row, the first one's, keyed from the query itself, in a partial one.  So
+    an answer's lower key is four float-to-exact steps from the k-th upper
+    key: via the answer, the k-th answer and that key's member.
 
     Euclidean sums of rounded squares of rounded differences are within
-    (d + 2) u of exact, relatively, and a row's key and its best member's
-    distance, the same terms summed in other orders, within 2 (d - 1) u of
+    (d + 2) u of exact, relatively, and a key and its member's distance,
+    the same terms summed in other orders, within 2 (d - 1) u of
     each other: (4 d + 2) u, 4 (d + 1) u with second-order terms.  Only a
     query within about 2**-511 of a center, then its row's best member,
     underflows far enough to matter.  Cosine keys and distances, from dot
@@ -252,10 +250,12 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     table = s.dominant_table()
     d = len(table.cols)
     try:
-        # numpy would drop imaginary parts and parse strings as floats
+        # numpy would drop imaginary parts and parse strings as floats, also
+        # those an object block holds
         q = np.asarray(queries)
-        if q.dtype.kind in "cSU":
-            raise TypeError(f"the block holds {q.dtype} values")
+        if q.dtype.kind in "cSU" or q.dtype.kind == "O" and any(
+                np.asarray(v).dtype.kind in "cSU" for v in q.flat):
+            raise TypeError("the block holds complex, string or bytes values")
         q = q.astype(np.float64, copy=False)
     except (TypeError, OverflowError) as exc:
         raise ValueError("cannot convert the query block to floats: "
@@ -297,33 +297,30 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
 def _search_chunk(s, table, q, frame, k, metric):
     """Key every table row against a chunk of queries in the ranking's
-    frame: an orbit row against the query's sorted values, a lone row
-    against the query itself."""
-    n = table.orbit_rows
-    score = _KERNELS[metric][0]
-    srt = np.sort(frame, axis=1)
-    keys = score(srt[:, ::-1], table.cols[:, :n], table.norms[:n])
-    if n < len(table.norms):
-        keys = np.concatenate(
-            (keys, score(frame, table.cols[:, n:], table.norms[n:])), axis=1)
-    return _expand(s, table, keys, q, frame, k, metric)
+    frame: its lower key against the query with its free coordinates
+    sorted, and a partial row's upper key against the query itself."""
+    score, rows = _KERNELS[metric][0], table.spans.shape[1]
+    lo = hi = score(dominant_rows(frame, table.free), table.cols[:, :rows],
+                    table.norms[:rows])
+    whole = 2 * rows - len(table.norms)  # the partial rows come last
+    if whole < rows:
+        hi = np.concatenate((lo[:, :whole], score(
+            frame, table.cols[:, rows:], table.norms[rows:])), axis=1)
+    return _expand(s, table, lo, hi, q, frame, k, metric)
 
 
-def _expand(s, table, keys, q, frame, k, metric):
-    """Rank the centers of every row whose key is within its query's widened
-    k-th key.
-
-    Every key is the distance of a present center, so the k-th key bounds
-    the k-th distance from above and the k nearest centers, ties included,
-    lie in those rows.  Their centers are scored exactly; those under the
+def _expand(s, table, lo, hi, q, frame, k, metric):
+    """Rank the centers of every row whose lower key (``lo``) is within its
+    query's widened k-th upper key (``hi``), which bounds the k-th distance
+    from above: rows are disjoint, and each upper key is one present
+    member's distance.  Their centers are scored exactly; those under the
     bound are ranked as a full scan would rank them, and those within the
-    k-th distance, ties included, count as examined.
-    """
-    c, d = len(keys), len(table.cols)
+    k-th distance, ties included, count as examined."""
+    c, d = len(lo), len(table.cols)
     if k == 1:
-        kth = np.minimum.reduce(keys, axis=1)
-    elif k <= keys.shape[1]:
-        kth = keys.copy()
+        kth = np.minimum.reduce(hi, axis=1)
+    elif k <= hi.shape[1]:
+        kth = hi.copy()
         kth.partition(k - 1, axis=1)
         kth = kth[:, k - 1]
     else:
@@ -331,16 +328,16 @@ def _expand(s, table, keys, q, frame, k, metric):
     bound = _widen(kth, d, metric)
     # the (query, row) pairs within the bound: a flat nonzero is several
     # times cheaper than a two-dimensional one
-    qi, rows = np.divmod((keys <= bound[:, None]).ravel().nonzero()[0],
-                         np.intp(keys.shape[1]))
+    qi, rows = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
+                         np.intp(lo.shape[1]))
     # each row's end in members, and its size
     span = table.spans.take(rows, axis=1)
     ends, sizes = span[0], span[1]
     at = sizes.cumsum()
     if c > 1 and at[-1] * d > _BLOCK:
         h = c // 2
-        return (_expand(s, table, keys[:h], q[:h], frame[:h], k, metric)
-                + _expand(s, table, keys[h:], q[h:], frame[h:], k, metric))
+        return (_expand(s, table, lo[:h], hi[:h], q[:h], frame[:h], k, metric)
+                + _expand(s, table, lo[h:], hi[h:], q[h:], frame[h:], k, metric))
     # one (query, center) pair for each center of each row
     pos = (ends - at).repeat(sizes)
     pos += np.arange(at[-1])
@@ -377,12 +374,10 @@ def _expand(s, table, keys, q, frame, k, metric):
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,
                    metric: str = EUCLIDEAN) -> QueryResult:
-    """The k nearest centers of one query: ``nearest_centers`` on a block of
-    one."""
+    """The k nearest centers of one query: a block of one."""
     return nearest_centers([e], s, k, metric)[0]
 
 
 def cosine_nearest(e: Sequence[float], s: Scattering, k: int = 1) -> QueryResult:
-    """Cosine k-nearest centers of one query: ``nearest_centers`` on a block
-    of one."""
+    """Cosine k-nearest centers of one query: a block of one."""
     return nearest_centers([e], s, k, COSINE)[0]

@@ -1,0 +1,123 @@
+"""Seeded random codebooks, every shape the search serves, against the
+full-scan oracle: generated diagrams with d = 2-9 at levels 0-2, cut,
+embedded once or twice, cut then embedded and embedded then cut, and
+arbitrary integer matrices with repeats and negative entries.  Each case
+is drawn from its own seed, so a failure names the seed that reproduces
+it."""
+
+import math
+import types
+
+import numpy as np
+import pytest
+
+from qusc import (Scattering, YoungDiagram, brute_nearest, build_scattering,
+                  embed_scattering, nearest_centers)
+from qusc.enumeration import enumerate_level
+
+KS = (1, 4, 17)
+# the most centers a generated case builds, and the most it searches
+BUILD_CAP = 20_000
+SEARCH_CAP = 600
+SHAPES = ("complete", "cut", "embedded", "embedded-twice", "cut-embedded",
+          "embedded-cut", "matrix")
+
+
+def orbit_size(row):
+    out = math.factorial(len(row))
+    for v in set(row):
+        out //= math.factorial(row.count(v))
+    return out
+
+
+def random_diagram(rng):
+    """A diagram of dimension 2-9 and a level of 0-2 whose codebook holds at
+    most BUILD_CAP centers."""
+    while True:
+        d = int(rng.integers(2, 10))
+        rows = sorted(rng.integers(1, 4 if d <= 5 else 3, size=d - 1).tolist(),
+                      reverse=True)
+        diagram = YoungDiagram.from_rows(rows)
+        levels = int(rng.integers(0, 3))
+        size = sum(orbit_size(r) for k in range(levels + 1)
+                   for r in enumerate_level(diagram, k).points.numerators
+                   .tolist())
+        if size <= BUILD_CAP:
+            return diagram, levels
+
+
+def cut(s, m):
+    """The first m centers of s, with the level blocks they start."""
+    return Scattering(s.diagram, s.levels_built, s.numerators[:m],
+                      [o for o in s.level_offsets if o < m] or [0])
+
+
+def random_matrix(rng):
+    """Rows of a few orbits, each whole or in part, and stray rows, with
+    entries from -4 to 4 at scale 2**0-2**2, shuffled or not, and with
+    repeats: d = 2-9, as the diagrams."""
+    d = int(rng.integers(2, 10))
+    rows = []
+    for _ in range(int(rng.integers(1, 5))):
+        dominant = np.sort(rng.integers(-4, 5, size=d))[::-1]
+        perms = {tuple(dominant[rng.permutation(d)]) for _ in range(40)}
+        rows += sorted(perms, reverse=True)[:rng.integers(1, len(perms) + 1)]
+    rows += [tuple(r) for r in rng.integers(-4, 5, size=(rng.integers(0, 6), d))]
+    if rng.random() < 0.2:  # a zero center, which cosine search refuses
+        rows.append((0,) * d)
+    if rng.random() < 0.5:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    for _ in range(int(rng.integers(0, 6))):
+        rows.insert(int(rng.integers(0, len(rows) + 1)),
+                    rows[int(rng.integers(0, len(rows)))])
+    return Scattering(types.SimpleNamespace(dim=d), int(rng.integers(0, 3)),
+                      np.array(rows, dtype=np.int64), [0])
+
+
+def random_codebook(rng, shape):
+    if shape == "matrix":
+        return random_matrix(rng)
+    s = build_scattering(*random_diagram(rng))
+    if shape in ("cut", "cut-embedded") or len(s) > SEARCH_CAP:
+        s = cut(s, int(rng.integers(1, min(len(s), SEARCH_CAP) + 1)))
+    for _ in range(shape.count("embedded") + shape.endswith("twice")):
+        s = embed_scattering(s)
+    if shape == "embedded-cut":
+        s = cut(s, int(rng.integers(1, len(s) + 1)))
+    return s
+
+
+def random_queries(rng, s, count):
+    """Box queries, centers with noise, exact centers, midpoints of two
+    centers (where ties decide) and far queries, in turn."""
+    vals = s.values()
+    low, high = vals.min() - 0.5, vals.max() + 0.5
+    out = []
+    for i in range(count):
+        a, b = vals[rng.integers(0, len(vals), size=2)]
+        out.append([rng.uniform(low, high, size=s.dim),
+                    a + rng.normal(0, 0.3, s.dim), a, (a + b) / 2,
+                    rng.normal(0, 8, s.dim)][i % 5].tolist())
+    return out
+
+
+@pytest.mark.parametrize("seed", range(105))
+def test_random_codebook_matches_brute(seed):
+    rng = np.random.default_rng(seed)
+    shape = SHAPES[seed % len(SHAPES)]
+    s = random_codebook(rng, shape)
+    queries = random_queries(rng, s, 6)
+    for metric in ("euclidean", "cosine"):
+        if metric == "cosine":  # a zero query has no cosine distance
+            queries = [e for e in queries if any(e)]
+        if metric == "cosine" and not s.numerators.any(axis=1).all():
+            with pytest.raises(ValueError, match="zero vector"):
+                nearest_centers(queries, s, 1, metric)
+            continue
+        refs = [brute_nearest(e, s, max(KS), metric) for e in queries]
+        for k in KS:
+            got = nearest_centers(queries, s, k, metric)
+            for e, res, ref in zip(queries, got, refs):
+                assert (res.indices, res.distances, res.points) == (
+                    ref.indices[:k], ref.distances[:k], ref.points[:k]), \
+                    (shape, len(s), e, k, metric)

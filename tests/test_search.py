@@ -16,7 +16,7 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
 from qusc.scattering import _pack_rows
-from qusc.search import _colsum, _widen
+from qusc.search import _KERNELS, _colsum, _expand, _widen
 
 
 def from_points(diagram, levels, points, offsets):
@@ -111,20 +111,28 @@ class TestNearestCenterExamples:
 
 @pytest.mark.parametrize("caller", ["nearest_center", "nearest_centers",
                                     "kneighbors", "kneighbors-block"])
-@pytest.mark.parametrize("bad", [10 ** 400, -(2 ** 1024), 1j, "1.9", b"1",
-                                 np.complex128(1 + 5j)],
-                         ids=["10^400", "-2^1024", "1j", "str-1.9", "bytes-1",
-                              "complex128-array"])
-def test_unconvertible_query_is_a_value_error(scatterings, caller, bad):
+@pytest.mark.parametrize("bad,form", [
+    (10 ** 400, "list"), (-(2 ** 1024), "list"), (1j, "list"), ("1.9", "list"),
+    (b"1", "list"), (np.complex128(1 + 5j), "array"), ("1.9", "object"),
+    (b"1", "object"), ("1.9", "object-rows")],
+    ids=["10^400", "-2^1024", "1j", "str-1.9", "bytes-1", "complex128-array",
+         "object-str-1.9", "object-bytes-1", "list-of-object-str"])
+def test_unconvertible_query_is_a_value_error(scatterings, caller, bad, form):
     """A coordinate numpy cannot convert to a float, alone or in the second
     row of a block, is refused as bad input; so is a string, which numpy
-    would parse, and a complex array, whose imaginary part it would drop."""
+    would parse, also inside an object array or in a list of them, and a
+    complex array, whose imaginary part it would drop."""
     s = scatterings[(2, 1, 1), 1]
     est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
     e, block = [bad, 0, 0, 0], [[1.0, 1.0, 1.0, 1.0], [bad, 0, 0, 0]]
-    if isinstance(bad, np.complex128):
+    if form == "array":
         e, block = np.array(e), np.array(block)
         assert e.dtype == block.dtype == np.complex128
+    elif form == "object":
+        e, block = np.array(e, dtype=object), np.array(block, dtype=object)
+    elif form == "object-rows":
+        e = np.array([bad, "1", "1", "0"], dtype=object)
+        block = [np.array(block[0]), e]
     call = {"nearest_center": lambda: nearest_center(e, s, 2),
             "nearest_centers": lambda: nearest_centers(block, s, 2),
             "kneighbors": lambda: est.kneighbors(e, 2),
@@ -169,17 +177,10 @@ WIDEN_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(WIDEN_MUTANTS))
-def test_widen_mutants_are_caught(diagrams, monkeypatch, name):
-    """Each term of the bound's widening is load-bearing: with it weakened,
-    every listed query either stops the search with its named error or
-    gets an answer that differs from a full scan's."""
-    mutant, cases = WIDEN_MUTANTS[name]
-    runs = [(e, build_scattering(diagrams[rows], levels), k, metric)
-            for metric, rows, levels, k, e in cases]
-    for run in runs:
-        assert nearest_center(*run) == brute_nearest(*run)
-    monkeypatch.setattr("qusc.search._widen", mutant)
+def assert_mutant_caught(runs):
+    """Each run, (query, scattering, k, metric), either stops the search
+    with its named error or gets an answer that differs from a full
+    scan's."""
     for run in runs:
         try:
             res = nearest_center(*run)
@@ -187,6 +188,40 @@ def test_widen_mutants_are_caught(diagrams, monkeypatch, name):
             assert "search bound too tight" in str(exc)
         else:
             assert res != brute_nearest(*run), run[0]
+
+
+@pytest.mark.parametrize("name", list(WIDEN_MUTANTS))
+def test_widen_mutants_are_caught(diagrams, monkeypatch, name):
+    """Each term of the bound's widening is load-bearing: with it weakened,
+    every listed query is caught."""
+    mutant, cases = WIDEN_MUTANTS[name]
+    runs = [(e, build_scattering(diagrams[rows], levels), k, metric)
+            for metric, rows, levels, k, e in cases]
+    for run in runs:
+        assert nearest_center(*run) == brute_nearest(*run)
+    monkeypatch.setattr("qusc.search._widen", mutant)
+    assert_mutant_caught(runs)
+
+
+def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
+    """A partial row's lower key may be the distance of an absent member, so
+    the k-th bound is taken over upper keys: with partial rows keyed from
+    above by their own lower key, both cut codebooks' queries are caught
+    at k = 1."""
+    cases = [("euclidean", (2, 1, 1), 9,
+              (0.2138938812756741, 1.1326876758878557, 0.6098654996442376,
+               1.3117601157885834)),
+             ("cosine", (3, 2, 1), 20,
+              (-0.2530429846733244, 1.8715488251153234, 2.5048272449701603,
+               1.3321683201897692))]
+    runs = [(e, build_scattering(diagrams[rows], 1, max_points=cut), 1,
+             metric) for metric, rows, cut, e in cases]
+    for run in runs:
+        assert nearest_center(*run) == brute_nearest(*run)
+    monkeypatch.setattr("qusc.search._expand",
+                        lambda s, table, lo, hi, *rest:
+                            _expand(s, table, lo, lo, *rest))
+    assert_mutant_caught(runs)
 
 
 def test_query_too_large_at_every_depth(diagrams, scatterings):
@@ -503,6 +538,37 @@ class TestScaling:
         assert (res.indices, res.distances) == (ref.indices, ref.distances)
         assert res.candidates_examined < len(s)
 
+    def test_scored_centers_per_query(self, diagrams, monkeypatch):
+        """Centers scored per query, counted at the pair kernel over 200 box
+        queries at k = 4: an embedding's constant coordinates stay in place,
+        so embedded codebooks score about what the complete one does, and a
+        cut inside the last level scores a small multiple of it."""
+        full = build_scattering(diagrams[(3, 2, 1)], 3)
+        once = embed_scattering(full)
+        sequences = {"complete": full, "embedded": once,
+                     "embedded-twice": embed_scattering(once),
+                     "cut": build_scattering(full.diagram, 3, max_points=1000)}
+        rng = random.Random(19)
+        for metric in ("euclidean", "cosine"):
+            keys, pairs = _KERNELS[metric]
+            scored = []
+
+            def counting(x, vals, pairs=pairs):
+                scored.append(len(x))
+                return pairs(x, vals)
+
+            monkeypatch.setitem(_KERNELS, metric, (keys, counting))
+            mean = {}
+            for name, s in sequences.items():
+                scored.clear()
+                queries = [[rng.uniform(0, 3) for _ in range(s.dim)]
+                           for _ in range(200)]
+                nearest_centers(queries, s, 4, metric)
+                mean[name] = sum(scored) / len(queries)
+            assert mean["embedded"] <= 1.25 * mean["complete"], mean
+            assert mean["embedded-twice"] <= 1.25 * mean["complete"], mean
+            assert mean["cut"] <= 2.5 * mean["complete"], mean
+
     @pytest.mark.parametrize("size", [1e8, 1e12])
     def test_far_queries_rank_few_centers(self, diagrams, size):
         # the search keys and the final ranking differ only in summation
@@ -549,8 +615,11 @@ class TestPartialSequences:
         for n in range(7, len(full), 97):
             s = build_scattering(full.diagram, 3, max_points=n)
             self.assert_matches(s, queries, (1, 5))
+            assert_table_matches_reference(s)
+            # partial rows in every cut but the first, whose first coordinate
+            # is constant: its orbits on the other three are whole
             table = s.dominant_table()
-            assert table.spans.shape[1] > table.orbit_rows  # some lone rows
+            assert (table.cols.shape[1] > table.spans.shape[1]) == (n > 7)
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -572,11 +641,10 @@ class TestPartialSequences:
             assert len(np.unique(s.numerators, axis=0)) < len(s)
             self.assert_matches(s, random_queries(rng, s, 12, 3), (1, 3, 10))
 
-    def test_complete_sequence_has_no_lone_rows(self, scatterings):
+    def test_complete_sequence_has_no_partial_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert table.spans.shape[1] == table.orbit_rows
-            assert table.orbit_rows == sum(
+            assert table.cols.shape[1] == table.spans.shape[1] == sum(
                 list(n) == sorted(n, reverse=True) for n in s.numerators.tolist())
 
 
@@ -593,31 +661,44 @@ def distinct_perms(values):
 
 
 def reference_table(rows):
-    """The center table by its definition, over rows as tuples: the number
-    of orbit rows, each table row's sequence indices and key row.  An orbit
-    (its values sorted descending) gets a row, keyed by its dominant member,
-    when every one of its multinomial-many members is present; the row lists
-    the first occurrence of each member and comes in the sequence order of
-    the dominant member.  Every other center is a lone row."""
+    """The center table by its definition, over rows as tuples: the free
+    coordinates, each table row's sequence indices and the key rows.  The
+    free coordinates are those that vary along the sequence; an orbit's
+    members are permutations of one another on them, and its dominant
+    member has its free values sorted descending.  Each orbit is a row that
+    lists all its centers, repeats included, in sequence order, keyed by the
+    dominant member.  It is whole when each of its multinomial-many members
+    is present.  Whole rows come first, then partial ones, each kind in the
+    sequence order of the dominant member's first occurrence, or of the
+    orbit's first member when the dominant member is absent.  A key row
+    follows for each partial row: its first member."""
     rows = [tuple(r) for r in rows]
-    first, owned = {}, {}
-    for i, r in enumerate(rows):
-        if r not in first:
-            first[r] = i
-            owned.setdefault(tuple(sorted(r, reverse=True)), []).append(i)
+    free = [j for j in range(len(rows[0]) if rows else 0)
+            if len({r[j] for r in rows}) > 1]
+
+    def dominant(r):
+        out, vals = list(r), sorted((r[j] for j in free), reverse=True)
+        for j, v in zip(free, vals):
+            out[j] = v
+        return tuple(out)
 
     def size(orbit):
-        out = math.factorial(len(orbit))
-        for v in set(orbit):
-            out //= math.factorial(orbit.count(v))
+        vals = [orbit[j] for j in free]
+        out = math.factorial(len(vals))
+        for v in set(vals):
+            out //= math.factorial(vals.count(v))
         return out
 
-    full = {o for o, got in owned.items() if len(got) == size(o)}
-    heads = sorted(first[o] for o in full)
-    lone = [i for i, r in enumerate(rows)
-            if first[r] != i or tuple(sorted(r, reverse=True)) not in full]
-    groups = [owned[rows[h]] for h in heads] + [[i] for i in lone]
-    return len(heads), groups, [rows[i] for i in heads + lone]
+    owned = {}
+    for i, r in enumerate(rows):
+        owned.setdefault(dominant(r), []).append(i)
+    whole = {o for o, got in owned.items()
+             if len({rows[i] for i in got}) == size(o)}
+    order = sorted(owned, key=lambda o: (
+        o not in whole, rows.index(o) if o in rows else owned[o][0]))
+    groups = [owned[o] for o in order]
+    partial = [rows[owned[o][0]] for o in order if o not in whole]
+    return free, groups, order + partial
 
 
 def random_table_rows(rng, d, values):
@@ -662,11 +743,11 @@ def reference_tie(rows):
 
 def assert_table_matches_reference(s):
     rows = s.numerators.tolist()
-    orbit_rows, groups, keys = reference_table(rows)
+    free, groups, keys = reference_table(rows)
     t = s.dominant_table()
     starts = np.concatenate(([0], t.spans[0]))
     mat = (t.cols.T * t.lattice).tolist()
-    assert t.orbit_rows == orbit_rows
+    assert t.free.tolist() == free
     assert [t.members[a:b].tolist()
             for a, b in zip(starts[:-1], starts[1:])] == groups
     assert mat == [[float(v) for v in r] for r in keys]
@@ -679,8 +760,8 @@ def assert_table_matches_reference(s):
 
 
 class TestCenterTable:
-    """Every table row owns a group of sequence indices: a whole orbit or
-    one lone center, and each center lies in exactly one row."""
+    """Every table row owns one orbit of the sequence, on the coordinates
+    that vary along it, and each center lies in exactly one row."""
 
     @staticmethod
     def sequences(diagrams, scatterings):
@@ -705,35 +786,49 @@ class TestCenterTable:
         mat = table.cols.T * table.lattice
         assert sorted(table.members.tolist()) == list(range(len(s)))
         assert starts[0] == 0 and starts[-1] == len(s)
-        assert len(starts) - 1 == len(mat) == len(table.norms)
+        assert len(mat) == len(table.norms) >= len(starts) - 1
+        # an embedding's last coordinate is constant and stays in place
+        free = table.free.tolist()
+        assert free == list(range(s.dim - (kind == "embedded")))
         rows = s.numerators.tolist()
-        for r in range(len(mat)):
+        partial = len(mat) - (len(starts) - 1)
+        whole = len(starts) - 1 - partial
+        for r in range(len(starts) - 1):
             group = table.members[starts[r]:starts[r + 1]].tolist()
+            assert group == sorted(group)
             key = tuple(int(v) for v in mat[r])
-            if r < table.orbit_rows:
-                assert key == tuple(sorted(key, reverse=True))
-                orbit = set(itertools.permutations(key))
-                assert len(group) == len(orbit)
-                assert {tuple(rows[i]) for i in group} == orbit
+            assert [key[j] for j in free] == sorted((key[j] for j in free),
+                                                    reverse=True)
+            orbit = set()
+            for p in itertools.permutations(key[j] for j in free):
+                member = list(key)
+                for j, v in zip(free, p):
+                    member[j] = v
+                orbit.add(tuple(member))
+            got = {tuple(rows[i]) for i in group}
+            if r < whole:
+                assert got == orbit
             else:
-                assert len(group) == 1 and tuple(rows[group[0]]) == key
-        lone = len(mat) - table.orbit_rows
-        if kind == "cut":  # the members of the orbit the cut falls inside
-            assert 0 < lone < len(s)
+                assert got < orbit
+                assert tuple(int(v) for v in mat[r + partial]) == \
+                    tuple(rows[group[0]])
+        if kind == "cut":  # the orbits the cut falls inside
+            assert 0 < partial < len(s)
         else:
-            assert lone == {"complete": 0, "embedded": len(s),
-                            "duplicated": 6}[kind]
+            assert partial == 0
+        assert len(starts) - 1 == len({tuple(sorted(r)) for r in rows})
 
-    # sha256 of (orbit_rows, members, starts, mat, norms), the key rows and
-    # norms at the lattice scale, as built by the table that grouped orbit
-    # representatives with np.unique (commit 1cb17ff)
+    # sha256 of (rows, members, starts, mat, norms), the key rows and norms
+    # at the lattice scale; the complete codebooks' as built by the table
+    # that grouped orbit representatives with np.unique (commit 1cb17ff),
+    # the others' as built by the table of one row per orbit
     FROZEN = {
         "complete": "15a1020c64837e8b8b2521002e3fa62719c8b631e95a18abd4ef408a6895b48b",
         "complete-2211": "e5f6308144b550bb0f4a71d14f604cb23e2d29ba5e8c69b88a000d5177d2b664",
-        "cut": "0a00ad316173c2a23c022227410d8201c7863bd0577933845a7da53c4b4d6222",
-        "embedded": "fa7e3090adfc132504af9df94252bd009666ffc570a6205ea4f07518865884d9",
+        "cut": "775d32892dc7d786bf7147dc40a2d19e186599197b1dc57e9dab65c6e7dab548",
+        "embedded": "f23c142577bc884c24037ebde279de1fcbdaf37b71bb8ebe976f96744a370116",
         "d9": "15df8670239d3d1f32e4c6742341e6c05f7e5cc337760ebbe50f041ade95c6c2",
-        "duplicated": "139b64a02103c3a82b64474afc04214ec1f71cd2b1f115486ec6d091e8be4d32",
+        "duplicated": "c94dbede7a0d9c9653d228fdc3f0f2732d6b91f329f227ec5156c0139ff06105",
     }
 
     @pytest.mark.parametrize("kind", sorted(FROZEN))
@@ -755,7 +850,7 @@ class TestCenterTable:
             if kind == "embedded":
                 s = embed_scattering(s)
         t = s.dominant_table()
-        h = hashlib.sha256(str(t.orbit_rows).encode())
+        h = hashlib.sha256(str(t.spans.shape[1]).encode())
         for part, dtype in ((t.members, "<i8"),
                             (np.concatenate(([0], t.spans[0])), "<i8"),
                             (t.cols.T * t.lattice, "<f8"),
@@ -794,7 +889,7 @@ class TestCenterTable:
         assert _pack_rows(shifted.numerators, lo, hi).dtype.itemsize == 32
         assert_table_matches_reference(shifted)
         t, u = s.dominant_table(), shifted.dominant_table()
-        assert t.orbit_rows == u.orbit_rows
+        assert t.spans.shape == u.spans.shape
         assert (t.members == u.members).all() and (t.spans == u.spans).all()
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
