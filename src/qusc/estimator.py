@@ -12,8 +12,13 @@ from .search import nearest_centers
 
 def _check_matrix(X):
     """X as a query block: a single query becomes a block of one.  The search
-    converts the block to floats and checks its shape and values."""
-    return [X] if np.ndim(X) == 1 else X
+    converts the block to floats and checks its shape and values; a ragged
+    X, which has no dimension, is left for it to refuse."""
+    try:
+        single = np.ndim(X) == 1
+    except ValueError:
+        return X
+    return [X] if single else X
 
 
 class ScatteringNeighbors:

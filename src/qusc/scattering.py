@@ -173,8 +173,9 @@ class CenterTable(NamedTuple):
     sequence order of their dominant members (of their first where that is
     absent).  ``cols`` holds key centers as float64 values, the numerators
     over ``lattice``, as a contiguous (d, columns) array: each row's
-    dominant member, then each partial row's first member.  ``norms`` holds
-    each column's norm.
+    dominant member, then each partial row's first member.  ``sq`` holds
+    each column's squared norm, as one dot product of the column with
+    itself, and ``norms`` its square root.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -188,6 +189,7 @@ class CenterTable(NamedTuple):
     spans: np.ndarray
     free: np.ndarray
     cols: np.ndarray
+    sq: np.ndarray
     norms: np.ndarray
     tie: np.ndarray
     zero: int
@@ -297,13 +299,14 @@ class Scattering:
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
             mat = np.concatenate((dominant[heads[rank]], nums[partial])) / lattice
-            norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+            sq = np.einsum("ij,ij->i", mat, mat)
+            norms = np.sqrt(sq)
             # a zero center is a whole orbit, so argmin finds its key column
             zero = -1 if norms.all() else int(
                 members[(ends - sizes)[np.argmin(norms)]])
             self._table = CenterTable(
                 members, np.stack((ends, sizes)), free,
-                np.ascontiguousarray(mat.T), norms, tie, zero, lattice,
+                np.ascontiguousarray(mat.T), sq, norms, tie, zero, lattice,
                 float(norms.max(initial=0.0)))
         return self._table
 

@@ -13,10 +13,12 @@ number of numpy passes per chunk (the blocked exact-distance search with
 per-row k-selection of Johnson, Douze & Jegou 2017, "Billion-scale
 similarity search with GPUs", over the table's rows):
 
-1. the block is validated once;
-2. every row is keyed against every query of the chunk, column by column
-   over the table's contiguous key columns, which hold the centers' own
-   values: the keys are taken in the frame the ranking scores in;
+1. the block is validated once, and each query's squared norm taken;
+2. every row is keyed against every query of the chunk by one matrix
+   product with the table's contiguous key columns, which hold the centers'
+   own values: the keys are taken in the frame the ranking scores in, as
+   |g|^2 + |t|^2 - 2 <g, t> for euclidean search, with the columns' squared
+   norms stored in the table, and 1 - <g, t> / |g| |t| for cosine search;
 3. each query's k-th upper key (a whole row's is its lower key) bounds its
    k-th distance, so every row whose lower key is within that bound,
    widened past float rounding, is expanded at once into its centers, and
@@ -120,27 +122,45 @@ class QueryResult:
 _BLOCK = 1 << 15
 
 
-def _widen(bound, d: int, metric: str):
-    """The k-th upper key widened past float rounding (d coordinates,
-    u = 2**-53) so that the rows whose lower keys lie within it hold all of a
-    full scan's k nearest centers.  Any row's lower key is the float
-    distance of its orbit's best member, whose exact distance is the row's
-    least, and an upper key a present member's: the best one's in a whole
-    row, the first one's, keyed from the query itself, in a partial one.  So
-    an answer's lower key is four float-to-exact steps from the k-th upper
-    key: via the answer, the k-th answer and that key's member.
+def _widen(bound, sq, table, metric: str):
+    """The k-th upper keys of queries whose squared norms are ``sq`` widened
+    past float rounding (d coordinates, u = 2**-53) so that the rows whose
+    lower keys lie within them hold all of a full scan's k nearest centers.
+    Any row's lower key is the float distance of its orbit's best member,
+    whose exact distance is the row's least, and an upper key a present
+    member's: the best one's in a whole row, the first one's, keyed from
+    the query itself, in a partial one.  So an answer's lower key is four
+    float-to-exact steps from the k-th upper key: via the answer, the k-th
+    answer and that key's member.
 
-    Euclidean sums of rounded squares of rounded differences are within
-    (d + 2) u of exact, relatively, and a key and its member's distance,
-    the same terms summed in other orders, within 2 (d - 1) u of
-    each other: (4 d + 2) u, 4 (d + 1) u with second-order terms.  Only a
-    query within about 2**-511 of a center, then its row's best member,
-    underflows far enough to matter.  Cosine keys and distances, from dot
-    products within d u |q| |c|, norms within (d / 2 + 1) u and 4 u more,
-    are within (2 d + 6) u of exact, absolutely: 8 (d + 3) u in four steps,
-    half the term; rescaled queries underflow far less."""
+    A euclidean key of a query g and a key column t, |t| <= R (the table's
+    radius), adds |g|^2, |t|^2 and -2 <g, t>, three dot products of length
+    d, each within d u of exact relative to the sum of its terms'
+    magnitudes in any order of summation (Higham 2002, section 3.1): within
+    d u (|g| + |t|)^2 together, and two roundings of sums of at most
+    (|g| + R)^2 add 2 u of it.  A ranked distance, d rounded squares of
+    rounded differences, is within (d + 2) u of exact, relatively, and no
+    exact distance exceeds (|g| + R)^2.  So every key, upper key and
+    ranked distance lies within (d + 2) u (|g| + R)^2 of exact, with
+    second-order terms, and four steps within 4 (d + 2) u (|g| + R)^2.  The
+    term 4 (d + 3) u (|g| + R)^2 leaves u (|g| + R)^2 for its own rounding
+    and its addition to the upper key; as (|g| + R)^2 <= 2 (|g|^2 + R^2),
+    it is taken as 8 (d + 3) u (sq + R^2), from the squared norms the keys
+    add, without a square root.  A product or square that underflows loses
+    up to 2**-1075 besides, 3 d of them per key and d per distance: 8 d in
+    four steps, half the floor d 2**-1071.
+
+    Cosine keys and distances, from dot products within d u |q| |c|, norms
+    within (d / 2 + 1) u and 4 u more, are within (2 d + 6) u of exact,
+    absolutely: 8 (d + 3) u in four steps, half the term; rescaled queries
+    underflow far less."""
+    d = len(table.cols)
     if metric == EUCLIDEAN:
-        return bound * (1.0 + 4 * (d + 1) * 2.0 ** -53)
+        c = 8 * (d + 3) * 2.0 ** -53
+        term = sq * c
+        term += c * table.radius ** 2 + d * 2.0 ** -1071
+        term += bound
+        return term
     return bound + 16 * (d + 2) * 2.0 ** -53
 
 
@@ -154,28 +174,24 @@ def _colsum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euclidean_keys(v, cols, norms):
-    """Squared distances from every row of v to every column of cols, from
-    the coordinate differences added column by column: no
-    |v|^2 + |t|^2 - 2<v, t> cancellation for far queries."""
-    pairs = zip(v.T[:, :, None], cols)
-    vj, tj = next(pairs)
-    keys = vj - tj
-    np.square(keys, keys)
-    diff = None
-    for vj, tj in pairs:
-        diff = np.subtract(vj, tj, diff)
-        np.square(diff, diff)
-        keys += diff
+def _euclidean_keys(v, sq, table, part):
+    """Squared distances from every row of v, whose squared norms are sq,
+    to the table's key columns ``part``, as |v|^2 + |t|^2 - 2 <v, t> from
+    one matrix product; -2 v is a contiguous copy, so a reversed view of
+    sorted rows still reaches BLAS.  ``_widen`` bounds their
+    cancellation."""
+    keys = np.matmul(-2.0 * v, table.cols[:, part])
+    keys += table.sq[part]
+    keys += sq[:, None]
     return keys
 
 
-def _cosine_keys(v, cols, norms):
-    """Cosine distances from every row of v to every column of cols, whose
-    norms are given."""
-    keys = v @ cols
-    keys /= np.sqrt(_colsum(v * v))[:, None]
-    keys /= norms
+def _cosine_keys(v, sq, table, part):
+    """Cosine distances from every row of v, whose squared norms are sq, to
+    the table's key columns ``part``."""
+    keys = v @ table.cols[:, part]
+    keys /= np.sqrt(sq)[:, None]
+    keys /= table.norms[part]
     return np.subtract(1.0, keys, out=keys)
 
 
@@ -236,12 +252,13 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
     The block is searched in chunks of queries whose key matrix against the
     center table stays within a fixed number of elements.  A block that
-    does not convert to floats (complex, string or bytes coordinates, or an
-    integer past the float range) raises ValueError, and so does an invalid
-    one, naming its first bad row: a non-finite coordinate, a zero cosine
-    query, or a euclidean query whose squared distances to the centers
-    could overflow; only euclidean search refuses a query for its size.  A
-    k that is not an integer of at least 1 raises ValueError.
+    does not convert to floats (complex, string or bytes coordinates, an
+    integer past the float range, or a sequence in a coordinate's place)
+    raises ValueError, and so does an invalid one, naming its first bad
+    row: a non-finite coordinate, a zero cosine query, or a euclidean query
+    whose squared distances to the centers could overflow; only euclidean
+    search refuses a query for its size.  A k that is not an integer of at
+    least 1 raises ValueError.
     """
     check_metric(metric)
     k = _check_k(k)
@@ -257,7 +274,7 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
                 np.asarray(v).dtype.kind in "cSU" for v in q.flat):
             raise TypeError("the block holds complex, string or bytes values")
         q = q.astype(np.float64, copy=False)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ValueError) as exc:
         raise ValueError("cannot convert the query block to floats: "
                          f"{exc}") from None
     if q.shape == (0,):
@@ -287,29 +304,31 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         # ordinary queries bit for bit unchanged and keeps the squares of
         # tiny queries from underflowing
         frame = np.ldexp(q, -np.frexp(peak)[1][:, None])
+    # each query's squared norm in the frame, which sorting leaves alone
+    sq = np.vecdot(frame, frame)
     step = max(1, _BLOCK // len(table.norms))
     out: list[QueryResult] = []
     for lo in range(0, len(q), step):
-        out += _search_chunk(s, table, q[lo:lo + step], frame[lo:lo + step], k,
+        chunk = slice(lo, lo + step)
+        out += _search_chunk(s, table, q[chunk], frame[chunk], sq[chunk], k,
                              metric)
     return out
 
 
-def _search_chunk(s, table, q, frame, k, metric):
+def _search_chunk(s, table, q, frame, sq, k, metric):
     """Key every table row against a chunk of queries in the ranking's
     frame: its lower key against the query with its free coordinates
     sorted, and a partial row's upper key against the query itself."""
     score, rows = _KERNELS[metric][0], table.spans.shape[1]
-    lo = hi = score(dominant_rows(frame, table.free), table.cols[:, :rows],
-                    table.norms[:rows])
+    lo = hi = score(dominant_rows(frame, table.free), sq, table, slice(rows))
     whole = 2 * rows - len(table.norms)  # the partial rows come last
     if whole < rows:
         hi = np.concatenate((lo[:, :whole], score(
-            frame, table.cols[:, rows:], table.norms[rows:])), axis=1)
-    return _expand(s, table, lo, hi, q, frame, k, metric)
+            frame, sq, table, slice(rows, None))), axis=1)
+    return _expand(s, table, lo, hi, q, frame, sq, k, metric)
 
 
-def _expand(s, table, lo, hi, q, frame, k, metric):
+def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     """Rank the centers of every row whose lower key (``lo``) is within its
     query's widened k-th upper key (``hi``), which bounds the k-th distance
     from above: rows are disjoint, and each upper key is one present
@@ -325,7 +344,7 @@ def _expand(s, table, lo, hi, q, frame, k, metric):
         kth = kth[:, k - 1]
     else:
         kth = np.full(c, math.inf)
-    bound = _widen(kth, d, metric)
+    bound = _widen(kth, sq, table, metric)
     # the (query, row) pairs within the bound: a flat nonzero is several
     # times cheaper than a two-dimensional one
     qi, rows = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
@@ -336,8 +355,10 @@ def _expand(s, table, lo, hi, q, frame, k, metric):
     at = sizes.cumsum()
     if c > 1 and at[-1] * d > _BLOCK:
         h = c // 2
-        return (_expand(s, table, lo[:h], hi[:h], q[:h], frame[:h], k, metric)
-                + _expand(s, table, lo[h:], hi[h:], q[h:], frame[h:], k, metric))
+        return (_expand(s, table, lo[:h], hi[:h], q[:h], frame[:h], sq[:h],
+                        k, metric)
+                + _expand(s, table, lo[h:], hi[h:], q[h:], frame[h:], sq[h:],
+                          k, metric))
     # one (query, center) pair for each center of each row
     pos = (ends - at).repeat(sizes)
     pos += np.arange(at[-1])

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
 from qusc.scattering import _pack_rows
-from qusc.search import _KERNELS, _colsum, _expand, _widen
+from qusc.search import (_KERNELS, _colsum, _euclidean_keys,
+                         _euclidean_pairs, _expand, _widen)
 
 
 def from_points(diagram, levels, points, offsets):
@@ -114,14 +116,17 @@ class TestNearestCenterExamples:
 @pytest.mark.parametrize("bad,form", [
     (10 ** 400, "list"), (-(2 ** 1024), "list"), (1j, "list"), ("1.9", "list"),
     (b"1", "list"), (np.complex128(1 + 5j), "array"), ("1.9", "object"),
-    (b"1", "object"), ("1.9", "object-rows")],
+    (b"1", "object"), ("1.9", "object-rows"), (np.array([1.9]), "list"),
+    (np.array([1.9]), "object"), ([1.9], "list")],
     ids=["10^400", "-2^1024", "1j", "str-1.9", "bytes-1", "complex128-array",
-         "object-str-1.9", "object-bytes-1", "list-of-object-str"])
+         "object-str-1.9", "object-bytes-1", "list-of-object-str",
+         "array-in-list", "array-in-object", "ragged-list"])
 def test_unconvertible_query_is_a_value_error(scatterings, caller, bad, form):
     """A coordinate numpy cannot convert to a float, alone or in the second
     row of a block, is refused as bad input; so is a string, which numpy
-    would parse, also inside an object array or in a list of them, and a
-    complex array, whose imaginary part it would drop."""
+    would parse, also inside an object array or in a list of them, a
+    complex array, whose imaginary part it would drop, and a sequence in a
+    coordinate's place, in a list, in an object array or ragged."""
     s = scatterings[(2, 1, 1), 1]
     est = ScatteringNeighbors(lambda_rows=(2, 1, 1), levels=1).fit()
     e, block = [bad, 0, 0, 0], [[1.0, 1.0, 1.0, 1.0], [bad, 0, 0, 0]]
@@ -154,26 +159,36 @@ def test_huge_queries_match_brute(diagrams, levels):
         assert (res.indices, res.distances) == (ref.indices, ref.distances), e
 
 
-# Mutants of the search's bound, each with queries it fails on: drawn from
-# test_huge_queries_match_brute and acceptance criterion 7 as (metric,
-# rows, levels, k, query).
+# Mutants of the search's bound, each with queries it fails on, as (metric,
+# rows, levels, k, query): the euclidean ones drawn from far gaussian
+# queries, the cosine one from centers plus gaussian noise.
 WIDEN_MUTANTS = {
-    "euclidean-relative-dropped": (
-        lambda bound, d, metric:
-            bound if metric == "euclidean" else _widen(bound, d, metric),
-        [("euclidean", (3, 2, 1), 0, 2,
-          (2.507597016674415e+21, -2.0783685077639566e+21,
-           -4.89337678106148e+21, 8.569412824611896e+21)),
-         ("euclidean", (2, 1, 1), 0, 1,
-          (1.8485003249925052, -0.07871212847772822, 0.6540391682984953,
-           0.998487865599122))]),
+    "euclidean-absolute-dropped": (
+        lambda bound, sq, table, metric:
+            bound if metric == "euclidean"
+            else _widen(bound, sq, table, metric),
+        [("euclidean", (2, 1, 1), 0, 1,
+          (1.3073334511472376, 0.6273181598370203, 1.0050523371646274,
+           1.9915527111847378))]),
+    # the term cut to d u (|g|^2 + R^2): these answers' float distances lie
+    # about 6.0 and 5.7 u (|g|^2 + R^2) past the k-th upper key
+    "euclidean-absolute-cut-to-d": (
+        lambda bound, sq, table, metric:
+            bound + len(table.cols) * 2.0 ** -53 * (sq + table.radius ** 2)
+            if metric == "euclidean" else _widen(bound, sq, table, metric),
+        [("euclidean", (2, 1, 1), 0, 1,
+          (-9156.89362240057, -45461.80232835481, -298.78559709815966,
+           1663.49672613796)),
+         ("euclidean", (3, 2, 1), 0, 1,
+          (727.6831043789995, -755.6797146142251, -42.939662155018446,
+           39.851160829680694))]),
     "cosine-absolute-1d": (
-        lambda bound, d, metric:
-            bound + d * 2.0 ** -53 if metric == "cosine"
-            else _widen(bound, d, metric),
+        lambda bound, sq, table, metric:
+            bound + len(table.cols) * 2.0 ** -53 if metric == "cosine"
+            else _widen(bound, sq, table, metric),
         [("cosine", (3, 2, 1), 1, 1,
-          (1.248294247670282, 0.5811560359148507, 0.23351428395503016,
-           2.0564086670629913))]),
+          (-0.23510455200696745, -0.05824804328063671, 1.5970501025496273,
+           1.7359950411931977))]),
 }
 
 
@@ -222,6 +237,59 @@ def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
                         lambda s, table, lo, hi, *rest:
                             _expand(s, table, lo, lo, *rest))
     assert_mutant_caught(runs)
+
+
+@pytest.fixture(scope="module")
+def key_tables(diagrams, scatterings):
+    """Sequences whose key columns the widening is held to: complete, cut
+    inside an orbit and embedded codebooks; rows near and at the int64
+    limits, at d = 4 and 9; and a codebook at scale 2**1020, whose columns'
+    products with tiny queries underflow."""
+    s = scatterings[(3, 2, 1), 2]
+    rng = random.Random(33)
+    return {
+        "complete": s,
+        "cut": build_scattering(diagrams[(3, 2, 1)], 3, max_points=500),
+        "embedded": embed_scattering(scatterings[(2, 1, 1), 2]),
+        "int64": table_sequence(random_table_rows(
+            rng, 4, TestCenterTable.VALUES["int64"]), 4),
+        "2^62-d9": table_sequence(random_table_rows(
+            rng, 9, TestCenterTable.VALUES["2^62"]), 9),
+        "scale-2^1020": Scattering(s.diagram, 1020, s.numerators,
+                                   s.level_offsets),
+    }
+
+
+@given(data=st.data(), exp=st.integers(-1070, 498),
+       kind=st.sampled_from(["complete", "cut", "embedded", "int64",
+                             "2^62-d9", "scale-2^1020"]),
+       point=st.sampled_from(["scaled", "column", "midpoint"]))
+@settings(max_examples=300, deadline=None)
+def test_keys_and_distances_within_a_quarter_of_the_widening(
+        key_tables, data, exp, kind, point):
+    """Every euclidean key and ranked distance lies within a quarter of the
+    term ``_widen`` adds, one of its four float-to-exact steps, of the
+    exact squared distance: for queries from 2**-1070 to about 1e150, key
+    columns themselves, where the keys cancel, and their midpoints."""
+    table = key_tables[kind].dominant_table()
+    cols = table.cols.T
+    if point == "scaled":
+        e = [math.ldexp(v, exp) for v in data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=len(cols[0]),
+            max_size=len(cols[0])))]
+    else:
+        a, b = (cols[data.draw(st.integers(0, len(cols) - 1))]
+                for _ in range(2))
+        e = list(a if point == "column" else (a + b) / 2)
+    v = np.array([e])
+    sq = np.vecdot(v, v)
+    term = Fraction(_widen(np.zeros(1), sq, table, "euclidean")[0]) / 4
+    keys = _euclidean_keys(v, sq, table, slice(None))[0]
+    dists = _euclidean_pairs(v.repeat(len(cols), axis=0), cols.copy())
+    for c, key, dist in zip(cols.tolist(), keys.tolist(), dists.tolist()):
+        exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(e, c))
+        assert abs(Fraction(key) - exact) <= term, (e, c, key)
+        assert abs(Fraction(dist) - exact) <= term, (e, c, dist)
 
 
 def test_query_too_large_at_every_depth(diagrams, scatterings):
@@ -753,6 +821,11 @@ def assert_table_matches_reference(s):
     assert mat == [[float(v) for v in r] for r in keys]
     np.testing.assert_allclose(t.norms * t.lattice,
                                [math.hypot(*r) for r in mat], rtol=1e-15)
+    # each squared norm is one dot product, within d u of exact
+    for col, sq in zip(t.cols.T.tolist(), t.sq.tolist()):
+        exact = sum(Fraction(v) ** 2 for v in col)
+        assert abs(Fraction(sq) - exact) <= Fraction(len(col), 2 ** 53) * exact
+    assert np.array_equal(t.norms, np.sqrt(t.sq))
     assert t.tie.tolist() == reference_tie(rows)
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1].tolist() == list(map(len, groups))
