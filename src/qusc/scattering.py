@@ -55,17 +55,23 @@ def _pack_rows(rows: np.ndarray, low: int, high: int) -> np.ndarray:
     uint64 word.  Keys are equal exactly when the rows are and sort as the
     rows do, lexicographically.  A one-word key is a uint64; wider keys are
     opaque big-endian byte strings, which compare word by word."""
-    n, d = rows.shape
+    return _pack_columns(rows.T, len(rows), low, high)
+
+
+def _pack_columns(columns, n: int, low: int, high: int) -> np.ndarray:
+    """``_pack_rows`` of the n rows whose columns, int64 arrays of length n,
+    are ``columns``."""
+    d = len(columns)
     width = max((high - low).bit_length(), 1)
     per = 64 // width
     words = np.zeros((-(-max(d, 1) // per), n), dtype=np.uint64)
     offset = np.uint64(low % (1 << 64))
-    for j in range(d):
+    for j, column in enumerate(columns):
         word = words[j // per]
         if j % per:
             word <<= np.uint64(width)
         # in place and modulo 2**64, so exact and without a temporary
-        word += rows[:, j].view(np.uint64)
+        word += column.view(np.uint64)
         word -= offset
     if len(words) == 1:
         return words[0]
@@ -142,6 +148,25 @@ def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
     return size
 
 
+def _orbits_above(rows: np.ndarray, bound: int) -> np.ndarray:
+    """Whether each sorted row's Weyl orbit has more than ``bound`` members:
+    by ``_orbit_sizes`` up to 20 columns, where it is exact in int64, and
+    beyond in a fixed number of passes, where it would pass a column at a
+    time in Python integers: the log of the size is the sum over positions
+    j of log(j + 1) less the log of the length of j's run so far, and its
+    rounding lies far inside the gap between log(bound) and
+    log(bound + 1)."""
+    n, d = rows.shape
+    if d <= 20:
+        return _orbit_sizes(rows) > bound
+    at = np.arange(d)
+    start = np.ones((n, d), dtype=np.bool_)
+    start[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    run = np.maximum.accumulate(np.where(start, at, 0), axis=1)
+    np.subtract(at + 1, run, out=run)
+    return (np.log(at + 1) - np.log(run)).sum(axis=1) > math.log(bound + 0.5)
+
+
 def dominant_rows(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Each row's dominant permutation on the columns ``free``: their values
     sorted descending, the other columns' in place."""
@@ -152,14 +177,169 @@ def dominant_rows(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _network(m: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort of m values (Knuth, TAOCP 3, 5.3.4,
+    for any m) as compare-exchange pairs (i, j), i < j: 1, 3, 5, 9, 12, 16,
+    19 and 28 pairs for m = 2 to 9, the fewest known up to m = 8."""
+    pairs = []
+    p = 1
+    while p < m:
+        k = p
+        while k:
+            for j in range(k % p, m - k, 2 * k):
+                for i in range(j, j + min(k, m - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_columns(columns) -> list[np.ndarray]:
+    """The values of each row across the equal-length ``columns``, sorted
+    descending, as new columns.  np.sort along the rows pays a call per
+    row, ``_network`` two whole-column calls per pair (np.maximum and
+    np.minimum, in place with one spare column), so the one with fewer
+    calls sorts."""
+    if not columns:
+        return []
+    pairs = _network(len(columns))
+    if 2 * len(pairs) >= len(columns[0]):
+        return list(np.sort(np.stack(columns, axis=1), axis=1)[:, ::-1].T)
+    out = [np.array(c) for c in columns]
+    spare = np.empty_like(out[0])
+    for i, j in pairs:
+        np.minimum(out[i], out[j], out=spare)
+        np.maximum(out[i], out[j], out=out[i])
+        out[j], spare = spare, out[j]
+    return out
+
+
 def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     """The level of each numerator row at scale 2**level in lowest terms:
     ``level`` minus the factors of two its entries share (an all-zero row
     is at level 0)."""
-    low = np.bitwise_or.reduce(numerators, axis=1)
+    # the columns ORed in place: bitwise_or.reduce along rows pays per row
+    low = np.zeros(len(numerators), dtype=np.int64)
+    for column in numerators.T:
+        low |= column
     low &= -low
     twos = np.frexp(np.abs(low.astype(np.float64)))[1] - 1
     return level - np.where(low == 0, level, np.minimum(twos, level))
+
+
+# Rows and cosets whose orbits have more members than this are split into
+# prefix cosets; no orbit of four coordinates or fewer has (4! = 24)
+_LEAF = 24
+
+
+class Cosets(NamedTuple):
+    """The prefix cosets of a center table's large rows.
+
+    A depth-t coset of a row holds those of its members that share their
+    first t free coordinates.  A row whose orbit has more than ``_LEAF``
+    members lists them in the table's ``tie`` order, so every coset is a
+    run of them.  It is split into its depth-1 cosets where they are more
+    than one, and so is each coset whose orbit, its prefix with every
+    ordering of its other free values, has more than ``_LEAF`` members, at
+    the next free coordinate, ``depth`` times at most.  Rows and cosets are
+    nodes, numbered rows first, then the cosets depth by depth.  ``kids``
+    (nodes, width) names each node's children, padded with the number
+    ``nodes``, whose key center is NaN, so that no query keeps it; a node
+    not split has only padding.  ``own`` (2, nodes) holds the members no
+    child of a node holds, as an end and a size in the table's
+    ``members``: all of a node not split, none of a split one.
+
+    ``order`` lists the free coordinates, then the others.  ``cols``
+    (nodes + 1, d) holds each coset's key center in that order, as float64
+    values: its prefix, then its other free values sorted ascending; a
+    row's entry is zero, as the row pass keys rows.  ``norms`` holds each
+    coset's norm, its row's, for cosine keys.
+    """
+
+    kids: np.ndarray
+    own: np.ndarray
+    cols: np.ndarray
+    norms: np.ndarray
+    order: np.ndarray
+    depth: int
+
+
+def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
+                   lattice) -> Cosets | None:
+    """The cosets of the table rows whose orbits are ``large``, or None where
+    none is split.  Those rows' members are put in ``tie`` order in
+    ``members`` itself; a sequence that lists each orbit descending-lex, as
+    a built, cut or embedded one does, is in that order already.  A row or
+    coset is split when its orbit has more than ``_LEAF`` members and its
+    members differ at the next free coordinate, so that no coset has a
+    single child."""
+    m, d = len(free), nums.shape[1]
+    fixed = np.ones(d, dtype=np.bool_)
+    fixed[free] = False
+    order = np.concatenate((free, np.flatnonzero(fixed)))
+    rows, starts = len(ends), ends - sizes
+    rank = tie.take(members)
+    down = rank[1:] < rank[:-1]
+    down[starts[1:] - 1] = False
+    if down.any():
+        # the large rows' members, each row a run of them
+        at = sizes[large].cumsum()
+        pos = (ends[large] - at).repeat(sizes[large])
+        pos += np.arange(at[-1])
+        members[pos] = members.take(pos).take(np.lexsort(
+            (rank.take(pos), np.arange(len(at)).repeat(sizes[large]))))
+    # depth by depth, the runs of members that share their first t free
+    # values: a run at depth t starts where one at depth t - 1 does or the
+    # t-th free value changes, and is a coset when its parent run is split
+    new = np.zeros(len(members), dtype=np.bool_)
+    new[starts] = True
+    runs, node, row, open_ = starts, np.arange(rows), np.arange(rows), large
+    total = rows
+    kid_of, kid_slot, split = [], [], []
+    own_end, own_size = [ends], [sizes]
+    cols, node_norms = [np.zeros((rows, d))], [norms[:rows]]
+    for t in range(1, m):
+        value = nums[:, free[t - 1]].take(members)
+        new[1:] |= value[1:] != value[:-1]
+        first = np.flatnonzero(new)
+        parent = np.searchsorted(runs, first, side="right") - 1
+        open_ = open_ & (np.bincount(parent, minlength=len(runs)) > 1)
+        keep = open_.take(parent)
+        if not keep.any():
+            break
+        split.append(node[open_])
+        row = row.take(parent)
+        kid, parent = first[keep], parent[keep]
+        size = np.diff(first, append=len(members))[keep]
+        # each coset's key center: its prefix, then its other free values
+        # sorted ascending
+        keys = nums.take(members.take(kid), axis=0).take(order, axis=1)
+        keys[:, t:m].sort(axis=1)
+        kid_of.append(node.take(parent))
+        kid_slot.append(np.arange(len(kid)) - parent.searchsorted(parent))
+        own_end.append(kid + size)
+        own_size.append(size)
+        cols.append(keys / lattice)
+        node_norms.append(norms.take(row[keep]))
+        # the runs of this depth, numbered where they are cosets
+        runs, node = first, np.zeros(len(first), dtype=np.intp)
+        node[keep] = np.arange(total, total + len(kid))
+        open_ = np.zeros(len(first), dtype=np.bool_)
+        open_[keep] = _orbits_above(keys[:, t:m], _LEAF)
+        total += len(kid)
+    if not split:
+        return None
+    slot = np.concatenate(kid_slot)
+    kids = np.full((total, int(slot.max()) + 1), total, dtype=np.intp)
+    kids[np.concatenate(kid_of), slot] = np.arange(rows, total)
+    own = np.stack((np.concatenate(own_end), np.concatenate(own_size)))
+    own[1, np.concatenate(split)] = 0
+    cols.append(np.full((1, d), np.nan))
+    node_norms.append([np.nan])
+    return Cosets(kids, own, np.concatenate(cols), np.concatenate(node_norms),
+                  order, len(split))
 
 
 class CenterTable(NamedTuple):
@@ -167,15 +347,18 @@ class CenterTable(NamedTuple):
 
     Row r is an orbit: the centers, repeats included, that permute one
     another's coordinates ``free``, those that vary along the sequence.  It
-    owns the sequence indices ``members[end - size:end]``, ascending, where
-    the (2, rows) array ``spans`` holds each row's ``end`` over its
-    ``size``.  Whole orbits come first, then partial ones, each in the
-    sequence order of their dominant members (of their first where that is
-    absent).  ``cols`` holds key centers as float64 values, the numerators
-    over ``lattice``, as a contiguous (d, columns) array: each row's
-    dominant member, then each partial row's first member.  ``sq`` holds
-    each column's squared norm, as one dot product of the column with
-    itself, and ``norms`` its square root.
+    owns the sequence indices ``members[end - size:end]``, where the (2,
+    rows) array ``spans`` holds each row's ``end`` over its ``size``:
+    ascending, or in ``tie`` order in a row whose orbit has more than
+    ``_LEAF`` members (the same order for a sequence that lists each orbit
+    descending-lex).  Whole
+    orbits come first, then partial ones, each in the sequence order of
+    their dominant members (of their first where that is absent).  ``cols``
+    holds key centers as float64 values, the numerators over ``lattice``,
+    as a contiguous (d, columns) array: each row's dominant member, then
+    each partial row's first member in the sequence.  ``sq`` holds each
+    column's squared norm, as one dot product of the column with itself,
+    and ``norms`` its square root.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -183,6 +366,9 @@ class CenterTable(NamedTuple):
     sequence index of the first zero center, or -1 when there is none.
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
+
+    ``cosets`` holds the prefix cosets of the rows whose orbits have more
+    than ``_LEAF`` members, or is None when no row's has.
     """
 
     members: np.ndarray
@@ -195,6 +381,7 @@ class CenterTable(NamedTuple):
     zero: int
     lattice: float
     radius: float
+    cosets: Cosets | None
 
 
 class Scattering:
@@ -245,11 +432,28 @@ class Scattering:
         and cached.  One stable sort of the rows' exact ``_pack_rows`` keys
         (near-linear on the level blocks' descending runs) gives the tie
         order and the first occurrences, among which a lookup of each
-        center's dominant member names its orbit."""
+        center's dominant member names its orbit; rows whose orbits are
+        large get their prefix cosets (``_prefix_cosets``)."""
         if self._table is None:
             nums = self.numerators
             n = len(nums)
-            low, high = (int(nums.min()), int(nums.max())) if nums.size else (0, 0)
+            # the free coordinates, most of them shown by a few spread rows
+            vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
+            vary[~vary] = (nums[:, ~vary] != nums[:1, ~vary]).any(axis=0)
+            free = np.flatnonzero(vary)
+            # each center's dominant member, as columns
+            dominant = list(nums.T)
+            for j, column in zip(free, _sorted_columns(
+                    [nums[:, j] for j in free])):
+                dominant[j] = column
+            # the entries' range: a dominant member's first free value is
+            # its largest, its last the smallest, and the others constant
+            low = high = 0
+            if n:
+                top = dominant[free[0]] if len(free) else nums[:1, 0]
+                bottom = dominant[free[-1]] if len(free) else top
+                low = min(int(bottom.min()), int(nums[0].min()))
+                high = max(int(top.max()), int(nums[0].max()))
             keys = _pack_rows(nums, low, high)
             order = np.argsort(keys, kind="stable")
             ranked = keys[order]
@@ -259,34 +463,33 @@ class Scattering:
             # each run's ascending sequence indices: the run at [start, end)
             # moves to [n - end, n - start)
             start = np.flatnonzero(new)
-            end = np.append(start[1:], n)
-            place = (n - start - end).repeat(end - start)
-            place += np.arange(n)
+            if len(start) == n:  # distinct centers, as every built sequence
+                place = np.arange(n - 1, -1, -1)
+            else:
+                end = np.append(start[1:], n)
+                place = (n - start - end).repeat(end - start)
+                place += np.arange(n)
             tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
             tie[order] = place
-            distinct, first = ranked[new], order[new]
-            # the free coordinates, most of them shown by a few spread rows
-            vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
-            vary[~vary] = (nums[:, ~vary] != nums[:1, ~vary]).any(axis=0)
-            free = np.flatnonzero(vary)
+            distinct, first = ranked.take(start), order.take(start)
             # each center's orbit, named by the key of its dominant member
-            dominant = dominant_rows(nums, free)
-            orbit = _pack_rows(dominant, low, high)
+            orbit = _pack_columns(dominant, n, low, high)
             is_dom = orbit[first] == distinct
             heads, dom_keys = first[is_dom], distinct[is_dom]
             # each center's orbit number: its dominant member's place among
             # the present ones, or past them where that member is absent
             at, m = dom_keys.searchsorted(orbit), len(heads)
-            found = at < m
-            found[found] = dom_keys[at[found]] == orbit[found]
+            found = (dom_keys.take(at, mode="clip") == orbit if m
+                     else np.zeros(n, dtype=np.bool_))
             lost = np.flatnonzero(~found)
             _, head, at[lost] = np.unique(orbit[lost], return_index=True,
                                           return_inverse=True)
             at[lost] += m
             heads = np.append(heads, lost[head])
+            key_rows = np.stack([column[heads] for column in dominant], axis=1)
             # an orbit is whole when each of its members is present
-            whole = np.bincount(at[first], minlength=len(heads)) == \
-                _orbit_sizes(dominant[heads][:, free])
+            size = _orbit_sizes(key_rows[:, free])
+            whole = np.bincount(at[first], minlength=len(heads)) == size
             rank = np.lexsort((heads, ~whole))
             # each center's row, in the smallest dtype that holds it (a
             # stable sort of labels of 16 bits or fewer is a radix sort)
@@ -298,16 +501,20 @@ class Scattering:
             partial = members[(ends - sizes)[np.count_nonzero(whole):]]
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
-            mat = np.concatenate((dominant[heads[rank]], nums[partial])) / lattice
+            key_rows = key_rows[rank]
+            mat = np.concatenate((key_rows, nums[partial])) / lattice
             sq = np.einsum("ij,ij->i", mat, mat)
             norms = np.sqrt(sq)
             # a zero center is a whole orbit, so argmin finds its key column
             zero = -1 if norms.all() else int(
                 members[(ends - sizes)[np.argmin(norms)]])
+            large = (size[rank] > _LEAF).astype(bool)
             self._table = CenterTable(
                 members, np.stack((ends, sizes)), free,
                 np.ascontiguousarray(mat.T), sq, norms, tie, zero, lattice,
-                float(norms.max(initial=0.0)))
+                float(norms.max(initial=0.0)),
+                _prefix_cosets(nums, members, ends, sizes, large, free, tie,
+                               norms, lattice) if large.any() else None)
         return self._table
 
     def is_complete(self) -> bool:

@@ -21,9 +21,16 @@ similarity search with GPUs", over the table's rows):
    norms stored in the table, and 1 - <g, t> / |g| |t| for cosine search;
 3. each query's k-th upper key (a whole row's is its lower key) bounds its
    k-th distance, so every row whose lower key is within that bound,
-   widened past float rounding, is expanded at once into its centers, and
-   all of them are scored exactly;
-4. the centers under the bound are ranked as a full scan would rank them,
+   widened past float rounding, is kept;
+4. where the kept rows hold more than ``_ROUND`` members, those whose
+   orbits are large are refined into prefix cosets, the members that share
+   their first t free coordinates: each round keys the children of the
+   rows and cosets kept last round, one free coordinate deeper, against
+   the query with its free values past the prefix sorted, which by the
+   rearrangement inequality gives each coset's exact lower key, and keeps
+   those within the same bound, at most d rounds;
+5. the kept rows' and cosets' own members are scored exactly, and those
+   under the bound are ranked as a full scan would rank them,
    with one lexsort over the whole chunk on three keys: the query, the
    distance and the center's tie rank, its precomputed place in a full
    scan's order of equal distances (descending-lex point, then sequence
@@ -121,6 +128,12 @@ class QueryResult:
 # 256 KiB of float64, so a chunk's temporaries stay in a core's L2 cache.
 _BLOCK = 1 << 15
 
+# Refining a chunk's rows into cosets costs about as much as scoring this
+# many members (measured on single (2,2,1,1) queries, where it paid from
+# about 450 kept members for cosine search and 700 for euclidean), so a
+# chunk is refined only when its kept rows hold more
+_ROUND = 512
+
 
 def _widen(bound, sq, table, metric: str):
     """The k-th upper keys of queries whose squared norms are ``sq`` widened
@@ -132,6 +145,10 @@ def _widen(bound, sq, table, metric: str):
     the query itself, in a partial one.  So an answer's lower key is four
     float-to-exact steps from the k-th upper key: via the answer, the k-th
     answer and that key's member.
+
+    A coset's key is likewise the float distance of the best member its
+    prefix and free values allow, the lower key of its member set, so the
+    same four steps carry over to it without a new term.
 
     A euclidean key of a query g and a key column t, |t| <= R (the table's
     radius), adds |g|^2, |t|^2 and -2 <g, t>, three dot products of length
@@ -153,7 +170,10 @@ def _widen(bound, sq, table, metric: str):
     Cosine keys and distances, from dot products within d u |q| |c|, norms
     within (d / 2 + 1) u and 4 u more, are within (2 d + 6) u of exact,
     absolutely: 8 (d + 3) u in four steps, half the term; rescaled queries
-    underflow far less."""
+    underflow far less.  A euclidean coset key is a ranked distance's float
+    steps; a cosine one divides a unit query, within (d / 2 + 2) u per
+    coordinate, and takes the dot product with the key center over its
+    norm, within (2 d + 6) u too."""
     d = len(table.cols)
     if metric == EUCLIDEAN:
         c = 8 * (d + 3) * 2.0 ** -53
@@ -332,9 +352,11 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     """Rank the centers of every row whose lower key (``lo``) is within its
     query's widened k-th upper key (``hi``), which bounds the k-th distance
     from above: rows are disjoint, and each upper key is one present
-    member's distance.  Their centers are scored exactly; those under the
-    bound are ranked as a full scan would rank them, and those within the
-    k-th distance, ties included, count as examined."""
+    member's distance.  Where a table has cosets and the kept rows hold more
+    than ``_ROUND`` members, they are refined first (``_refine``).  The
+    centers kept are scored exactly; those under the bound are ranked as a
+    full scan would rank them, and those within the k-th distance, ties
+    included, count as examined."""
     c, d = len(lo), len(table.cols)
     if k == 1:
         kth = np.minimum.reduce(hi, axis=1)
@@ -353,7 +375,14 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     span = table.spans.take(rows, axis=1)
     ends, sizes = span[0], span[1]
     at = sizes.cumsum()
-    if c > 1 and at[-1] * d > _BLOCK:
+    wide = False
+    if table.cosets is not None and at[-1] > _ROUND:
+        found = _refine(table, qi, rows, frame, sq, bound, metric)
+        wide = found is None
+        if not wide:
+            qi, (ends, sizes) = found
+            at = sizes.cumsum()
+    if c > 1 and (wide or at[-1] * d > _BLOCK):
         h = c // 2
         return (_expand(s, table, lo[:h], hi[:h], q[:h], frame[:h], sq[:h],
                         k, metric)
@@ -391,6 +420,74 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
                 hits.tolist(), hit_dist.tolist(),
                 s.numerators.take(hits, axis=0), q.tolist(),
                 examined.tolist())]
+
+
+def _sorted_past(frame, order, t, m):
+    """The rows of ``frame`` with their columns in ``order`` and the values at
+    positions t to m sorted ascending, as a depth-t coset's key center has
+    its free values past the prefix: by the rearrangement inequality the
+    order that pairs them best."""
+    g = frame.take(order, axis=1)
+    g[:, t:m].sort(axis=1)
+    return g
+
+
+def _coset_keys(x, g, nodes, cosets, metric):
+    """The keys of the cosets ``nodes``, whose key centers are the rows of x,
+    against the rows of g, laid out by ``_sorted_past`` (a cosine query
+    made a unit): the ranking's own float steps for euclidean keys, d
+    rounded squares of rounded differences, and 1 - <g, t> / |t| for
+    cosine keys.  x is overwritten."""
+    if metric == EUCLIDEAN:
+        x -= g
+        return np.vecdot(x, x)
+    keys = np.vecdot(x, g)
+    keys /= cosets.norms.take(nodes)
+    return np.subtract(1.0, keys, out=keys)
+
+
+def _refine(table, qi, node, frame, sq, bound, metric):
+    """The (query, node) pairs kept from the rows within the bound, refined
+    into prefix cosets: round t keys the children of the nodes kept last
+    round, the depth-t cosets, and keeps those within the bound.  A
+    coset's key is its lower key, exact by the rearrangement inequality on
+    its free values past the prefix: the query with those values sorted,
+    against the coset's key center, in the ranking's own float steps for
+    euclidean keys.  Returns the kept pairs' queries, sorted, and their
+    ``own`` members, or None where a round of a chunk of several queries
+    would key more than ``_BLOCK`` coordinates."""
+    cosets, m = table.cosets, len(table.free)
+    (c, d), w = frame.shape, cosets.kids.shape[1]
+    found_q, found_n = [qi], [node]
+    for t in range(1, cosets.depth + 1):
+        kids = cosets.kids.take(node, axis=0).ravel()
+        if c > 1 and len(kids) * d > _BLOCK:
+            return None
+        # a cosine key is 1 - <g, t> / |g| |t|, with the query made a unit
+        g = _sorted_past(frame, cosets.order, t, m)
+        if metric == COSINE:
+            g /= np.sqrt(sq)[:, None]
+        # a block of one broadcasts its query and bound over the pairs
+        b = bound
+        if c > 1:
+            qi = qi.repeat(w)
+            g, b = g.take(qi, axis=0), bound.take(qi)
+        keys = _coset_keys(cosets.cols.take(kids, axis=0), g, kids, cosets,
+                           metric)
+        near = keys <= b
+        node = kids[near]
+        found_n.append(node)
+        if c > 1:
+            qi = qi[near]
+            found_q.append(qi)
+    node = np.concatenate(found_n)
+    if c > 1:
+        qi = np.concatenate(found_q)
+        order = qi.argsort(kind="stable")
+        qi, node = qi.take(order), node.take(order)
+    else:
+        qi = np.zeros(len(node), dtype=np.intp)
+    return qi, cosets.own.take(node, axis=1)
 
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,

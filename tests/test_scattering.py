@@ -10,7 +10,9 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
                   embed_scattering, verify_scattering)
 from qusc.enumeration import enumerate_level
 from qusc.formats import read_scattering, write_scattering
-from qusc.scattering import _orbit_block, _orbit_sizes, _perm_table
+from qusc.scattering import (_network, _orbit_block, _orbit_sizes,
+                             _orbits_above, _perm_table, _sorted_columns,
+                             canonical_levels)
 from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
@@ -333,3 +335,63 @@ class TestMatrixBuild:
                        [(big, 0, 0, 0), (0, big, 0, 0)], [0])
         with pytest.raises(ValueError, match="overflow int64 squared"):
             verify_scattering(s)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_network_sorts_every_zero_one_input(m):
+    """Batcher's network sorts all 2**m inputs of zeros and ones, so it sorts
+    every input (the 0-1 principle, Knuth TAOCP 3, 5.3.4), with the pair
+    counts its docstring names."""
+    pairs = _network(m)
+    assert all(0 <= i < j < m for i, j in pairs)
+    assert len(pairs) == [0, 0, 1, 3, 5, 9, 12, 16, 19, 28, 32, 38, 42][m]
+    bits = np.array(list(itertools.product((0, 1), repeat=m)), dtype=np.int64)
+    cols = list(bits.T)
+    for i, j in pairs:
+        cols[i], cols[j] = np.maximum(cols[i], cols[j]), np.minimum(cols[i],
+                                                                    cols[j])
+    assert (np.stack(cols, axis=1) == -np.sort(-bits, axis=1)).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 9), (3000, 4),
+                                   (40, 64)])
+def test_sorted_columns_match_np_sort(shape):
+    """By the network or by np.sort, whichever makes fewer calls, each row's
+    values come out sorted descending, in new columns."""
+    rows = np.random.default_rng(shape[0]).integers(-(1 << 62), 1 << 62,
+                                                    shape)
+    rows[::3, 1:] = rows[::3, :1]  # runs of equal values
+    columns = list(rows.T)
+    out = _sorted_columns(columns)
+    assert all(c is not o for c, o in zip(columns, out))
+    want = -np.sort(-rows, axis=1)
+    assert np.array_equal(np.stack(out, axis=1).reshape(want.shape), want)
+
+
+def test_orbits_above_matches_exact_sizes():
+    """The float test of an orbit's size against a bound agrees with the
+    exact size, at and around each bound, up to d = 24."""
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 5, 9, 16, 24):
+        for values in (2, 3, 7):
+            rows = np.sort(rng.integers(0, values, (400, d)), axis=1)
+            sizes = _orbit_sizes(rows)
+            for bound in {1, 23, 24, 25, 119, 120, *sizes[:20].tolist()}:
+                assert (_orbits_above(rows, bound) == (sizes > bound)).all()
+
+
+def test_canonical_levels_match_reduce():
+    """The columns ORed in place give bitwise_or.reduce's levels, with zero
+    rows, negative entries and the int64 extremes."""
+    rng = np.random.default_rng(6)
+    nums = rng.integers(-(1 << 20), 1 << 20, (500, 4)) << rng.integers(
+        0, 40, (500, 1))
+    nums[::7] = 0
+    nums[1] = [np.iinfo(np.int64).min, 0, 0, 0]
+    nums[2] = [np.iinfo(np.int64).max, 2, 4, 8]
+    low = np.bitwise_or.reduce(nums, axis=1)
+    low &= -low
+    twos = np.frexp(np.abs(low.astype(np.float64)))[1] - 1
+    want = 62 - np.where(low == 0, 62, np.minimum(twos, 62))
+    assert np.array_equal(canonical_levels(nums, 62), want)
+    assert canonical_levels(nums[:0], 3).shape == (0,)

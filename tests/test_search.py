@@ -16,9 +16,10 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
-from qusc.scattering import _pack_rows
-from qusc.search import (_KERNELS, _colsum, _euclidean_keys,
-                         _euclidean_pairs, _expand, _widen)
+from qusc.scattering import _LEAF, _pack_rows
+from qusc.search import (_KERNELS, _colsum, _coset_keys, _euclidean_keys,
+                         _euclidean_pairs, _expand, _refine, _sorted_past,
+                         _widen)
 
 
 def from_points(diagram, levels, points, offsets):
@@ -239,30 +240,87 @@ def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
     assert_mutant_caught(runs)
 
 
+# Mutants of the coset keys' rearrangement, each with queries it fails on,
+# as (metric, rows, levels, k, query): the query's free values past the
+# prefix left in place, or its prefix sorted with them.  Either makes some
+# coset's key exceed its best member's distance.
+COSET_MUTANTS = {
+    "coset-suffix-unsorted": lambda frame, order, t, m: frame.take(order,
+                                                                   axis=1),
+    "coset-prefix-sorted": lambda frame, order, t, m: _sorted_past(
+        frame, order, 0, m),
+}
+COSET_KILLS = [
+    ("euclidean", (2, 2, 1, 1), 2, 4, (1.5, 2.0, 0.5, 1.25, 0.75)),
+    ("cosine", (2, 2, 1, 1), 2, 16,
+     (2.1648042293574643, 0.6999831879130389, 1.2658605483226963,
+      2.0793600206282843, 0.18561761009380195)),
+    ("euclidean", (5, 4, 3, 2, 1), 0, 1,
+     (7.402482980628967, 8.438187826786837, -12.913487411927722,
+      -2.276290721810745, 2.023961928809664, -0.8831134272058885)),
+]
+
+
+@pytest.mark.parametrize("name", list(COSET_MUTANTS))
+def test_coset_mutants_are_caught(monkeypatch, name):
+    """A coset's key is exact only with the query's free values past the
+    prefix sorted and its prefix in place: with either step broken, every
+    listed query, each of whose chunks is refined, is caught."""
+    runs = [(e, build_scattering(YoungDiagram.from_rows(rows), levels), k,
+             metric) for metric, rows, levels, k, e in COSET_KILLS]
+    refined = []
+    monkeypatch.setattr("qusc.search._refine",
+                        lambda *args: refined.append(1) or _refine(*args))
+    for run in runs:
+        assert nearest_center(*run) == brute_nearest(*run)
+    assert len(refined) == len(runs)
+    monkeypatch.setattr("qusc.search._sorted_past", COSET_MUTANTS[name])
+    assert_mutant_caught(runs)
+
+
 @pytest.fixture(scope="module")
 def key_tables(diagrams, scatterings):
     """Sequences whose key columns the widening is held to: complete, cut
     inside an orbit and embedded codebooks; rows near and at the int64
-    limits, at d = 4 and 9; and a codebook at scale 2**1020, whose columns'
-    products with tiny queries underflow."""
+    limits, at d = 4 and 9; a codebook at scale 2**1020, whose columns'
+    products with tiny queries underflow; and tables whose rows are split
+    into cosets: (2,2,1,1) L2, whole and cut, and a cut orbit at the int64
+    limits, at d = 9."""
     s = scatterings[(3, 2, 1), 2]
     rng = random.Random(33)
     return {
         "complete": s,
         "cut": build_scattering(diagrams[(3, 2, 1)], 3, max_points=500),
+        "2211": scatterings[(2, 2, 1, 1), 2],
+        # 400 centers cut 17 orbits of level 2, six of them of 120 members
+        "cut-120": build_scattering(diagrams[(2, 2, 1, 1)], 2,
+                                    max_points=400),
         "embedded": embed_scattering(scatterings[(2, 1, 1), 2]),
         "int64": table_sequence(random_table_rows(
             rng, 4, TestCenterTable.VALUES["int64"]), 4),
         "2^62-d9": table_sequence(random_table_rows(
             rng, 9, TestCenterTable.VALUES["2^62"]), 9),
+        # the first 300 of a 504-member orbit at the int64 limits, d = 9
+        "orbit-2^62-d9": table_sequence(sorted(distinct_perms(
+            (1 << 62,) * 5 + (7,) + (-(1 << 62),) * 3), reverse=True)[:300],
+            9),
         "scale-2^1020": Scattering(s.diagram, 1020, s.numerators,
                                    s.level_offsets),
     }
 
 
+def coset_depths(cosets, rows):
+    """Each coset's depth, by its node number less the rows'."""
+    depth = np.zeros(len(cosets.kids) + 1, dtype=int)
+    for node in range(len(cosets.kids)):
+        depth[cosets.kids[node]] = depth[node] + 1
+    return depth[rows:-1]
+
+
 @given(data=st.data(), exp=st.integers(-1070, 498),
        kind=st.sampled_from(["complete", "cut", "embedded", "int64",
-                             "2^62-d9", "scale-2^1020"]),
+                             "2^62-d9", "scale-2^1020", "2211", "cut-120",
+                             "orbit-2^62-d9"]),
        point=st.sampled_from(["scaled", "column", "midpoint"]))
 @settings(max_examples=300, deadline=None)
 def test_keys_and_distances_within_a_quarter_of_the_widening(
@@ -270,7 +328,9 @@ def test_keys_and_distances_within_a_quarter_of_the_widening(
     """Every euclidean key and ranked distance lies within a quarter of the
     term ``_widen`` adds, one of its four float-to-exact steps, of the
     exact squared distance: for queries from 2**-1070 to about 1e150, key
-    columns themselves, where the keys cancel, and their midpoints."""
+    columns themselves, where the keys cancel, and their midpoints.  So
+    does every coset's key, against its exact lower key: the distance from
+    the query, laid out as the coset's key center is, to that center."""
     table = key_tables[kind].dominant_table()
     cols = table.cols.T
     if point == "scaled":
@@ -290,6 +350,19 @@ def test_keys_and_distances_within_a_quarter_of_the_widening(
         exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(e, c))
         assert abs(Fraction(key) - exact) <= term, (e, c, key)
         assert abs(Fraction(dist) - exact) <= term, (e, c, dist)
+    cosets = table.cosets
+    if cosets is None:
+        return
+    rows = table.spans.shape[1]
+    depths = coset_depths(cosets, rows)
+    for t in np.unique(depths).tolist():
+        nodes = rows + np.flatnonzero(depths == t)
+        g = _sorted_past(v, cosets.order, t, len(table.free))
+        keys = _coset_keys(cosets.cols[nodes], g, nodes, cosets, "euclidean")
+        for c, key in zip(cosets.cols[nodes].tolist(), keys.tolist()):
+            exact = sum((Fraction(x) - Fraction(y)) ** 2
+                        for x, y in zip(g[0].tolist(), c))
+            assert abs(Fraction(key) - exact) <= term, (e, c, key)
 
 
 def test_query_too_large_at_every_depth(diagrams, scatterings):
@@ -637,6 +710,34 @@ class TestScaling:
             assert mean["embedded-twice"] <= 1.25 * mean["complete"], mean
             assert mean["cut"] <= 2.5 * mean["complete"], mean
 
+    @pytest.mark.parametrize("rows,levels", [((2, 2, 1, 1), 4),
+                                             ((3, 2, 1, 1, 1, 1), 1),
+                                             ((2, 1, 1, 1, 1, 1, 1, 1), 2)])
+    def test_scored_centers_flat_in_dimension(self, monkeypatch, rows,
+                                              levels):
+        """Centers scored per query, counted at the pair kernel over a
+        100-query block of the five-kind mix at k = 4, stay within 16 k d
+        for both metrics once orbits of up to 15,120 members are refined
+        into prefix cosets: whole orbits scored 19-30 k d at d = 5 and
+        75-460 k d at d = 7 and 9.  Below 5% of the centers at d = 9 and
+        at most 200 at d = 5."""
+        s = build_scattering(YoungDiagram.from_rows(rows), levels)
+        queries = stream_queries(random.Random(45), s, 100)
+        for metric in ("euclidean", "cosine"):
+            keys, pairs = _KERNELS[metric]
+            scored = []
+
+            def counting(x, vals, pairs=pairs):
+                scored.append(len(x))
+                return pairs(x, vals)
+
+            monkeypatch.setitem(_KERNELS, metric, (keys, counting))
+            nearest_centers(queries, s, 4, metric)
+            mean = sum(scored) / len(queries)
+            assert mean <= 16 * 4 * s.dim, (metric, mean)
+            assert mean < 0.05 * len(s) and (s.dim > 5 or mean <= 200), \
+                (metric, mean)
+
     @pytest.mark.parametrize("size", [1e8, 1e12])
     def test_far_queries_rank_few_centers(self, diagrams, size):
         # the search keys and the final ranking differ only in summation
@@ -728,18 +829,28 @@ def distinct_perms(values):
             yield (v,) + tail
 
 
+def multinomial(values):
+    """The number of distinct orderings of a tuple of values."""
+    out = math.factorial(len(values))
+    for v in set(values):
+        out //= math.factorial(values.count(v))
+    return out
+
+
 def reference_table(rows):
     """The center table by its definition, over rows as tuples: the free
     coordinates, each table row's sequence indices and the key rows.  The
     free coordinates are those that vary along the sequence; an orbit's
     members are permutations of one another on them, and its dominant
     member has its free values sorted descending.  Each orbit is a row that
-    lists all its centers, repeats included, in sequence order, keyed by the
-    dominant member.  It is whole when each of its multinomial-many members
-    is present.  Whole rows come first, then partial ones, each kind in the
-    sequence order of the dominant member's first occurrence, or of the
-    orbit's first member when the dominant member is absent.  A key row
-    follows for each partial row: its first member."""
+    lists all its centers, repeats included, in sequence order, or in a
+    full scan's tie order (descending-lex point, then sequence index) when
+    the orbit has more than _LEAF members, keyed by the dominant member.
+    It is whole when each of its multinomial-many members is present.
+    Whole rows come first, then partial ones, each kind in the sequence
+    order of the dominant member's first occurrence, or of the orbit's
+    first member when the dominant member is absent.  A key row follows for
+    each partial row: its first member in the sequence."""
     rows = [tuple(r) for r in rows]
     free = [j for j in range(len(rows[0]) if rows else 0)
             if len({r[j] for r in rows}) > 1]
@@ -751,11 +862,7 @@ def reference_table(rows):
         return tuple(out)
 
     def size(orbit):
-        vals = [orbit[j] for j in free]
-        out = math.factorial(len(vals))
-        for v in set(vals):
-            out //= math.factorial(vals.count(v))
-        return out
+        return multinomial([orbit[j] for j in free])
 
     owned = {}
     for i, r in enumerate(rows):
@@ -764,9 +871,53 @@ def reference_table(rows):
              if len({rows[i] for i in got}) == size(o)}
     order = sorted(owned, key=lambda o: (
         o not in whole, rows.index(o) if o in rows else owned[o][0]))
-    groups = [owned[o] for o in order]
+    groups = [owned[o] if size(o) <= _LEAF else
+              sorted(owned[o], key=lambda i: (tuple(-v for v in rows[i]), i))
+              for o in order]
     partial = [rows[owned[o][0]] for o in order if o not in whole]
     return free, groups, order + partial
+
+
+def splits(rows, free, run, t):
+    """Whether a run of members sharing their first t free values is split:
+    its orbit, the orderings of its free values past the prefix, has more
+    than _LEAF members, and its members differ at the next free
+    coordinate."""
+    return (t < len(free)
+            and multinomial([rows[run[0]][j] for j in free[t:]]) > _LEAF
+            and len({rows[i][free[t]] for i in run}) > 1)
+
+
+def reference_cosets(rows, free, group):
+    """The prefix cosets of one split table row, by their definition, as a
+    list of (members, key center, split, depth) in the order a split row
+    numbers its children, depth first: each coset's children are its
+    members grouped by the value at the next free coordinate, in tie
+    order, so descending by that value.  Its key center lists the free
+    coordinates, then the others: its prefix, then its other free values
+    sorted ascending."""
+    fixed = [j for j in range(len(rows[0])) if j not in free]
+    out = []
+
+    def split(members, t):
+        runs = []
+        for i in members:
+            if runs and rows[runs[-1][0]][free[t]] == rows[i][free[t]]:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        for run in runs:
+            r = rows[run[0]]
+            center = ([r[j] for j in free[:t + 1]]
+                      + sorted(r[j] for j in free[t + 1:])
+                      + [r[j] for j in fixed])
+            big = splits(rows, free, run, t + 1)
+            out.append((run, center, big, t + 1))
+            if big:
+                split(run, t + 1)
+
+    split(group, 0)
+    return out
 
 
 def random_table_rows(rng, d, values):
@@ -830,6 +981,49 @@ def assert_table_matches_reference(s):
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1].tolist() == list(map(len, groups))
     assert t.zero == next((i for i, r in enumerate(rows) if not any(r)), -1)
+    assert_cosets_match_reference(t, rows, free, groups)
+
+
+def assert_cosets_match_reference(t, rows, free, groups):
+    """Each split row's cosets, walked through ``kids`` depth first, are
+    the reference's, with their own members, key centers, norms and
+    depths; nodes are numbered rows first, then the cosets depth by
+    depth, and a node no coset splits has only padding."""
+    split = [splits(rows, free, g, 0) for g in groups]
+    if not any(split):
+        assert t.cosets is None
+        return
+    c = t.cosets
+    nodes = len(c.kids)
+    assert c.order.tolist() == free + [j for j in range(len(rows[0]))
+                                       if j not in free]
+    assert np.isnan(c.cols[nodes]).all() and not np.isnan(c.cols[:nodes]).any()
+    numbered = []
+
+    def walk(node, depth, row, got):
+        for kid in c.kids[node].tolist():
+            if kid == nodes:
+                continue
+            end, size = c.own[:, kid].tolist()
+            big = bool((c.kids[kid] < nodes).any())
+            got.append((t.members[end - size:end].tolist(),
+                        (c.cols[kid] * t.lattice).tolist(), big, depth))
+            assert c.norms[kid] == t.norms[row]
+            numbered.append((depth, kid))
+            walk(kid, depth + 1, row, got)
+
+    for row, (group, big) in enumerate(zip(groups, split)):
+        end, size = c.own[:, row].tolist()
+        assert t.members[end - size:end].tolist() == ([] if big else group)
+        got = []
+        walk(row, 1, row, got)
+        assert got == [([] if b else m, [float(v) for v in center], b, depth)
+                       for m, center, b, depth in reference_cosets(
+                           rows, free, group)] if big else got == []
+    assert sorted(numbered) == sorted(numbered, key=lambda dk: dk[1])
+    assert [kid for _, kid in sorted(numbered)] == list(range(len(groups),
+                                                              nodes))
+    assert c.depth == max(depth for depth, _ in numbered)
 
 
 class TestCenterTable:
@@ -1034,10 +1228,15 @@ class TestBlockSearch:
             "cut-embedded": embed_scattering(build_scattering(
                 full.diagram, 3, max_points=2 * len(full) // 3)),
             "duplicated": from_points(small.diagram, 1, repeated, [0]),
+            # orbits of 720 members, refined over two rounds, in chunks
+            # that split where a round's pairs outgrow them
+            "large-orbits": build_scattering(
+                YoungDiagram.from_rows((5, 4, 3, 2, 1)), 0),
         }
 
     @pytest.mark.parametrize("kind", ["complete", "cut", "embedded",
-                                      "cut-embedded", "duplicated"])
+                                      "cut-embedded", "duplicated",
+                                      "large-orbits"])
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_block_equals_blocks_of_one(self, diagrams, scatterings, kind,
                                         metric):
