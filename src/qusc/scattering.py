@@ -79,6 +79,13 @@ def _pack_columns(columns, n: int, low: int, high: int) -> np.ndarray:
             .view(np.dtype((np.void, 8 * len(words)))).ravel())
 
 
+def _descending(keys: np.ndarray) -> np.ndarray:
+    """``_pack_rows`` keys with every byte inverted, in place: they are
+    equal exactly when the keys are, and sort in the reverse order."""
+    np.invert(keys.view(np.uint8), out=keys.view(np.uint8))
+    return keys
+
+
 def _unpack_rows(keys: np.ndarray, low: int, high: int,
                  out: np.ndarray) -> np.ndarray:
     """The rows whose ``_pack_rows`` keys over [low, high] are ``keys``,
@@ -148,25 +155,6 @@ def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
     return size
 
 
-def _orbits_above(rows: np.ndarray, bound: int) -> np.ndarray:
-    """Whether each sorted row's Weyl orbit has more than ``bound`` members:
-    by ``_orbit_sizes`` up to 20 columns, where it is exact in int64, and
-    beyond in a fixed number of passes, where it would pass a column at a
-    time in Python integers: the log of the size is the sum over positions
-    j of log(j + 1) less the log of the length of j's run so far, and its
-    rounding lies far inside the gap between log(bound) and
-    log(bound + 1)."""
-    n, d = rows.shape
-    if d <= 20:
-        return _orbit_sizes(rows) > bound
-    at = np.arange(d)
-    start = np.ones((n, d), dtype=np.bool_)
-    start[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    run = np.maximum.accumulate(np.where(start, at, 0), axis=1)
-    np.subtract(at + 1, run, out=run)
-    return (np.log(at + 1) - np.log(run)).sum(axis=1) > math.log(bound + 0.5)
-
-
 def dominant_rows(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Each row's dominant permutation on the columns ``free``: their values
     sorted descending, the other columns' in place."""
@@ -198,18 +186,14 @@ def _network(m: int) -> tuple[tuple[int, int], ...]:
 
 def _sorted_columns(columns) -> list[np.ndarray]:
     """The values of each row across the equal-length ``columns``, sorted
-    descending, as new columns.  np.sort along the rows pays a call per
-    row, ``_network`` two whole-column calls per pair (np.maximum and
-    np.minimum, in place with one spare column), so the one with fewer
-    calls sorts."""
-    if not columns:
-        return []
-    pairs = _network(len(columns))
-    if 2 * len(pairs) >= len(columns[0]):
-        return list(np.sort(np.stack(columns, axis=1), axis=1)[:, ::-1].T)
+    descending, as new columns: ``_network``'s pairs, each two whole-column
+    calls (np.maximum and np.minimum, in place with one spare column),
+    where np.sort along the rows would pay a call per row."""
     out = [np.array(c) for c in columns]
+    if not out:
+        return out
     spare = np.empty_like(out[0])
-    for i, j in pairs:
+    for i, j in _network(len(out)):
         np.minimum(out[i], out[j], out=spare)
         np.maximum(out[i], out[j], out=out[i])
         out[j], spare = spare, out[j]
@@ -229,9 +213,15 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     return level - np.where(low == 0, level, np.minimum(twos, level))
 
 
-# Rows and cosets whose orbits have more members than this are split into
-# prefix cosets; no orbit of four coordinates or fewer has (4! = 24)
+# A row whose orbit has more members than this gets prefix cosets; no
+# orbit of four coordinates or fewer has (4! = 24).  A row or coset is
+# split only where it holds more than _LEAF members and none of its
+# children more than _SHARE of them, so that each split shrinks every path
+# by a quarter: an orbit with one value at most places, as (2,1,1,0,...,0)
+# in many dimensions, would otherwise split off a member or two per free
+# coordinate, one search round each
 _LEAF = 24
+_SHARE = 0.75
 
 
 class Cosets(NamedTuple):
@@ -240,11 +230,11 @@ class Cosets(NamedTuple):
     A depth-t coset of a row holds those of its members that share their
     first t free coordinates.  A row whose orbit has more than ``_LEAF``
     members lists them in the table's ``tie`` order, so every coset is a
-    run of them.  It is split into its depth-1 cosets where they are more
-    than one, and so is each coset whose orbit, its prefix with every
-    ordering of its other free values, has more than ``_LEAF`` members, at
-    the next free coordinate, ``depth`` times at most.  Rows and cosets are
-    nodes, numbered rows first, then the cosets depth by depth.  ``kids``
+    run of them.  Such a row, and each of its cosets, is split at the next
+    free coordinate where it holds more than ``_LEAF`` members and none of
+    its children holds more than ``_SHARE`` of them, ``depth`` times at
+    most.  Rows and cosets are nodes, numbered rows first, then the cosets
+    depth by depth.  ``kids``
     (nodes, width) names each node's children, padded with the number
     ``nodes``, whose key center is NaN, so that no query keeps it; a node
     not split has only padding.  ``own`` (2, nodes) holds the members no
@@ -272,9 +262,9 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
     none is split.  Those rows' members are put in ``tie`` order in
     ``members`` itself; a sequence that lists each orbit descending-lex, as
     a built, cut or embedded one does, is in that order already.  A row or
-    coset is split when its orbit has more than ``_LEAF`` members and its
-    members differ at the next free coordinate, so that no coset has a
-    single child."""
+    coset is split where it holds more than ``_LEAF`` members and none of
+    its children, the runs of them that share the next free value, holds
+    more than ``_SHARE`` of them."""
     m, d = len(free), nums.shape[1]
     fixed = np.ones(d, dtype=np.bool_)
     fixed[free] = False
@@ -305,14 +295,18 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
         new[1:] |= value[1:] != value[:-1]
         first = np.flatnonzero(new)
         parent = np.searchsorted(runs, first, side="right") - 1
-        open_ = open_ & (np.bincount(parent, minlength=len(runs)) > 1)
+        # a run is split where it holds more than _LEAF members and none of
+        # its children holds more than _SHARE of them
+        size = np.diff(first, append=len(members))
+        held = np.diff(runs, append=len(members))
+        open_ = open_ & (held > _LEAF) & (np.maximum.reduceat(
+            size, first.searchsorted(runs)) <= _SHARE * held)
         keep = open_.take(parent)
         if not keep.any():
             break
         split.append(node[open_])
         row = row.take(parent)
-        kid, parent = first[keep], parent[keep]
-        size = np.diff(first, append=len(members))[keep]
+        kid, parent, size = first[keep], parent[keep], size[keep]
         # each coset's key center: its prefix, then its other free values
         # sorted ascending
         keys = nums.take(members.take(kid), axis=0).take(order, axis=1)
@@ -326,8 +320,7 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
         # the runs of this depth, numbered where they are cosets
         runs, node = first, np.zeros(len(first), dtype=np.intp)
         node[keep] = np.arange(total, total + len(kid))
-        open_ = np.zeros(len(first), dtype=np.bool_)
-        open_[keep] = _orbits_above(keys[:, t:m], _LEAF)
+        open_ = keep
         total += len(kid)
     if not split:
         return None
@@ -429,11 +422,12 @@ class Scattering:
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
-        and cached.  One stable sort of the rows' exact ``_pack_rows`` keys
-        (near-linear on the level blocks' descending runs) gives the tie
-        order and the first occurrences, among which a lookup of each
-        center's dominant member names its orbit; rows whose orbits are
-        large get their prefix cosets (``_prefix_cosets``)."""
+        and cached.  One stable sort of the rows' exact ``_pack_rows`` keys,
+        bytes inverted so that they sort descending-lex (near-linear on the
+        level blocks' runs), is the tie order and gives the first
+        occurrences, among which a lookup of each center's dominant member
+        names its orbit; rows whose orbits are large get their prefix
+        cosets (``_prefix_cosets``)."""
         if self._table is None:
             nums = self.numerators
             n = len(nums)
@@ -454,26 +448,20 @@ class Scattering:
                 bottom = dominant[free[-1]] if len(free) else top
                 low = min(int(bottom.min()), int(nums[0].min()))
                 high = max(int(top.max()), int(nums[0].max()))
-            keys = _pack_rows(nums, low, high)
+            # keys that sort descending-lex, so that a stable sort of them
+            # is the tie order, each run of equal keys in ascending
+            # sequence order
+            keys = _descending(_pack_rows(nums, low, high))
             order = np.argsort(keys, kind="stable")
+            tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+            tie[order] = np.arange(n)
             ranked = keys[order]
             new = np.ones(n, dtype=np.bool_)
             new[1:] = ranked[1:] != ranked[:-1]
-            # the tie order reverses the sort's runs of equal keys and keeps
-            # each run's ascending sequence indices: the run at [start, end)
-            # moves to [n - end, n - start)
             start = np.flatnonzero(new)
-            if len(start) == n:  # distinct centers, as every built sequence
-                place = np.arange(n - 1, -1, -1)
-            else:
-                end = np.append(start[1:], n)
-                place = (n - start - end).repeat(end - start)
-                place += np.arange(n)
-            tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
-            tie[order] = place
             distinct, first = ranked.take(start), order.take(start)
             # each center's orbit, named by the key of its dominant member
-            orbit = _pack_columns(dominant, n, low, high)
+            orbit = _descending(_pack_columns(dominant, n, low, high))
             is_dom = orbit[first] == distinct
             heads, dom_keys = first[is_dom], distinct[is_dom]
             # each center's orbit number: its dominant member's place among

@@ -11,8 +11,7 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
 from qusc.enumeration import enumerate_level
 from qusc.formats import read_scattering, write_scattering
 from qusc.scattering import (_network, _orbit_block, _orbit_sizes,
-                             _orbits_above, _perm_table, _sorted_columns,
-                             canonical_levels)
+                             _perm_table, _sorted_columns, canonical_levels)
 from qusc.search import nearest_center
 
 # golden sequence prefix for the rank-3 single-orbit diagram
@@ -356,8 +355,8 @@ def test_network_sorts_every_zero_one_input(m):
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 9), (3000, 4),
                                    (40, 64)])
 def test_sorted_columns_match_np_sort(shape):
-    """By the network or by np.sort, whichever makes fewer calls, each row's
-    values come out sorted descending, in new columns."""
+    """By Batcher's network over whole columns, each row's values come out
+    sorted descending, in new columns."""
     rows = np.random.default_rng(shape[0]).integers(-(1 << 62), 1 << 62,
                                                     shape)
     rows[::3, 1:] = rows[::3, :1]  # runs of equal values
@@ -366,18 +365,6 @@ def test_sorted_columns_match_np_sort(shape):
     assert all(c is not o for c, o in zip(columns, out))
     want = -np.sort(-rows, axis=1)
     assert np.array_equal(np.stack(out, axis=1).reshape(want.shape), want)
-
-
-def test_orbits_above_matches_exact_sizes():
-    """The float test of an orbit's size against a bound agrees with the
-    exact size, at and around each bound, up to d = 24."""
-    rng = np.random.default_rng(5)
-    for d in (1, 2, 5, 9, 16, 24):
-        for values in (2, 3, 7):
-            rows = np.sort(rng.integers(0, values, (400, d)), axis=1)
-            sizes = _orbit_sizes(rows)
-            for bound in {1, 23, 24, 25, 119, 120, *sizes[:20].tolist()}:
-                assert (_orbits_above(rows, bound) == (sizes > bound)).all()
 
 
 def test_canonical_levels_match_reduce():

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
-from qusc.scattering import _LEAF, _pack_rows
+from qusc.scattering import _LEAF, _SHARE, _pack_rows
 from qusc.search import (_KERNELS, _colsum, _coset_keys, _euclidean_keys,
                          _euclidean_pairs, _expand, _refine, _sorted_past,
                          _widen)
@@ -300,9 +301,10 @@ def key_tables(diagrams, scatterings):
             rng, 4, TestCenterTable.VALUES["int64"]), 4),
         "2^62-d9": table_sequence(random_table_rows(
             rng, 9, TestCenterTable.VALUES["2^62"]), 9),
-        # the first 300 of a 504-member orbit at the int64 limits, d = 9
+        # the first 400 of a 504-member orbit at the int64 limits, d = 9:
+        # 280 of them start with 2**62, few enough for the orbit to split
         "orbit-2^62-d9": table_sequence(sorted(distinct_perms(
-            (1 << 62,) * 5 + (7,) + (-(1 << 62),) * 3), reverse=True)[:300],
+            (1 << 62,) * 5 + (7,) + (-(1 << 62),) * 3), reverse=True)[:400],
             9),
         "scale-2^1020": Scattering(s.diagram, 1020, s.numerators,
                                    s.level_offsets),
@@ -351,6 +353,8 @@ def test_keys_and_distances_within_a_quarter_of_the_widening(
         assert abs(Fraction(key) - exact) <= term, (e, c, key)
         assert abs(Fraction(dist) - exact) <= term, (e, c, dist)
     cosets = table.cosets
+    assert (cosets is None) == (kind not in ("2211", "cut-120",
+                                             "orbit-2^62-d9"))
     if cosets is None:
         return
     rows = table.spans.shape[1]
@@ -715,12 +719,16 @@ class TestScaling:
                                              ((2, 1, 1, 1, 1, 1, 1, 1), 2)])
     def test_scored_centers_flat_in_dimension(self, monkeypatch, rows,
                                               levels):
-        """Centers scored per query, counted at the pair kernel over a
-        100-query block of the five-kind mix at k = 4, stay within 16 k d
-        for both metrics once orbits of up to 15,120 members are refined
-        into prefix cosets: whole orbits scored 19-30 k d at d = 5 and
-        75-460 k d at d = 7 and 9.  Below 5% of the centers at d = 9 and
-        at most 200 at d = 5."""
+        """Centers scored per query, counted at the pair kernel at k = 4
+        over 100 queries of the five-kind mix, for both metrics, once
+        orbits of up to 15,120 members are refined into prefix cosets:
+        whole orbits scored 19-30 k d at d = 5 and 75-460 k d at d = 7
+        and 9.  As one block, within 16 k d, below 5% of the centers at
+        d = 9 and at most 200 at d = 5.  One query at a time, a chunk is
+        refined only where its kept rows hold more than _ROUND members,
+        which few single k = 4 queries at d = 5 do: there they score
+        about 330 (euclidean) and 380 (cosine) of the 600 and 380 of whole
+        orbits, so the single-query bound is 20 k d."""
         s = build_scattering(YoungDiagram.from_rows(rows), levels)
         queries = stream_queries(random.Random(45), s, 100)
         for metric in ("euclidean", "cosine"):
@@ -737,6 +745,37 @@ class TestScaling:
             assert mean <= 16 * 4 * s.dim, (metric, mean)
             assert mean < 0.05 * len(s) and (s.dim > 5 or mean <= 200), \
                 (metric, mean)
+            scored.clear()
+            for e in queries:
+                nearest_centers([e], s, 4, metric)
+            single = sum(scored) / len(queries)
+            assert single <= 20 * 4 * s.dim, (metric, single)
+            assert single < 0.05 * len(s), (metric, single)
+
+    def test_sparse_orbit_is_not_combed(self, monkeypatch):
+        """(2,1,1) + 0^61 cut to 1,000 centers is one cut row whose members
+        share all but a few of their free values: each free coordinate
+        would split off a member or two, one refinement round each.  No
+        split shrinks it by a quarter, so it has no cosets, runs no round,
+        and ranks as a full scan."""
+        # the orbit's first 1,000 members in descending-lex order, as a
+        # build cut to 1,000 lists them: 2 first, then the 1s at the pairs
+        # of places in lexicographic order
+        rows = np.zeros((1000, 64), dtype=np.int64)
+        rows[:, 0] = 2
+        for row, pair in zip(rows, itertools.combinations(range(1, 64), 2)):
+            row[list(pair)] = 1
+        s = Scattering(YoungDiagram.from_rows((2, 1, 1) + (0,) * 61), 0,
+                       rows, [0])
+        assert s.dominant_table().spans[1].tolist() == [1000]
+        assert s.dominant_table().cosets is None
+        monkeypatch.setattr("qusc.search._refine", None)
+        for e in stream_queries(random.Random(61), s, 10):
+            for metric in ("euclidean", "cosine"):
+                res, ref = (nearest_center(e, s, 4, metric),
+                            brute_nearest(e, s, 4, metric))
+                assert (res.indices, res.distances) == \
+                    (ref.indices, ref.distances), (e, metric)
 
     @pytest.mark.parametrize("size", [1e8, 1e12])
     def test_far_queries_rank_few_centers(self, diagrams, size):
@@ -880,12 +919,13 @@ def reference_table(rows):
 
 def splits(rows, free, run, t):
     """Whether a run of members sharing their first t free values is split:
-    its orbit, the orderings of its free values past the prefix, has more
-    than _LEAF members, and its members differ at the next free
-    coordinate."""
-    return (t < len(free)
-            and multinomial([rows[run[0]][j] for j in free[t:]]) > _LEAF
-            and len({rows[i][free[t]] for i in run}) > 1)
+    a table row only when its orbit has more than _LEAF members, and a row
+    or coset only when it holds more than _LEAF members and no value at the
+    next free coordinate is shared by more than _SHARE of them."""
+    if t == 0 and multinomial([rows[run[0]][j] for j in free]) <= _LEAF:
+        return False
+    return (t < len(free) and len(run) > _LEAF and max(Counter(
+        rows[i][free[t]] for i in run).values()) <= _SHARE * len(run))
 
 
 def reference_cosets(rows, free, group):
