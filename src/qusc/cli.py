@@ -50,7 +50,11 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
                 raise ValueError
             vals = [float(v) for v in vals]
         else:
-            vals = [float(t) for t in text.replace(",", " ").split()]
+            vals = text.replace(",", " ").split()
+            # float() also reads "_" separators and other scripts' digits
+            if "_" in text or not all(map(str.isascii, vals)):
+                raise ValueError
+            vals = [float(t) for t in vals]
     except (ValueError, OverflowError, RecursionError):
         # a long text is quoted by its start and length
         shown = (repr(text) if len(text) <= 80

@@ -8,6 +8,7 @@ and independently in ``oracle``.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -79,11 +80,7 @@ class YoungDiagram:
         return sum(self.rows)
 
     def prefix_sums(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for r in self.rows:
-            acc += r
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.rows))
 
     def scaled(self, factor: int) -> "YoungDiagram":
         """The diagram with every column repeated ``factor`` times."""
@@ -197,20 +194,12 @@ def membership(p: ScaledPoint, lam: YoungDiagram) -> str:
     """
     if p.dim != lam.dim:
         raise ValueError(f"point dim {p.dim} != diagram dim {lam.dim}")
-    scale = 1 << p.level
-    caps = [c * scale for c in lam.prefix_sums()]
-    q = sorted(p.numerators, reverse=True)
-    acc = 0
-    tight = False
-    for i, v in enumerate(q):
-        acc += v
-        if i < lam.dim - 1:
-            if acc > caps[i]:
-                return OUTSIDE
-            if acc == caps[i]:
-                tight = True
-    if acc != caps[-1]:
+    caps = [c << p.level for c in lam.prefix_sums()]
+    sums = list(itertools.accumulate(sorted(p.numerators, reverse=True)))
+    if sums[-1] != caps[-1] or any(a > c for a, c in zip(sums, caps)):
         return OUTSIDE
+    # a tight proper prefix puts the point on a facet
+    tight = any(a == c for a, c in zip(sums[:-1], caps))
     return BOUNDARY if tight else INTERIOR
 
 

@@ -38,12 +38,8 @@ class ScatteringNeighbors:
         self.max_points = max_points
 
     def get_params(self, deep=True):
-        return {
-            "lambda_rows": self.lambda_rows,
-            "levels": self.levels,
-            "metric": self.metric,
-            "max_points": self.max_points,
-        }
+        return {key: getattr(self, key)
+                for key in ("lambda_rows", "levels", "metric", "max_points")}
 
     def set_params(self, **params):
         for key, value in params.items():

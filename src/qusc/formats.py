@@ -62,17 +62,24 @@ _INT64 = np.iinfo(np.int64)
 _TEXT_BLOCK = 4096
 
 
+# an integer or a "num/den" fraction, each integer as int() reads it but in
+# ASCII digits: int() also takes "_" separators and other scripts' digits
+_COORDINATE = re.compile(r"(\s*[-+]?[0-9]+\s*)(?:/(\s*[-+]?[0-9]+\s*))?")
+
+
 def _numerator(txt: str, levels: int) -> int:
     """The numerator at scale 2**levels of a reduced "num/2^k" coordinate
     string."""
-    if "/" in txt:
-        num, den = txt.split("/", 1)
+    match = _COORDINATE.fullmatch(txt)
+    if match is None:
+        raise ValueError(f"invalid literal for int() with base 10: {txt!r}")
+    num, den = match.groups()
+    num, lv = int(num), 0
+    if den is not None:
         d = int(den)
         if d <= 0 or d & (d - 1):
             raise ValueError(f"denominator {d} is not a power of two")
-        num, lv = int(num), d.bit_length() - 1
-    else:
-        num, lv = int(txt), 0
+        lv = d.bit_length() - 1
     if lv > levels:
         if num % (1 << (lv - levels)):
             raise ValueError(f"coordinate {txt} is finer than the header's "
@@ -86,21 +93,15 @@ def _numerator(txt: str, levels: int) -> int:
     return num
 
 
-def _field(header: dict, key: str, where: str):
-    """A text header's field, or a ValueError naming the one it lacks."""
-    try:
-        return header[key]
-    except KeyError:
-        raise ValueError(f"{where} has no {key!r} field") from None
-
-
 def _text_header(fields: dict, where: str):
     """The dimension, count, levels and diagram rows of a text file's
     header fields, each a non-negative int and "rows" a list of them, or a
     ValueError naming the field at fault."""
     values = []
     for key in ("version", "dimension", "count", "levels", "rows"):
-        value = _field(fields, key, where)
+        if key not in fields:
+            raise ValueError(f"{where} has no {key!r} field")
+        value = fields[key]
         items = value if key == "rows" else [value]
         if type(items) is not list or not all(type(v) is int and v >= 0
                                               for v in items):

@@ -398,11 +398,19 @@ class Scattering:
         if nums.ndim != 2 or nums.shape[1] != diagram.dim:
             raise ValueError(f"numerators of shape {nums.shape} do not hold "
                              f"{diagram.dim}-coordinate rows")
+        offsets = tuple(level_offsets)
+        # an empty sequence's one block starts at 0, any other's at a center
+        if offsets[:1] != (0,) or offsets[-1] >= max(len(nums), 1) or any(
+                a >= b for a, b in zip(offsets, offsets[1:])):
+            raise ValueError(f"level_offsets {list(offsets)} must start at 0 "
+                             f"and rise strictly below {len(nums)}")
+        if levels_built < 0:
+            raise ValueError(f"levels_built must be >= 0, got {levels_built}")
         self.diagram = diagram
         self.levels_built = levels_built
         self.centers = PointView(nums, levels_built)
         self.numerators = self.centers.numerators
-        self.level_offsets = tuple(level_offsets)
+        self.level_offsets = offsets
         self._table = None
 
     def __len__(self):
@@ -417,8 +425,8 @@ class Scattering:
         return self.numerators / float(1 << self.levels_built)
 
     def level_blocks(self) -> list[tuple[int, int]]:
-        bounds = list(self.level_offsets) + [len(self)]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(self.level_offsets))]
+        offsets = self.level_offsets
+        return list(zip(offsets, offsets[1:] + (len(self),)))
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
@@ -643,8 +651,7 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     mat = vals if 4 * s.dim * peak * peak < 1 << 53 else nums
 
     boundary_marks = {hi for _, hi in s.level_blocks() if hi >= 2}
-    checkpoints = set(boundary_marks)
-    checkpoints.add(n)
+    checkpoints = boundary_marks | {n}
     if prefix_stride > 0:
         checkpoints.update(range(prefix_stride, n + 1, prefix_stride))
     checkpoints = sorted(m for m in checkpoints if m >= 2)

@@ -28,13 +28,16 @@ similarity search with GPUs", over the table's rows):
    rows and cosets kept last round, one free coordinate deeper, against
    the query with its free values past the prefix sorted, which by the
    rearrangement inequality gives each coset's exact lower key, and keeps
-   those within the same bound, at most d rounds;
+   those within the same bound, at most d rounds.  The bound, the kept
+   rows and their refinement are taken once per chunk;
 5. the kept rows' and cosets' own members are scored exactly, and those
    under the bound are ranked as a full scan would rank them,
-   with one lexsort over the whole chunk on three keys: the query, the
-   distance and the center's tie rank, its precomputed place in a full
-   scan's order of equal distances (descending-lex point, then sequence
-   index).  Numerator rows are gathered for the k hits only.
+   with one lexsort on three keys: the query, the distance and the
+   center's tie rank, its precomputed place in a full scan's order of
+   equal distances (descending-lex point, then sequence index).  Only this
+   step is split: while the members hold more than ``_BLOCK`` coordinates,
+   the chunk's queries are halved together with their kept members.
+   Numerator rows are gathered for the k hits only.
 
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
@@ -124,7 +127,7 @@ class QueryResult:
 # -- block search ------------------------------------------------------------
 
 # Elements of one chunk's (queries, table rows) key matrix, and about the
-# most coordinates of (query, center) pairs one expansion scores at once:
+# most coordinates of (query, center) pairs one ranking pass scores at once:
 # 256 KiB of float64, so a chunk's temporaries stay in a core's L2 cache.
 _BLOCK = 1 << 15
 
@@ -330,45 +333,38 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     # each query's squared norm in the frame, which sorting leaves alone
     sq = np.vecdot(frame, frame)
     step = max(1, _BLOCK // len(table.norms))
+    score, rows = _KERNELS[metric][0], table.spans.shape[1]
+    whole = 2 * rows - len(table.norms)  # the partial rows come last
     out: list[QueryResult] = []
-    for lo in range(0, len(q), step):
-        chunk = slice(lo, lo + step)
-        out += _search_chunk(s, table, q[chunk], frame[chunk], sq[chunk], k,
-                             metric)
+    for at in range(0, len(q), step):
+        chunk = slice(at, at + step)
+        g, g2 = frame[chunk], sq[chunk]
+        # each row's lower key against the queries with their free values
+        # sorted, and a partial row's upper key against the queries
+        lo = hi = score(dominant_rows(g, table.free), g2, table, slice(rows))
+        if whole < rows:
+            hi = np.concatenate((lo[:, :whole], score(
+                g, g2, table, slice(rows, None))), axis=1)
+        out += _expand(s, table, lo, hi, q[chunk], g, g2, k, metric)
     return out
 
 
-def _search_chunk(s, table, q, frame, sq, k, metric):
-    """Key every table row against a chunk of queries in the ranking's
-    frame: its lower key against the query with its free coordinates
-    sorted, and a partial row's upper key against the query itself."""
-    score, rows = _KERNELS[metric][0], table.spans.shape[1]
-    lo = hi = score(dominant_rows(frame, table.free), sq, table, slice(rows))
-    whole = 2 * rows - len(table.norms)  # the partial rows come last
-    if whole < rows:
-        hi = np.concatenate((lo[:, :whole], score(
-            frame, sq, table, slice(rows, None))), axis=1)
-    return _expand(s, table, lo, hi, q, frame, sq, k, metric)
-
-
 def _expand(s, table, lo, hi, q, frame, sq, k, metric):
-    """Rank the centers of every row whose lower key (``lo``) is within its
+    """Keep, once per chunk, every row whose lower key (``lo``) is within its
     query's widened k-th upper key (``hi``), which bounds the k-th distance
     from above: rows are disjoint, and each upper key is one present
     member's distance.  Where a table has cosets and the kept rows hold more
-    than ``_ROUND`` members, they are refined first (``_refine``).  The
-    centers kept are scored exactly; those under the bound are ranked as a
-    full scan would rank them, and those within the k-th distance, ties
-    included, count as examined."""
-    c, d = len(lo), len(table.cols)
+    than ``_ROUND`` members, they are refined (``_refine``), then ranked
+    (``_rank``)."""
     if k == 1:
         kth = np.minimum.reduce(hi, axis=1)
     elif k <= hi.shape[1]:
+        # a copy partitioned in place skips np.partition's dispatch cost
         kth = hi.copy()
         kth.partition(k - 1, axis=1)
         kth = kth[:, k - 1]
     else:
-        kth = np.full(c, math.inf)
+        kth = np.full(len(lo), math.inf)
     bound = _widen(kth, sq, table, metric)
     # the (query, row) pairs within the bound: a flat nonzero is several
     # times cheaper than a two-dimensional one
@@ -378,20 +374,29 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     span = table.spans.take(rows, axis=1)
     ends, sizes = span[0], span[1]
     at = sizes.cumsum()
-    wide = False
-    if table.cosets is not None and at[-1] > _ROUND:
-        found = _refine(table, qi, rows, frame, sq, bound, metric)
-        wide = found is None
-        if not wide:
-            qi, (ends, sizes) = found
-            at = sizes.cumsum()
-    if c > 1 and (wide or at[-1] * d > _BLOCK):
-        h = c // 2
-        return (_expand(s, table, lo[:h], hi[:h], q[:h], frame[:h], sq[:h],
-                        k, metric)
-                + _expand(s, table, lo[h:], hi[h:], q[h:], frame[h:], sq[h:],
-                          k, metric))
-    # one (query, center) pair for each center of each row
+    # refining under an infinite bound (k past the rows) keeps every coset
+    if table.cosets is not None and at[-1] > _ROUND and k <= hi.shape[1]:
+        qi, (ends, sizes) = _refine(table, qi, rows, frame, sq, bound, metric)
+        at = sizes.cumsum()
+    return _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric)
+
+
+def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
+    """Score the members of the spans ``ends`` over ``sizes`` (``at`` their
+    running total) against their queries ``qi`` (sorted, indexing q)
+    exactly, and rank those under the bound as a full scan would; those
+    within the k-th distance, ties included, count as examined.  While the
+    members hold more than ``_BLOCK`` coordinates, the queries are halved
+    with their spans under the same bound, which no other query moves."""
+    c = len(q)
+    if c > 1 and at[-1] * len(table.cols) > _BLOCK:
+        h, cut = c // 2, qi.searchsorted(c // 2)
+        return (_rank(q[:h], s, qi[:cut], ends[:cut], sizes[:cut], at[:cut],
+                      table, frame[:h], sq[:h], bound[:h], k, metric)
+                + _rank(q[h:], s, qi[cut:] - h, ends[cut:], sizes[cut:],
+                        at[cut:] - at[cut - 1], table, frame[h:], sq[h:],
+                        bound[h:], k, metric))
+    # one (query, center) pair for each member of each span
     pos = (ends - at).repeat(sizes)
     pos += np.arange(at[-1])
     cand = table.members.take(pos)
@@ -457,15 +462,12 @@ def _refine(table, qi, node, frame, sq, bound, metric):
     its free values past the prefix: the query with those values sorted,
     against the coset's key center, in the ranking's own float steps for
     euclidean keys.  Returns the kept pairs' queries, sorted, and their
-    ``own`` members, or None where a round of a chunk of several queries
-    would key more than ``_BLOCK`` coordinates."""
+    ``own`` members."""
     cosets, m = table.cosets, len(table.free)
-    (c, d), w = frame.shape, cosets.kids.shape[1]
+    c, w = len(frame), cosets.kids.shape[1]
     found_q, found_n = [qi], [node]
     for t in range(1, cosets.depth + 1):
         kids = cosets.kids.take(node, axis=0).ravel()
-        if c > 1 and len(kids) * d > _BLOCK:
-            return None
         # a cosine key is 1 - <g, t> / |g| |t|, with the query made a unit
         g = _sorted_past(frame, cosets.order, t, m)
         if metric == COSINE:

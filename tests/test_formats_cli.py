@@ -415,6 +415,29 @@ class TestReaderBoundary:
             read_scattering(path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad", ["2_0", "\u0662", "4/\u0662", "1_0/4"])
+    def test_only_ascii_digits(self, sample, fmt, bad, tmp_path, capsys):
+        """int() also reads "_" separators and other scripts' digits; a
+        coordinate is refused for either, and exits the CLI with 2, while
+        surrounding whitespace and a "+" sign still read."""
+        first = 1 if fmt == "jsonl" else 2
+        spelled = [" +2", "+2/2 ", "4/ 4", "0"]  # record 0 is (2, 1, 1, 0)
+        edit = (json_set("exact", spelled) if fmt == "jsonl"
+                else csv_cells(2, *spelled))
+        path = self.edited(sample, fmt, tmp_path, {first: edit})
+        assert np.array_equal(read_scattering(path).numerators,
+                              sample.numerators)
+        edit = (json_set("exact", [bad, "1", "1", "0"]) if fmt == "jsonl"
+                else csv_cells(2, bad))
+        path = self.edited(sample, fmt, tmp_path, {first: edit})
+        message = f"record 0: invalid literal for int() with base 10: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_scattering(path)
+        assert run_cli("query", "--centers", str(path), "--point",
+                       "1,1,1,1") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_one_value_written_three_ways(self, sample, fmt, tmp_path):
         # record 0 is (2, 1, 1, 0) and record 1 writes its 1 as "1"
         first = 1 if fmt == "jsonl" else 2
@@ -750,6 +773,26 @@ class TestCliQuery:
                        "--point", "1,2") == 2
         assert run_cli("query", "--centers", str(centers_file),
                        "--point", "a,b,c,d") == 2
+
+    @pytest.mark.parametrize("text", ["1_0 1 1 0", "1,1,\u0661,0",
+                                      "1 1 1 \u0661.5"])
+    def test_point_of_non_ascii_digits_exit2(self, centers_file, monkeypatch,
+                                             capsys, text):
+        """float() also reads "_" separators and other scripts' digits; a
+        query point is refused for either, given with --point or on
+        standard input, while surrounding whitespace and "+" still read."""
+        import io
+        assert run_cli("query", "--centers", str(centers_file),
+                       "--point", text) == 2
+        self.check_quoted(capsys.readouterr().err, text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1,1,1,1\n{text}\n"))
+        assert run_cli("query", "--centers", str(centers_file)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        self.check_quoted(err, text)
+        assert run_cli("query", "--centers", str(centers_file),
+                       "--point", " +2, 1 ,+1.0,\t0 ") == 0
+        assert json.loads(capsys.readouterr().out)["distances"][0] == 0.0
 
     @pytest.mark.parametrize("text", [
         "[null,1,2,3]", "[[1],2,3,4]", '[1,2,3,"x"]', "[true,1,2,3]",

@@ -106,6 +106,34 @@ class TestBuildScattering:
             assert len(s) == expected, (rows, levels)
 
 
+class TestScatteringFields:
+    """A Scattering holds level offsets that start at 0 and rise strictly
+    below its length, and a scale of at least 2**0."""
+
+    @pytest.mark.parametrize("offsets", [
+        pytest.param([0, 20, 5], id="falling"),
+        pytest.param([0, 12, 12], id="repeated"),
+        pytest.param([1, 12], id="not-at-zero"),
+        pytest.param([], id="none"),
+        pytest.param([0, 42], id="at-the-end")])
+    def test_refuses_malformed_offsets(self, scatterings, offsets):
+        s = scatterings[(2, 1, 1), 1]
+        with pytest.raises(ValueError, match="level_offsets"):
+            Scattering(s.diagram, 1, s.numerators, offsets)
+
+    def test_refuses_negative_levels(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        with pytest.raises(ValueError, match="levels_built must be >= 0"):
+            Scattering(s.diagram, -1, s.numerators, [0])
+
+    def test_empty_sequence_has_one_offset(self, diagrams):
+        s = build_scattering(diagrams[(2, 1, 1)], 1, max_points=0)
+        assert (len(s), s.level_offsets, s.level_blocks()) == (0, (0,),
+                                                               [(0, 0)])
+        with pytest.raises(ValueError, match="level_offsets"):
+            Scattering(s.diagram, 0, s.numerators, [0, 0])
+
+
 class TestIotaEmbedding:
     def test_append_one(self, scatterings):
         s = scatterings[(2, 1, 1), 0]

@@ -18,9 +18,9 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
 from qusc.scattering import _LEAF, _SHARE, _pack_rows
-from qusc.search import (_KERNELS, _colsum, _coset_keys, _euclidean_keys,
-                         _euclidean_pairs, _expand, _refine, _sorted_past,
-                         _widen)
+from qusc.search import (_BLOCK, _KERNELS, _colsum, _coset_keys,
+                         _euclidean_keys, _euclidean_pairs, _expand, _refine,
+                         _sorted_past, _widen)
 
 
 def from_points(diagram, levels, points, offsets):
@@ -1340,6 +1340,61 @@ class TestBlockSearch:
             return
         with pytest.raises(ValueError, match=rf"{message}.*\(row 3\)"):
             nearest_centers(block, s, 2, metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_bound_and_refinement_once_per_chunk(self, monkeypatch, metric):
+        """A chunk takes its k-th bound, its kept rows and their refinement
+        once, and splits only its scoring: _expand and _refine run once per
+        chunk, the pair kernel more often, as these blocks' chunks keep more
+        members than one scoring pass holds, and the answers are those of
+        blocks of one."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("qusc.search._expand", counted("expand", _expand))
+        monkeypatch.setattr("qusc.search._refine", counted("refine", _refine))
+        keys, pairs = _KERNELS[metric]
+        monkeypatch.setitem(_KERNELS, metric, (keys, counted("score", pairs)))
+        rng = random.Random(46)
+        for rows, levels, k, m in [((2, 2, 1, 1), 4, 16, 300),
+                                   ((2, 1, 1, 1, 1, 1, 1, 1), 2, 4, 200)]:
+            s = build_scattering(YoungDiagram.from_rows(rows), levels)
+            centers = s.numerators / 2.0 ** levels
+            # box-uniform and center-plus-noise queries, in turn
+            queries = [[rng.uniform(-0.5, rows[0] + 0.5) for _ in range(s.dim)]
+                       if i % 2 else
+                       (centers[rng.randrange(len(s))]
+                        + [rng.gauss(0, 0.3) for _ in range(s.dim)]).tolist()
+                       for i in range(m)]
+            chunks = math.ceil(m / max(1, _BLOCK // len(s.dominant_table().norms)))
+            calls.clear()
+            block = nearest_centers(queries, s, k, metric)
+            assert calls["expand"] == calls["refine"] == chunks, (rows, calls)
+            assert calls["score"] > chunks, (rows, calls)
+            single = [nearest_centers([e], s, k, metric)[0] for e in queries]
+            assert block == single, rows
+            assert [r.candidates_examined for r in block] == \
+                [r.candidates_examined for r in single], rows
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_infinite_bound_is_not_refined(self, monkeypatch, metric):
+        """With k past the table's rows the bound is infinite and keeps
+        every coset, so a chunk is scored unrefined instead of holding its
+        whole coset tree: (5,4,3,2,1) L0 has 15 rows, of up to 720
+        members."""
+        s = build_scattering(YoungDiagram.from_rows((5, 4, 3, 2, 1)), 0)
+        assert s.dominant_table().spans.shape[1] < 16
+        queries = stream_queries(random.Random(47), s, 8)
+        monkeypatch.setattr("qusc.search._refine", None)
+        for e, res in zip(queries, nearest_centers(queries, s, 16, metric)):
+            ref = brute_nearest(e, s, 16, metric)
+            assert (res.indices, res.distances) == (ref.indices,
+                                                    ref.distances), e
 
     def test_memory_stays_chunked(self, diagrams):
         # an unchunked (2000, 1329) key matrix alone would take 21 MB
