@@ -62,9 +62,10 @@ _INT64 = np.iinfo(np.int64)
 _TEXT_BLOCK = 4096
 
 
-# an integer or a "num/den" fraction, each integer as int() reads it but in
-# ASCII digits: int() also takes "_" separators and other scripts' digits
-_COORDINATE = re.compile(r"(\s*[-+]?[0-9]+\s*)(?:/(\s*[-+]?[0-9]+\s*))?")
+# an integer as int() reads it, but in ASCII digits: int() also takes "_"
+# separators and other scripts' digits; a coordinate is one or a fraction
+_INT = r"\s*[-+]?[0-9]+\s*"
+_COORDINATE = re.compile(f"({_INT})(?:/({_INT}))?")
 
 
 def _numerator(txt: str, levels: int) -> int:
@@ -412,10 +413,7 @@ def _write_csv(s: Scattering, fh) -> None:
 
 def _csv_int(text: str):
     """text as an int, or as it is for _text_header to refuse."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+    return int(text) if re.fullmatch(_INT, text) else text
 
 
 def _read_csv(fh) -> Scattering:

@@ -382,6 +382,10 @@ class TestReaderBoundary:
         pytest.param("csv", 0, lambda line: line.replace("levels=1", "levels=x"),
                      "csv header field 'levels' is not a non-negative "
                      "integer: 'x'", id="csv-levels-string"),
+        pytest.param("csv", 0, lambda line: line.replace("count=42",
+                                                         "count=4_2"),
+                     "csv header field 'count' is not a non-negative "
+                     "integer: '4_2'", id="csv-count-underscore"),
         pytest.param("csv", 2, csv_cells(2, "abc"),
                      "record 0: invalid literal for int() with base 10: 'abc'",
                      id="csv-abc"),
