@@ -34,9 +34,9 @@ header that lacks a field or whose field is not a non-negative integer (a
 list of them for the diagram rows), a text line that is not a record
 (invalid JSON, or no 'exact' field), a jsonl 'exact' that is not a list of
 strings, a coordinate string that is not an integer or a "num/2^k"
-fraction, and a text record finer than the header's levels or whose
-numerator at that scale overflows int64 (the messages name the record or
-the header field).
+fraction in ASCII digits (header integers too), and a text record finer
+than the header's levels or whose numerator at that scale overflows int64
+(the messages name the record or the header field).
 """
 
 from __future__ import annotations
