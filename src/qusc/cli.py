@@ -9,12 +9,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .core import COSINE, EUCLIDEAN, YoungDiagram
-from .formats import (FORMATS, coordinate_texts, read_scattering,
+from .formats import (_INT, FORMATS, coordinate_texts, read_scattering,
                       write_scattering)
 from .oracle import brute_nearest
 from .scattering import (Scattering, build_scattering, embed_scattering,
@@ -26,11 +27,22 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
 
+def _integer(text: str) -> int:
+    """An integer option's value in ASCII digits, as the center files read
+    integers: int() alone also reads "_" separators and other scripts'
+    digits."""
+    if not re.fullmatch(_INT, text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}: "
+                                         "ASCII digits only")
+    return int(text)
+
+
 def _parse_rows(text: str) -> YoungDiagram:
     try:
-        rows = tuple(int(t) for t in text.replace(" ", "").split(",") if t != "")
-    except ValueError:
-        raise ValueError(f"cannot parse row list {text!r}")
+        rows = tuple(_integer(t) for t in text.replace(" ", "").split(",")
+                     if t != "")
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"--lambda: cannot parse row list {text!r}")
     if not rows:
         raise ValueError("empty row list")
     lam = YoungDiagram.from_rows(rows)
@@ -198,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="build a center sequence and write it")
     g.add_argument("--lambda", dest="lam", required=True,
                    help="comma-separated diagram rows, e.g. 2,1,1")
-    g.add_argument("--rank", type=int, default=None,
+    g.add_argument("--rank", type=_integer, default=None,
                    help="optional cross-check: rank of the root system")
-    g.add_argument("--levels", type=int, default=0)
-    g.add_argument("--max-points", type=int, default=None)
+    g.add_argument("--levels", type=_integer, default=0)
+    g.add_argument("--max-points", type=_integer, default=None)
     g.add_argument("--format", choices=FORMATS, default="binary")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -210,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--centers", required=True)
     q.add_argument("--point", default=None,
                    help="one query; omit to stream queries from stdin")
-    q.add_argument("--k", type=int, default=1)
+    q.add_argument("--k", type=_integer, default=1)
     q.add_argument("--metric", choices=(EUCLIDEAN, COSINE), default=EUCLIDEAN)
     q.add_argument("--verify", action="store_true",
                    help="check each result equals the full-scan oracle's, "
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="quasi-uniformity report for a file")
     v.add_argument("--centers", required=True)
-    v.add_argument("--stride", type=int, default=0)
+    v.add_argument("--stride", type=_integer, default=0)
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("embed", help="append a unit coordinate to every center")

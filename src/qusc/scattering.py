@@ -213,8 +213,8 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     return level - np.where(low == 0, level, np.minimum(twos, level))
 
 
-# A row whose orbit has more members than this gets prefix cosets; no
-# orbit of four coordinates or fewer has (4! = 24).  A row or coset is
+# A row whose orbit has more members than this is split into prefix
+# cosets; no orbit of four coordinates or fewer has (4! = 24).  A node is
 # split only where it holds more than _LEAF members and none of its
 # children more than _SHARE of them, so that each split shrinks every path
 # by a quarter: an orbit with one value at most places, as (2,1,1,0,...,0)
@@ -224,73 +224,38 @@ _LEAF = 24
 _SHARE = 0.75
 
 
-class Cosets(NamedTuple):
-    """The prefix cosets of a center table's large rows.
-
-    A depth-t coset of a row holds those of its members that share their
-    first t free coordinates.  A row whose orbit has more than ``_LEAF``
-    members lists them in the table's ``tie`` order, so every coset is a
-    run of them.  Such a row, and each of its cosets, is split at the next
-    free coordinate where it holds more than ``_LEAF`` members and none of
-    its children holds more than ``_SHARE`` of them, ``depth`` times at
-    most.  Rows and cosets are nodes, numbered rows first, then the cosets
-    depth by depth.  ``kids``
-    (nodes, width) names each node's children, padded with the number
-    ``nodes``, whose key center is NaN, so that no query keeps it; a node
-    not split has only padding.  ``own`` (2, nodes) holds the members no
-    child of a node holds, as an end and a size in the table's
-    ``members``: all of a node not split, none of a split one.
-
-    ``order`` lists the free coordinates, then the others.  ``cols``
-    (nodes + 1, d) holds each coset's key center in that order, as float64
-    values: its prefix, then its other free values sorted ascending; a
-    row's entry is zero, as the row pass keys rows.  ``norms`` holds each
-    coset's norm, its row's, for cosine keys.
-    """
-
-    kids: np.ndarray
-    own: np.ndarray
-    cols: np.ndarray
-    norms: np.ndarray
-    order: np.ndarray
-    depth: int
-
-
-def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
-                   lattice) -> Cosets | None:
-    """The cosets of the table rows whose orbits are ``large``, or None where
-    none is split.  Those rows' members are put in ``tie`` order in
-    ``members`` itself; a sequence that lists each orbit descending-lex, as
-    a built, cut or embedded one does, is in that order already.  A row or
-    coset is split where it holds more than ``_LEAF`` members and none of
-    its children, the runs of them that share the next free value, holds
-    more than ``_SHARE`` of them."""
+def _prefix_cosets(nums, members, ends, sizes, large, free, tie, sq,
+                   lattice):
+    """The node tree of a center table whose rows' orbits are ``large`` or
+    not: the nodes' spans, ``kids``, the cosets' ``keys`` and ``key_sq``
+    and the tree's ``depth``, as ``CenterTable`` holds them.  The large
+    rows' members are put in ``tie`` order in ``members`` itself; a
+    sequence that lists each orbit descending-lex, as a built, cut or
+    embedded one does, is in that order already."""
     m, d = len(free), nums.shape[1]
-    fixed = np.ones(d, dtype=np.bool_)
-    fixed[free] = False
-    order = np.concatenate((free, np.flatnonzero(fixed)))
     rows, starts = len(ends), ends - sizes
-    rank = tie.take(members)
-    down = rank[1:] < rank[:-1]
-    down[starts[1:] - 1] = False
-    if down.any():
-        # the large rows' members, each row a run of them
-        at = sizes[large].cumsum()
-        pos = (ends[large] - at).repeat(sizes[large])
-        pos += np.arange(at[-1])
-        members[pos] = members.take(pos).take(np.lexsort(
-            (rank.take(pos), np.arange(len(at)).repeat(sizes[large]))))
+    if large.any():
+        rank = tie.take(members)
+        down = rank[1:] < rank[:-1]
+        down[starts[1:] - 1] = False
+        if down.any():
+            # the large rows' members, each row a run of them
+            at = sizes[large].cumsum()
+            pos = (ends[large] - at).repeat(sizes[large])
+            pos += np.arange(at[-1])
+            members[pos] = members.take(pos).take(np.lexsort(
+                (rank.take(pos), np.arange(len(at)).repeat(sizes[large]))))
     # depth by depth, the runs of members that share their first t free
     # values: a run at depth t starts where one at depth t - 1 does or the
     # t-th free value changes, and is a coset when its parent run is split
     new = np.zeros(len(members), dtype=np.bool_)
     new[starts] = True
     runs, node, row, open_ = starts, np.arange(rows), np.arange(rows), large
-    total = rows
-    kid_of, kid_slot, split = [], [], []
-    own_end, own_size = [ends], [sizes]
-    cols, node_norms = [np.zeros((rows, d))], [norms[:rows]]
-    for t in range(1, m):
+    spans, keys, key_sq = [np.stack((ends, sizes))], [], []
+    empty = np.zeros(0, dtype=np.intp)
+    kid_of, kid_slot, total = [empty], [empty], rows
+    # only a large row is split, so without one the tree is its rows
+    for t in range(1, m if large.any() else 1):
         value = nums[:, free[t - 1]].take(members)
         new[1:] |= value[1:] != value[:-1]
         first = np.flatnonzero(new)
@@ -304,54 +269,65 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, norms,
         keep = open_.take(parent)
         if not keep.any():
             break
-        split.append(node[open_])
         row = row.take(parent)
         kid, parent, size = first[keep], parent[keep], size[keep]
-        # each coset's key center: its prefix, then its other free values
-        # sorted ascending
-        keys = nums.take(members.take(kid), axis=0).take(order, axis=1)
-        keys[:, t:m].sort(axis=1)
         kid_of.append(node.take(parent))
         kid_slot.append(np.arange(len(kid)) - parent.searchsorted(parent))
-        own_end.append(kid + size)
-        own_size.append(size)
-        cols.append(keys / lattice)
-        node_norms.append(norms.take(row[keep]))
+        spans.append(np.stack((kid + size, size)))
+        # each coset's key center: its first member with the free values
+        # past its prefix sorted ascending
+        center = nums.take(members.take(kid), axis=0)
+        center[:, free[t:]] = np.sort(center[:, free[t:]], axis=1)
+        keys.append(center / lattice)
+        key_sq.append(sq.take(row[keep]))
         # the runs of this depth, numbered where they are cosets
         runs, node = first, np.zeros(len(first), dtype=np.intp)
         node[keep] = np.arange(total, total + len(kid))
         open_ = keep
         total += len(kid)
-    if not split:
-        return None
-    slot = np.concatenate(kid_slot)
-    kids = np.full((total, int(slot.max()) + 1), total, dtype=np.intp)
+    # each node's children, padded with the number ``total``, whose key
+    # center is NaN
+    depth, slot = len(keys), np.concatenate(kid_slot)
+    kids = np.full((total, int(slot.max(initial=-1)) + 1), total,
+                   dtype=np.intp)
     kids[np.concatenate(kid_of), slot] = np.arange(rows, total)
-    own = np.stack((np.concatenate(own_end), np.concatenate(own_size)))
-    own[1, np.concatenate(split)] = 0
-    cols.append(np.full((1, d), np.nan))
-    node_norms.append([np.nan])
-    return Cosets(kids, own, np.concatenate(cols), np.concatenate(node_norms),
-                  order, len(split))
+    keys.append(np.full((1, d), np.nan))
+    key_sq.append([np.nan])
+    return (np.concatenate(spans, axis=1), kids, np.concatenate(keys),
+            np.concatenate(key_sq), depth)
 
 
 class CenterTable(NamedTuple):
-    """The index of a center sequence that the nearest-center search runs on.
+    """The index of a center sequence that the nearest-center search runs on:
+    one tree of nodes, each a run of the sequence indices ``members``.
 
-    Row r is an orbit: the centers, repeats included, that permute one
-    another's coordinates ``free``, those that vary along the sequence.  It
-    owns the sequence indices ``members[end - size:end]``, where the (2,
-    rows) array ``spans`` holds each row's ``end`` over its ``size``:
-    ascending, or in ``tie`` order in a row whose orbit has more than
+    Nodes 0 to ``rows`` - 1 are the rows.  Row r is an orbit: the centers,
+    repeats included, that permute one another's coordinates ``free``,
+    those that vary along the sequence.  Whole orbits come first, then
+    partial ones, each in the sequence order of their dominant members (of
+    their first where that is absent).  A row lists its members in
+    ascending order, or in ``tie`` order where its orbit has more than
     ``_LEAF`` members (the same order for a sequence that lists each orbit
-    descending-lex).  Whole
-    orbits come first, then partial ones, each in the sequence order of
-    their dominant members (of their first where that is absent).  ``cols``
-    holds key centers as float64 values, the numerators over ``lattice``,
-    as a contiguous (d, columns) array: each row's dominant member, then
-    each partial row's first member in the sequence.  ``sq`` holds each
-    column's squared norm, as one dot product of the column with itself,
-    and ``norms`` its square root.
+    descending-lex).  Such a row, and each of its prefix cosets, is split
+    into the cosets one free coordinate deeper, those of its members that
+    share their first t free coordinates, where it holds more than
+    ``_LEAF`` members and none of its children more than ``_SHARE`` of
+    them, ``depth`` times at most.  The cosets follow the rows, depth by
+    depth.  The (2, nodes) array ``spans`` holds each node's run,
+    ``members[end - size:end]``, as its ``end`` over its ``size``; a split
+    node's run is its children's runs in turn.  ``kids`` (nodes, width)
+    names each node's children, padded with the number ``nodes``: a leaf,
+    a node not split, has only padding.
+
+    ``cols`` holds the rows' key centers as float64 values, the numerators
+    over ``lattice``, as a contiguous (d, columns) array: each row's
+    dominant member, then each partial row's first member in the sequence.
+    ``sq`` holds each column's squared norm, as one dot product of the
+    column with itself, and ``norms`` its square root.  ``keys`` (cosets +
+    1, d) holds each coset's key center, its first member with the free
+    values past its prefix sorted ascending, and ``key_sq`` its squared
+    norm, its row's; their last entry, the padding's, is NaN, so that no
+    query keeps it.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -359,22 +335,23 @@ class CenterTable(NamedTuple):
     sequence index of the first zero center, or -1 when there is none.
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
-
-    ``cosets`` holds the prefix cosets of the rows whose orbits have more
-    than ``_LEAF`` members, or is None when no row's has.
     """
 
+    rows: int
     members: np.ndarray
     spans: np.ndarray
+    kids: np.ndarray
     free: np.ndarray
     cols: np.ndarray
     sq: np.ndarray
     norms: np.ndarray
+    keys: np.ndarray
+    key_sq: np.ndarray
     tie: np.ndarray
     zero: int
     lattice: float
     radius: float
-    cosets: Cosets | None
+    depth: int
 
 
 class Scattering:
@@ -434,7 +411,7 @@ class Scattering:
         bytes inverted so that they sort descending-lex (near-linear on the
         level blocks' runs), is the tie order and gives the first
         occurrences, among which a lookup of each center's dominant member
-        names its orbit; rows whose orbits are large get their prefix
+        names its orbit; rows whose orbits are large are split into prefix
         cosets (``_prefix_cosets``)."""
         if self._table is None:
             nums = self.numerators
@@ -504,13 +481,13 @@ class Scattering:
             # a zero center is a whole orbit, so argmin finds its key column
             zero = -1 if norms.all() else int(
                 members[(ends - sizes)[np.argmin(norms)]])
-            large = (size[rank] > _LEAF).astype(bool)
+            spans, kids, keys, key_sq, depth = _prefix_cosets(
+                nums, members, ends, sizes, (size[rank] > _LEAF).astype(bool),
+                free, tie, sq, lattice)
             self._table = CenterTable(
-                members, np.stack((ends, sizes)), free,
-                np.ascontiguousarray(mat.T), sq, norms, tie, zero, lattice,
-                float(norms.max(initial=0.0)),
-                _prefix_cosets(nums, members, ends, sizes, large, free, tie,
-                               norms, lattice) if large.any() else None)
+                len(ends), members, spans, kids, free,
+                np.ascontiguousarray(mat.T), sq, norms, keys, key_sq, tie,
+                zero, lattice, float(norms.max(initial=0.0)), depth)
         return self._table
 
     def is_complete(self) -> bool:

@@ -14,7 +14,7 @@ per-row k-selection of Johnson, Douze & Jegou 2017, "Billion-scale
 similarity search with GPUs", over the table's rows):
 
 1. the block is validated once, and each query's squared norm taken;
-2. every row is keyed against every query of the chunk by one matrix
+2. round 0 keys every row against every query of the chunk by one matrix
    product with the table's contiguous key columns, which hold the centers'
    own values: the keys are taken in the frame the ranking scores in, as
    |g|^2 + |t|^2 - 2 <g, t> for euclidean search, with the columns' squared
@@ -22,22 +22,23 @@ similarity search with GPUs", over the table's rows):
 3. each query's k-th upper key (a whole row's is its lower key) bounds its
    k-th distance, so every row whose lower key is within that bound,
    widened past float rounding, is kept;
-4. where the kept rows hold more than ``_ROUND`` members, those whose
-   orbits are large are refined into prefix cosets, the members that share
-   their first t free coordinates: each round keys the children of the
-   rows and cosets kept last round, one free coordinate deeper, against
-   the query with its free values past the prefix sorted, which by the
-   rearrangement inequality gives each coset's exact lower key, and keeps
-   those within the same bound, at most d rounds.  The bound, the kept
-   rows and their refinement are taken once per chunk;
-5. the kept rows' and cosets' own members are scored exactly, and those
-   under the bound are ranked as a full scan would rank them,
-   with one lexsort on three keys: the query, the distance and the
-   center's tie rank, its precomputed place in a full scan's order of
-   equal distances (descending-lex point, then sequence index).  Only this
-   step is split: while the members hold more than ``_BLOCK`` coordinates,
-   the chunk's queries are halved together with their kept members.
-   Numerator rows are gathered for the k hits only.
+4. the table's rows and their prefix cosets, the members that share their
+   first t free coordinates, form one node tree.  Where the kept rows hold
+   more than ``_ROUND`` members, round t keys the children of the split
+   nodes kept last round, one free coordinate deeper, against the query
+   with its free values past the prefix sorted, which by the rearrangement
+   inequality gives each coset's exact lower key, and keeps those within
+   the same bound; a kept leaf, a node not split, leaves the frontier with
+   its whole run of members.  The bound and the rounds are taken once per
+   chunk;
+5. the kept leaves' members are scored exactly, and those under the bound
+   are ranked as a full scan would rank them, with one lexsort on three
+   keys: the query, the distance and the center's tie rank, its
+   precomputed place in a full scan's order of equal distances
+   (descending-lex point, then sequence index).  Only this step is split:
+   while the members hold more than ``_BLOCK`` coordinates, the chunk's
+   queries are halved together with their kept members.  Numerator rows
+   are gathered for the k hits only.
 
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
@@ -156,30 +157,33 @@ def _widen(bound, sq, table, metric: str):
     prefix and free values allow, the lower key of its member set, so the
     same four steps carry over to it without a new term.
 
-    A euclidean key of a query g and a key column t, |t| <= R (the table's
-    radius), adds |g|^2, |t|^2 and -2 <g, t>, three dot products of length
-    d, each within d u of exact relative to the sum of its terms'
-    magnitudes in any order of summation (Higham 2002, section 3.1): within
-    d u (|g| + |t|)^2 together, and two roundings of sums of at most
-    (|g| + R)^2 add 2 u of it.  A ranked distance, d rounded squares of
-    rounded differences, is within (d + 2) u of exact, relatively, and no
-    exact distance exceeds (|g| + R)^2.  So every key, upper key and
-    ranked distance lies within (d + 2) u (|g| + R)^2 of exact, with
-    second-order terms, and four steps within 4 (d + 2) u (|g| + R)^2.  The
-    term 4 (d + 3) u (|g| + R)^2 leaves u (|g| + R)^2 for its own rounding
-    and its addition to the upper key; as (|g| + R)^2 <= 2 (|g|^2 + R^2),
-    it is taken as 8 (d + 3) u (sq + R^2), from the squared norms the keys
-    add, without a square root.  A product or square that underflows loses
-    up to 2**-1075 besides, 3 d of them per key and d per distance: 8 d in
-    four steps, half the floor d 2**-1071.
+    A euclidean key of a query g and a key center t, |t| <= R (the table's
+    radius), adds |g|^2, |t|^2 and -2 <g, t>, whether a row's, from one
+    matrix product with the key columns, or a coset's, from one dot product
+    with its key center, whose squared norm is its row's: the same values
+    in another order.  Those are three dot products of length d, each
+    within d u of exact relative to the sum of its terms' magnitudes in any
+    order of summation (Higham 2002, section 3.1): within d u (|g| + |t|)^2
+    together, and two roundings of sums of at most (|g| + R)^2 add 2 u of
+    it.  A ranked distance, d rounded squares of rounded differences, is
+    within (d + 2) u of exact, relatively, and no exact distance exceeds
+    (|g| + R)^2.  So every key, upper key and ranked distance lies within
+    (d + 2) u (|g| + R)^2 of exact, with second-order terms, and four steps
+    within 4 (d + 2) u (|g| + R)^2.  The term 4 (d + 3) u (|g| + R)^2
+    leaves u (|g| + R)^2 for its own rounding and its addition to the upper
+    key; as (|g| + R)^2 <= 2 (|g|^2 + R^2), it is taken as
+    8 (d + 3) u (sq + R^2), from the squared norms the keys add, without a
+    square root.  A product or square that underflows loses up to 2**-1075
+    besides, 3 d of them per key and d per distance: 8 d in four steps,
+    half the floor d 2**-1071.  Doubling the query for a coset's key is
+    exact.
 
     Cosine keys and distances, from dot products within d u |q| |c|, norms
     within (d / 2 + 1) u and 4 u more, are within (2 d + 6) u of exact,
     absolutely: 8 (d + 3) u in four steps, half the term; rescaled queries
-    underflow far less.  A euclidean coset key is a ranked distance's float
-    steps; a cosine one divides a unit query, within (d / 2 + 2) u per
-    coordinate, and takes the dot product with the key center over its
-    norm, within (2 d + 6) u too."""
+    underflow far less.  A cosine coset key divides a unit query, within
+    (d / 2 + 2) u per coordinate, and takes the dot product with the key
+    center over its norm, within (2 d + 6) u too."""
     d = len(table.cols)
     if metric == EUCLIDEAN:
         c = 8 * (d + 3) * 2.0 ** -53
@@ -333,7 +337,7 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     # each query's squared norm in the frame, which sorting leaves alone
     sq = np.vecdot(frame, frame)
     step = max(1, _BLOCK // len(table.norms))
-    score, rows = _KERNELS[metric][0], table.spans.shape[1]
+    score, rows = _KERNELS[metric][0], table.rows
     whole = 2 * rows - len(table.norms)  # the partial rows come last
     out: list[QueryResult] = []
     for at in range(0, len(q), step):
@@ -350,12 +354,17 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
 
 
 def _expand(s, table, lo, hi, q, frame, sq, k, metric):
-    """Keep, once per chunk, every row whose lower key (``lo``) is within its
-    query's widened k-th upper key (``hi``), which bounds the k-th distance
-    from above: rows are disjoint, and each upper key is one present
-    member's distance.  Where a table has cosets and the kept rows hold more
-    than ``_ROUND`` members, they are refined (``_refine``), then ranked
-    (``_rank``)."""
+    """Search a chunk's node tree in rounds under one bound, each query's
+    widened k-th upper key (``hi``), which bounds its k-th distance from
+    above: rows are disjoint, and each upper key is one present member's
+    distance.  Round 0 keeps every (query, row) pair whose lower key
+    (``lo``) is within the bound.  Where those rows hold more than
+    ``_ROUND`` members and the bound is finite, round t keys the children
+    of the split nodes kept last round, the depth-t cosets, against the
+    query laid out by ``_sorted_past``, and keeps those within the bound; a
+    kept leaf leaves with its whole span.  A leaf's kids row, all padding,
+    is keyed with the others under a NaN key, as that is cheaper than
+    compressing it out.  The leaves' members are ranked (``_rank``)."""
     if k == 1:
         kth = np.minimum.reduce(hi, axis=1)
     elif k <= hi.shape[1]:
@@ -366,17 +375,54 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     else:
         kth = np.full(len(lo), math.inf)
     bound = _widen(kth, sq, table, metric)
-    # the (query, row) pairs within the bound: a flat nonzero is several
-    # times cheaper than a two-dimensional one
-    qi, rows = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
-                         np.intp(lo.shape[1]))
-    # each row's end in members, and its size
-    span = table.spans.take(rows, axis=1)
+    # round 0: the (query, row) pairs within the bound, a flat nonzero being
+    # several times cheaper than a two-dimensional one
+    rows = lo.shape[1]
+    qi, node = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
+                         np.intp(rows))
+    # each node's end in members and its size (indexed: unpacking an array
+    # iterates over it)
+    span = table.spans.take(node, axis=1)
     ends, sizes = span[0], span[1]
     at = sizes.cumsum()
     # refining under an infinite bound (k past the rows) keeps every coset
-    if table.cosets is not None and at[-1] > _ROUND and k <= hi.shape[1]:
-        qi, (ends, sizes) = _refine(table, qi, rows, frame, sq, bound, metric)
+    if table.depth and at[-1] > _ROUND and k <= rows:
+        c, w, free = len(frame), table.kids.shape[1], table.free.tolist()
+        # numpy integers, which arrays compare with and subtract faster than
+        # Python ones, and the free coordinates as a list, whose items
+        # _sorted_past reads faster
+        nodes, rows = np.intp(len(table.kids)), np.intp(rows)
+        # the queries as the keys take them: doubled, or made units
+        by = 0.5 if metric == EUCLIDEAN else np.sqrt(sq)[:, None]
+        # a block of one broadcasts its query's norm and bound over the pairs
+        gsq, b = (sq, bound) if c > 1 else (sq[0], bound[0])
+        leaves_q, leaves_n = [], []
+        for t in range(1, table.depth + 1):
+            # a kept leaf leaves the frontier: its kids are all padding
+            kid = table.kids.take(node, axis=0)
+            leaf = kid[:, 0] == nodes
+            leaves_n.append(node[leaf])
+            kid = kid.ravel()
+            g = _sorted_past(frame / by, free, t)
+            if c > 1:
+                leaves_q.append(qi[leaf])
+                qi = qi.repeat(w)
+                g, gsq, b = g.take(qi, axis=0), sq.take(qi), bound.take(qi)
+            j = kid - rows
+            near = _round_keys(table.keys.take(j, axis=0), g, gsq,
+                               table.key_sq.take(j), metric) <= b
+            node = kid[near]
+            if c > 1:
+                qi = qi[near]
+        node = np.concatenate(leaves_n + [node])
+        if c > 1:
+            qi = np.concatenate(leaves_q + [qi])
+            order = qi.argsort(kind="stable")
+            qi, node = qi.take(order), node.take(order)
+        else:
+            qi = np.zeros(len(node), dtype=np.intp)
+        span = table.spans.take(node, axis=1)
+        ends, sizes = span[0], span[1]
         at = sizes.cumsum()
     return _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric)
 
@@ -398,7 +444,7 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
                         bound[h:], k, metric))
     # one (query, center) pair for each member of each span
     pos = (ends - at).repeat(sizes)
-    pos += np.arange(at[-1])
+    pos += np.arange(len(pos))
     cand = table.members.take(pos)
     pq = qi.repeat(sizes)
     vals = s.numerators.take(cand, axis=0).astype(np.float64)
@@ -430,69 +476,30 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
                 examined.tolist())]
 
 
-def _sorted_past(frame, order, t, m):
-    """The rows of ``frame`` with their columns in ``order`` and the values at
-    positions t to m sorted ascending, as a depth-t coset's key center has
-    its free values past the prefix: by the rearrangement inequality the
-    order that pairs them best."""
-    g = frame.take(order, axis=1)
-    g[:, t:m].sort(axis=1)
+def _sorted_past(g, free, t):
+    """The rows of g, in place, with their values at the free coordinates
+    past the first t sorted ascending, as a depth-t coset's key center has
+    them: by the rearrangement inequality the order that pairs them best."""
+    past = free[t:]
+    if past[-1] - past[0] < len(past):  # a run of columns sorts in place
+        g[:, past[0]:past[-1] + 1].sort(axis=1)
+    else:
+        g[:, past] = np.sort(g[:, past], axis=1)
     return g
 
 
-def _coset_keys(x, g, nodes, cosets, metric):
-    """The keys of the cosets ``nodes``, whose key centers are the rows of x,
-    against the rows of g, laid out by ``_sorted_past`` (a cosine query
-    made a unit): the ranking's own float steps for euclidean keys, d
-    rounded squares of rounded differences, and 1 - <g, t> / |t| for
-    cosine keys.  x is overwritten."""
-    if metric == EUCLIDEAN:
-        x -= g
-        return np.vecdot(x, x)
+def _round_keys(x, g, sq, xsq, metric):
+    """The keys of a round's (query, coset) pairs: each row of x a coset's
+    key center, whose squared norm is xsq, and g the query laid out as x
+    is, whose squared norm is sq.  Euclidean keys are taken in the row
+    pass's form, |g|^2 + |x|^2 - 2 <g, x>, with g given doubled; cosine
+    keys are 1 - <g, x> / |x|, with g given as a unit."""
     keys = np.vecdot(x, g)
-    keys /= cosets.norms.take(nodes)
+    if metric == EUCLIDEAN:
+        np.subtract(xsq, keys, out=keys)
+        return np.add(keys, sq, out=keys)
+    keys /= np.sqrt(xsq)
     return np.subtract(1.0, keys, out=keys)
-
-
-def _refine(table, qi, node, frame, sq, bound, metric):
-    """The (query, node) pairs kept from the rows within the bound, refined
-    into prefix cosets: round t keys the children of the nodes kept last
-    round, the depth-t cosets, and keeps those within the bound.  A
-    coset's key is its lower key, exact by the rearrangement inequality on
-    its free values past the prefix: the query with those values sorted,
-    against the coset's key center, in the ranking's own float steps for
-    euclidean keys.  Returns the kept pairs' queries, sorted, and their
-    ``own`` members."""
-    cosets, m = table.cosets, len(table.free)
-    c, w = len(frame), cosets.kids.shape[1]
-    found_q, found_n = [qi], [node]
-    for t in range(1, cosets.depth + 1):
-        kids = cosets.kids.take(node, axis=0).ravel()
-        # a cosine key is 1 - <g, t> / |g| |t|, with the query made a unit
-        g = _sorted_past(frame, cosets.order, t, m)
-        if metric == COSINE:
-            g /= np.sqrt(sq)[:, None]
-        # a block of one broadcasts its query and bound over the pairs
-        b = bound
-        if c > 1:
-            qi = qi.repeat(w)
-            g, b = g.take(qi, axis=0), bound.take(qi)
-        keys = _coset_keys(cosets.cols.take(kids, axis=0), g, kids, cosets,
-                           metric)
-        near = keys <= b
-        node = kids[near]
-        found_n.append(node)
-        if c > 1:
-            qi = qi[near]
-            found_q.append(qi)
-    node = np.concatenate(found_n)
-    if c > 1:
-        qi = np.concatenate(found_q)
-        order = qi.argsort(kind="stable")
-        qi, node = qi.take(order), node.take(order)
-    else:
-        qi = np.zeros(len(node), dtype=np.intp)
-    return qi, cosets.own.take(node, axis=1)
 
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,

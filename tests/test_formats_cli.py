@@ -1058,3 +1058,30 @@ def test_missing_required_flag_exit2(capsys, tmp_path):
     # so is a removed subcommand
     assert run_cli("bench", "--lambda", "2,1,1", "--levels", "0") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("generate", "--lambda", "2_0,1"), ("generate", "--lambda", "٢,١,١"),
+    ("generate", "--rank", "٣"), ("generate", "--levels", "0_0"),
+    ("generate", "--levels", "٠"), ("generate", "--max-points", "٥"),
+    ("generate", "--max-points", "1_2"), ("query", "--k", "٤"),
+    ("query", "--k", "1_6"), ("verify", "--stride", "٧")],
+    ids=["lambda-underscore", "lambda-arabic-indic", "rank-arabic-indic",
+         "levels-underscore", "levels-arabic-indic", "max-points-arabic-indic",
+         "max-points-underscore", "k-arabic-indic", "k-underscore",
+         "stride-arabic-indic"])
+def test_integer_options_read_ascii_digits_only(sample, tmp_path, capsys,
+                                                command, option, value):
+    """Every integer option, and each row of --lambda, is read through the
+    center files' ASCII integer pattern: a "_" separator or another
+    script's digit, which int() would read, exits 2 naming the option."""
+    path = tmp_path / "c.bin"
+    write_scattering(sample, path, "binary")
+    args = {"generate": {"--lambda": "2,1,1", "--levels": "0",
+                         "--out": str(tmp_path / "out.bin")},
+            "query": {"--centers": str(path), "--point": "2,1,1,0"},
+            "verify": {"--centers": str(path)}}[command]
+    args[option] = value
+    assert run_cli(command, *[a for pair in args.items() for a in pair]) == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()

@@ -3,7 +3,7 @@ full-scan oracle: generated diagrams with d = 2-9 at levels 0-2, cut,
 embedded once or twice, cut then embedded and embedded then cut, and
 arbitrary integer matrices with repeats and negative entries.  Each case
 is drawn from its own seed, so a failure names the seed that reproduces
-it."""
+it.  Every case's table is also held to the invariants of its node tree."""
 
 import math
 import types
@@ -87,6 +87,35 @@ def random_codebook(rng, shape):
     return s
 
 
+def assert_node_tree(t):
+    """The center table's node tree is well formed: the rows' runs
+    partition the members; a split node's run is its children's runs in
+    turn, its children numbered after it, each a child of no other node,
+    and a node splits into at least two; a leaf's kids are all padding;
+    and the depth is 0 exactly when there is no coset node."""
+    nodes, n = len(t.kids), len(t.members)
+    ends, sizes = t.spans.tolist()
+    starts = [e - z for e, z in zip(ends, sizes)]
+    assert sorted(t.members.tolist()) == list(range(n))
+    assert starts[:t.rows] == ([0] + ends[:t.rows - 1])[:t.rows]
+    assert ends[t.rows - 1:t.rows] == [n][:t.rows]
+    assert t.spans.shape == (2, nodes) and min(sizes, default=1) > 0
+    assert (t.depth == 0) == (nodes == t.rows)
+    assert len(t.keys) == len(t.key_sq) == nodes - t.rows + 1
+    parent = {}
+    for node, row in enumerate(t.kids.tolist()):
+        kids = [kid for kid in row if kid != nodes]
+        assert row == kids + [nodes] * (len(row) - len(kids))
+        if kids:
+            assert len(kids) > 1 and min(kids) > node
+            assert starts[kids[0]] == starts[node]
+            assert ends[kids[-1]] == ends[node]
+            assert all(ends[a] == starts[b] for a, b in zip(kids, kids[1:]))
+            for kid in kids:
+                assert parent.setdefault(kid, node) == node
+    assert sorted(parent) == list(range(t.rows, nodes))
+
+
 def random_queries(rng, s, count):
     """Box queries, centers with noise, exact centers, midpoints of two
     centers (where ties decide) and far queries, in turn."""
@@ -107,6 +136,12 @@ def test_random_codebook_matches_brute(seed):
     shape = SHAPES[seed % len(SHAPES)]
     s = random_codebook(rng, shape)
     queries = random_queries(rng, s, 6)
+    table = s.dominant_table()
+    assert_node_tree(table)
+    # on a table with cosets, k = rows keeps a finite bound, which refines
+    # the chunk where its rows hold more than _ROUND members, and one more
+    # an infinite one, which scores every member unrefined
+    ks = KS + (table.rows, table.rows + 1) * (table.depth > 0)
     for metric in ("euclidean", "cosine"):
         if metric == "cosine":  # a zero query has no cosine distance
             queries = [e for e in queries if any(e)]
@@ -114,8 +149,8 @@ def test_random_codebook_matches_brute(seed):
             with pytest.raises(ValueError, match="zero vector"):
                 nearest_centers(queries, s, 1, metric)
             continue
-        refs = [brute_nearest(e, s, max(KS), metric) for e in queries]
-        for k in KS:
+        refs = [brute_nearest(e, s, max(ks), metric) for e in queries]
+        for k in ks:
             got = nearest_centers(queries, s, k, metric)
             for e, res, ref in zip(queries, got, refs):
                 assert (res.indices, res.distances, res.points) == (

@@ -18,9 +18,9 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
 from qusc.scattering import _LEAF, _SHARE, _pack_rows
-from qusc.search import (_BLOCK, _KERNELS, _colsum, _coset_keys,
-                         _euclidean_keys, _euclidean_pairs, _expand, _refine,
-                         _sorted_past, _widen)
+from qusc.search import (_BLOCK, _KERNELS, _colsum, _euclidean_keys,
+                         _euclidean_pairs, _expand, _round_keys, _sorted_past,
+                         _widen)
 
 
 def from_points(diagram, levels, points, offsets):
@@ -246,10 +246,8 @@ def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
 # prefix left in place, or its prefix sorted with them.  Either makes some
 # coset's key exceed its best member's distance.
 COSET_MUTANTS = {
-    "coset-suffix-unsorted": lambda frame, order, t, m: frame.take(order,
-                                                                   axis=1),
-    "coset-prefix-sorted": lambda frame, order, t, m: _sorted_past(
-        frame, order, 0, m),
+    "coset-suffix-unsorted": lambda g, free, t: g,
+    "coset-prefix-sorted": lambda g, free, t: _sorted_past(g, free, 0),
 }
 COSET_KILLS = [
     ("euclidean", (2, 2, 1, 1), 2, 4, (1.5, 2.0, 0.5, 1.25, 0.75)),
@@ -270,11 +268,12 @@ def test_coset_mutants_are_caught(monkeypatch, name):
     runs = [(e, build_scattering(YoungDiagram.from_rows(rows), levels), k,
              metric) for metric, rows, levels, k, e in COSET_KILLS]
     refined = []
-    monkeypatch.setattr("qusc.search._refine",
-                        lambda *args: refined.append(1) or _refine(*args))
+    monkeypatch.setattr("qusc.search._sorted_past",
+                        lambda *args: refined.append(1) or _sorted_past(*args))
     for run in runs:
+        refined.clear()
         assert nearest_center(*run) == brute_nearest(*run)
-    assert len(refined) == len(runs)
+        assert refined, run
     monkeypatch.setattr("qusc.search._sorted_past", COSET_MUTANTS[name])
     assert_mutant_caught(runs)
 
@@ -311,12 +310,12 @@ def key_tables(diagrams, scatterings):
     }
 
 
-def coset_depths(cosets, rows):
+def coset_depths(table):
     """Each coset's depth, by its node number less the rows'."""
-    depth = np.zeros(len(cosets.kids) + 1, dtype=int)
-    for node in range(len(cosets.kids)):
-        depth[cosets.kids[node]] = depth[node] + 1
-    return depth[rows:-1]
+    depth = np.zeros(len(table.kids) + 1, dtype=int)
+    for node in range(len(table.kids)):
+        depth[table.kids[node]] = depth[node] + 1
+    return depth[table.rows:-1]
 
 
 @given(data=st.data(), exp=st.integers(-1070, 498),
@@ -352,18 +351,15 @@ def test_keys_and_distances_within_a_quarter_of_the_widening(
         exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(e, c))
         assert abs(Fraction(key) - exact) <= term, (e, c, key)
         assert abs(Fraction(dist) - exact) <= term, (e, c, dist)
-    cosets = table.cosets
-    assert (cosets is None) == (kind not in ("2211", "cut-120",
-                                             "orbit-2^62-d9"))
-    if cosets is None:
-        return
-    rows = table.spans.shape[1]
-    depths = coset_depths(cosets, rows)
+    assert (table.depth == 0) == (kind not in ("2211", "cut-120",
+                                                "orbit-2^62-d9"))
+    depths = coset_depths(table)
     for t in np.unique(depths).tolist():
-        nodes = rows + np.flatnonzero(depths == t)
-        g = _sorted_past(v, cosets.order, t, len(table.free))
-        keys = _coset_keys(cosets.cols[nodes], g, nodes, cosets, "euclidean")
-        for c, key in zip(cosets.cols[nodes].tolist(), keys.tolist()):
+        j = np.flatnonzero(depths == t)
+        g = _sorted_past(v.copy(), table.free, t)
+        keys = _round_keys(table.keys[j], 2.0 * g, sq, table.key_sq[j],
+                           "euclidean")
+        for c, key in zip(table.keys[j].tolist(), keys.tolist()):
             exact = sum((Fraction(x) - Fraction(y)) ** 2
                         for x, y in zip(g[0].tolist(), c))
             assert abs(Fraction(key) - exact) <= term, (e, c, key)
@@ -768,8 +764,8 @@ class TestScaling:
         s = Scattering(YoungDiagram.from_rows((2, 1, 1) + (0,) * 61), 0,
                        rows, [0])
         assert s.dominant_table().spans[1].tolist() == [1000]
-        assert s.dominant_table().cosets is None
-        monkeypatch.setattr("qusc.search._refine", None)
+        assert s.dominant_table().depth == 0
+        monkeypatch.setattr("qusc.search._sorted_past", None)
         for e in stream_queries(random.Random(61), s, 10):
             for metric in ("euclidean", "cosine"):
                 res, ref = (nearest_center(e, s, 4, metric),
@@ -827,7 +823,7 @@ class TestPartialSequences:
             # partial rows in every cut but the first, whose first coordinate
             # is constant: its orbits on the other three are whole
             table = s.dominant_table()
-            assert (table.cols.shape[1] > table.spans.shape[1]) == (n > 7)
+            assert (table.cols.shape[1] > table.rows) == (n > 7)
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -852,7 +848,7 @@ class TestPartialSequences:
     def test_complete_sequence_has_no_partial_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert table.cols.shape[1] == table.spans.shape[1] == sum(
+            assert table.cols.shape[1] == table.rows == sum(
                 list(n) == sorted(n, reverse=True) for n in s.numerators.tolist())
 
 
@@ -933,10 +929,8 @@ def reference_cosets(rows, free, group):
     list of (members, key center, split, depth) in the order a split row
     numbers its children, depth first: each coset's children are its
     members grouped by the value at the next free coordinate, in tie
-    order, so descending by that value.  Its key center lists the free
-    coordinates, then the others: its prefix, then its other free values
-    sorted ascending."""
-    fixed = [j for j in range(len(rows[0])) if j not in free]
+    order, so descending by that value.  Its key center is its first
+    member with the free values past its prefix sorted ascending."""
     out = []
 
     def split(members, t):
@@ -947,10 +941,10 @@ def reference_cosets(rows, free, group):
             else:
                 runs.append([i])
         for run in runs:
-            r = rows[run[0]]
-            center = ([r[j] for j in free[:t + 1]]
-                      + sorted(r[j] for j in free[t + 1:])
-                      + [r[j] for j in fixed])
+            center = list(rows[run[0]])
+            for j, v in zip(free[t + 1:], sorted(center[j]
+                                                 for j in free[t + 1:])):
+                center[j] = v
             big = splits(rows, free, run, t + 1)
             out.append((run, center, big, t + 1))
             if big:
@@ -1004,7 +998,7 @@ def assert_table_matches_reference(s):
     rows = s.numerators.tolist()
     free, groups, keys = reference_table(rows)
     t = s.dominant_table()
-    starts = np.concatenate(([0], t.spans[0]))
+    starts = np.concatenate(([0], t.spans[0, :t.rows]))
     mat = (t.cols.T * t.lattice).tolist()
     assert t.free.tolist() == free
     assert [t.members[a:b].tolist()
@@ -1019,51 +1013,48 @@ def assert_table_matches_reference(s):
     assert np.array_equal(t.norms, np.sqrt(t.sq))
     assert t.tie.tolist() == reference_tie(rows)
     assert t.tie.dtype.itemsize <= 4
-    assert t.spans[1].tolist() == list(map(len, groups))
+    assert t.spans[1, :t.rows].tolist() == list(map(len, groups))
     assert t.zero == next((i for i, r in enumerate(rows) if not any(r)), -1)
     assert_cosets_match_reference(t, rows, free, groups)
 
 
 def assert_cosets_match_reference(t, rows, free, groups):
     """Each split row's cosets, walked through ``kids`` depth first, are
-    the reference's, with their own members, key centers, norms and
-    depths; nodes are numbered rows first, then the cosets depth by
-    depth, and a node no coset splits has only padding."""
+    the reference's, with their runs of members, key centers, squared
+    norms and depths; nodes are numbered rows first, then the cosets depth
+    by depth, and a node no coset splits has only padding."""
     split = [splits(rows, free, g, 0) for g in groups]
-    if not any(split):
-        assert t.cosets is None
-        return
-    c = t.cosets
-    nodes = len(c.kids)
-    assert c.order.tolist() == free + [j for j in range(len(rows[0]))
-                                       if j not in free]
-    assert np.isnan(c.cols[nodes]).all() and not np.isnan(c.cols[:nodes]).any()
+    nodes = len(t.kids)
+    assert np.isnan(t.keys[-1]).all() and np.isnan(t.key_sq[-1])
+    assert not np.isnan(t.keys[:-1]).any()
+    assert len(t.keys) == len(t.key_sq) == nodes - t.rows + 1
     numbered = []
 
     def walk(node, depth, row, got):
-        for kid in c.kids[node].tolist():
+        for kid in t.kids[node].tolist():
             if kid == nodes:
                 continue
-            end, size = c.own[:, kid].tolist()
-            big = bool((c.kids[kid] < nodes).any())
+            end, size = t.spans[:, kid].tolist()
+            big = bool((t.kids[kid] < nodes).any())
             got.append((t.members[end - size:end].tolist(),
-                        (c.cols[kid] * t.lattice).tolist(), big, depth))
-            assert c.norms[kid] == t.norms[row]
+                        (t.keys[kid - t.rows] * t.lattice).tolist(), big,
+                        depth))
+            assert t.key_sq[kid - t.rows] == t.sq[row]
             numbered.append((depth, kid))
             walk(kid, depth + 1, row, got)
 
     for row, (group, big) in enumerate(zip(groups, split)):
-        end, size = c.own[:, row].tolist()
-        assert t.members[end - size:end].tolist() == ([] if big else group)
+        end, size = t.spans[:, row].tolist()
+        assert t.members[end - size:end].tolist() == group
         got = []
         walk(row, 1, row, got)
-        assert got == [([] if b else m, [float(v) for v in center], b, depth)
+        assert got == [(m, [float(v) for v in center], b, depth)
                        for m, center, b, depth in reference_cosets(
                            rows, free, group)] if big else got == []
     assert sorted(numbered) == sorted(numbered, key=lambda dk: dk[1])
     assert [kid for _, kid in sorted(numbered)] == list(range(len(groups),
                                                               nodes))
-    assert c.depth == max(depth for depth, _ in numbered)
+    assert t.depth == max((depth for depth, _ in numbered), default=0)
 
 
 class TestCenterTable:
@@ -1089,7 +1080,7 @@ class TestCenterTable:
     def test_rows_partition_the_sequence(self, diagrams, scatterings, kind):
         s = self.sequences(diagrams, scatterings)[kind]
         table = s.dominant_table()
-        starts = np.concatenate(([0], table.spans[0]))
+        starts = np.concatenate(([0], table.spans[0, :table.rows]))
         mat = table.cols.T * table.lattice
         assert sorted(table.members.tolist()) == list(range(len(s)))
         assert starts[0] == 0 and starts[-1] == len(s)
@@ -1157,9 +1148,10 @@ class TestCenterTable:
             if kind == "embedded":
                 s = embed_scattering(s)
         t = s.dominant_table()
-        h = hashlib.sha256(str(t.spans.shape[1]).encode())
+        h = hashlib.sha256(str(t.rows).encode())
         for part, dtype in ((t.members, "<i8"),
-                            (np.concatenate(([0], t.spans[0])), "<i8"),
+                            (np.concatenate(([0], t.spans[0, :t.rows])),
+                             "<i8"),
                             (t.cols.T * t.lattice, "<f8"),
                             (t.norms * t.lattice, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
@@ -1344,10 +1336,11 @@ class TestBlockSearch:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_bound_and_refinement_once_per_chunk(self, monkeypatch, metric):
         """A chunk takes its k-th bound, its kept rows and their refinement
-        once, and splits only its scoring: _expand and _refine run once per
-        chunk, the pair kernel more often, as these blocks' chunks keep more
-        members than one scoring pass holds, and the answers are those of
-        blocks of one."""
+        once, and splits only its scoring: _expand runs once per chunk, and
+        each chunk is refined in at most the table's depth of rounds (one
+        _sorted_past each), the pair kernel more often, as these blocks'
+        chunks keep more members than one scoring pass holds, and the
+        answers are those of blocks of one."""
         calls = Counter()
 
         def counted(name, fn):
@@ -1357,7 +1350,8 @@ class TestBlockSearch:
             return wrapper
 
         monkeypatch.setattr("qusc.search._expand", counted("expand", _expand))
-        monkeypatch.setattr("qusc.search._refine", counted("refine", _refine))
+        monkeypatch.setattr("qusc.search._sorted_past",
+                            counted("round", _sorted_past))
         keys, pairs = _KERNELS[metric]
         monkeypatch.setitem(_KERNELS, metric, (keys, counted("score", pairs)))
         rng = random.Random(46)
@@ -1374,7 +1368,9 @@ class TestBlockSearch:
             chunks = math.ceil(m / max(1, _BLOCK // len(s.dominant_table().norms)))
             calls.clear()
             block = nearest_centers(queries, s, k, metric)
-            assert calls["expand"] == calls["refine"] == chunks, (rows, calls)
+            assert calls["expand"] == chunks, (rows, calls)
+            depth = s.dominant_table().depth
+            assert chunks <= calls["round"] <= depth * chunks, (rows, calls)
             assert calls["score"] > chunks, (rows, calls)
             single = [nearest_centers([e], s, k, metric)[0] for e in queries]
             assert block == single, rows
@@ -1388,9 +1384,9 @@ class TestBlockSearch:
         whole coset tree: (5,4,3,2,1) L0 has 15 rows, of up to 720
         members."""
         s = build_scattering(YoungDiagram.from_rows((5, 4, 3, 2, 1)), 0)
-        assert s.dominant_table().spans.shape[1] < 16
+        assert s.dominant_table().rows < 16
         queries = stream_queries(random.Random(47), s, 8)
-        monkeypatch.setattr("qusc.search._refine", None)
+        monkeypatch.setattr("qusc.search._sorted_past", None)
         for e, res in zip(queries, nearest_centers(queries, s, 16, metric)):
             ref = brute_nearest(e, s, 16, metric)
             assert (res.indices, res.distances) == (ref.indices,
