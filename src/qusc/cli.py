@@ -11,6 +11,8 @@ import math
 import os
 import re
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,12 +167,20 @@ def _number(x: float):
 
 def cmd_verify(args) -> int:
     s = _read_centers(args.centers)
+    start = time.perf_counter()
     rep = verify_scattering(s, prefix_stride=args.stride)
+    seconds = time.perf_counter() - start
+    # the first prefix where the euclidean ratio peaks, decided in integers
+    peak = max(rep.prefixes, key=lambda st: Fraction(
+        st.max_sq_numerator, st.min_sq_numerator) if st.min_sq_numerator
+        else math.inf)
     _write_stdout([json.dumps({
         "euclidean_exponent": _number(rep.euclidean_exponent),
+        "euclidean_peak_length": peak.length,
         "cosine_exponent": _number(rep.cosine_exponent),
         "cosine_exponent_bound": _number(rep.cosine_exponent_bound),
         "shape_ratio": _number(rep.shape_ratio),
+        "verify_seconds": seconds,
         "prefixes": [{
             "length": st.length,
             "min_distance": _number(st.min_distance),

@@ -155,14 +155,19 @@ def _orbit_sizes(rows: np.ndarray) -> np.ndarray:
     return size
 
 
-def dominant_rows(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Each row's dominant permutation on the columns ``free``: their values
-    sorted descending, the other columns' in place."""
-    if len(free) == rows.shape[1]:
-        return np.sort(rows, axis=1)[:, ::-1]
-    out = rows.copy()
-    out[:, free] = np.sort(rows[:, free], axis=1)[:, ::-1]
-    return out
+def _sorted_past(g, free, t):
+    """The rows of g, in place, with their values at the free coordinates
+    past the first t sorted ascending, as a depth-t node's key center has
+    them (a row is depth 0): by the rearrangement inequality the order that
+    pairs them best."""
+    past = free[t:]
+    if len(past) < 2:
+        return g
+    if past[-1] - past[0] < len(past):  # a run of columns sorts in place
+        g[:, past[0]:past[-1] + 1].sort(axis=1)
+    else:
+        g[:, past] = np.sort(g[:, past], axis=1)
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -224,14 +229,14 @@ _LEAF = 24
 _SHARE = 0.75
 
 
-def _prefix_cosets(nums, members, ends, sizes, large, free, tie, sq,
+def _prefix_cosets(nums, members, ends, sizes, large, free, tie, partial,
                    lattice):
     """The node tree of a center table whose rows' orbits are ``large`` or
-    not: the nodes' spans, ``kids``, the cosets' ``keys`` and ``key_sq``
-    and the tree's ``depth``, as ``CenterTable`` holds them.  The large
-    rows' members are put in ``tie`` order in ``members`` itself; a
-    sequence that lists each orbit descending-lex, as a built, cut or
-    embedded one does, is in that order already."""
+    not: the nodes' spans, ``kids``, ``keys`` and ``key_sq`` and the tree's
+    ``depth``, as ``CenterTable`` holds them, with the centers ``partial``
+    keyed last.  The large rows' members are put in ``tie`` order in
+    ``members`` itself; a sequence that lists each orbit descending-lex, as
+    a built, cut or embedded one does, is in that order already."""
     m, d = len(free), nums.shape[1]
     rows, starts = len(ends), ends - sizes
     if large.any():
@@ -251,7 +256,10 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, sq,
     new = np.zeros(len(members), dtype=np.bool_)
     new[starts] = True
     runs, node, row, open_ = starts, np.arange(rows), np.arange(rows), large
-    spans, keys, key_sq = [np.stack((ends, sizes))], [], []
+    # each node's key center: its first member with the free values past
+    # its depth sorted ascending
+    spans, keys, row_of = [np.stack((ends, sizes))], [_sorted_past(
+        nums.take(members.take(starts), axis=0), free, 0)], [row]
     empty = np.zeros(0, dtype=np.intp)
     kid_of, kid_slot, total = [empty], [empty], rows
     # only a large row is split, so without one the tree is its rows
@@ -274,12 +282,9 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, sq,
         kid_of.append(node.take(parent))
         kid_slot.append(np.arange(len(kid)) - parent.searchsorted(parent))
         spans.append(np.stack((kid + size, size)))
-        # each coset's key center: its first member with the free values
-        # past its prefix sorted ascending
-        center = nums.take(members.take(kid), axis=0)
-        center[:, free[t:]] = np.sort(center[:, free[t:]], axis=1)
-        keys.append(center / lattice)
-        key_sq.append(sq.take(row[keep]))
+        keys.append(_sorted_past(nums.take(members.take(kid), axis=0), free,
+                                 t))
+        row_of.append(row[keep])
         # the runs of this depth, numbered where they are cosets
         runs, node = first, np.zeros(len(first), dtype=np.intp)
         node[keep] = np.arange(total, total + len(kid))
@@ -287,14 +292,17 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, sq,
         total += len(kid)
     # each node's children, padded with the number ``total``, whose key
     # center is NaN
-    depth, slot = len(keys), np.concatenate(kid_slot)
+    depth, slot = len(keys) - 1, np.concatenate(kid_slot)
     kids = np.full((total, int(slot.max(initial=-1)) + 1), total,
                    dtype=np.intp)
     kids[np.concatenate(kid_of), slot] = np.arange(rows, total)
-    keys.append(np.full((1, d), np.nan))
-    key_sq.append([np.nan])
-    return (np.concatenate(spans, axis=1), kids, np.concatenate(keys),
-            np.concatenate(key_sq), depth)
+    keys = np.concatenate(keys + [np.full((1, d), np.nan),
+                                  nums.take(partial, axis=0)])
+    keys /= lattice
+    # each squared norm one dot product, a coset's its row's
+    key_sq = np.einsum("ij,ij->i", keys, keys)
+    key_sq[:total] = key_sq.take(np.concatenate(row_of))
+    return np.concatenate(spans, axis=1), kids, keys, key_sq, depth
 
 
 class CenterTable(NamedTuple):
@@ -319,15 +327,13 @@ class CenterTable(NamedTuple):
     names each node's children, padded with the number ``nodes``: a leaf,
     a node not split, has only padding.
 
-    ``cols`` holds the rows' key centers as float64 values, the numerators
-    over ``lattice``, as a contiguous (d, columns) array: each row's
-    dominant member, then each partial row's first member in the sequence.
-    ``sq`` holds each column's squared norm, as one dot product of the
-    column with itself, and ``norms`` its square root.  ``keys`` (cosets +
-    1, d) holds each coset's key center, its first member with the free
-    values past its prefix sorted ascending, and ``key_sq`` its squared
-    norm, its row's; their last entry, the padding's, is NaN, so that no
-    query keeps it.
+    ``keys`` holds the key centers as float64 values, the numerators over
+    ``lattice``, one (d,) row per node: its first member with the free
+    values past its depth sorted ascending (a row's depth is 0).  Entry
+    ``nodes``, the padding's, is NaN, so that no query keeps it; each
+    partial row's first member in the sequence follows it.  ``key_sq``
+    holds each entry's squared norm, one dot product of the entry with
+    itself (a coset's is its row's), and ``norms`` its square root.
 
     ``tie`` gives each center, by sequence index, its place in a full
     scan's order of equal distances: descending-lex point, then sequence
@@ -342,11 +348,9 @@ class CenterTable(NamedTuple):
     spans: np.ndarray
     kids: np.ndarray
     free: np.ndarray
-    cols: np.ndarray
-    sq: np.ndarray
-    norms: np.ndarray
     keys: np.ndarray
     key_sq: np.ndarray
+    norms: np.ndarray
     tie: np.ndarray
     zero: int
     lattice: float
@@ -459,9 +463,9 @@ class Scattering:
                                           return_inverse=True)
             at[lost] += m
             heads = np.append(heads, lost[head])
-            key_rows = np.stack([column[heads] for column in dominant], axis=1)
             # an orbit is whole when each of its members is present
-            size = _orbit_sizes(key_rows[:, free])
+            size = _orbit_sizes(np.stack([column[heads] for column in dominant],
+                                         axis=1)[:, free])
             whole = np.bincount(at[first], minlength=len(heads)) == size
             rank = np.lexsort((heads, ~whole))
             # each center's row, in the smallest dtype that holds it (a
@@ -474,20 +478,18 @@ class Scattering:
             partial = members[(ends - sizes)[np.count_nonzero(whole):]]
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
-            key_rows = key_rows[rank]
-            mat = np.concatenate((key_rows, nums[partial])) / lattice
-            sq = np.einsum("ij,ij->i", mat, mat)
-            norms = np.sqrt(sq)
-            # a zero center is a whole orbit, so argmin finds its key column
-            zero = -1 if norms.all() else int(
-                members[(ends - sizes)[np.argmin(norms)]])
             spans, kids, keys, key_sq, depth = _prefix_cosets(
                 nums, members, ends, sizes, (size[rank] > _LEAF).astype(bool),
-                free, tie, sq, lattice)
+                free, tie, partial, lattice)
+            norms = np.sqrt(key_sq)
+            # a zero center is a whole orbit, so argmin finds its row
+            rows = len(ends)
+            zero = -1 if norms[:rows].all() else int(
+                members[(ends - sizes)[np.argmin(norms[:rows])]])
             self._table = CenterTable(
-                len(ends), members, spans, kids, free,
-                np.ascontiguousarray(mat.T), sq, norms, keys, key_sq, tie,
-                zero, lattice, float(norms.max(initial=0.0)), depth)
+                rows, members, spans, kids, free, keys, key_sq, norms, tie,
+                zero, lattice, float(np.fmax.reduce(norms, initial=0.0)),
+                depth)
         return self._table
 
     def is_complete(self) -> bool:

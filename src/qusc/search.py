@@ -4,33 +4,37 @@ once, whose cost does not depend on how many centers the scattering holds.
 The scattering's center table has one row per orbit, the centers that
 permute one another's free coordinates.  By the rearrangement inequality
 (Hardy, Littlewood & Polya 1934) the member sorted like the query is the
-orbit's nearest under either metric: the query, its free values sorted,
-against the row's dominant member gives the row's lower key, which a
-whole orbit attains; a partial one's upper key is its first member's.
+orbit's nearest under either metric: the query, its free values sorted
+ascending, against the row's key center, its free values sorted so too,
+gives the row's lower key, which a whole orbit attains; a partial one's
+upper key is its first member's.
 
 ``nearest_centers`` searches an (m, d) query block in chunks, with a fixed
 number of numpy passes per chunk (the blocked exact-distance search with
 per-row k-selection of Johnson, Douze & Jegou 2017, "Billion-scale
 similarity search with GPUs", over the table's rows):
 
-1. the block is validated once, and each query's squared norm taken;
-2. round 0 keys every row against every query of the chunk by one matrix
-   product with the table's contiguous key columns, which hold the centers'
-   own values: the keys are taken in the frame the ranking scores in, as
-   |g|^2 + |t|^2 - 2 <g, t> for euclidean search, with the columns' squared
-   norms stored in the table, and 1 - <g, t> / |g| |t| for cosine search;
+1. the block is validated once, each query's squared norm taken, and
+   each query prepared as the keys take it: doubled for euclidean search,
+   made a unit for cosine search;
+2. the table's rows and their prefix cosets, the members that share their
+   first t free coordinates, form one node tree, every node keyed one way:
+   a depth-t node's key center, its first member with the free values past
+   t sorted ascending (a row is depth 0), against the query laid out so too
+   (``_sorted_past``), by one kernel (``_keys``), |x|^2 - <x, 2g> + |g|^2
+   for euclidean search, with the squared norms stored in the table, or
+   1 - <x, g> / |x| for cosine search, in the frame the ranking scores in.
+   By the rearrangement inequality each is the node's exact lower key.
+   Round 0 keys every row against every query of the chunk by one matrix
+   product;
 3. each query's k-th upper key (a whole row's is its lower key) bounds its
    k-th distance, so every row whose lower key is within that bound,
    widened past float rounding, is kept;
-4. the table's rows and their prefix cosets, the members that share their
-   first t free coordinates, form one node tree.  Where the kept rows hold
-   more than ``_ROUND`` members, round t keys the children of the split
-   nodes kept last round, one free coordinate deeper, against the query
-   with its free values past the prefix sorted, which by the rearrangement
-   inequality gives each coset's exact lower key, and keeps those within
-   the same bound; a kept leaf, a node not split, leaves the frontier with
-   its whole run of members.  The bound and the rounds are taken once per
-   chunk;
+4. where the kept rows hold more than ``_ROUND`` members, round t keys the
+   children of the split nodes kept last round, one free coordinate
+   deeper, by one dot product each, and keeps those within the same bound;
+   a kept leaf, a node not split, leaves the frontier with its whole run of
+   members.  The bound and the rounds are taken once per chunk;
 5. the kept leaves' members are scored exactly, and those under the bound
    are ranked as a full scan would rank them, with one lexsort on three
    keys: the query, the distance and the center's tie rank, its
@@ -55,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric
-from .scattering import Scattering, dominant_rows
+from .scattering import Scattering, _sorted_past
 
 
 class QueryResult:
@@ -144,26 +148,21 @@ _ROUND = 512
 
 def _widen(bound, sq, table, metric: str):
     """The k-th upper keys of queries whose squared norms are ``sq`` widened
-    past float rounding (d coordinates, u = 2**-53) so that the rows whose
+    past float rounding (d coordinates, u = 2**-53) so that the nodes whose
     lower keys lie within them hold all of a full scan's k nearest centers.
-    Any row's lower key is the float distance of its orbit's best member,
-    whose exact distance is the row's least, and an upper key a present
-    member's: the best one's in a whole row, the first one's, keyed from
-    the query itself, in a partial one.  So an answer's lower key is four
+    Any node's lower key, a row's or a coset's, is the float distance of
+    the best member its prefix and free values allow, whose exact distance
+    is its member set's least, and an upper key a present member's: the
+    best one's in a whole row, the first one's, keyed from the query as
+    given, in a partial one.  So an answer's lower key is four
     float-to-exact steps from the k-th upper key: via the answer, the k-th
     answer and that key's member.
 
-    A coset's key is likewise the float distance of the best member its
-    prefix and free values allow, the lower key of its member set, so the
-    same four steps carry over to it without a new term.
-
-    A euclidean key of a query g and a key center t, |t| <= R (the table's
-    radius), adds |g|^2, |t|^2 and -2 <g, t>, whether a row's, from one
-    matrix product with the key columns, or a coset's, from one dot product
-    with its key center, whose squared norm is its row's: the same values
-    in another order.  Those are three dot products of length d, each
-    within d u of exact relative to the sum of its terms' magnitudes in any
-    order of summation (Higham 2002, section 3.1): within d u (|g| + |t|)^2
+    A euclidean key of a query g and a key center x, |x| <= R (the table's
+    radius), adds |x|^2, -<x, 2g> and |g|^2 (doubling g is exact), three
+    dot products of length d, each within d u of exact relative to the sum
+    of its terms' magnitudes in any order of summation (Higham 2002,
+    section 3.1), from a matrix product or not: within d u (|g| + |x|)^2
     together, and two roundings of sums of at most (|g| + R)^2 add 2 u of
     it.  A ranked distance, d rounded squares of rounded differences, is
     within (d + 2) u of exact, relatively, and no exact distance exceeds
@@ -175,16 +174,15 @@ def _widen(bound, sq, table, metric: str):
     8 (d + 3) u (sq + R^2), from the squared norms the keys add, without a
     square root.  A product or square that underflows loses up to 2**-1075
     besides, 3 d of them per key and d per distance: 8 d in four steps,
-    half the floor d 2**-1071.  Doubling the query for a coset's key is
-    exact.
+    half the floor d 2**-1071.
 
-    Cosine keys and distances, from dot products within d u |q| |c|, norms
-    within (d / 2 + 1) u and 4 u more, are within (2 d + 6) u of exact,
-    absolutely: 8 (d + 3) u in four steps, half the term; rescaled queries
-    underflow far less.  A cosine coset key divides a unit query, within
-    (d / 2 + 2) u per coordinate, and takes the dot product with the key
-    center over its norm, within (2 d + 6) u too."""
-    d = len(table.cols)
+    A cosine key divides the query by its norm, within (d / 2 + 2) u per
+    coordinate, and takes its dot product with the key center over the
+    center's norm; a ranked distance takes dot products within d u |q| |c|,
+    norms within (d / 2 + 1) u and 4 u more.  Both are within (2 d + 6) u
+    of exact, absolutely: 8 (d + 3) u in four steps, half the term;
+    rescaled queries underflow far less."""
+    d = table.keys.shape[1]
     if metric == EUCLIDEAN:
         c = 8 * (d + 3) * 2.0 ** -53
         term = sq * c
@@ -204,25 +202,18 @@ def _colsum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euclidean_keys(v, sq, table, part):
-    """Squared distances from every row of v, whose squared norms are sq,
-    to the table's key columns ``part``, as |v|^2 + |t|^2 - 2 <v, t> from
-    one matrix product; -2 v is a contiguous copy, so a reversed view of
-    sorted rows still reaches BLAS.  ``_widen`` bounds their
-    cancellation."""
-    keys = np.matmul(-2.0 * v, table.cols[:, part])
-    keys += table.sq[part]
-    keys += sq[:, None]
-    return keys
-
-
-def _cosine_keys(v, sq, table, part):
-    """Cosine distances from every row of v, whose squared norms are sq, to
-    the table's key columns ``part``."""
-    keys = v @ table.cols[:, part]
-    keys /= np.sqrt(sq)[:, None]
-    keys /= table.norms[part]
-    return np.subtract(1.0, keys, out=keys)
+def _keys(dot, sq, table, nodes, metric):
+    """The keys of (query, node) pairs, in place, from the dot products
+    ``dot`` of the nodes' key centers ``table.keys[nodes]`` with the
+    queries laid out as those centers are and prepared as the search
+    prepares them: |x|^2 - <x, 2g> + |g|^2 for euclidean search, with the
+    query g doubled and sq its squared norm, or 1 - <x, g> / |x| for cosine
+    search, with g made a unit.  ``_widen`` bounds their rounding."""
+    if metric == EUCLIDEAN:
+        np.subtract(table.key_sq[nodes], dot, out=dot)
+        return np.add(dot, sq, out=dot)
+    dot /= table.norms[nodes]
+    return np.subtract(1.0, dot, out=dot)
 
 
 def _euclidean_pairs(x, vals):
@@ -242,8 +233,7 @@ def _cosine_pairs(x, vals):
     return np.maximum(d, 0.0, out=d)
 
 
-_KERNELS = {EUCLIDEAN: (_euclidean_keys, _euclidean_pairs),
-            COSINE: (_cosine_keys, _cosine_pairs)}
+_KERNELS = {EUCLIDEAN: _euclidean_pairs, COSINE: _cosine_pairs}
 
 
 def _check_k(k) -> int:
@@ -295,7 +285,7 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     if len(s) == 0:
         raise ValueError("empty scattering")
     table = s.dominant_table()
-    d = len(table.cols)
+    d = table.keys.shape[1]
     try:
         # numpy would drop imaginary parts and parse strings as floats, also
         # those an object block holds
@@ -336,24 +326,30 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         frame = np.ldexp(q, -np.frexp(peak)[1][:, None])
     # each query's squared norm in the frame, which sorting leaves alone
     sq = np.vecdot(frame, frame)
-    step = max(1, _BLOCK // len(table.norms))
-    score, rows = _KERNELS[metric][0], table.rows
-    whole = 2 * rows - len(table.norms)  # the partial rows come last
+    rows, nodes, free = table.rows, len(table.kids), table.free.tolist()
+    partial = len(table.keys) - nodes - 1  # their first members come last
+    step = max(1, _BLOCK // (rows + partial))
     out: list[QueryResult] = []
     for at in range(0, len(q), step):
         chunk = slice(at, at + step)
-        g, g2 = frame[chunk], sq[chunk]
-        # each row's lower key against the queries with their free values
-        # sorted, and a partial row's upper key against the queries
-        lo = hi = score(dominant_rows(g, table.free), g2, table, slice(rows))
-        if whole < rows:
-            hi = np.concatenate((lo[:, :whole], score(
-                g, g2, table, slice(rows, None))), axis=1)
-        out += _expand(s, table, lo, hi, q[chunk], g, g2, k, metric)
+        g, g2 = frame[chunk], sq[chunk, None]
+        # the queries as the keys take them, g / by: doubled, or made units
+        by = 0.5 if metric == EUCLIDEAN else np.sqrt(g2)
+        # each row's lower key against the queries laid out as its key
+        # center, and a partial row's upper key against the queries as given
+        lo = hi = _keys(_sorted_past(g / by, free, 0) @ table.keys[:rows].T,
+                        g2, table, slice(rows), metric)
+        if partial:
+            tail = slice(nodes + 1, None)
+            hi = np.concatenate((lo[:, :rows - partial], _keys(
+                (g / by) @ table.keys[tail].T, g2, table, tail, metric)),
+                axis=1)
+        out += _expand(s, table, lo, hi, q[chunk], g, by, sq[chunk], k,
+                       metric)
     return out
 
 
-def _expand(s, table, lo, hi, q, frame, sq, k, metric):
+def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
     """Search a chunk's node tree in rounds under one bound, each query's
     widened k-th upper key (``hi``), which bounds its k-th distance from
     above: rows are disjoint, and each upper key is one present member's
@@ -361,10 +357,11 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     (``lo``) is within the bound.  Where those rows hold more than
     ``_ROUND`` members and the bound is finite, round t keys the children
     of the split nodes kept last round, the depth-t cosets, against the
-    query laid out by ``_sorted_past``, and keeps those within the bound; a
-    kept leaf leaves with its whole span.  A leaf's kids row, all padding,
-    is keyed with the others under a NaN key, as that is cheaper than
-    compressing it out.  The leaves' members are ranked (``_rank``)."""
+    query as the keys take it, ``frame / by``, laid out by ``_sorted_past``,
+    and keeps those within the bound; a kept leaf leaves with its whole
+    span.  A leaf's kids row, all padding, is keyed with the others under a
+    NaN key, as that is cheaper than compressing it out.  The leaves'
+    members are ranked (``_rank``)."""
     if k == 1:
         kth = np.minimum.reduce(hi, axis=1)
     elif k <= hi.shape[1]:
@@ -388,12 +385,10 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
     # refining under an infinite bound (k past the rows) keeps every coset
     if table.depth and at[-1] > _ROUND and k <= rows:
         c, w, free = len(frame), table.kids.shape[1], table.free.tolist()
-        # numpy integers, which arrays compare with and subtract faster than
-        # Python ones, and the free coordinates as a list, whose items
+        # a numpy integer, which arrays compare with faster than with a
+        # Python one, and the free coordinates as a list, whose items
         # _sorted_past reads faster
-        nodes, rows = np.intp(len(table.kids)), np.intp(rows)
-        # the queries as the keys take them: doubled, or made units
-        by = 0.5 if metric == EUCLIDEAN else np.sqrt(sq)[:, None]
+        nodes = np.intp(len(table.kids))
         # a block of one broadcasts its query's norm and bound over the pairs
         gsq, b = (sq, bound) if c > 1 else (sq[0], bound[0])
         leaves_q, leaves_n = [], []
@@ -408,9 +403,8 @@ def _expand(s, table, lo, hi, q, frame, sq, k, metric):
                 leaves_q.append(qi[leaf])
                 qi = qi.repeat(w)
                 g, gsq, b = g.take(qi, axis=0), sq.take(qi), bound.take(qi)
-            j = kid - rows
-            near = _round_keys(table.keys.take(j, axis=0), g, gsq,
-                               table.key_sq.take(j), metric) <= b
+            near = _keys(np.vecdot(table.keys.take(kid, axis=0), g), gsq,
+                         table, kid, metric) <= b
             node = kid[near]
             if c > 1:
                 qi = qi[near]
@@ -435,7 +429,7 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     members hold more than ``_BLOCK`` coordinates, the queries are halved
     with their spans under the same bound, which no other query moves."""
     c = len(q)
-    if c > 1 and at[-1] * len(table.cols) > _BLOCK:
+    if c > 1 and at[-1] * table.keys.shape[1] > _BLOCK:
         h, cut = c // 2, qi.searchsorted(c // 2)
         return (_rank(q[:h], s, qi[:cut], ends[:cut], sizes[:cut], at[:cut],
                       table, frame[:h], sq[:h], bound[:h], k, metric)
@@ -449,7 +443,7 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     pq = qi.repeat(sizes)
     vals = s.numerators.take(cand, axis=0).astype(np.float64)
     vals *= 1.0 / table.lattice
-    dist = _KERNELS[metric][1](frame.take(pq, axis=0), vals)
+    dist = _KERNELS[metric](frame.take(pq, axis=0), vals)
     near = (dist <= bound.take(pq)).nonzero()[0]
     pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
     # every query keeps at least kk centers, or the bound is wrong and its
@@ -474,32 +468,6 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
                 hits.tolist(), hit_dist.tolist(),
                 s.numerators.take(hits, axis=0), q.tolist(),
                 examined.tolist())]
-
-
-def _sorted_past(g, free, t):
-    """The rows of g, in place, with their values at the free coordinates
-    past the first t sorted ascending, as a depth-t coset's key center has
-    them: by the rearrangement inequality the order that pairs them best."""
-    past = free[t:]
-    if past[-1] - past[0] < len(past):  # a run of columns sorts in place
-        g[:, past[0]:past[-1] + 1].sort(axis=1)
-    else:
-        g[:, past] = np.sort(g[:, past], axis=1)
-    return g
-
-
-def _round_keys(x, g, sq, xsq, metric):
-    """The keys of a round's (query, coset) pairs: each row of x a coset's
-    key center, whose squared norm is xsq, and g the query laid out as x
-    is, whose squared norm is sq.  Euclidean keys are taken in the row
-    pass's form, |g|^2 + |x|^2 - 2 <g, x>, with g given doubled; cosine
-    keys are 1 - <g, x> / |x|, with g given as a unit."""
-    keys = np.vecdot(x, g)
-    if metric == EUCLIDEAN:
-        np.subtract(xsq, keys, out=keys)
-        return np.add(keys, sq, out=keys)
-    keys /= np.sqrt(xsq)
-    return np.subtract(1.0, keys, out=keys)
 
 
 def nearest_center(e: Sequence[float], s: Scattering, k: int = 1,

@@ -939,6 +939,28 @@ class TestCliVerify:
         assert run_cli("verify", "--centers", str(path)) == 0
         assert json.loads(capsys.readouterr().out)["euclidean_exponent"] == 2.0
 
+    def test_reports_peak_prefix_and_seconds(self, scatterings, tmp_path,
+                                             capsys):
+        """verify names the first prefix length where the euclidean ratio
+        peaks, and the seconds the check took, whether it passes or
+        fails."""
+        path = tmp_path / "c.bin"
+        write_scattering(scatterings[(2, 1, 1), 2], path, "binary")
+        assert run_cli("verify", "--centers", str(path), "--stride", "7") == 0
+        rep = json.loads(capsys.readouterr().out)
+        ratios = [p["max_distance"] / p["min_distance"]
+                  for p in rep["prefixes"]]
+        # ratio 1 up to 12 centers, then 2 from the prefix of 14 on
+        assert ratios[:3] == [1.0, 1.0, 2.0] and max(ratios) == 2.0
+        assert rep["euclidean_peak_length"] == rep["prefixes"][2]["length"] \
+            == 14
+        assert 0 < rep["verify_seconds"] < 60
+        write_scattering(three_centers(2), path, "binary")
+        assert run_cli("verify", "--centers", str(path)) == 3
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["euclidean_peak_length"] == 3
+        assert 0 < rep["verify_seconds"] < 60
+
     def test_passes_to_level2(self, scatterings, tmp_path, capsys):
         path = tmp_path / "c.bin"
         write_scattering(scatterings[(2, 1, 1), 2], path, "binary")

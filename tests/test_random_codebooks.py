@@ -87,12 +87,16 @@ def random_codebook(rng, shape):
     return s
 
 
-def assert_node_tree(t):
+def assert_node_tree(t, nums):
     """The center table's node tree is well formed: the rows' runs
     partition the members; a split node's run is its children's runs in
     turn, its children numbered after it, each a child of no other node,
     and a node splits into at least two; a leaf's kids are all padding;
-    and the depth is 0 exactly when there is no coset node."""
+    and the depth is 0 exactly when there is no coset node.  Each node's
+    key center is its first member with the free values past its depth
+    sorted ascending, and a coset's squared norm is its row's; the
+    padding's entry is NaN, and the partial rows' first members in the
+    sequence follow it."""
     nodes, n = len(t.kids), len(t.members)
     ends, sizes = t.spans.tolist()
     starts = [e - z for e, z in zip(ends, sizes)]
@@ -101,8 +105,10 @@ def assert_node_tree(t):
     assert ends[t.rows - 1:t.rows] == [n][:t.rows]
     assert t.spans.shape == (2, nodes) and min(sizes, default=1) > 0
     assert (t.depth == 0) == (nodes == t.rows)
-    assert len(t.keys) == len(t.key_sq) == nodes - t.rows + 1
-    parent = {}
+    partial = len(t.keys) - nodes - 1
+    assert len(t.key_sq) == len(t.norms) == len(t.keys)
+    assert 0 <= partial <= t.rows
+    parent, depth, row_of = {}, [0] * nodes, list(range(nodes))
     for node, row in enumerate(t.kids.tolist()):
         kids = [kid for kid in row if kid != nodes]
         assert row == kids + [nodes] * (len(row) - len(kids))
@@ -113,7 +119,19 @@ def assert_node_tree(t):
             assert all(ends[a] == starts[b] for a, b in zip(kids, kids[1:]))
             for kid in kids:
                 assert parent.setdefault(kid, node) == node
+                depth[kid], row_of[kid] = depth[node] + 1, row_of[node]
     assert sorted(parent) == list(range(t.rows, nodes))
+    free = t.free.tolist()
+    for node in range(nodes):
+        center = nums[t.members[starts[node]]].copy()
+        past = free[depth[node]:]
+        center[past] = np.sort(center[past])
+        assert t.keys[node].tolist() == (center / t.lattice).tolist()
+        assert t.key_sq[node] == t.key_sq[row_of[node]]
+    assert np.isnan(t.keys[nodes]).all() and np.isnan(t.key_sq[nodes])
+    firsts = [min(t.members[starts[r]:ends[r]].tolist())
+              for r in range(t.rows - partial, t.rows)]
+    assert t.keys[nodes + 1:].tolist() == (nums[firsts] / t.lattice).tolist()
 
 
 def random_queries(rng, s, count):
@@ -137,7 +155,7 @@ def test_random_codebook_matches_brute(seed):
     s = random_codebook(rng, shape)
     queries = random_queries(rng, s, 6)
     table = s.dominant_table()
-    assert_node_tree(table)
+    assert_node_tree(table, s.numerators)
     # on a table with cosets, k = rows keeps a finite bound, which refines
     # the chunk where its rows hold more than _ROUND members, and one more
     # an infinite one, which scores every member unrefined

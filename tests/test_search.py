@@ -18,9 +18,8 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
 from qusc.scattering import _LEAF, _SHARE, _pack_rows
-from qusc.search import (_BLOCK, _KERNELS, _colsum, _euclidean_keys,
-                         _euclidean_pairs, _expand, _round_keys, _sorted_past,
-                         _widen)
+from qusc.search import (_BLOCK, _KERNELS, _colsum, _euclidean_pairs, _expand,
+                         _keys, _sorted_past, _widen)
 
 
 def from_points(diagram, levels, points, offsets):
@@ -163,7 +162,12 @@ def test_huge_queries_match_brute(diagrams, levels):
 
 # Mutants of the search's bound, each with queries it fails on, as (metric,
 # rows, levels, k, query): the euclidean ones drawn from far gaussian
-# queries, the cosine one from centers plus gaussian noise.
+# queries, the cosine ones from centers plus gaussian noise.  A kill's
+# margin is the least the mutant's bound must grow before its query is
+# answered right again: in units of u (|g|^2 + R^2), of which the euclidean
+# term is 56 at d = 4, 0.52 for the dropped term and 1.00 and 0.95 for the
+# cut one; in units of u, of which the cosine term is 96 at d = 4, 1.00
+# and 0.99.  So every kill rests on about one rounding of the kernels.
 WIDEN_MUTANTS = {
     "euclidean-absolute-dropped": (
         lambda bound, sq, table, metric:
@@ -172,11 +176,11 @@ WIDEN_MUTANTS = {
         [("euclidean", (2, 1, 1), 0, 1,
           (1.3073334511472376, 0.6273181598370203, 1.0050523371646274,
            1.9915527111847378))]),
-    # the term cut to d u (|g|^2 + R^2): these answers' float distances lie
-    # about 6.0 and 5.7 u (|g|^2 + R^2) past the k-th upper key
+    # the term cut to d u (|g|^2 + R^2)
     "euclidean-absolute-cut-to-d": (
         lambda bound, sq, table, metric:
-            bound + len(table.cols) * 2.0 ** -53 * (sq + table.radius ** 2)
+            bound + table.keys.shape[1] * 2.0 ** -53
+            * (sq + table.radius ** 2)
             if metric == "euclidean" else _widen(bound, sq, table, metric),
         [("euclidean", (2, 1, 1), 0, 1,
           (-9156.89362240057, -45461.80232835481, -298.78559709815966,
@@ -184,13 +188,17 @@ WIDEN_MUTANTS = {
          ("euclidean", (3, 2, 1), 0, 1,
           (727.6831043789995, -755.6797146142251, -42.939662155018446,
            39.851160829680694))]),
+    # the term cut to d u, which stops about one in 3,000 such queries
     "cosine-absolute-1d": (
         lambda bound, sq, table, metric:
-            bound + len(table.cols) * 2.0 ** -53 if metric == "cosine"
+            bound + table.keys.shape[1] * 2.0 ** -53 if metric == "cosine"
             else _widen(bound, sq, table, metric),
-        [("cosine", (3, 2, 1), 1, 1,
-          (-0.23510455200696745, -0.05824804328063671, 1.5970501025496273,
-           1.7359950411931977))]),
+        [("cosine", (2, 1, 1), 2, 1,
+          (1.423884678610578, 1.4238198295628228, 0.5673862734894646,
+           0.41045178926813597)),
+         ("cosine", (2, 1, 1), 1, 1,
+          (1.3276643189425985, 0.7970342092436546, 0.10371033343025943,
+           1.6788618181952137))]),
 }
 
 
@@ -242,11 +250,13 @@ def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
 
 
 # Mutants of the coset keys' rearrangement, each with queries it fails on,
-# as (metric, rows, levels, k, query): the query's free values past the
-# prefix left in place, or its prefix sorted with them.  Either makes some
-# coset's key exceed its best member's distance.
+# as (metric, rows, levels, k, query): in the rounds past the rows, the
+# query's free values past the prefix left in place, or its prefix sorted
+# with them.  Either makes some coset's key exceed its best member's
+# distance.
 COSET_MUTANTS = {
-    "coset-suffix-unsorted": lambda g, free, t: g,
+    "coset-suffix-unsorted":
+        lambda g, free, t: _sorted_past(g, free, t) if t == 0 else g,
     "coset-prefix-sorted": lambda g, free, t: _sorted_past(g, free, 0),
 }
 COSET_KILLS = [
@@ -260,6 +270,16 @@ COSET_KILLS = [
 ]
 
 
+def counting_rounds(rounds):
+    """``_sorted_past`` that appends to ``rounds`` each depth t >= 1 it lays
+    queries out for, one per refinement round; round 0 keys the rows."""
+    def sorted_past(g, free, t):
+        if t:
+            rounds.append(t)
+        return _sorted_past(g, free, t)
+    return sorted_past
+
+
 @pytest.mark.parametrize("name", list(COSET_MUTANTS))
 def test_coset_mutants_are_caught(monkeypatch, name):
     """A coset's key is exact only with the query's free values past the
@@ -268,8 +288,7 @@ def test_coset_mutants_are_caught(monkeypatch, name):
     runs = [(e, build_scattering(YoungDiagram.from_rows(rows), levels), k,
              metric) for metric, rows, levels, k, e in COSET_KILLS]
     refined = []
-    monkeypatch.setattr("qusc.search._sorted_past",
-                        lambda *args: refined.append(1) or _sorted_past(*args))
+    monkeypatch.setattr("qusc.search._sorted_past", counting_rounds(refined))
     for run in runs:
         refined.clear()
         assert nearest_center(*run) == brute_nearest(*run)
@@ -280,9 +299,9 @@ def test_coset_mutants_are_caught(monkeypatch, name):
 
 @pytest.fixture(scope="module")
 def key_tables(diagrams, scatterings):
-    """Sequences whose key columns the widening is held to: complete, cut
+    """Sequences whose key centers the widening is held to: complete, cut
     inside an orbit and embedded codebooks; rows near and at the int64
-    limits, at d = 4 and 9; a codebook at scale 2**1020, whose columns'
+    limits, at d = 4 and 9; a codebook at scale 2**1020, whose key centers'
     products with tiny queries underflow; and tables whose rows are split
     into cosets: (2,2,1,1) L2, whole and cut, and a cut orbit at the int64
     limits, at d = 9."""
@@ -310,12 +329,12 @@ def key_tables(diagrams, scatterings):
     }
 
 
-def coset_depths(table):
-    """Each coset's depth, by its node number less the rows'."""
+def node_depths(table):
+    """Each node's depth: 0 for a row, t for a depth-t coset."""
     depth = np.zeros(len(table.kids) + 1, dtype=int)
     for node in range(len(table.kids)):
         depth[table.kids[node]] = depth[node] + 1
-    return depth[table.rows:-1]
+    return depth[:-1]
 
 
 @given(data=st.data(), exp=st.integers(-1070, 498),
@@ -329,40 +348,49 @@ def test_keys_and_distances_within_a_quarter_of_the_widening(
     """Every euclidean key and ranked distance lies within a quarter of the
     term ``_widen`` adds, one of its four float-to-exact steps, of the
     exact squared distance: for queries from 2**-1070 to about 1e150, key
-    columns themselves, where the keys cancel, and their midpoints.  So
-    does every coset's key, against its exact lower key: the distance from
-    the query, laid out as the coset's key center is, to that center."""
+    centers themselves, where the keys cancel, and their midpoints.  Each
+    key is taken as the search takes it, against its exact value, the
+    distance from the query laid out as the node's key center is to that
+    center: the rows' from one matrix product, the cosets' from dot
+    products, and the partial rows' upper keys from one matrix product
+    with the query as given."""
     table = key_tables[kind].dominant_table()
-    cols = table.cols.T
+    nodes = len(table.kids)
+    centers = np.delete(table.keys, nodes, axis=0)  # all but the padding
     if point == "scaled":
         e = [math.ldexp(v, exp) for v in data.draw(st.lists(
-            st.floats(-1.0, 1.0), min_size=len(cols[0]),
-            max_size=len(cols[0])))]
+            st.floats(-1.0, 1.0), min_size=len(centers[0]),
+            max_size=len(centers[0])))]
     else:
-        a, b = (cols[data.draw(st.integers(0, len(cols) - 1))]
+        a, b = (centers[data.draw(st.integers(0, len(centers) - 1))]
                 for _ in range(2))
         e = list(a if point == "column" else (a + b) / 2)
     v = np.array([e])
     sq = np.vecdot(v, v)
     term = Fraction(_widen(np.zeros(1), sq, table, "euclidean")[0]) / 4
-    keys = _euclidean_keys(v, sq, table, slice(None))[0]
-    dists = _euclidean_pairs(v.repeat(len(cols), axis=0), cols.copy())
-    for c, key, dist in zip(cols.tolist(), keys.tolist(), dists.tolist()):
+    dists = _euclidean_pairs(v.repeat(len(centers), axis=0), centers.copy())
+    for c, dist in zip(centers.tolist(), dists.tolist()):
         exact = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(e, c))
-        assert abs(Fraction(key) - exact) <= term, (e, c, key)
         assert abs(Fraction(dist) - exact) <= term, (e, c, dist)
-    assert (table.depth == 0) == (kind not in ("2211", "cut-120",
-                                                "orbit-2^62-d9"))
-    depths = coset_depths(table)
-    for t in np.unique(depths).tolist():
-        j = np.flatnonzero(depths == t)
-        g = _sorted_past(v.copy(), table.free, t)
-        keys = _round_keys(table.keys[j], 2.0 * g, sq, table.key_sq[j],
-                           "euclidean")
-        for c, key in zip(table.keys[j].tolist(), keys.tolist()):
+
+    def assert_keys(g, part, keys):
+        for c, key in zip(table.keys[part].tolist(), keys.tolist()):
             exact = sum((Fraction(x) - Fraction(y)) ** 2
                         for x, y in zip(g[0].tolist(), c))
             assert abs(Fraction(key) - exact) <= term, (e, c, key)
+
+    for g, part in ((_sorted_past(v.copy(), table.free, 0), slice(table.rows)),
+                    (v, slice(nodes + 1, None))):
+        assert_keys(g, part, _keys(2.0 * g @ table.keys[part].T, sq[:, None],
+                                   table, part, "euclidean")[0])
+    assert (table.depth == 0) == (kind not in ("2211", "cut-120",
+                                                "orbit-2^62-d9"))
+    depths = node_depths(table)
+    for t in range(1, table.depth + 1):
+        j = np.flatnonzero(depths == t)
+        g = _sorted_past(v.copy(), table.free, t)
+        assert_keys(g, j, _keys(np.vecdot(table.keys[j], 2.0 * g), sq, table,
+                                j, "euclidean"))
 
 
 def test_query_too_large_at_every_depth(diagrams, scatterings):
@@ -691,14 +719,14 @@ class TestScaling:
                      "cut": build_scattering(full.diagram, 3, max_points=1000)}
         rng = random.Random(19)
         for metric in ("euclidean", "cosine"):
-            keys, pairs = _KERNELS[metric]
+            pairs = _KERNELS[metric]
             scored = []
 
             def counting(x, vals, pairs=pairs):
                 scored.append(len(x))
                 return pairs(x, vals)
 
-            monkeypatch.setitem(_KERNELS, metric, (keys, counting))
+            monkeypatch.setitem(_KERNELS, metric, counting)
             mean = {}
             for name, s in sequences.items():
                 scored.clear()
@@ -728,14 +756,14 @@ class TestScaling:
         s = build_scattering(YoungDiagram.from_rows(rows), levels)
         queries = stream_queries(random.Random(45), s, 100)
         for metric in ("euclidean", "cosine"):
-            keys, pairs = _KERNELS[metric]
+            pairs = _KERNELS[metric]
             scored = []
 
             def counting(x, vals, pairs=pairs):
                 scored.append(len(x))
                 return pairs(x, vals)
 
-            monkeypatch.setitem(_KERNELS, metric, (keys, counting))
+            monkeypatch.setitem(_KERNELS, metric, counting)
             nearest_centers(queries, s, 4, metric)
             mean = sum(scored) / len(queries)
             assert mean <= 16 * 4 * s.dim, (metric, mean)
@@ -765,13 +793,16 @@ class TestScaling:
                        rows, [0])
         assert s.dominant_table().spans[1].tolist() == [1000]
         assert s.dominant_table().depth == 0
-        monkeypatch.setattr("qusc.search._sorted_past", None)
+        rounds = []
+        monkeypatch.setattr("qusc.search._sorted_past",
+                            counting_rounds(rounds))
         for e in stream_queries(random.Random(61), s, 10):
             for metric in ("euclidean", "cosine"):
                 res, ref = (nearest_center(e, s, 4, metric),
                             brute_nearest(e, s, 4, metric))
                 assert (res.indices, res.distances) == \
                     (ref.indices, ref.distances), (e, metric)
+        assert rounds == []
 
     @pytest.mark.parametrize("size", [1e8, 1e12])
     def test_far_queries_rank_few_centers(self, diagrams, size):
@@ -823,7 +854,7 @@ class TestPartialSequences:
             # partial rows in every cut but the first, whose first coordinate
             # is constant: its orbits on the other three are whole
             table = s.dominant_table()
-            assert (table.cols.shape[1] > table.rows) == (n > 7)
+            assert (len(table.keys) > len(table.kids) + 1) == (n > 7)
 
     @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 1)])
     def test_embedded_chains(self, scatterings, rows):
@@ -832,6 +863,34 @@ class TestPartialSequences:
         rng = random.Random(14)
         for s in (once, twice):
             self.assert_matches(s, random_queries(rng, s, 16, rows[0]), (1, 4, 9))
+
+    def test_gapped_free_coordinates(self, scatterings, monkeypatch):
+        """Free coordinates that are not one run of columns: (2,2,1,1) L2
+        embedded, with its constant column moved to index 2, so that the
+        query is laid out by a gather, in round 0 and in the rounds past
+        it, blocks and blocks of one alike."""
+        once = embed_scattering(scatterings[(2, 2, 1, 1), 2])
+        s = Scattering(once.diagram, once.levels_built,
+                       once.numerators[:, [0, 1, 5, 2, 3, 4]],
+                       once.level_offsets)
+        table = s.dominant_table()
+        assert table.free.tolist() == [0, 1, 3, 4, 5]
+        assert (table.rows, table.depth) == (29, 1)
+        queries = stream_queries(random.Random(16), s, 30)
+        ks = (1, 4, 16, table.rows, table.rows + 1)
+        rounds = []
+        monkeypatch.setattr("qusc.search._sorted_past",
+                            counting_rounds(rounds))
+        for metric in ("euclidean", "cosine"):
+            refs = [brute_nearest(e, s, max(ks), metric) for e in queries]
+            for k in ks:
+                block = nearest_centers(queries, s, k, metric)
+                single = [nearest_center(e, s, k, metric) for e in queries]
+                assert block == single, (k, metric)
+                for e, res, ref in zip(queries, block, refs):
+                    assert (res.indices, res.distances) == \
+                        (ref.indices[:k], ref.distances[:k]), (e, k, metric)
+        assert rounds
 
     def test_repeated_and_dropped_centers(self, scatterings):
         full = scatterings[(3, 2, 1), 1]
@@ -848,8 +907,9 @@ class TestPartialSequences:
     def test_complete_sequence_has_no_partial_rows(self, scatterings):
         for s in scatterings.values():
             table = s.dominant_table()
-            assert table.cols.shape[1] == table.rows == sum(
-                list(n) == sorted(n, reverse=True) for n in s.numerators.tolist())
+            assert len(table.keys) == len(table.kids) + 1
+            assert table.rows == sum(list(n) == sorted(n, reverse=True)
+                                     for n in s.numerators.tolist())
 
 
 def distinct_perms(values):
@@ -884,7 +944,8 @@ def reference_table(rows):
     It is whole when each of its multinomial-many members is present.
     Whole rows come first, then partial ones, each kind in the sequence
     order of the dominant member's first occurrence, or of the orbit's
-    first member when the dominant member is absent.  A key row follows for
+    first member when the dominant member is absent.  Each row's key row is
+    its members' free values sorted ascending, and a key row follows for
     each partial row: its first member in the sequence."""
     rows = [tuple(r) for r in rows]
     free = [j for j in range(len(rows[0]) if rows else 0)
@@ -899,6 +960,12 @@ def reference_table(rows):
     def size(orbit):
         return multinomial([orbit[j] for j in free])
 
+    def ascending(r):
+        out = list(r)
+        for j, v in zip(free, sorted(r[j] for j in free)):
+            out[j] = v
+        return tuple(out)
+
     owned = {}
     for i, r in enumerate(rows):
         owned.setdefault(dominant(r), []).append(i)
@@ -910,7 +977,7 @@ def reference_table(rows):
               sorted(owned[o], key=lambda i: (tuple(-v for v in rows[i]), i))
               for o in order]
     partial = [rows[owned[o][0]] for o in order if o not in whole]
-    return free, groups, order + partial
+    return free, groups, [ascending(o) for o in order] + partial
 
 
 def splits(rows, free, run, t):
@@ -999,18 +1066,20 @@ def assert_table_matches_reference(s):
     free, groups, keys = reference_table(rows)
     t = s.dominant_table()
     starts = np.concatenate(([0], t.spans[0, :t.rows]))
-    mat = (t.cols.T * t.lattice).tolist()
+    # the rows' key centers and the partial rows' first members
+    part = np.r_[:t.rows, len(t.kids) + 1:len(t.keys)]
+    mat = (t.keys[part] * t.lattice).tolist()
     assert t.free.tolist() == free
     assert [t.members[a:b].tolist()
             for a, b in zip(starts[:-1], starts[1:])] == groups
     assert mat == [[float(v) for v in r] for r in keys]
-    np.testing.assert_allclose(t.norms * t.lattice,
+    np.testing.assert_allclose(t.norms[part] * t.lattice,
                                [math.hypot(*r) for r in mat], rtol=1e-15)
     # each squared norm is one dot product, within d u of exact
-    for col, sq in zip(t.cols.T.tolist(), t.sq.tolist()):
-        exact = sum(Fraction(v) ** 2 for v in col)
-        assert abs(Fraction(sq) - exact) <= Fraction(len(col), 2 ** 53) * exact
-    assert np.array_equal(t.norms, np.sqrt(t.sq))
+    for key, sq in zip(t.keys[part].tolist(), t.key_sq[part].tolist()):
+        exact = sum(Fraction(v) ** 2 for v in key)
+        assert abs(Fraction(sq) - exact) <= Fraction(len(key), 2 ** 53) * exact
+    assert np.array_equal(t.norms, np.sqrt(t.key_sq), equal_nan=True)
     assert t.tie.tolist() == reference_tie(rows)
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1, :t.rows].tolist() == list(map(len, groups))
@@ -1025,9 +1094,9 @@ def assert_cosets_match_reference(t, rows, free, groups):
     by depth, and a node no coset splits has only padding."""
     split = [splits(rows, free, g, 0) for g in groups]
     nodes = len(t.kids)
-    assert np.isnan(t.keys[-1]).all() and np.isnan(t.key_sq[-1])
-    assert not np.isnan(t.keys[:-1]).any()
-    assert len(t.keys) == len(t.key_sq) == nodes - t.rows + 1
+    assert np.isnan(t.keys[nodes]).all() and np.isnan(t.key_sq[nodes])
+    assert not np.isnan(np.delete(t.keys, nodes, axis=0)).any()
+    assert len(t.keys) == len(t.key_sq) > nodes
     numbered = []
 
     def walk(node, depth, row, got):
@@ -1037,9 +1106,8 @@ def assert_cosets_match_reference(t, rows, free, groups):
             end, size = t.spans[:, kid].tolist()
             big = bool((t.kids[kid] < nodes).any())
             got.append((t.members[end - size:end].tolist(),
-                        (t.keys[kid - t.rows] * t.lattice).tolist(), big,
-                        depth))
-            assert t.key_sq[kid - t.rows] == t.sq[row]
+                        (t.keys[kid] * t.lattice).tolist(), big, depth))
+            assert t.key_sq[kid] == t.key_sq[row]
             numbered.append((depth, kid))
             walk(kid, depth + 1, row, got)
 
@@ -1081,10 +1149,12 @@ class TestCenterTable:
         s = self.sequences(diagrams, scatterings)[kind]
         table = s.dominant_table()
         starts = np.concatenate(([0], table.spans[0, :table.rows]))
-        mat = table.cols.T * table.lattice
+        # the rows' key centers, then the partial rows' first members
+        mat = np.delete(table.keys, np.s_[table.rows:len(table.kids) + 1],
+                        axis=0) * table.lattice
         assert sorted(table.members.tolist()) == list(range(len(s)))
         assert starts[0] == 0 and starts[-1] == len(s)
-        assert len(mat) == len(table.norms) >= len(starts) - 1
+        assert len(table.norms) == len(table.keys) > len(mat) >= len(starts) - 1
         # an embedding's last coordinate is constant and stays in place
         free = table.free.tolist()
         assert free == list(range(s.dim - (kind == "embedded")))
@@ -1095,8 +1165,7 @@ class TestCenterTable:
             group = table.members[starts[r]:starts[r + 1]].tolist()
             assert group == sorted(group)
             key = tuple(int(v) for v in mat[r])
-            assert [key[j] for j in free] == sorted((key[j] for j in free),
-                                                    reverse=True)
+            assert [key[j] for j in free] == sorted(key[j] for j in free)
             orbit = set()
             for p in itertools.permutations(key[j] for j in free):
                 member = list(key)
@@ -1117,9 +1186,11 @@ class TestCenterTable:
         assert len(starts) - 1 == len({tuple(sorted(r)) for r in rows})
 
     # sha256 of (rows, members, starts, mat, norms), the key rows and norms
-    # at the lattice scale; the complete codebooks' as built by the table
-    # that grouped orbit representatives with np.unique (commit 1cb17ff),
-    # the others' as built by the table of one row per orbit
+    # at the lattice scale, the rows' key centers with their free columns
+    # flipped back to the dominant (descending) layout that the key rows
+    # had when these were taken; the complete codebooks' as built by the
+    # table that grouped orbit representatives with np.unique (commit
+    # 1cb17ff), the others' as built by the table of one row per orbit
     FROZEN = {
         "complete": "15a1020c64837e8b8b2521002e3fa62719c8b631e95a18abd4ef408a6895b48b",
         "complete-2211": "e5f6308144b550bb0f4a71d14f604cb23e2d29ba5e8c69b88a000d5177d2b664",
@@ -1148,12 +1219,15 @@ class TestCenterTable:
             if kind == "embedded":
                 s = embed_scattering(s)
         t = s.dominant_table()
+        keyed = np.r_[:t.rows, len(t.kids) + 1:len(t.keys)]
+        mat = t.keys[keyed]
+        mat[:t.rows, t.free] = mat[:t.rows, t.free[::-1]]
         h = hashlib.sha256(str(t.rows).encode())
         for part, dtype in ((t.members, "<i8"),
                             (np.concatenate(([0], t.spans[0, :t.rows])),
                              "<i8"),
-                            (t.cols.T * t.lattice, "<f8"),
-                            (t.norms * t.lattice, "<f8")):
+                            (mat * t.lattice, "<f8"),
+                            (t.norms[keyed] * t.lattice, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
 
@@ -1338,7 +1412,7 @@ class TestBlockSearch:
         """A chunk takes its k-th bound, its kept rows and their refinement
         once, and splits only its scoring: _expand runs once per chunk, and
         each chunk is refined in at most the table's depth of rounds (one
-        _sorted_past each), the pair kernel more often, as these blocks'
+        _sorted_past past depth 0 each), the pair kernel more often, as these blocks'
         chunks keep more members than one scoring pass holds, and the
         answers are those of blocks of one."""
         calls = Counter()
@@ -1350,10 +1424,11 @@ class TestBlockSearch:
             return wrapper
 
         monkeypatch.setattr("qusc.search._expand", counted("expand", _expand))
+        rounds = []
         monkeypatch.setattr("qusc.search._sorted_past",
-                            counted("round", _sorted_past))
-        keys, pairs = _KERNELS[metric]
-        monkeypatch.setitem(_KERNELS, metric, (keys, counted("score", pairs)))
+                            counting_rounds(rounds))
+        monkeypatch.setitem(_KERNELS, metric,
+                            counted("score", _KERNELS[metric]))
         rng = random.Random(46)
         for rows, levels, k, m in [((2, 2, 1, 1), 4, 16, 300),
                                    ((2, 1, 1, 1, 1, 1, 1, 1), 2, 4, 200)]:
@@ -1365,12 +1440,15 @@ class TestBlockSearch:
                        (centers[rng.randrange(len(s))]
                         + [rng.gauss(0, 0.3) for _ in range(s.dim)]).tolist()
                        for i in range(m)]
-            chunks = math.ceil(m / max(1, _BLOCK // len(s.dominant_table().norms)))
+            table = s.dominant_table()
+            partial = len(table.keys) - len(table.kids) - 1
+            chunks = math.ceil(m / max(1, _BLOCK // (table.rows + partial)))
             calls.clear()
+            rounds.clear()
             block = nearest_centers(queries, s, k, metric)
             assert calls["expand"] == chunks, (rows, calls)
-            depth = s.dominant_table().depth
-            assert chunks <= calls["round"] <= depth * chunks, (rows, calls)
+            assert chunks <= len(rounds) <= table.depth * chunks, (rows,
+                                                                  rounds)
             assert calls["score"] > chunks, (rows, calls)
             single = [nearest_centers([e], s, k, metric)[0] for e in queries]
             assert block == single, rows
@@ -1386,11 +1464,14 @@ class TestBlockSearch:
         s = build_scattering(YoungDiagram.from_rows((5, 4, 3, 2, 1)), 0)
         assert s.dominant_table().rows < 16
         queries = stream_queries(random.Random(47), s, 8)
-        monkeypatch.setattr("qusc.search._sorted_past", None)
+        rounds = []
+        monkeypatch.setattr("qusc.search._sorted_past",
+                            counting_rounds(rounds))
         for e, res in zip(queries, nearest_centers(queries, s, 16, metric)):
             ref = brute_nearest(e, s, 16, metric)
             assert (res.indices, res.distances) == (ref.indices,
                                                     ref.distances), e
+        assert rounds == []
 
     def test_memory_stays_chunked(self, diagrams):
         # an unchunked (2000, 1329) key matrix alone would take 21 MB
