@@ -30,6 +30,20 @@ def check_metric(kind: str) -> str:
     return kind
 
 
+def check_int(value, name: str, low: int = 0) -> int:
+    """value as an int of at least ``low``: any integer but a bool, numpy's
+    too, or a ValueError that names the argument."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class YoungDiagram:
     """A partition written as row lengths lambda_1 >= ... >= lambda_{n+1}.

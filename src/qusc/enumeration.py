@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointView, YoungDiagram
+from .core import PointView, YoungDiagram, check_int
 
 # Candidates one slice of a position's frontier tests at once.  Each holds
 # an int64 per (tight index, part) pair, at most (d-1)**2 of them: 1 MB per
@@ -144,8 +144,7 @@ def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
     all of them at level 0, and beyond it those with at least one odd
     coordinate, as all-even points already appeared at a coarser level.
     """
-    if k < 0:
-        raise ValueError("level must be >= 0")
+    k = check_int(k, "level")
     rows, visited = _walk(lam.scaled(1 << k).prefix_sums())
     if k:
         rows = rows[(rows & 1).any(axis=1)]

@@ -7,7 +7,9 @@ followed by count x dimension signed 64-bit numerators at the common scale
 the same rationals as reduced "num/2^k" strings next to decimal floats, and
 are parsed to and printed from the same integer rows.  A text record is
 read from its exact strings alone: its index, level and float fields are
-written for people and other tools, and the readers never read them.
+written for people and other tools, and the readers never read them.  No
+format stores level blocks: a Scattering reads them off its numerators,
+read from a file or built in memory alike.
 Every coordinate of a codebook lies on the lattice 2**-levels, so its
 values repeat: the text writers format each distinct value of a block of
 rows once (through ``coordinate_texts``, which ``qusc query`` shares), and
@@ -25,11 +27,13 @@ block holding a string that does not parse, goes to the per-line decoder
 file.  It is the only source of record errors, so a file reads to the same
 centers, or fails with the same message, whichever path a block takes.
 
-Readers raise ValueError for a file they cannot hold exactly: a format
-version other than FORMAT_VERSION, a header whose dimension differs from
-its diagram's row count or whose diagram overflows int64 at scale
-2**levels, a truncated header or record block, trailing bytes after the
-last binary record, a record count that differs from the header's, a text
+A format name other than those in FORMATS raises ValueError, on write and
+on read.  Readers raise ValueError for a file they cannot hold exactly: a
+csv metadata line whose second token is not "QUSC", a format version
+other than FORMAT_VERSION, a header whose dimension differs from its
+diagram's row count or whose diagram overflows int64 at scale 2**levels, a
+truncated header or record block, trailing bytes after the last binary
+record, a record count that differs from the header's, a text
 header that lacks a field or whose field is not a non-negative integer (a
 list of them for the diagram rows), a text line that is not a record
 (invalid JSON, or no 'exact' field), a jsonl 'exact' that is not a list of
@@ -116,9 +120,13 @@ def _text_header(fields: dict, where: str):
     return dimension, count, levels, rows
 
 
-def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
+def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+
+
+def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
+    _check_format(fmt)
     if fmt == "binary":
         with open(path, "wb") as fh:
             _write_binary(s, fh)
@@ -128,6 +136,8 @@ def write_scattering(s: Scattering, path, fmt: str = "binary") -> None:
 
 
 def read_scattering(path, fmt: str | None = None) -> Scattering:
+    if fmt is not None:
+        _check_format(fmt)
     with open(path, "rb") as fh:
         head = fh.read(4)
         if fmt is None:
@@ -156,18 +166,6 @@ def _diagram_of(rows, dimension: int, levels: int) -> YoungDiagram:
                          f"the {diagram.dim} rows of diagram {diagram}")
     check_scale(diagram, levels)
     return diagram
-
-
-def _rebuild(diagram: YoungDiagram, levels: int, count: int,
-             nums: np.ndarray) -> Scattering:
-    """The scattering of a file's numerator rows, with a level block
-    starting at every record coarser than none before it."""
-    if len(nums) != count:
-        raise ValueError(f"expected {count} records, got {len(nums)}")
-    own = canonical_levels(nums, levels)  # each record's own level
-    seen = np.maximum.accumulate(own)
-    offsets = [0] + (np.flatnonzero(own[1:] > seen[:-1]) + 1).tolist()
-    return Scattering(diagram, levels, nums, offsets)
 
 
 # -- binary -------------------------------------------------------------------
@@ -202,7 +200,7 @@ def _read_binary(fh) -> Scattering:
     if size < left:
         raise ValueError(f"{left - size} trailing bytes after the last record")
     nums = np.frombuffer(fh.read(size), dtype="<i8").reshape(count, dim)
-    return _rebuild(diagram, levels, count, nums.astype(np.int64, copy=False))
+    return Scattering(diagram, levels, nums.astype(np.int64, copy=False))
 
 
 # -- text ---------------------------------------------------------------------
@@ -276,8 +274,10 @@ def _read_records(fh, diagram: YoungDiagram, count: int, levels: int,
             nums = _decode_lines(lines, i, dim, levels, known, coordinates)
         blocks.append(nums)
         i += len(nums) // dim
+    if i != count:
+        raise ValueError(f"expected {count} records, got {i}")
     nums = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-    return _rebuild(diagram, levels, count, nums.reshape(-1, dim))
+    return Scattering(diagram, levels, nums.reshape(-1, dim))
 
 
 def _match_block(lines: list[str], record: re.Pattern, sep: str, levels: int,
@@ -418,9 +418,9 @@ def _csv_int(text: str):
 
 def _read_csv(fh) -> Scattering:
     meta = fh.readline().strip()
-    if not meta.startswith("# QUSC"):
-        raise ValueError("missing csv metadata line")
     tokens = meta.split()
+    if tokens[:2] != ["#", "QUSC"]:
+        raise ValueError("missing csv metadata line")
     fields = dict(part.partition("=")[::2] for part in tokens[3:])
     if len(tokens) > 2:
         fields["version"] = tokens[2].lstrip("v")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointView, YoungDiagram, polytope_center
+from .core import PointView, YoungDiagram, check_int, polytope_center
 from .enumeration import enumerate_level
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -368,30 +368,25 @@ class Scattering:
 
     ``numerators`` is the only store of the centers: an (n, d) int64 matrix
     at scale ``2**levels_built``, held without a copy and read-only.
-    ``centers`` reads its rows as ScaledPoints, made on access.
+    ``centers`` reads its rows as ScaledPoints, made on access.  The level
+    blocks are read off the numerators, on the first read of
+    ``level_offsets``: a center's level is its own, its dyadic denominator
+    in lowest terms, so the same centers have the same blocks in memory and
+    after a file round trip.
     """
 
-    def __init__(self, diagram: YoungDiagram, levels_built: int,
-                 numerators, level_offsets: Sequence[int]):
+    def __init__(self, diagram: YoungDiagram, levels_built: int, numerators):
+        levels_built = check_int(levels_built, "levels_built")
         nums = np.asarray(numerators, dtype=np.int64)
         if nums.size == 0:
             nums = nums.reshape(0, diagram.dim)
         if nums.ndim != 2 or nums.shape[1] != diagram.dim:
             raise ValueError(f"numerators of shape {nums.shape} do not hold "
                              f"{diagram.dim}-coordinate rows")
-        offsets = tuple(level_offsets)
-        # an empty sequence's one block starts at 0, any other's at a center
-        if offsets[:1] != (0,) or offsets[-1] >= max(len(nums), 1) or any(
-                a >= b for a, b in zip(offsets, offsets[1:])):
-            raise ValueError(f"level_offsets {list(offsets)} must start at 0 "
-                             f"and rise strictly below {len(nums)}")
-        if levels_built < 0:
-            raise ValueError(f"levels_built must be >= 0, got {levels_built}")
         self.diagram = diagram
         self.levels_built = levels_built
         self.centers = PointView(nums, levels_built)
         self.numerators = self.centers.numerators
-        self.level_offsets = offsets
         self._table = None
 
     def __len__(self):
@@ -404,6 +399,14 @@ class Scattering:
     def values(self) -> np.ndarray:
         """The centers' float coordinates, one row each."""
         return self.numerators / float(1 << self.levels_built)
+
+    @cached_property
+    def level_offsets(self) -> tuple[int, ...]:
+        """The start of each level block: 0, then every center whose own
+        level exceeds that of every center before it."""
+        own = canonical_levels(self.numerators, self.levels_built)
+        seen = np.maximum.accumulate(own)
+        return (0, *(np.flatnonzero(own[1:] > seen[:-1]) + 1).tolist())
 
     def level_blocks(self) -> list[tuple[int, int]]:
         offsets = self.level_offsets
@@ -494,14 +497,13 @@ class Scattering:
 
     def is_complete(self) -> bool:
         """Diagnostic: whether this is the sequence ``build_scattering``
-        makes for its diagram through ``levels_built``, center for center
-        and block for block, so order counts.  No query path needs it; it
-        builds that sequence, cut one center past this one's length, on
-        every call."""
+        makes for its diagram through ``levels_built``, center for center,
+        so order counts; equal centers have equal level blocks.  No query
+        path needs it; it builds that sequence, cut one center past this
+        one's length, on every call."""
         built = build_scattering(self.diagram, self.levels_built,
                                  max_points=len(self) + 1)
-        return (built.level_offsets == self.level_offsets
-                and np.array_equal(built.numerators, self.numerators))
+        return np.array_equal(built.numerators, self.numerators)
 
 
 def build_scattering(diagram: YoungDiagram, max_levels: int,
@@ -513,16 +515,14 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
     ValueError before enumerating a level whose numerators would overflow
     int64; an uncut build (no ``max_points``) is refused before any level.
     """
-    if max_levels < 0:
-        raise ValueError("max_levels must be >= 0")
-    if max_points is not None and max_points < 0:
-        raise ValueError("max_points must be >= 0")
+    max_levels = check_int(max_levels, "max_levels")
     if max_points is None:
         check_scale(diagram, max_levels)
-    # the level sets' dominant rows first, so each block is written straight
-    # into the one matrix, shifted to the common scale
-    levels: list[np.ndarray] = []
-    offsets: list[int] = []
+    else:
+        max_points = check_int(max_points, "max_points")
+    # the level sets' dominant rows and block sizes first, so each block is
+    # written straight into the one matrix, shifted to the common scale
+    levels: list[tuple[np.ndarray, int]] = []
     total = 0
     for k in range(max_levels + 1):
         check_scale(diagram, k)
@@ -530,18 +530,19 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
         size = int(_orbit_sizes(dominant).sum())
         if max_points is not None:
             size = min(size, max_points - total)
-        levels.append(dominant)
-        offsets.append(total)
+        levels.append((dominant, size))
         total += size
         if total == max_points:
             break
-    offsets = [o for o in offsets if o < total] or [0]
-    top = len(offsets) - 1
+    # the last level that holds centers
+    top = max((k for k, (_, size) in enumerate(levels) if size), default=0)
     nums = np.empty((total, diagram.dim), dtype=np.int64)
-    for k, (a, b) in enumerate(zip(offsets, offsets[1:] + [total])):
-        _orbit_block(levels[k], out=nums[a:b])
-        nums[a:b] <<= top - k
-    return Scattering(diagram, top, nums, offsets)
+    a = 0
+    for k, (dominant, size) in enumerate(levels[:top + 1]):
+        _orbit_block(dominant, out=nums[a:a + size])
+        nums[a:a + size] <<= top - k
+        a += size
+    return Scattering(diagram, top, nums)
 
 
 # -- dimension chaining -----------------------------------------------------
@@ -553,8 +554,7 @@ def embed_scattering(s: Scattering) -> Scattering:
     subsequence of the higher-rank diagram's."""
     diagram = YoungDiagram(tuple(sorted(s.diagram.rows + (1,), reverse=True)))
     unit = np.full((len(s), 1), 1 << s.levels_built, dtype=np.int64)
-    return Scattering(diagram, s.levels_built, np.hstack((s.numerators, unit)),
-                      s.level_offsets)
+    return Scattering(diagram, s.levels_built, np.hstack((s.numerators, unit)))
 
 
 # -- uniformity verification -------------------------------------------------
@@ -603,14 +603,13 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     Checks run at every level boundary (where the ratio peaks) plus, when
     ``prefix_stride`` > 0, every ``prefix_stride`` positions inside a block.
     Euclidean distances are exact scaled integers; cosine runs in floats.
-    Raises ValueError on a negative stride and on a zero center, whose
-    cosine distance is undefined.
+    Raises ValueError on a stride that is not an integer >= 0 and on a zero
+    center, whose cosine distance is undefined.
     """
+    prefix_stride = check_int(prefix_stride, "prefix_stride")
     n = len(s)
     if n < 2:
         raise ValueError("need at least two centers")
-    if prefix_stride < 0:
-        raise ValueError(f"prefix_stride must be >= 0, not {prefix_stride}")
     scale = int(canonical_levels(s.numerators, s.levels_built).max())
     nums = s.numerators >> (s.levels_built - scale)
     # |a|^2 + |b|^2 - 2<a, b> stays exact while it fits in int64

@@ -53,12 +53,11 @@ distance.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .core import COSINE, EUCLIDEAN, ScaledPoint, check_metric
+from .core import COSINE, EUCLIDEAN, ScaledPoint, check_int, check_metric
 from .scattering import Scattering, _sorted_past
 
 
@@ -236,19 +235,6 @@ def _cosine_pairs(x, vals):
 _KERNELS = {EUCLIDEAN: _euclidean_pairs, COSINE: _cosine_pairs}
 
 
-def _check_k(k) -> int:
-    """k as an int of at least 1: any integer but a bool."""
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k
-
-
 def _check_rows(q: np.ndarray, table, metric: str) -> None:
     """The per-query checks, row by row, naming the first bad row: finite
     coordinates, and for euclidean search squared distances to the centers
@@ -281,7 +267,7 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     least 1 raises ValueError.
     """
     check_metric(metric)
-    k = _check_k(k)
+    k = check_int(k, "k", 1)
     if len(s) == 0:
         raise ValueError("empty scattering")
     table = s.dominant_table()

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qusc import Scattering, YoungDiagram, build_scattering, formats
+from qusc import (Scattering, YoungDiagram, build_scattering,
+                  embed_scattering, formats, scattering, verify_scattering)
 from qusc.cli import main
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
@@ -40,7 +41,7 @@ class TestRoundTrips:
         # rows of a foreign file need not lie on the polytope: negative,
         # zero and coarser-than-levels numerators keep their exact values
         rows = [(5, -3, 0, 1), (0, 0, 0, 0), (-8, 4, 12, 0), (6, -2, 2, 2)]
-        s = Scattering(YoungDiagram.from_rows((3, 2, 1)), 2, rows, [0])
+        s = Scattering(YoungDiagram.from_rows((3, 2, 1)), 2, rows)
         path = tmp_path / f"c.{fmt}"
         write_scattering(s, path, fmt)
         back = read_scattering(path)
@@ -90,7 +91,7 @@ class TestRoundTrips:
                                       dtype=np.int64))
         nums[:4] = (-(1 << 63), (1 << 63) - 1, 0, -1)
         s = Scattering(YoungDiagram.from_rows((3, 2, 1)), 61,
-                       rng.permutation(nums).reshape(-1, 4), [0])
+                       rng.permutation(nums).reshape(-1, 4))
         self.check_text_records(s, fmt, tmp_path)
 
     @staticmethod
@@ -114,8 +115,8 @@ class TestRoundTrips:
             nums = np.vstack((nums, nums[:1]))
         elif kind == "deep-header":
             # ten centers that claim 40 levels
-            return Scattering(sample.diagram, 40, nums[:10] << 39, [0])
-        return Scattering(sample.diagram, 1, nums, sample.level_offsets)
+            return Scattering(sample.diagram, 40, nums[:10] << 39)
+        return Scattering(sample.diagram, 1, nums)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("kind,complete", [
@@ -152,6 +153,84 @@ class TestRoundTrips:
             path = tmp_path / f"sniff.{fmt}"
             write_scattering(sample, path, fmt)
             assert read_scattering(path, fmt=None).centers == sample.centers
+
+    def test_unknown_read_format(self, sample, tmp_path):
+        # an unknown name is refused as on write, not read as csv
+        for fmt in FORMATS:
+            path = tmp_path / f"c.{fmt}"
+            write_scattering(sample, path, fmt)
+            for bad in ("xml", "jsonx", "CSV", ""):
+                with pytest.raises(ValueError,
+                                   match=f"^unknown format {bad!r}, expected"):
+                    read_scattering(path, bad)
+
+    @pytest.mark.parametrize("token", ["QUSCX", "QUSC1", "QUSCv1"])
+    def test_csv_metadata_needs_the_qusc_token(self, sample, tmp_path, token):
+        path = tmp_path / "c.csv"
+        write_scattering(sample, path, "csv")
+        path.write_text(path.read_text().replace("# QUSC ", f"# {token} ", 1))
+        with pytest.raises(ValueError, match="missing csv metadata line"):
+            read_scattering(path)
+
+    @staticmethod
+    def agreement_kinds(scatterings):
+        """Sequences whose level blocks a reader could get wrong: built,
+        cut inside an orbit, embedded, with repeated centers, reordered,
+        and shuffled rows off the polytope at mixed levels."""
+        built = scatterings[(2, 1, 1), 2]
+        cut = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 2,
+                               max_points=50)
+        rng = np.random.default_rng(33)
+        nums = built.numerators
+        return {
+            "built": built,
+            "cut": cut,
+            "embedded": embed_scattering(cut),
+            "duplicated": Scattering(built.diagram, 2,
+                                     np.vstack((nums, nums[::7]))),
+            "shuffled": Scattering(built.diagram, 2, rng.permutation(nums)),
+            "foreign": Scattering(built.diagram, 3,
+                                  rng.integers(1, 17, (40, 4))),
+        }
+
+    @pytest.mark.parametrize("kind", ["built", "cut", "embedded",
+                                      "duplicated", "shuffled", "foreign"])
+    def test_blocks_agree_in_memory_and_on_read(self, scatterings, kind,
+                                                tmp_path):
+        def seen(s):
+            prefixes = verify_scattering(s, prefix_stride=16).prefixes
+            return (s.level_offsets, s.is_complete(),
+                    [(st.length, st.at_level_boundary) for st in prefixes])
+
+        s = self.agreement_kinds(scatterings)[kind]
+        want = seen(s)
+        for fmt in FORMATS:
+            path = tmp_path / f"c.{fmt}"
+            write_scattering(s, path, fmt)
+            assert seen(read_scattering(path, fmt)) == want, fmt
+
+    def test_level_offsets_are_derived_on_first_read(self, sample, tmp_path,
+                                                     monkeypatch):
+        paths = [tmp_path / f"c.{fmt}" for fmt in FORMATS]
+        for fmt, path in zip(FORMATS, paths):
+            write_scattering(sample, path, fmt)
+        calls = []
+        levels = scattering.canonical_levels
+
+        def counted(*args):
+            calls.append(args)
+            return levels(*args)
+
+        monkeypatch.setattr(scattering, "canonical_levels", counted)
+        monkeypatch.setattr(formats, "canonical_levels", counted)
+        made = [build_scattering(sample.diagram, 1)] + list(map(
+            read_scattering, paths))
+        assert calls == []
+        for s in made:
+            assert s.level_blocks() == [(0, 12), (12, 42)]
+            assert s.level_offsets == (0, 12)
+        # one derivation each, kept
+        assert len(calls) == len(made)
 
     def test_header_round_trip_binary(self, sample, tmp_path):
         path = tmp_path / "c.bin"
@@ -922,7 +1001,7 @@ def three_centers(spread: int) -> Scattering:
     and 4 * 10**10 + (spread - 1)**2: a prefix ratio of exactly 2 for
     spread 1, and of 2.000000000025 for spread 2."""
     return Scattering(YoungDiagram((300001, 0)), 0,
-                      [(1, 1), (100001, 1), (300001, spread)], [0])
+                      [(1, 1), (100001, 1), (300001, spread)])
 
 
 class TestCliVerify:
@@ -1005,8 +1084,7 @@ class TestCliVerify:
         s = scatterings[(2, 1, 1), 1]
         path = tmp_path / "zero.bin"
         write_scattering(Scattering(s.diagram, 1, np.vstack(
-            (s.numerators, np.zeros((1, 4), dtype=np.int64))),
-            s.level_offsets), path, "binary")
+            (s.numerators, np.zeros((1, 4), dtype=np.int64)))), path, "binary")
         assert run_cli("verify", "--centers", str(path)) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -49,8 +49,7 @@ def _codebooks(tmp: Path) -> dict[str, tuple[Path, list[str]]]:
     nums = complete.numerators.copy()
     nums[1] = nums[0]
     repeated = Scattering(complete.diagram, complete.levels_built,
-                          np.vstack((nums, nums[[0, 5, 13, 20, 41]])),
-                          complete.level_offsets)
+                          np.vstack((nums, nums[[0, 5, 13, 20, 41]])))
     paths = {name: tmp / f"{name}.bin" for name in
              ("complete", "cut", "embedded", "duplicated")}
     write_scattering(complete, paths["complete"])

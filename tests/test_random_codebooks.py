@@ -47,9 +47,8 @@ def random_diagram(rng):
 
 
 def cut(s, m):
-    """The first m centers of s, with the level blocks they start."""
-    return Scattering(s.diagram, s.levels_built, s.numerators[:m],
-                      [o for o in s.level_offsets if o < m] or [0])
+    """The first m centers of s."""
+    return Scattering(s.diagram, s.levels_built, s.numerators[:m])
 
 
 def random_matrix(rng):
@@ -71,7 +70,7 @@ def random_matrix(rng):
         rows.insert(int(rng.integers(0, len(rows) + 1)),
                     rows[int(rng.integers(0, len(rows)))])
     return Scattering(types.SimpleNamespace(dim=d), int(rng.integers(0, 3)),
-                      np.array(rows, dtype=np.int64), [0])
+                      np.array(rows, dtype=np.int64))
 
 
 def random_codebook(rng, shape):

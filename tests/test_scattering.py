@@ -107,31 +107,69 @@ class TestBuildScattering:
 
 
 class TestScatteringFields:
-    """A Scattering holds level offsets that start at 0 and rise strictly
-    below its length, and a scale of at least 2**0."""
-
-    @pytest.mark.parametrize("offsets", [
-        pytest.param([0, 20, 5], id="falling"),
-        pytest.param([0, 12, 12], id="repeated"),
-        pytest.param([1, 12], id="not-at-zero"),
-        pytest.param([], id="none"),
-        pytest.param([0, 42], id="at-the-end")])
-    def test_refuses_malformed_offsets(self, scatterings, offsets):
-        s = scatterings[(2, 1, 1), 1]
-        with pytest.raises(ValueError, match="level_offsets"):
-            Scattering(s.diagram, 1, s.numerators, offsets)
+    """A Scattering reads its level blocks off its numerators, and takes a
+    scale that is an integer of at least 0."""
 
     def test_refuses_negative_levels(self, scatterings):
         s = scatterings[(2, 1, 1), 1]
         with pytest.raises(ValueError, match="levels_built must be >= 0"):
-            Scattering(s.diagram, -1, s.numerators, [0])
+            Scattering(s.diagram, -1, s.numerators)
 
     def test_empty_sequence_has_one_offset(self, diagrams):
         s = build_scattering(diagrams[(2, 1, 1)], 1, max_points=0)
         assert (len(s), s.level_offsets, s.level_blocks()) == (0, (0,),
                                                                [(0, 0)])
-        with pytest.raises(ValueError, match="level_offsets"):
-            Scattering(s.diagram, 0, s.numerators, [0, 0])
+
+    def test_block_starts_where_a_level_exceeds_all_before(self, diagrams):
+        # own levels 1, 0, 2, 1, 2, 3 at scale 2**3
+        rows = [(4, 4, 0, 0), (8, 0, 0, 0), (6, 2, 0, 0), (4, 0, 4, 0),
+                (2, 2, 4, 0), (3, 3, 2, 0)]
+        s = Scattering(diagrams[(2, 1, 1)], 3, rows)
+        assert s.level_offsets == (0, 2, 5)
+        assert s.level_blocks() == [(0, 2), (2, 5), (5, 6)]
+
+    def test_built_centers_alone_are_complete(self, scatterings):
+        # the same centers give the same blocks, however they are made
+        s = scatterings[(2, 1, 1), 2]
+        again = Scattering(s.diagram, 2, s.numerators)
+        assert again.level_offsets == (0, 12, 42)
+        assert again.is_complete()
+        assert [st.length for st in verify_scattering(again).prefixes] == [
+            12, 42, 162]
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "1"])
+    def test_integer_arguments_refuse_non_integers(self, scatterings, value):
+        s = scatterings[(2, 1, 1), 1]
+        calls = {
+            "levels_built": lambda v: Scattering(s.diagram, v, s.numerators),
+            "level": lambda v: enumerate_level(s.diagram, v),
+            "max_levels": lambda v: build_scattering(s.diagram, v),
+            "max_points": lambda v: build_scattering(s.diagram, 1,
+                                                     max_points=v),
+            "prefix_stride": lambda v: verify_scattering(s, prefix_stride=v),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be an integer, got "):
+                call(value)
+
+    def test_integer_arguments_refuse_negatives(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        for name, call in [
+                ("max_levels", lambda: build_scattering(s.diagram, -1)),
+                ("max_points", lambda: build_scattering(s.diagram, 1,
+                                                        max_points=-2))]:
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0, got"):
+                call()
+
+    def test_integer_arguments_take_numpy_integers(self, scatterings):
+        s = scatterings[(2, 1, 1), 1]
+        cut = build_scattering(s.diagram, np.int64(1), max_points=np.int32(30))
+        assert cut.centers == s.centers[:30]
+        again = Scattering(s.diagram, np.uint8(1), s.numerators)
+        assert type(again.levels_built) is int and again.levels_built == 1
+        assert ([st.length for st in verify_scattering(
+            s, prefix_stride=np.int16(20)).prefixes] == [12, 20, 40, 42])
 
 
 class TestIotaEmbedding:
@@ -144,7 +182,7 @@ class TestIotaEmbedding:
         assert (e.levels_built, e.level_offsets) == (0, s.level_offsets)
 
     def test_append_one_at_level(self, diagrams):
-        s = Scattering(diagrams[(2, 1, 1)], 1, [(3, 3, 2, 0)], [0])
+        s = Scattering(diagrams[(2, 1, 1)], 1, [(3, 3, 2, 0)])
         p = embed_scattering(s).centers[0]
         assert p == ScaledPoint((3, 3, 2, 0, 2), 1)
         assert p.values() == (1.5, 1.5, 1.0, 0.0, 1.0)
@@ -239,7 +277,7 @@ class TestUniformity:
         # its cosine distance is undefined: no NaN may reach the report
         base = scatterings[(2, 1, 1), 1]
         nums = np.insert(base.numerators, at, 0, axis=0)
-        s = Scattering(base.diagram, 1, nums, base.level_offsets)
+        s = Scattering(base.diagram, 1, nums)
         with pytest.raises(ValueError,
                            match=rf"zero vector \(center {at}\)"):
             verify_scattering(s)
@@ -251,7 +289,7 @@ class TestUniformity:
         rng = np.random.default_rng(peak)
         rows = rng.integers(-peak, peak + 1, (40, 4), dtype=np.int64)
         rows[7, 2] = peak
-        s = Scattering(diagrams[(2, 1, 1)], 0, rows, [0])
+        s = Scattering(diagrams[(2, 1, 1)], 0, rows)
         rep = verify_scattering(s, prefix_stride=1)
         pts = rows.tolist()
         for st in rep.prefixes:
@@ -359,7 +397,7 @@ class TestMatrixBuild:
     def test_verify_rejects_squares_overflowing_int64(self, diagrams):
         big = 1 << 40
         s = Scattering(diagrams[(2, 1, 1)], 0,
-                       [(big, 0, 0, 0), (0, big, 0, 0)], [0])
+                       [(big, 0, 0, 0), (0, big, 0, 0)])
         with pytest.raises(ValueError, match="overflow int64 squared"):
             verify_scattering(s)
 

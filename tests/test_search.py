@@ -22,10 +22,10 @@ from qusc.search import (_BLOCK, _KERNELS, _colsum, _euclidean_pairs, _expand,
                          _keys, _sorted_past, _widen)
 
 
-def from_points(diagram, levels, points, offsets):
+def from_points(diagram, levels, points):
     """A scattering holding the given points, at scale 2**levels."""
     return Scattering(diagram, levels,
-                      [p.numerators_at(levels) for p in points], offsets)
+                      [p.numerators_at(levels) for p in points])
 
 
 def random_queries(rng, sc, count, top):
@@ -324,8 +324,7 @@ def key_tables(diagrams, scatterings):
         "orbit-2^62-d9": table_sequence(sorted(distinct_perms(
             (1 << 62,) * 5 + (7,) + (-(1 << 62),) * 3), reverse=True)[:400],
             9),
-        "scale-2^1020": Scattering(s.diagram, 1020, s.numerators,
-                                   s.level_offsets),
+        "scale-2^1020": Scattering(s.diagram, 1020, s.numerators),
     }
 
 
@@ -480,8 +479,7 @@ class TestCosine:
         # a corrupt sequence may hold the zero vector, where cosine distance
         # is undefined, as it is for brute_nearest
         s0 = scatterings[(2, 1, 1), 0]
-        s = from_points(s0.diagram, 0, [*s0.centers, ScaledPoint((0, 0, 0, 0))],
-                        [0])
+        s = from_points(s0.diagram, 0, [*s0.centers, ScaledPoint((0, 0, 0, 0))])
         with pytest.raises(ValueError, match="zero vector"):
             brute_nearest((1, 1, 1, 1), s, 1, "cosine")
         with pytest.raises(ValueError, match="zero vector"):
@@ -549,17 +547,14 @@ class TestOracleAgreement:
         return {"complete": s,
                 "cut": build_scattering(s.diagram, 1, max_points=50),
                 "duplicated": Scattering(s.diagram, 1, np.vstack(
-                    (s.numerators, s.numerators[::7])), s.level_offsets),
+                    (s.numerators, s.numerators[::7]))),
                 "embedded": embed_scattering(s),
-                "times-2^40": Scattering(s.diagram, 1, s.numerators << 40,
-                                         s.level_offsets),
-                "times-10^12": Scattering(s.diagram, 1, s.numerators * 10 ** 12,
-                                          s.level_offsets),
-                "times-2^59": Scattering(s.diagram, 1, s.numerators << 59,
-                                         s.level_offsets),
+                "times-2^40": Scattering(s.diagram, 1, s.numerators << 40),
+                "times-10^12": Scattering(s.diagram, 1,
+                                          s.numerators * 10 ** 12),
+                "times-2^59": Scattering(s.diagram, 1, s.numerators << 59),
                 "times-2^60-1": Scattering(s.diagram, 1,
-                                           s.numerators * (2 ** 60 - 1),
-                                           s.level_offsets),
+                                           s.numerators * (2 ** 60 - 1)),
                 "d7": build_scattering(
                     YoungDiagram.from_rows((3, 2, 1, 1, 1, 1)), 0),
                 "d8": build_scattering(
@@ -789,8 +784,7 @@ class TestScaling:
         rows[:, 0] = 2
         for row, pair in zip(rows, itertools.combinations(range(1, 64), 2)):
             row[list(pair)] = 1
-        s = Scattering(YoungDiagram.from_rows((2, 1, 1) + (0,) * 61), 0,
-                       rows, [0])
+        s = Scattering(YoungDiagram.from_rows((2, 1, 1) + (0,) * 61), 0, rows)
         assert s.dominant_table().spans[1].tolist() == [1000]
         assert s.dominant_table().depth == 0
         rounds = []
@@ -871,8 +865,7 @@ class TestPartialSequences:
         it, blocks and blocks of one alike."""
         once = embed_scattering(scatterings[(2, 2, 1, 1), 2])
         s = Scattering(once.diagram, once.levels_built,
-                       once.numerators[:, [0, 1, 5, 2, 3, 4]],
-                       once.level_offsets)
+                       once.numerators[:, [0, 1, 5, 2, 3, 4]])
         table = s.dominant_table()
         assert table.free.tolist() == [0, 1, 3, 4, 5]
         assert (table.rows, table.depth) == (29, 1)
@@ -900,7 +893,7 @@ class TestPartialSequences:
             for _ in range(8):
                 centers.insert(rng.randrange(len(centers) + 1),
                                rng.choice(full.centers))
-            s = from_points(full.diagram, 1, centers, [0])
+            s = from_points(full.diagram, 1, centers)
             assert len(np.unique(s.numerators, axis=0)) < len(s)
             self.assert_matches(s, random_queries(rng, s, 12, 3), (1, 3, 10))
 
@@ -1047,7 +1040,7 @@ def table_sequence(rows, d):
     """A sequence holding the given numerator rows; the table reads no more
     of the diagram than its dimension, so any d from 1 up will do."""
     return Scattering(types.SimpleNamespace(dim=d), 0,
-                      np.array(rows, dtype=np.int64).reshape(-1, d), [0])
+                      np.array(rows, dtype=np.int64).reshape(-1, d))
 
 
 def reference_tie(rows):
@@ -1140,7 +1133,7 @@ class TestCenterTable:
             "complete": scatterings[(2, 2, 1, 1), 2],
             "cut": build_scattering(diagrams[(3, 2, 1)], 3, max_points=500),
             "embedded": embed_scattering(scatterings[(2, 1, 1), 2]),
-            "duplicated": from_points(full.diagram, 1, repeated, [0]),
+            "duplicated": from_points(full.diagram, 1, repeated),
         }
 
     @pytest.mark.parametrize("kind", ["complete", "cut", "embedded",
@@ -1205,8 +1198,7 @@ class TestCenterTable:
         if kind == "duplicated":
             s = build_scattering(diagrams[(3, 2, 1)], 2)
             s = Scattering(s.diagram, 2, np.vstack((s.numerators,
-                                                    s.numerators[::7])),
-                           s.level_offsets)
+                                                    s.numerators[::7])))
         else:
             rows, levels, cut = {
                 "complete": ((3, 2, 1), 4, None),
@@ -1255,8 +1247,7 @@ class TestCenterTable:
 
     def test_multiword_keys_match_reference(self, diagrams):
         s = build_scattering(diagrams[(3, 2, 1)], 5)
-        shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50,
-                             s.level_offsets)
+        shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50)
         # 57-bit entries, so each key spans four words
         lo, hi = int(shifted.numerators.min()), int(shifted.numerators.max())
         assert _pack_rows(shifted.numerators, lo, hi).dtype.itemsize == 32
@@ -1333,7 +1324,7 @@ class TestBlockSearch:
                                                           4)),
             "cut-embedded": embed_scattering(build_scattering(
                 full.diagram, 3, max_points=2 * len(full) // 3)),
-            "duplicated": from_points(small.diagram, 1, repeated, [0]),
+            "duplicated": from_points(small.diagram, 1, repeated),
             # orbits of 720 members, refined over two rounds, in chunks
             # that split where a round's pairs outgrow them
             "large-orbits": build_scattering(
