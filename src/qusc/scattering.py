@@ -388,6 +388,7 @@ class Scattering:
         self.centers = PointView(nums, levels_built)
         self.numerators = self.centers.numerators
         self._table = None
+        self._norms = None  # each center's norm, found by cosine search
 
     def __len__(self):
         return len(self.numerators)
@@ -610,7 +611,10 @@ def verify_scattering(s: Scattering, prefix_stride: int = 0) -> UniformityReport
     n = len(s)
     if n < 2:
         raise ValueError("need at least two centers")
-    scale = int(canonical_levels(s.numerators, s.levels_built).max())
+    # the largest own level: the last block's first center's, as blocks
+    # start where the running largest rises
+    top = s.numerators[s.level_offsets[-1]][None]
+    scale = int(canonical_levels(top, s.levels_built)[0])
     nums = s.numerators >> (s.levels_built - scale)
     # |a|^2 + |b|^2 - 2<a, b> stays exact while it fits in int64
     peak = max(-int(nums.min()), int(nums.max()))

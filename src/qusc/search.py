@@ -16,7 +16,10 @@ similarity search with GPUs", over the table's rows):
 
 1. the block is validated once, each query's squared norm taken, and
    each query prepared as the keys take it: doubled for euclidean search,
-   made a unit for cosine search;
+   made a unit for cosine search, after a power-of-two rescaling that a
+   block of one reads from Python scalars.  Each center's norm, which
+   cosine scoring divides by, is taken on the scattering's first cosine
+   search and kept;
 2. the table's rows and their prefix cosets, the members that share their
    first t free coordinates, form one node tree, every node keyed one way:
    a depth-t node's key center, its first member with the free values past
@@ -35,19 +38,21 @@ similarity search with GPUs", over the table's rows):
    deeper, by one dot product each, and keeps those within the same bound;
    a kept leaf, a node not split, leaves the frontier with its whole run of
    members.  The bound and the rounds are taken once per chunk;
-5. the kept leaves' members are scored exactly, and those under the bound
-   are ranked as a full scan would rank them, with one lexsort on three
-   keys: the query, the distance and the center's tie rank, its
-   precomputed place in a full scan's order of equal distances
-   (descending-lex point, then sequence index).  Only this step is split:
-   while the members hold more than ``_BLOCK`` coordinates, the chunk's
-   queries are halved together with their kept members.  Numerator rows
-   are gathered for the k hits only.
+5. the kept leaves' members are scored exactly, every pair by one kernel
+   (``_KERNELS``), a cosine pair from norms taken once per query and per
+   center, and those under the bound are ranked as a full scan would rank
+   them, with one lexsort on three keys: the query, the distance and the
+   center's tie rank, its precomputed place in a full scan's order of
+   equal distances (descending-lex point, then sequence index); a block of
+   one, its query broadcast over its pairs, sorts on the last two only.
+   Only this step is split: while the members hold more than ``_BLOCK``
+   coordinates, the chunk's queries are halved together with their kept
+   members.  Numerator rows are gathered for the k hits only.
 
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
-query is a block of one.  Euclidean and cosine search differ only in the
-distance.
+query is a block of one, which skips only the steps that sort pairs out by
+query.  Euclidean and cosine search differ only in the distance.
 """
 
 from __future__ import annotations
@@ -215,19 +220,23 @@ def _keys(dot, sq, table, nodes, metric):
     return np.subtract(1.0, dot, out=dot)
 
 
-def _euclidean_pairs(x, vals):
-    """The reference scan's squared euclidean distance of each pair of rows,
-    with its float steps; x is overwritten."""
-    x -= vals
-    return _colsum(np.square(x, x))
+def _euclidean_pairs(x, vals, *norms):
+    """The reference scan's squared euclidean distance of each pair of a
+    query row of x (or x's one query, broadcast) and a center row of vals,
+    with its float steps: (c - q)^2 is (q - c)^2 bit for bit.  Cosine
+    search's norms are not read; vals is overwritten."""
+    vals -= x
+    return _colsum(np.square(vals, vals))
 
 
-def _cosine_pairs(x, vals):
-    """The reference scan's cosine distance of each pair of rows, with its
-    float steps; x and vals are overwritten."""
-    norms = np.sqrt(_colsum(x * x)) * np.sqrt(_colsum(vals * vals))
-    x *= vals
-    d = 1.0 - _colsum(x) / norms
+def _cosine_pairs(x, vals, xn, cn):
+    """The reference scan's cosine distance of each pair of a query row of
+    x (or x's one query, broadcast) and a center row of vals, with its float
+    steps, from norms taken by its steps (squares added left to right, then
+    a square root) once per query and per center: xn the pairs' (or the one
+    query's) and cn the centers'.  vals is overwritten."""
+    vals *= x
+    d = 1.0 - _colsum(vals) / (xn * cn)
     # 1.0 - y is never -0.0, so this is the kernel's clamp bit for bit
     return np.maximum(d, 0.0, out=d)
 
@@ -299,8 +308,15 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
     if metric == EUCLIDEAN:
         frame = q
     else:
-        peak = np.maximum.reduce(np.abs(q), axis=1)
-        if not np.minimum.reduce(peak):
+        # a block of one reads its peak and exponent as Python scalars, the
+        # same frame bit for bit at a fraction of the numpy calls
+        if len(q) == 1:
+            peak = low = max(map(abs, q[0].tolist()))
+            exp = -math.frexp(peak)[1]
+        else:
+            peak = np.maximum.reduce(np.abs(q), axis=1)
+            low, exp = np.minimum.reduce(peak), -np.frexp(peak)[1][:, None]
+        if not low:
             raise ValueError(f"cosine query must be nonzero (row {int(np.argmin(peak))})")
         if table.zero >= 0:
             raise ValueError("cosine distance undefined for the zero vector "
@@ -309,7 +325,10 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         # largest coordinate in [1/2, 1), which leaves the distances of
         # ordinary queries bit for bit unchanged and keeps the squares of
         # tiny queries from underflowing
-        frame = np.ldexp(q, -np.frexp(peak)[1][:, None])
+        frame = np.ldexp(q, exp)
+        if s._norms is None:  # each center's, found once, on first use
+            vals = s.numerators * (1.0 / table.lattice)
+            s._norms = np.sqrt(_colsum(np.square(vals, out=vals)))
     # each query's squared norm in the frame, which sorting leaves alone
     sq = np.vecdot(frame, frame)
     rows, nodes, free = table.rows, len(table.kids), table.free.tolist()
@@ -360,9 +379,12 @@ def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
     bound = _widen(kth, sq, table, metric)
     # round 0: the (query, row) pairs within the bound, a flat nonzero being
     # several times cheaper than a two-dimensional one
-    rows = lo.shape[1]
-    qi, node = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
-                         np.intp(rows))
+    c, rows = lo.shape
+    if c > 1:
+        qi, node = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
+                             np.intp(rows))
+    else:  # a block of one carries no query numbers through the rounds
+        node = (lo[0] <= bound[0]).nonzero()[0]
     # each node's end in members and its size (indexed: unpacking an array
     # iterates over it)
     span = table.spans.take(node, axis=1)
@@ -370,7 +392,7 @@ def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
     at = sizes.cumsum()
     # refining under an infinite bound (k past the rows) keeps every coset
     if table.depth and at[-1] > _ROUND and k <= rows:
-        c, w, free = len(frame), table.kids.shape[1], table.free.tolist()
+        w, free = table.kids.shape[1], table.free.tolist()
         # a numpy integer, which arrays compare with faster than with a
         # Python one, and the free coordinates as a list, whose items
         # _sorted_past reads faster
@@ -399,11 +421,11 @@ def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
             qi = np.concatenate(leaves_q + [qi])
             order = qi.argsort(kind="stable")
             qi, node = qi.take(order), node.take(order)
-        else:
-            qi = np.zeros(len(node), dtype=np.intp)
         span = table.spans.take(node, axis=1)
         ends, sizes = span[0], span[1]
         at = sizes.cumsum()
+    if c == 1:  # each span's query, as the traced benchmark counts spans
+        qi = np.zeros(len(node), dtype=np.intp)
     return _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric)
 
 
@@ -413,7 +435,9 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     exactly, and rank those under the bound as a full scan would; those
     within the k-th distance, ties included, count as examined.  While the
     members hold more than ``_BLOCK`` coordinates, the queries are halved
-    with their spans under the same bound, which no other query moves."""
+    with their spans under the same bound, which no other query moves.  A
+    block of one broadcasts its query over its pairs and ranks them with
+    none of the steps that sort pairs out by query."""
     c = len(q)
     if c > 1 and at[-1] * table.keys.shape[1] > _BLOCK:
         h, cut = c // 2, qi.searchsorted(c // 2)
@@ -426,15 +450,40 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     pos = (ends - at).repeat(sizes)
     pos += np.arange(len(pos))
     cand = table.members.take(pos)
-    pq = qi.repeat(sizes)
     vals = s.numerators.take(cand, axis=0).astype(np.float64)
     vals *= 1.0 / table.lattice
-    dist = _KERNELS[metric](frame.take(pq, axis=0), vals)
-    near = (dist <= bound.take(pq)).nonzero()[0]
-    pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
     # every query keeps at least kk centers, or the bound is wrong and its
     # top kk would run into the next query's centers
-    kk = min(k, len(table.tie))
+    kk, level = min(k, len(table.tie)), s.levels_built
+    if c == 1:
+        norms = ()
+        if metric == COSINE:  # the query's norm, in Python floats
+            xn = 0.0
+            for v in frame[0].tolist():
+                xn += v * v
+            norms = math.sqrt(xn), s._norms.take(cand)
+        dist = _KERNELS[metric](frame, vals, *norms)
+        near = (dist <= bound[0]).nonzero()[0]
+        if len(near) < kk:
+            raise RuntimeError(f"search bound too tight: query {q[0].tolist()} "
+                               f"kept {len(near)} centers, fewer than {kk}")
+        cand, dist = cand.take(near), dist.take(near)
+        # a full scan's order: distance, then the tie rank
+        top = np.lexsort((table.tie.take(cand), dist))[:kk]
+        hits, hit_dist = cand.take(top), dist.take(top)
+        examined = int(np.count_nonzero(dist <= hit_dist[-1]))
+        if metric == EUCLIDEAN:
+            np.sqrt(hit_dist, out=hit_dist)
+        return [QueryResult(hits.tolist(), hit_dist.tolist(),
+                            s.numerators.take(hits, axis=0), level, metric,
+                            tuple(q[0].tolist()), examined)]
+    pq = qi.repeat(sizes)
+    norms = ()
+    if metric == COSINE:
+        norms = np.sqrt(_colsum(frame * frame)).take(pq), s._norms.take(cand)
+    dist = _KERNELS[metric](frame.take(pq, axis=0), vals, *norms)
+    near = (dist <= bound.take(pq)).nonzero()[0]
+    pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
     kept = np.bincount(pq, minlength=c).tolist()
     if min(kept) < kk:
         r = kept.index(min(kept))
@@ -448,7 +497,6 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     examined = np.bincount(pq[dist <= hit_dist[:, -1].take(pq)], minlength=c)
     if metric == EUCLIDEAN:
         np.sqrt(hit_dist, out=hit_dist)
-    level = s.levels_built
     return [QueryResult(idx, dd, rows, level, metric, tuple(query), e)
             for idx, dd, rows, query, e in zip(
                 hits.tolist(), hit_dist.tolist(),

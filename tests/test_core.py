@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qusc import (ScaledPoint, YoungDiagram, build_scattering, nearest_center,
                   polytope_center)
 from qusc.core import BOUNDARY, INTERIOR, OUTSIDE, membership
-from qusc.search import _cosine_pairs, _euclidean_pairs
+from qusc.search import _colsum, _cosine_pairs, _euclidean_pairs
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -94,7 +94,8 @@ def pair_distance(a, b, metric="euclidean"):
     x, vals = np.array([a], dtype=float), np.array([b], dtype=float)
     if metric == "euclidean":
         return math.sqrt(_euclidean_pairs(x, vals)[0])
-    return float(_cosine_pairs(x, vals)[0])
+    xn, cn = (np.sqrt(_colsum(v * v)) for v in (x, vals))
+    return float(_cosine_pairs(x, vals, xn, cn)[0])
 
 
 class TestDistance:

@@ -173,3 +173,15 @@ def test_random_codebook_matches_brute(seed):
                 assert (res.indices, res.distances, res.points) == (
                     ref.indices[:k], ref.distances[:k], ref.points[:k]), \
                     (shape, len(s), e, k, metric)
+                # a block of one answers as the block, its count included
+                # (repr shows it, and its type: a Python int for JSON)
+                one = nearest_centers([e], s, k, metric)[0]
+                assert (one, repr(one)) == (res, repr(res)), (shape, e, k,
+                                                              metric)
+    # a block of one's cosine frame, read from Python scalars, at scales
+    # where the squares of its coordinates underflow or overflow
+    if s.numerators.any(axis=1).all():
+        for e in queries[:2]:
+            for scaled in ([v * 1e-200 for v in e], [v * 1e300 for v in e]):
+                assert nearest_centers([scaled], s, 4, "cosine") == [
+                    brute_nearest(scaled, s, 4, "cosine")], (shape, scaled)

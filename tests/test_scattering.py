@@ -8,6 +8,7 @@ import pytest
 
 from qusc import (ScaledPoint, Scattering, YoungDiagram, build_scattering,
                   embed_scattering, verify_scattering)
+from qusc import scattering
 from qusc.enumeration import enumerate_level
 from qusc.formats import read_scattering, write_scattering
 from qusc.scattering import (_network, _orbit_block, _orbit_sizes,
@@ -302,6 +303,35 @@ class TestUniformity:
     def test_rejects_negative_stride(self, scatterings):
         with pytest.raises(ValueError, match="prefix_stride"):
             verify_scattering(scatterings[(2, 1, 1), 1], prefix_stride=-3)
+
+    def test_one_level_pass(self, diagrams, monkeypatch):
+        """On a fresh sequence verify_scattering makes one canonical_levels
+        pass over all the centers, for the level blocks, and reads its scale
+        off them: the own level of the last block's first center, the
+        largest.  The same centers at a finer scale report the same
+        prefixes, and a cut inside level 3 of an L4 build has scale 3."""
+        lam = diagrams[(2, 2, 1, 1)]
+        base = build_scattering(lam, 2)
+        want = verify_scattering(base).prefixes
+        assert {st.scale_level for st in want} == {2}
+        levels, passes = scattering.canonical_levels, []
+
+        def counted(nums, level):
+            passes.append(len(nums))
+            return levels(nums, level)
+
+        monkeypatch.setattr(scattering, "canonical_levels", counted)
+        for s in (build_scattering(lam, 2),
+                  Scattering(lam, 4, base.numerators << 2),
+                  build_scattering(lam, 4, max_points=1700)):
+            passes.clear()
+            got = verify_scattering(s).prefixes
+            assert passes.count(len(s)) == 1, passes
+            if len(s) == len(base):
+                assert got == want
+            else:
+                assert s.level_offsets == (0, 35, 220, 1640)
+                assert {st.scale_level for st in got} == {3}
 
 
 def merged_orbit_sequence(lam, levels):

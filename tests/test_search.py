@@ -717,9 +717,10 @@ class TestScaling:
             pairs = _KERNELS[metric]
             scored = []
 
-            def counting(x, vals, pairs=pairs):
-                scored.append(len(x))
-                return pairs(x, vals)
+            def counting(x, vals, *norms, pairs=pairs):
+                # a block of one broadcasts its query: count the centers
+                scored.append(len(vals))
+                return pairs(x, vals, *norms)
 
             monkeypatch.setitem(_KERNELS, metric, counting)
             mean = {}
@@ -754,9 +755,10 @@ class TestScaling:
             pairs = _KERNELS[metric]
             scored = []
 
-            def counting(x, vals, pairs=pairs):
-                scored.append(len(x))
-                return pairs(x, vals)
+            def counting(x, vals, *norms, pairs=pairs):
+                # a block of one broadcasts its query: count the centers
+                scored.append(len(vals))
+                return pairs(x, vals, *norms)
 
             monkeypatch.setitem(_KERNELS, metric, counting)
             nearest_centers(queries, s, 4, metric)
@@ -768,7 +770,8 @@ class TestScaling:
             for e in queries:
                 nearest_centers([e], s, 4, metric)
             single = sum(scored) / len(queries)
-            assert single <= 20 * 4 * s.dim, (metric, single)
+            # a single-query path that skipped the kernels would read 0
+            assert 0 < single <= 20 * 4 * s.dim, (metric, single)
             assert single < 0.05 * len(s), (metric, single)
 
     def test_sparse_orbit_is_not_combed(self, monkeypatch):
