@@ -305,6 +305,75 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, partial,
     return np.concatenate(spans, axis=1), kids, keys, key_sq, depth
 
 
+def _orbit_rows(nums: np.ndarray):
+    """The rows of a center table over the numerator rows ``nums``: the free
+    coordinates, each center's tie rank by sequence index, the members row
+    by row with each row's end and size, which rows' orbits are large, and
+    the partial rows' first members.  One stable sort of the rows' exact
+    ``_pack_rows`` keys, bytes inverted so that they sort descending-lex
+    (near-linear on the level blocks' runs), is the tie order and gives the
+    first occurrences, among which a lookup of each center's dominant
+    member names its orbit.  Its temporaries, several times the
+    numerators' size, are freed on return."""
+    n = len(nums)
+    # the free coordinates, most of them shown by a few spread rows
+    vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
+    vary[~vary] = (nums[:, ~vary] != nums[:1, ~vary]).any(axis=0)
+    free = np.flatnonzero(vary)
+    # each center's dominant member, as columns
+    dominant = list(nums.T)
+    for j, column in zip(free, _sorted_columns([nums[:, j] for j in free])):
+        dominant[j] = column
+    # the entries' range: a dominant member's first free value is its
+    # largest, its last the smallest, and the others constant
+    low = high = 0
+    if n:
+        top = dominant[free[0]] if len(free) else nums[:1, 0]
+        bottom = dominant[free[-1]] if len(free) else top
+        low = min(int(bottom.min()), int(nums[0].min()))
+        high = max(int(top.max()), int(nums[0].max()))
+    # keys that sort descending-lex, so that a stable sort of them is the
+    # tie order, each run of equal keys in ascending sequence order
+    keys = _descending(_pack_rows(nums, low, high))
+    order = np.argsort(keys, kind="stable")
+    tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+    tie[order] = np.arange(n)
+    ranked = keys[order]
+    new = np.ones(n, dtype=np.bool_)
+    new[1:] = ranked[1:] != ranked[:-1]
+    start = np.flatnonzero(new)
+    distinct, first = ranked.take(start), order.take(start)
+    # each center's orbit, named by the key of its dominant member
+    orbit = _descending(_pack_columns(dominant, n, low, high))
+    is_dom = orbit[first] == distinct
+    heads, dom_keys = first[is_dom], distinct[is_dom]
+    # each center's orbit number: its dominant member's place among the
+    # present ones, or past them where that member is absent
+    at, m = dom_keys.searchsorted(orbit), len(heads)
+    found = (dom_keys.take(at, mode="clip") == orbit if m
+             else np.zeros(n, dtype=np.bool_))
+    lost = np.flatnonzero(~found)
+    _, head, at[lost] = np.unique(orbit[lost], return_index=True,
+                                  return_inverse=True)
+    at[lost] += m
+    heads = np.append(heads, lost[head])
+    # an orbit is whole when each of its members is present
+    size = _orbit_sizes(np.stack([column[heads] for column in dominant],
+                                 axis=1)[:, free])
+    whole = np.bincount(at[first], minlength=len(heads)) == size
+    rank = np.lexsort((heads, ~whole))
+    # each center's row, in the smallest dtype that holds it (a stable
+    # sort of labels of 16 bits or fewer is a radix sort)
+    kind = np.min_scalar_type(max(len(heads) - 1, 0))
+    row = np.argsort(rank).astype(kind)[at]
+    sizes = np.bincount(row, minlength=len(heads))
+    ends = sizes.cumsum()
+    members = np.argsort(row, kind="stable")
+    partial = members[(ends - sizes)[np.count_nonzero(whole):]]
+    large = (size[rank] > _LEAF).astype(bool)
+    return free, tie, members, ends, sizes, large, partial
+
+
 class CenterTable(NamedTuple):
     """The index of a center sequence that the nearest-center search runs on:
     one tree of nodes, each a run of the sequence indices ``members``.
@@ -331,14 +400,19 @@ class CenterTable(NamedTuple):
     ``lattice``, one (d,) row per node: its first member with the free
     values past its depth sorted ascending (a row's depth is 0).  Entry
     ``nodes``, the padding's, is NaN, so that no query keeps it; each
-    partial row's first member in the sequence follows it.  ``key_sq``
+    partial row's first member in the sequence follows it.  ``cols`` is
+    the rows' key centers again as a C-contiguous (d, rows) array, the
+    layout a product with a block of queries reads fastest.  ``key_sq``
     holds each entry's squared norm, one dot product of the entry with
     itself (a coset's is its row's), and ``norms`` its square root.
 
-    ``tie`` gives each center, by sequence index, its place in a full
-    scan's order of equal distances: descending-lex point, then sequence
-    index, in the smallest unsigned type that holds it.  ``zero`` is the
-    sequence index of the first zero center, or -1 when there is none.
+    ``points`` holds the centers in member order, ``members[i]``'s in row
+    i, as float64 values, the numerators over ``lattice``, so that every
+    node's members are one run of its rows.  ``tie`` gives each center, in
+    member order too, its place in a full scan's order of equal distances:
+    descending-lex point, then sequence index, in the smallest unsigned
+    type that holds it.  ``zero`` is the sequence index of the first zero
+    center, or -1 when there is none.
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
     """
@@ -349,8 +423,10 @@ class CenterTable(NamedTuple):
     kids: np.ndarray
     free: np.ndarray
     keys: np.ndarray
+    cols: np.ndarray
     key_sq: np.ndarray
     norms: np.ndarray
+    points: np.ndarray
     tie: np.ndarray
     zero: int
     lattice: float
@@ -388,7 +464,7 @@ class Scattering:
         self.centers = PointView(nums, levels_built)
         self.numerators = self.centers.numerators
         self._table = None
-        self._norms = None  # each center's norm, found by cosine search
+        self._norms = None  # the centers' norms in member order, on demand
 
     def __len__(self):
         return len(self.numerators)
@@ -415,85 +491,31 @@ class Scattering:
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
-        and cached.  One stable sort of the rows' exact ``_pack_rows`` keys,
-        bytes inverted so that they sort descending-lex (near-linear on the
-        level blocks' runs), is the tie order and gives the first
-        occurrences, among which a lookup of each center's dominant member
-        names its orbit; rows whose orbits are large are split into prefix
-        cosets (``_prefix_cosets``)."""
+        and cached: its orbits as rows (``_orbit_rows``), those whose orbits
+        are large split into prefix cosets (``_prefix_cosets``)."""
         if self._table is None:
             nums = self.numerators
-            n = len(nums)
-            # the free coordinates, most of them shown by a few spread rows
-            vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
-            vary[~vary] = (nums[:, ~vary] != nums[:1, ~vary]).any(axis=0)
-            free = np.flatnonzero(vary)
-            # each center's dominant member, as columns
-            dominant = list(nums.T)
-            for j, column in zip(free, _sorted_columns(
-                    [nums[:, j] for j in free])):
-                dominant[j] = column
-            # the entries' range: a dominant member's first free value is
-            # its largest, its last the smallest, and the others constant
-            low = high = 0
-            if n:
-                top = dominant[free[0]] if len(free) else nums[:1, 0]
-                bottom = dominant[free[-1]] if len(free) else top
-                low = min(int(bottom.min()), int(nums[0].min()))
-                high = max(int(top.max()), int(nums[0].max()))
-            # keys that sort descending-lex, so that a stable sort of them
-            # is the tie order, each run of equal keys in ascending
-            # sequence order
-            keys = _descending(_pack_rows(nums, low, high))
-            order = np.argsort(keys, kind="stable")
-            tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
-            tie[order] = np.arange(n)
-            ranked = keys[order]
-            new = np.ones(n, dtype=np.bool_)
-            new[1:] = ranked[1:] != ranked[:-1]
-            start = np.flatnonzero(new)
-            distinct, first = ranked.take(start), order.take(start)
-            # each center's orbit, named by the key of its dominant member
-            orbit = _descending(_pack_columns(dominant, n, low, high))
-            is_dom = orbit[first] == distinct
-            heads, dom_keys = first[is_dom], distinct[is_dom]
-            # each center's orbit number: its dominant member's place among
-            # the present ones, or past them where that member is absent
-            at, m = dom_keys.searchsorted(orbit), len(heads)
-            found = (dom_keys.take(at, mode="clip") == orbit if m
-                     else np.zeros(n, dtype=np.bool_))
-            lost = np.flatnonzero(~found)
-            _, head, at[lost] = np.unique(orbit[lost], return_index=True,
-                                          return_inverse=True)
-            at[lost] += m
-            heads = np.append(heads, lost[head])
-            # an orbit is whole when each of its members is present
-            size = _orbit_sizes(np.stack([column[heads] for column in dominant],
-                                         axis=1)[:, free])
-            whole = np.bincount(at[first], minlength=len(heads)) == size
-            rank = np.lexsort((heads, ~whole))
-            # each center's row, in the smallest dtype that holds it (a
-            # stable sort of labels of 16 bits or fewer is a radix sort)
-            kind = np.min_scalar_type(max(len(heads) - 1, 0))
-            row = np.argsort(rank).astype(kind)[at]
-            sizes = np.bincount(row, minlength=len(heads))
-            ends = sizes.cumsum()
-            members = np.argsort(row, kind="stable")
-            partial = members[(ends - sizes)[np.count_nonzero(whole):]]
+            free, tie, members, ends, sizes, large, partial = _orbit_rows(
+                nums)
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
             spans, kids, keys, key_sq, depth = _prefix_cosets(
-                nums, members, ends, sizes, (size[rank] > _LEAF).astype(bool),
-                free, tie, partial, lattice)
+                nums, members, ends, sizes, large, free, tie, partial,
+                lattice)
             norms = np.sqrt(key_sq)
             # a zero center is a whole orbit, so argmin finds its row
             rows = len(ends)
             zero = -1 if norms[:rows].all() else int(
                 members[(ends - sizes)[np.argmin(norms[:rows])]])
+            # the centers in member order, by the float steps the search
+            # scores with, so that each node's members are one run of rows
+            points = nums.take(members, axis=0).astype(np.float64)
+            points *= 1.0 / lattice
             self._table = CenterTable(
-                rows, members, spans, kids, free, keys, key_sq, norms, tie,
-                zero, lattice, float(np.fmax.reduce(norms, initial=0.0)),
-                depth)
+                rows, members, spans, kids, free, keys,
+                np.ascontiguousarray(keys[:rows].T), key_sq, norms, points,
+                tie.take(members), zero, lattice,
+                float(np.fmax.reduce(norms, initial=0.0)), depth)
         return self._table
 
     def is_complete(self) -> bool:

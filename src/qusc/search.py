@@ -18,8 +18,8 @@ similarity search with GPUs", over the table's rows):
    each query prepared as the keys take it: doubled for euclidean search,
    made a unit for cosine search, after a power-of-two rescaling that a
    block of one reads from Python scalars.  Each center's norm, which
-   cosine scoring divides by, is taken on the scattering's first cosine
-   search and kept;
+   cosine scoring divides by, is taken in member order on the scattering's
+   first cosine search and kept;
 2. the table's rows and their prefix cosets, the members that share their
    first t free coordinates, form one node tree, every node keyed one way:
    a depth-t node's key center, its first member with the free values past
@@ -29,25 +29,29 @@ similarity search with GPUs", over the table's rows):
    1 - <x, g> / |x| for cosine search, in the frame the ranking scores in.
    By the rearrangement inequality each is the node's exact lower key.
    Round 0 keys every row against every query of the chunk by one matrix
-   product;
+   product, with the rows' key centers as contiguous columns;
 3. each query's k-th upper key (a whole row's is its lower key) bounds its
    k-th distance, so every row whose lower key is within that bound,
-   widened past float rounding, is kept;
+   widened past float rounding, is kept.  A block of one takes its bound
+   and squared norm as Python floats, the same bits as 1-element arrays;
 4. where the kept rows hold more than ``_ROUND`` members, round t keys the
    children of the split nodes kept last round, one free coordinate
    deeper, by one dot product each, and keeps those within the same bound;
    a kept leaf, a node not split, leaves the frontier with its whole run of
    members.  The bound and the rounds are taken once per chunk;
-5. the kept leaves' members are scored exactly, every pair by one kernel
-   (``_KERNELS``), a cosine pair from norms taken once per query and per
-   center, and those under the bound are ranked as a full scan would rank
-   them, with one lexsort on three keys: the query, the distance and the
-   center's tie rank, its precomputed place in a full scan's order of
-   equal distances (descending-lex point, then sequence index); a block of
-   one, its query broadcast over its pairs, sorts on the last two only.
-   Only this step is split: while the members hold more than ``_BLOCK``
-   coordinates, the chunk's queries are halved together with their kept
-   members.  Numerator rows are gathered for the k hits only.
+5. the kept leaves' members, each leaf's one run of the table's centers
+   in member order (``points``), are scored exactly, every pair by one
+   kernel (``_KERNELS``), a cosine pair from norms taken once per query
+   and per center, and those under the bound are ranked as a full scan
+   would rank them, by their places in member order, with one lexsort on
+   three keys: the query, the distance and the center's tie rank, its
+   precomputed place in a full scan's order of equal distances
+   (descending-lex point, then sequence index); a block of one, its query
+   broadcast over its pairs, sorts on the last two only.  Only this step
+   is split: while the members hold more than ``_BLOCK`` coordinates, the
+   chunk's queries are halved together with their kept members.  Only the
+   k hits are mapped to sequence indices and their numerator rows
+   gathered.
 
 The candidate set provably contains the k nearest centers (ties included),
 so the ranking agrees with a full scan for every center sequence.  A single
@@ -153,7 +157,8 @@ _ROUND = 512
 def _widen(bound, sq, table, metric: str):
     """The k-th upper keys of queries whose squared norms are ``sq`` widened
     past float rounding (d coordinates, u = 2**-53) so that the nodes whose
-    lower keys lie within them hold all of a full scan's k nearest centers.
+    lower keys lie within them hold all of a full scan's k nearest centers:
+    arrays, or a block of one's Python floats, which give the same bits.
     Any node's lower key, a row's or a coset's, is the float distance of
     the best member its prefix and free values allow, whose exact distance
     is its member set's least, and an upper key a present member's: the
@@ -326,9 +331,8 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         # ordinary queries bit for bit unchanged and keeps the squares of
         # tiny queries from underflowing
         frame = np.ldexp(q, exp)
-        if s._norms is None:  # each center's, found once, on first use
-            vals = s.numerators * (1.0 / table.lattice)
-            s._norms = np.sqrt(_colsum(np.square(vals, out=vals)))
+        if s._norms is None:  # each center's, in member order, found once
+            s._norms = np.sqrt(_colsum(np.square(table.points)))
     # each query's squared norm in the frame, which sorting leaves alone
     sq = np.vecdot(frame, frame)
     rows, nodes, free = table.rows, len(table.kids), table.free.tolist()
@@ -342,8 +346,8 @@ def nearest_centers(queries, s: Scattering, k: int = 1,
         by = 0.5 if metric == EUCLIDEAN else np.sqrt(g2)
         # each row's lower key against the queries laid out as its key
         # center, and a partial row's upper key against the queries as given
-        lo = hi = _keys(_sorted_past(g / by, free, 0) @ table.keys[:rows].T,
-                        g2, table, slice(rows), metric)
+        lo = hi = _keys(_sorted_past(g / by, free, 0) @ table.cols, g2,
+                        table, slice(rows), metric)
         if partial:
             tail = slice(nodes + 1, None)
             hi = np.concatenate((lo[:, :rows - partial], _keys(
@@ -376,15 +380,20 @@ def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
         kth = kth[:, k - 1]
     else:
         kth = np.full(len(lo), math.inf)
-    bound = _widen(kth, sq, table, metric)
     # round 0: the (query, row) pairs within the bound, a flat nonzero being
     # several times cheaper than a two-dimensional one
     c, rows = lo.shape
     if c > 1:
+        bound = _widen(kth, sq, table, metric)
         qi, node = np.divmod((lo <= bound[:, None]).ravel().nonzero()[0],
                              np.intp(rows))
-    else:  # a block of one carries no query numbers through the rounds
-        node = (lo[0] <= bound[0]).nonzero()[0]
+    else:
+        # a block of one carries no query numbers through the rounds, and
+        # its bound and squared norm are Python floats: IEEE doubles, so
+        # the same bits as 1-element arrays, at a fraction of their calls
+        sq = float(sq[0])
+        bound = _widen(float(kth[0]), sq, table, metric)
+        node = (lo[0] <= bound).nonzero()[0]
     # each node's end in members and its size (indexed: unpacking an array
     # iterates over it)
     span = table.spans.take(node, axis=1)
@@ -398,7 +407,7 @@ def _expand(s, table, lo, hi, q, frame, by, sq, k, metric):
         # _sorted_past reads faster
         nodes = np.intp(len(table.kids))
         # a block of one broadcasts its query's norm and bound over the pairs
-        gsq, b = (sq, bound) if c > 1 else (sq[0], bound[0])
+        gsq, b = sq, bound
         leaves_q, leaves_n = [], []
         for t in range(1, table.depth + 1):
             # a kept leaf leaves the frontier: its kids are all padding
@@ -446,12 +455,11 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
                 + _rank(q[h:], s, qi[cut:] - h, ends[cut:], sizes[cut:],
                         at[cut:] - at[cut - 1], table, frame[h:], sq[h:],
                         bound[h:], k, metric))
-    # one (query, center) pair for each member of each span
+    # one (query, center) pair for each member of each span, by its place
+    # in member order: its center is row pos of the points
     pos = (ends - at).repeat(sizes)
     pos += np.arange(len(pos))
-    cand = table.members.take(pos)
-    vals = s.numerators.take(cand, axis=0).astype(np.float64)
-    vals *= 1.0 / table.lattice
+    vals = table.points.take(pos, axis=0)
     # every query keeps at least kk centers, or the bound is wrong and its
     # top kk would run into the next query's centers
     kk, level = min(k, len(table.tie)), s.levels_built
@@ -461,16 +469,17 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
             xn = 0.0
             for v in frame[0].tolist():
                 xn += v * v
-            norms = math.sqrt(xn), s._norms.take(cand)
+            norms = math.sqrt(xn), s._norms.take(pos)
         dist = _KERNELS[metric](frame, vals, *norms)
-        near = (dist <= bound[0]).nonzero()[0]
+        # a Python float, or a 1-element array where a block was halved
+        near = (dist <= bound).nonzero()[0]
         if len(near) < kk:
             raise RuntimeError(f"search bound too tight: query {q[0].tolist()} "
                                f"kept {len(near)} centers, fewer than {kk}")
-        cand, dist = cand.take(near), dist.take(near)
+        pos, dist = pos.take(near), dist.take(near)
         # a full scan's order: distance, then the tie rank
-        top = np.lexsort((table.tie.take(cand), dist))[:kk]
-        hits, hit_dist = cand.take(top), dist.take(top)
+        top = np.lexsort((table.tie.take(pos), dist))[:kk]
+        hits, hit_dist = table.members.take(pos.take(top)), dist.take(top)
         examined = int(np.count_nonzero(dist <= hit_dist[-1]))
         if metric == EUCLIDEAN:
             np.sqrt(hit_dist, out=hit_dist)
@@ -480,20 +489,20 @@ def _rank(q, s, qi, ends, sizes, at, table, frame, sq, bound, k, metric):
     pq = qi.repeat(sizes)
     norms = ()
     if metric == COSINE:
-        norms = np.sqrt(_colsum(frame * frame)).take(pq), s._norms.take(cand)
+        norms = np.sqrt(_colsum(frame * frame)).take(pq), s._norms.take(pos)
     dist = _KERNELS[metric](frame.take(pq, axis=0), vals, *norms)
     near = (dist <= bound.take(pq)).nonzero()[0]
-    pq, cand, dist = pq.take(near), cand.take(near), dist.take(near)
+    pq, pos, dist = pq.take(near), pos.take(near), dist.take(near)
     kept = np.bincount(pq, minlength=c).tolist()
     if min(kept) < kk:
         r = kept.index(min(kept))
         raise RuntimeError(f"search bound too tight: query {q[r].tolist()} "
                            f"kept {kept[r]} centers, fewer than {kk}")
     # a full scan's order: distance, then the tie rank; pq is sorted
-    order = np.lexsort((table.tie.take(cand), dist, pq))
+    order = np.lexsort((table.tie.take(pos), dist, pq))
     top = order.take(np.add.outer(pq.searchsorted(np.arange(c)),
                                   np.arange(kk)))
-    hits, hit_dist = cand.take(top), dist.take(top)
+    hits, hit_dist = table.members.take(pos.take(top)), dist.take(top)
     examined = np.bincount(pq[dist <= hit_dist[:, -1].take(pq)], minlength=c)
     if metric == EUCLIDEAN:
         np.sqrt(hit_dist, out=hit_dist)

@@ -228,6 +228,28 @@ def test_widen_mutants_are_caught(diagrams, monkeypatch, name):
     assert_mutant_caught(runs)
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_widen_on_floats_is_widen_on_arrays(scatterings, metric):
+    """A block of one widens its bound in Python floats: IEEE doubles, so
+    bit for bit the bound 1-element arrays give, at a zero, subnormal or
+    huge squared norm and a zero, finite or infinite k-th key, and at
+    random ones whose widening terms round against the key."""
+    rng = np.random.default_rng(35)
+    for s in (scatterings[(3, 2, 1), 2], scatterings[(2, 2, 1, 1), 1]):
+        table = s.dominant_table()
+        pairs = list(itertools.product(
+            (0.0, 5e-324, 2.5e-310, 1.0, 3.7, 1e300, 1.7e300),
+            (0.0, 5e-324, 0.25, 2.0, 1e300, math.inf)))
+        for _ in range(200):
+            sq = 10.0 ** rng.uniform(-3, 3)
+            pairs.append((sq, (sq + table.radius ** 2) * rng.uniform(0, 1e-12)))
+        for sq, bound in pairs:
+            got = _widen(bound, sq, table, metric)
+            want = _widen(np.array([bound]), np.array([sq]), table, metric)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (sq, bound)
+
+
 def test_partial_upper_key_mutant_is_caught(diagrams, monkeypatch):
     """A partial row's lower key may be the distance of an absent member, so
     the k-th bound is taken over upper keys: with partial rows keyed from
@@ -416,6 +438,28 @@ class TestCosine:
         res = cosine_nearest((10.0, 5.0, 5.0, 0.0), s, 1)
         assert res.points[0].numerators == (2, 1, 1, 0)
         assert res.distances[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [("cosine", "euclidean"),
+                                       ("euclidean", "cosine")])
+    def test_two_metrics_on_one_scattering(self, diagrams, order):
+        """One scattering serves both metrics in either order, each as a
+        full scan answers; the centers' norms, in member order, are taken
+        on its first cosine search and never again."""
+        s = build_scattering(diagrams[(3, 2, 1)], 3)
+        queries = stream_queries(random.Random(49), s, 10)
+        norms = None
+        for metric in order + order:
+            for e in queries:
+                for k in (1, 4):
+                    assert nearest_center(e, s, k, metric) == \
+                        brute_nearest(e, s, k, metric), (metric, e, k)
+            if norms is None and metric == "euclidean":
+                assert s._norms is None
+            norms = s._norms if norms is None else norms
+            assert s._norms is norms
+        points = s.dominant_table().points
+        want = np.sqrt(np.add.accumulate(np.square(points), axis=1)[:, -1])
+        assert norms.tobytes() == want.tobytes()
 
     @staticmethod
     def assert_matches(e, s, k):
@@ -1076,7 +1120,9 @@ def assert_table_matches_reference(s):
         exact = sum(Fraction(v) ** 2 for v in key)
         assert abs(Fraction(sq) - exact) <= Fraction(len(key), 2 ** 53) * exact
     assert np.array_equal(t.norms, np.sqrt(t.key_sq), equal_nan=True)
-    assert t.tie.tolist() == reference_tie(rows)
+    # the tie ranks, as the points, in member order
+    tie = reference_tie(rows)
+    assert t.tie.tolist() == [tie[i] for i in t.members.tolist()]
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1, :t.rows].tolist() == list(map(len, groups))
     assert t.zero == next((i for i, r in enumerate(rows) if not any(r)), -1)
@@ -1225,6 +1271,26 @@ class TestCenterTable:
                             (t.norms[keyed] * t.lattice, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
+
+    @pytest.mark.parametrize("kind", ["complete", "cut", "embedded",
+                                      "duplicated", "d9"])
+    def test_member_order_arrays(self, diagrams, scatterings, kind):
+        """``points`` holds the centers in member order by the float steps
+        the search scores with, ``cols`` the rows' key centers as a
+        C-contiguous (d, rows) array, and ``tie`` the tie ranks in member
+        order."""
+        s = build_scattering(YoungDiagram.from_rows((2, 1, 1, 1, 1, 1, 1, 1)),
+                             2) if kind == "d9" else \
+            self.sequences(diagrams, scatterings)[kind]
+        t = s.dominant_table()
+        points = s.numerators.take(t.members, axis=0).astype(np.float64)
+        points = points * (1 / t.lattice)
+        assert t.points.shape == points.shape == (len(s), s.dim)
+        assert t.points.tobytes() == points.tobytes()
+        assert t.cols.shape == (s.dim, t.rows) and t.cols.flags.c_contiguous
+        assert np.array_equal(t.cols, t.keys[:t.rows].T)
+        tie = np.array(reference_tie(s.numerators.tolist()))
+        assert np.array_equal(t.tie, tie.take(t.members))
 
     # entries small, wide (two per key word), and near +-2**62 or at the
     # int64 extremes (one per word); all but "wide" include negative ones
@@ -1466,6 +1532,39 @@ class TestBlockSearch:
             assert (res.indices, res.distances) == (ref.indices,
                                                     ref.distances), e
         assert rounds == []
+
+    # (3,2,1) L5 has no cosets, so no chunk of it is refined
+    @pytest.mark.parametrize("rows,levels,refined", [((3, 2, 1), 5, False),
+                                                     ((2, 2, 1, 1), 4, True),
+                                                     ((2, 2, 1, 1), 4, False)])
+    def test_block_of_one_scores_as_in_a_block(self, monkeypatch, rows,
+                                               levels, refined):
+        """A block of one keeps, under its bound in Python floats, the pairs
+        the same query keeps in a block under its row of the bound array:
+        the pair kernel scores as many pairs for 300 blocks of one as for
+        the 300-query block, with the same answers.  Whether a chunk is
+        refined rests on its kept members, all its queries', so _ROUND is
+        set so that every chunk with cosets is refined, or none is."""
+        s = build_scattering(YoungDiagram.from_rows(rows), levels)
+        monkeypatch.setattr("qusc.search._ROUND", 0 if refined else sys.maxsize)
+        queries = stream_queries(random.Random(48), s, 300)
+        for metric in ("euclidean", "cosine"):
+            pairs, scored = _KERNELS[metric], []
+
+            def counting(x, vals, *norms, pairs=pairs):
+                scored.append(len(vals))
+                return pairs(x, vals, *norms)
+
+            monkeypatch.setitem(_KERNELS, metric, counting)
+            for k in (1, 4, 16):
+                scored.clear()
+                block = nearest_centers(queries, s, k, metric)
+                in_block = sum(scored)
+                scored.clear()
+                single = [nearest_centers([e], s, k, metric)[0]
+                          for e in queries]
+                assert sum(scored) == in_block > 0, (metric, k)
+                assert single == block, (metric, k)
 
     def test_memory_stays_chunked(self, diagrams):
         # an unchunked (2000, 1329) key matrix alone would take 21 MB
