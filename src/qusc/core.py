@@ -12,6 +12,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,16 +31,17 @@ def check_metric(kind: str) -> str:
     return kind
 
 
-def check_int(value, name: str, low: int = 0) -> int:
-    """value as an int of at least ``low``: any integer but a bool, numpy's
-    too, or a ValueError that names the argument."""
+def check_int(value, name: str, low: int | None = 0) -> int:
+    """value as an int of at least ``low`` (of any value where ``low`` is
+    None): any integer but a bool, numpy's too, or a ValueError that names
+    the argument."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
@@ -56,7 +58,7 @@ class YoungDiagram:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(check_int(r, "row length", None) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) < 2:
             raise ValueError("diagram needs at least two rows (incl. trailing zero)")
@@ -64,8 +66,6 @@ class YoungDiagram:
             raise ValueError(f"negative row length in {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise ValueError(f"rows must be weakly decreasing, got {rows}")
-        if rows[0] < 1:
-            raise ValueError("first row must contain at least one box")
         if len(set(rows)) == 1:
             raise ValueError(f"degenerate diagram {rows}: all rows equal")
 
@@ -76,7 +76,7 @@ class YoungDiagram:
         ``from_rows((2, 1, 1))`` is the rank-3 diagram with weight vector
         (2, 1, 1, 0).  A trailing zero that is already present is kept as is.
         """
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(check_int(r, "row length", None) for r in rows)
         if rows and rows[-1] > 0:
             rows = rows + (0,)
         return cls(rows)
@@ -98,8 +98,7 @@ class YoungDiagram:
 
     def scaled(self, factor: int) -> "YoungDiagram":
         """The diagram with every column repeated ``factor`` times."""
-        if factor < 1:
-            raise ValueError("scale factor must be >= 1")
+        factor = check_int(factor, "scale factor", 1)
         return YoungDiagram(tuple(r * factor for r in self.rows))
 
     def __str__(self):
@@ -148,14 +147,8 @@ class ScaledPoint:
 
     def exact_strings(self) -> tuple[str, ...]:
         """Per-coordinate reduced "num/2^k" strings, e.g. "3/2" or "1"."""
-        out = []
-        for v in self.numerators:
-            num, lev = v, self.level
-            while lev > 0 and num % 2 == 0:
-                num //= 2
-                lev -= 1
-            out.append(str(num) if lev == 0 else f"{num}/{1 << lev}")
-        return tuple(out)
+        return tuple(str(Fraction(v, 1 << self.level))
+                     for v in self.numerators)
 
     def __str__(self):
         return "(" + ",".join(self.exact_strings()) + ")"

@@ -218,58 +218,44 @@ def canonical_levels(numerators: np.ndarray, level: int) -> np.ndarray:
     return level - np.where(low == 0, level, np.minimum(twos, level))
 
 
-# A row whose orbit has more members than this is split into prefix
-# cosets; no orbit of four coordinates or fewer has (4! = 24).  A node is
-# split only where it holds more than _LEAF members and none of its
-# children more than _SHARE of them, so that each split shrinks every path
+# A node, row or coset, that holds more members than this (no orbit of
+# four coordinates or fewer has more distinct ones, 4! = 24) is split into
+# the prefix cosets one free coordinate deeper, unless one of them would
+# hold more than _SHARE of its members.  So each split shrinks every path
 # by a quarter: an orbit with one value at most places, as (2,1,1,0,...,0)
 # in many dimensions, would otherwise split off a member or two per free
-# coordinate, one search round each
+# coordinate, and a run of equal centers, one coset's whole, never splits
 _LEAF = 24
 _SHARE = 0.75
 
 
-def _prefix_cosets(nums, members, ends, sizes, large, free, tie, partial,
-                   lattice):
-    """The node tree of a center table whose rows' orbits are ``large`` or
-    not: the nodes' spans, ``kids``, ``keys`` and ``key_sq`` and the tree's
-    ``depth``, as ``CenterTable`` holds them, with the centers ``partial``
-    keyed last.  The large rows' members are put in ``tie`` order in
-    ``members`` itself; a sequence that lists each orbit descending-lex, as
-    a built, cut or embedded one does, is in that order already."""
+def _prefix_cosets(nums, members, ends, sizes, free, partial, lattice):
+    """The node tree of a center table whose rows list their ``members``
+    in tie order: the nodes' spans, ``kids``, ``keys`` and ``key_sq`` and
+    the tree's ``depth``, as ``CenterTable`` holds them, with the centers
+    ``partial`` keyed last."""
     m, d = len(free), nums.shape[1]
     rows, starts = len(ends), ends - sizes
-    if large.any():
-        rank = tie.take(members)
-        down = rank[1:] < rank[:-1]
-        down[starts[1:] - 1] = False
-        if down.any():
-            # the large rows' members, each row a run of them
-            at = sizes[large].cumsum()
-            pos = (ends[large] - at).repeat(sizes[large])
-            pos += np.arange(at[-1])
-            members[pos] = members.take(pos).take(np.lexsort(
-                (rank.take(pos), np.arange(len(at)).repeat(sizes[large]))))
     # depth by depth, the runs of members that share their first t free
     # values: a run at depth t starts where one at depth t - 1 does or the
     # t-th free value changes, and is a coset when its parent run is split
     new = np.zeros(len(members), dtype=np.bool_)
     new[starts] = True
-    runs, node, row, open_ = starts, np.arange(rows), np.arange(rows), large
+    runs, node, row = starts, np.arange(rows), np.arange(rows)
+    open_ = sizes > _LEAF
     # each node's key center: its first member with the free values past
     # its depth sorted ascending
     spans, keys, row_of = [np.stack((ends, sizes))], [_sorted_past(
         nums.take(members.take(starts), axis=0), free, 0)], [row]
     empty = np.zeros(0, dtype=np.intp)
     kid_of, kid_slot, total = [empty], [empty], rows
-    # only a large row is split, so without one the tree is its rows
-    for t in range(1, m if large.any() else 1):
+    # without a row of more than _LEAF members the tree is its rows
+    for t in range(1, m if open_.any() else 1):
         value = nums[:, free[t - 1]].take(members)
         new[1:] |= value[1:] != value[:-1]
         first = np.flatnonzero(new)
         parent = np.searchsorted(runs, first, side="right") - 1
-        # a run is split where it holds more than _LEAF members and none of
-        # its children holds more than _SHARE of them
+        # a run is split by the one rule of _LEAF and _SHARE
         size = np.diff(first, append=len(members))
         held = np.diff(runs, append=len(members))
         open_ = open_ & (held > _LEAF) & (np.maximum.reduceat(
@@ -307,14 +293,14 @@ def _prefix_cosets(nums, members, ends, sizes, large, free, tie, partial,
 
 def _orbit_rows(nums: np.ndarray):
     """The rows of a center table over the numerator rows ``nums``: the free
-    coordinates, each center's tie rank by sequence index, the members row
-    by row with each row's end and size, which rows' orbits are large, and
-    the partial rows' first members.  One stable sort of the rows' exact
-    ``_pack_rows`` keys, bytes inverted so that they sort descending-lex
-    (near-linear on the level blocks' runs), is the tie order and gives the
-    first occurrences, among which a lookup of each center's dominant
-    member names its orbit.  Its temporaries, several times the
-    numerators' size, are freed on return."""
+    coordinates, the members' tie ranks, the members row by row in tie
+    order, each row's end and size, and the partial rows' first members.
+    One stable sort of the rows' exact ``_pack_rows`` keys, bytes inverted
+    so that they sort descending-lex (near-linear on the level blocks'
+    runs), is the tie order; its first occurrences, among which a lookup of
+    each center's dominant member names its orbit, give the row labels, and
+    a stable sort of them in tie order the rows.  Its temporaries, several
+    times the numerators' size, are freed on return."""
     n = len(nums)
     # the free coordinates, most of them shown by a few spread rows
     vary = (nums[::max(n >> 6, 1)] != nums[:1]).any(axis=0)
@@ -336,8 +322,6 @@ def _orbit_rows(nums: np.ndarray):
     # tie order, each run of equal keys in ascending sequence order
     keys = _descending(_pack_rows(nums, low, high))
     order = np.argsort(keys, kind="stable")
-    tie = np.empty(n, dtype=np.min_scalar_type(max(n - 1, 0)))
-    tie[order] = np.arange(n)
     ranked = keys[order]
     new = np.ones(n, dtype=np.bool_)
     new[1:] = ranked[1:] != ranked[:-1]
@@ -368,10 +352,12 @@ def _orbit_rows(nums: np.ndarray):
     row = np.argsort(rank).astype(kind)[at]
     sizes = np.bincount(row, minlength=len(heads))
     ends = sizes.cumsum()
-    members = np.argsort(row, kind="stable")
+    # the members' places in the tie order, row by row, are their tie ranks
+    tie = np.argsort(row.take(order), kind="stable")
+    members = order.take(tie)
     partial = members[(ends - sizes)[np.count_nonzero(whole):]]
-    large = (size[rank] > _LEAF).astype(bool)
-    return free, tie, members, ends, sizes, large, partial
+    return (free, tie.astype(np.min_scalar_type(max(n - 1, 0))), members,
+            ends, sizes, partial)
 
 
 class CenterTable(NamedTuple):
@@ -382,25 +368,23 @@ class CenterTable(NamedTuple):
     repeats included, that permute one another's coordinates ``free``,
     those that vary along the sequence.  Whole orbits come first, then
     partial ones, each in the sequence order of their dominant members (of
-    their first where that is absent).  A row lists its members in
-    ascending order, or in ``tie`` order where its orbit has more than
-    ``_LEAF`` members (the same order for a sequence that lists each orbit
-    descending-lex).  Such a row, and each of its prefix cosets, is split
-    into the cosets one free coordinate deeper, those of its members that
-    share their first t free coordinates, where it holds more than
-    ``_LEAF`` members and none of its children more than ``_SHARE`` of
-    them, ``depth`` times at most.  The cosets follow the rows, depth by
-    depth.  The (2, nodes) array ``spans`` holds each node's run,
-    ``members[end - size:end]``, as its ``end`` over its ``size``; a split
-    node's run is its children's runs in turn.  ``kids`` (nodes, width)
-    names each node's children, padded with the number ``nodes``: a leaf,
-    a node not split, has only padding.
+    their first where that is absent).  A row lists its members in tie
+    order, descending-lex point, then sequence index.  Every node, row or
+    prefix coset, is split into the cosets one free coordinate deeper,
+    those of its members that share their first t free coordinates, where
+    it holds more than ``_LEAF`` members and none of its children more
+    than ``_SHARE`` of them, ``depth`` times at most.  The cosets follow
+    the rows, depth by depth.  The (2, nodes) array ``spans`` holds each
+    node's run, ``members[end - size:end]``, as its ``end`` over its
+    ``size``; a split node's run is its children's runs in turn.  ``kids``
+    (nodes, width) names each node's children, padded with the number
+    ``nodes``: a leaf, a node not split, has only padding.
 
     ``keys`` holds the key centers as float64 values, the numerators over
     ``lattice``, one (d,) row per node: its first member with the free
     values past its depth sorted ascending (a row's depth is 0).  Entry
     ``nodes``, the padding's, is NaN, so that no query keeps it; each
-    partial row's first member in the sequence follows it.  ``cols`` is
+    partial row's first member, its lex-greatest, follows it.  ``cols`` is
     the rows' key centers again as a C-contiguous (d, rows) array, the
     layout a product with a block of queries reads fastest.  ``key_sq``
     holds each entry's squared norm, one dot product of the entry with
@@ -409,10 +393,10 @@ class CenterTable(NamedTuple):
     ``points`` holds the centers in member order, ``members[i]``'s in row
     i, as float64 values, the numerators over ``lattice``, so that every
     node's members are one run of its rows.  ``tie`` gives each center, in
-    member order too, its place in a full scan's order of equal distances:
-    descending-lex point, then sequence index, in the smallest unsigned
-    type that holds it.  ``zero`` is the sequence index of the first zero
-    center, or -1 when there is none.
+    member order too, its place in the tie order, a full scan's order of
+    equal distances, in the smallest unsigned type that holds it; it
+    increases along each row.  ``zero`` is the sequence index of the first
+    zero center, or -1 when there is none.
     ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
     largest key norm, which bounds every center's norm.
     """
@@ -453,9 +437,19 @@ class Scattering:
 
     def __init__(self, diagram: YoungDiagram, levels_built: int, numerators):
         levels_built = check_int(levels_built, "levels_built")
-        nums = np.asarray(numerators, dtype=np.int64)
+        nums = np.asarray(numerators)
+        if nums.dtype.kind not in "iu" and nums.size:
+            # entry by entry: a list with an int past int64 reads as floats
+            # or objects, and a float, bool or string is refused, not cast
+            nums = np.array([check_int(v, "numerator", None) for v in
+                             np.array(numerators, dtype=object).flat],
+                            dtype=object).reshape(nums.shape)
+        if nums.dtype != np.int64 and nums.size:
+            if not -_INT64_MAX - 1 <= nums.min() <= nums.max() <= _INT64_MAX:
+                raise ValueError("numerators overflow int64")
+            nums = nums.astype(np.int64)
         if nums.size == 0:
-            nums = nums.reshape(0, diagram.dim)
+            nums = np.zeros((0, diagram.dim), dtype=np.int64)
         if nums.ndim != 2 or nums.shape[1] != diagram.dim:
             raise ValueError(f"numerators of shape {nums.shape} do not hold "
                              f"{diagram.dim}-coordinate rows")
@@ -491,17 +485,15 @@ class Scattering:
 
     def dominant_table(self) -> CenterTable:
         """The search's index of this sequence, built on the first query
-        and cached: its orbits as rows (``_orbit_rows``), those whose orbits
-        are large split into prefix cosets (``_prefix_cosets``)."""
+        and cached: its orbits as rows in tie order (``_orbit_rows``), split
+        into prefix cosets as ``_LEAF`` says (``_prefix_cosets``)."""
         if self._table is None:
             nums = self.numerators
-            free, tie, members, ends, sizes, large, partial = _orbit_rows(
-                nums)
+            free, tie, members, ends, sizes, partial = _orbit_rows(nums)
             # the search's frame: a power-of-two division, so exact
             lattice = float(1 << self.levels_built)
             spans, kids, keys, key_sq, depth = _prefix_cosets(
-                nums, members, ends, sizes, large, free, tie, partial,
-                lattice)
+                nums, members, ends, sizes, free, partial, lattice)
             norms = np.sqrt(key_sq)
             # a zero center is a whole orbit, so argmin finds its row
             rows = len(ends)
@@ -514,7 +506,7 @@ class Scattering:
             self._table = CenterTable(
                 rows, members, spans, kids, free, keys,
                 np.ascontiguousarray(keys[:rows].T), key_sq, norms, points,
-                tie.take(members), zero, lattice,
+                tie, zero, lattice,
                 float(np.fmax.reduce(norms, initial=0.0)), depth)
         return self._table
 

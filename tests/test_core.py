@@ -34,6 +34,34 @@ class TestYoungDiagram:
 
     def test_scaled(self):
         assert YoungDiagram.from_rows((2, 1, 1)).scaled(4).rows == (8, 4, 4, 0)
+        with pytest.raises(ValueError, match="^scale factor must be >= 1"):
+            YoungDiagram.from_rows((2, 1)).scaled(0)
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "3", None])
+    def test_rows_and_factor_refuse_non_integers(self, bad):
+        for make in (lambda: YoungDiagram((bad, 1, 0)),
+                     lambda: YoungDiagram.from_rows((bad, 1))):
+            with pytest.raises(ValueError,
+                               match="^row length must be an integer, got "):
+                make()
+        with pytest.raises(ValueError,
+                           match="^scale factor must be an integer, got "):
+            YoungDiagram.from_rows((2, 1)).scaled(bad)
+
+    def test_rows_take_numpy_integers(self):
+        lam = YoungDiagram((np.int64(3), np.uint8(1), np.int32(0)))
+        assert lam.rows == (3, 1, 0) and all(type(r) is int for r in lam.rows)
+        assert YoungDiagram.from_rows(np.array([2, 1])).rows == (2, 1, 0)
+        assert lam.scaled(np.int16(2)).rows == (6, 2, 0)
+
+    @pytest.mark.parametrize("rows, message", [
+        ((2, -1), r"^negative row length in \(2, -1\)$"),
+        ((1, 2), r"^rows must be weakly decreasing, got \(1, 2\)$"),
+        ((2, 2), r"^degenerate diagram \(2, 2\): all rows equal$"),
+        ((0, 0), r"^degenerate diagram \(0, 0\): all rows equal$")])
+    def test_invalid_rows_name_the_fault(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            YoungDiagram(rows)
 
 
 class TestScaledPoint:

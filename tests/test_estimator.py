@@ -69,6 +69,12 @@ class TestScatteringNeighbors:
         _, idx = est.kneighbors([[4.0, 2.0, 2.0, 0.0]], n_neighbors=1)
         assert est.scattering_.centers[idx[0, 0]].numerators == (2, 1, 1, 0)
 
+    @pytest.mark.parametrize("rows", [(2.9, 1.5), (2, 1.0), ("2", 1),
+                                      (True, 1)])
+    def test_fit_refuses_non_integer_rows(self, rows):
+        with pytest.raises(ValueError, match="^row length must be an integer"):
+            ScatteringNeighbors(lambda_rows=rows).fit()
+
     def test_get_set_params(self):
         est = ScatteringNeighbors()
         params = est.get_params()

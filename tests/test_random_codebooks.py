@@ -91,11 +91,12 @@ def assert_node_tree(t, nums):
     partition the members; a split node's run is its children's runs in
     turn, its children numbered after it, each a child of no other node,
     and a node splits into at least two; a leaf's kids are all padding;
-    and the depth is 0 exactly when there is no coset node.  Each node's
-    key center is its first member with the free values past its depth
-    sorted ascending, and a coset's squared norm is its row's; the
-    padding's entry is NaN, and the partial rows' first members in the
-    sequence follow it."""
+    and the depth is 0 exactly when there is no coset node.  Each row
+    lists its members in tie order, so ``tie`` increases along it.  Each
+    node's key center is its first member with the free values past its
+    depth sorted ascending, and a coset's squared norm is its row's; the
+    padding's entry is NaN, and the partial rows' first members in tie
+    order, their lex-greatest, follow it."""
     nodes, n = len(t.kids), len(t.members)
     ends, sizes = t.spans.tolist()
     starts = [e - z for e, z in zip(ends, sizes)]
@@ -104,6 +105,8 @@ def assert_node_tree(t, nums):
     assert ends[t.rows - 1:t.rows] == [n][:t.rows]
     assert t.spans.shape == (2, nodes) and min(sizes, default=1) > 0
     assert (t.depth == 0) == (nodes == t.rows)
+    for a, b in zip(starts[:t.rows], ends):
+        assert (t.tie[a + 1:b] > t.tie[a:b - 1]).all()
     partial = len(t.keys) - nodes - 1
     assert len(t.key_sq) == len(t.norms) == len(t.keys)
     assert 0 <= partial <= t.rows
@@ -128,7 +131,8 @@ def assert_node_tree(t, nums):
         assert t.keys[node].tolist() == (center / t.lattice).tolist()
         assert t.key_sq[node] == t.key_sq[row_of[node]]
     assert np.isnan(t.keys[nodes]).all() and np.isnan(t.key_sq[nodes])
-    firsts = [min(t.members[starts[r]:ends[r]].tolist())
+    firsts = [min(t.members[starts[r]:ends[r]].tolist(),
+                  key=lambda i: ([-v for v in nums[i].tolist()], i))
               for r in range(t.rows - partial, t.rows)]
     assert t.keys[nodes + 1:].tolist() == (nums[firsts] / t.lattice).tolist()
 
@@ -147,18 +151,9 @@ def random_queries(rng, s, count):
     return out
 
 
-@pytest.mark.parametrize("seed", range(105))
-def test_random_codebook_matches_brute(seed):
-    rng = np.random.default_rng(seed)
-    shape = SHAPES[seed % len(SHAPES)]
-    s = random_codebook(rng, shape)
-    queries = random_queries(rng, s, 6)
-    table = s.dominant_table()
-    assert_node_tree(table, s.numerators)
-    # on a table with cosets, k = rows keeps a finite bound, which refines
-    # the chunk where its rows hold more than _ROUND members, and one more
-    # an infinite one, which scores every member unrefined
-    ks = KS + (table.rows, table.rows + 1) * (table.depth > 0)
+def assert_matches_brute(s, queries, ks):
+    """Every query's answer at each k is the full scan's, and a block of one
+    answers as the block, for both metrics."""
     for metric in ("euclidean", "cosine"):
         if metric == "cosine":  # a zero query has no cosine distance
             queries = [e for e in queries if any(e)]
@@ -172,12 +167,26 @@ def test_random_codebook_matches_brute(seed):
             for e, res, ref in zip(queries, got, refs):
                 assert (res.indices, res.distances, res.points) == (
                     ref.indices[:k], ref.distances[:k], ref.points[:k]), \
-                    (shape, len(s), e, k, metric)
+                    (len(s), e, k, metric)
                 # a block of one answers as the block, its count included
                 # (repr shows it, and its type: a Python int for JSON)
                 one = nearest_centers([e], s, k, metric)[0]
-                assert (one, repr(one)) == (res, repr(res)), (shape, e, k,
-                                                              metric)
+                assert (one, repr(one)) == (res, repr(res)), (e, k, metric)
+
+
+@pytest.mark.parametrize("seed", range(105))
+def test_random_codebook_matches_brute(seed):
+    rng = np.random.default_rng(seed)
+    shape = SHAPES[seed % len(SHAPES)]
+    s = random_codebook(rng, shape)
+    queries = random_queries(rng, s, 6)
+    table = s.dominant_table()
+    assert_node_tree(table, s.numerators)
+    # on a table with cosets, k = rows keeps a finite bound, which refines
+    # the chunk where its rows hold more than _ROUND members, and one more
+    # an infinite one, which scores every member unrefined
+    ks = KS + (table.rows, table.rows + 1) * (table.depth > 0)
+    assert_matches_brute(s, queries, ks)
     # a block of one's cosine frame, read from Python scalars, at scales
     # where the squares of its coordinates underflow or overflow
     if s.numerators.any(axis=1).all():
@@ -185,3 +194,21 @@ def test_random_codebook_matches_brute(seed):
             for scaled in ([v * 1e-200 for v in e], [v * 1e300 for v in e]):
                 assert nearest_centers([scaled], s, 4, "cosine") == [
                     brute_nearest(scaled, s, 4, "cosine")], (shape, scaled)
+
+
+def test_repeated_small_orbits_split():
+    """(3,2,1) L0 with every center listed three times, shuffled: its row
+    of 72 members of the 24-center orbit is split into prefix cosets, as
+    every node that holds more than 24 members is, while its rows of 12
+    members of 4-center orbits are not."""
+    rng = np.random.default_rng(36)
+    s = build_scattering(YoungDiagram.from_rows((3, 2, 1)), 0)
+    s = Scattering(s.diagram, 0, s.numerators.repeat(3, axis=0)[
+        rng.permutation(3 * len(s))])
+    table = s.dominant_table()
+    assert_node_tree(table, s.numerators)
+    split = (table.kids[:table.rows] < len(table.kids)).any(axis=1)
+    assert split.tolist() == (table.spans[1, :table.rows] > 24).tolist()
+    assert split.any() and table.depth == 1
+    assert_matches_brute(s, random_queries(rng, s, 10),
+                         (1, 4, table.rows, table.rows + 1))

@@ -154,6 +154,49 @@ class TestScatteringFields:
                                match=f"^{name} must be an integer, got "):
                 call(value)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([[2.7, 1.2, 0.0, 0.0]], "numerator must be an integer, got 2.7"),
+        (np.array([[3.0, 1.0, 0.0, 0.0]]), "must be an integer, got 3.0"),
+        (np.array([[np.nan, 1, 0, 0]]), "must be an integer, got nan"),
+        (np.array([[3 + 1j, 1, 0, 0]]), r"must be an integer, got \(3\+1j\)"),
+        (np.array([[True, True, False, False]]), "integer, got True"),
+        ([["3", "1", "0", "0"]], "must be an integer, got '3'"),
+        (np.array([[3, 1.0, 0, 0]], dtype=object), "integer, got 1.0"),
+        (np.array([[1 << 63, 0, 0, 0]], dtype=np.uint64), "overflow int64"),
+        ([[1 << 63, 0, 0, 0]], "^numerators overflow int64$"),
+        ([[-(1 << 63) - 1, 0, 0, 0]], "^numerators overflow int64$"),
+        ([[1 << 70, 0, 0, 0]], "^numerators overflow int64$")])
+    def test_numerators_refuse_all_but_int64_integers(self, diagrams, bad,
+                                                      message):
+        """Floats, whole or not, complex values, bools and strings are
+        refused, and so are integers outside int64, each by a ValueError
+        that names the fault: none is truncated, wrapped or cast."""
+        with pytest.raises(ValueError, match=message):
+            Scattering(diagrams[(2, 1, 1)], 0, bad)
+
+    @pytest.mark.parametrize("given", [
+        [[2, 1, 1, 0], [-(1 << 63), 0, 0, (1 << 63) - 1]],
+        np.array([[2, 1, 1, 0], [0, 1, 1, 2]], dtype=np.uint8),
+        np.array([[2, 1, 1, 0], [(1 << 63) - 1, 0, 0, 0]], dtype=np.uint64),
+        np.array([[2, 1, 1, 0], [1 << 62, -1, 0, 0]], dtype=object)])
+    def test_numerators_take_integers_within_int64(self, diagrams, given):
+        s = Scattering(diagrams[(2, 1, 1)], 0, given)
+        assert s.numerators.dtype == np.int64
+        assert s.numerators.tolist() == np.asarray(given).tolist()
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 4)), np.zeros(0, "U1"),
+                                       np.zeros((0, 7), dtype=bool)])
+    def test_empty_numerators_of_any_dtype(self, diagrams, empty):
+        s = Scattering(diagrams[(2, 1, 1)], 0, empty)
+        assert s.numerators.shape == (0, 4) and s.numerators.dtype == np.int64
+
+    def test_int64_numerators_are_held_without_a_copy(self, scatterings):
+        """An int64 matrix, as the builder and the file readers pass it,
+        is checked by its dtype alone and held as it is."""
+        s = scatterings[(2, 1, 1), 2]
+        assert np.shares_memory(Scattering(s.diagram, 2, s.numerators)
+                                .numerators, s.numerators)
+
     def test_integer_arguments_refuse_negatives(self, scatterings):
         s = scatterings[(2, 1, 1), 1]
         for name, call in [

@@ -978,15 +978,14 @@ def reference_table(rows):
     free coordinates are those that vary along the sequence; an orbit's
     members are permutations of one another on them, and its dominant
     member has its free values sorted descending.  Each orbit is a row that
-    lists all its centers, repeats included, in sequence order, or in a
-    full scan's tie order (descending-lex point, then sequence index) when
-    the orbit has more than _LEAF members, keyed by the dominant member.
-    It is whole when each of its multinomial-many members is present.
-    Whole rows come first, then partial ones, each kind in the sequence
-    order of the dominant member's first occurrence, or of the orbit's
-    first member when the dominant member is absent.  Each row's key row is
-    its members' free values sorted ascending, and a key row follows for
-    each partial row: its first member in the sequence."""
+    lists all its centers, repeats included, in a full scan's tie order
+    (descending-lex point, then sequence index), keyed by the dominant
+    member.  It is whole when each of its multinomial-many members is
+    present.  Whole rows come first, then partial ones, each kind in the
+    sequence order of the dominant member's first occurrence, or of the
+    orbit's first member when the dominant member is absent.  Each row's
+    key row is its members' free values sorted ascending, and a key row
+    follows for each partial row: its first member in tie order."""
     rows = [tuple(r) for r in rows]
     free = [j for j in range(len(rows[0]) if rows else 0)
             if len({r[j] for r in rows}) > 1]
@@ -1013,20 +1012,17 @@ def reference_table(rows):
              if len({rows[i] for i in got}) == size(o)}
     order = sorted(owned, key=lambda o: (
         o not in whole, rows.index(o) if o in rows else owned[o][0]))
-    groups = [owned[o] if size(o) <= _LEAF else
-              sorted(owned[o], key=lambda i: (tuple(-v for v in rows[i]), i))
+    groups = [sorted(owned[o], key=lambda i: (tuple(-v for v in rows[i]), i))
               for o in order]
-    partial = [rows[owned[o][0]] for o in order if o not in whole]
+    partial = [rows[g[0]] for o, g in zip(order, groups) if o not in whole]
     return free, groups, [ascending(o) for o in order] + partial
 
 
 def splits(rows, free, run, t):
-    """Whether a run of members sharing their first t free values is split:
-    a table row only when its orbit has more than _LEAF members, and a row
-    or coset only when it holds more than _LEAF members and no value at the
-    next free coordinate is shared by more than _SHARE of them."""
-    if t == 0 and multinomial([rows[run[0]][j] for j in free]) <= _LEAF:
-        return False
+    """Whether a run of members sharing their first t free values, a table
+    row or a coset, is split: only when it holds more than _LEAF members
+    and no value at the next free coordinate is shared by more than _SHARE
+    of them."""
     return (t < len(free) and len(run) > _LEAF and max(Counter(
         rows[i][free[t]] for i in run).values()) <= _SHARE * len(run))
 
@@ -1205,7 +1201,8 @@ class TestCenterTable:
         whole = len(starts) - 1 - partial
         for r in range(len(starts) - 1):
             group = table.members[starts[r]:starts[r + 1]].tolist()
-            assert group == sorted(group)
+            assert group == sorted(group, key=lambda i: (
+                tuple(-v for v in rows[i]), i))
             key = tuple(int(v) for v in mat[r])
             assert [key[j] for j in free] == sorted(key[j] for j in free)
             orbit = set()
@@ -1232,14 +1229,15 @@ class TestCenterTable:
     # flipped back to the dominant (descending) layout that the key rows
     # had when these were taken; the complete codebooks' as built by the
     # table that grouped orbit representatives with np.unique (commit
-    # 1cb17ff), the others' as built by the table of one row per orbit
+    # 1cb17ff), the others' as built by the table of one row per orbit, the
+    # duplicated one's with every row in tie order
     FROZEN = {
         "complete": "15a1020c64837e8b8b2521002e3fa62719c8b631e95a18abd4ef408a6895b48b",
         "complete-2211": "e5f6308144b550bb0f4a71d14f604cb23e2d29ba5e8c69b88a000d5177d2b664",
         "cut": "775d32892dc7d786bf7147dc40a2d19e186599197b1dc57e9dab65c6e7dab548",
         "embedded": "f23c142577bc884c24037ebde279de1fcbdaf37b71bb8ebe976f96744a370116",
         "d9": "15df8670239d3d1f32e4c6742341e6c05f7e5cc337760ebbe50f041ade95c6c2",
-        "duplicated": "c94dbede7a0d9c9653d228fdc3f0f2732d6b91f329f227ec5156c0139ff06105",
+        "duplicated": "9b63ad5a923d7890c3de289d8afc26d644a22ed2b4a11b34cd9b29cd228d9e48",
     }
 
     @pytest.mark.parametrize("kind", sorted(FROZEN))
