@@ -117,10 +117,13 @@ class ScaledPoint:
     level: int = 0
 
     def __post_init__(self):
-        nums = tuple(map(int, self.numerators))
-        level = int(self.level)
-        if level < 0:
-            raise ValueError("level must be non-negative")
+        # exact ints, the common case, skip the per-entry checks
+        nums = tuple(self.numerators)
+        if not all(type(v) is int for v in nums):
+            nums = tuple([check_int(v, "numerator", None) for v in nums])
+        level = self.level
+        if type(level) is not int or level < 0:
+            level = check_int(level, "level")
         # the lowest set bit of the numerators' bitwise or is theirs
         low = functools.reduce(operator.or_, nums, 0)
         if level and not low & 1:

@@ -15,17 +15,18 @@ values repeat: the text writers format each distinct value of a block of
 rows once (through ``coordinate_texts``, which ``qusc query`` shares), and
 the text readers parse each distinct coordinate string of a file once.
 
-The text readers take a file _TEXT_BLOCK lines at a time.  Each format has
-one compiled pattern for the exact line its writer makes: an integer index
-and level, coordinate strings of digits, "-" and "/", and for jsonl float
-coordinates that are JSON numbers, with the writer's separators.  A block
-whose every line matches takes one ``findall`` pass that pulls out the
-strings and skips the floats.  Any other block (other key order, spacing
-or extra fields, escapes, blank lines, surrounding whitespace), and a
-block holding a string that does not parse, goes to the per-line decoder
-(``json.loads`` or a comma split), which numbers records across the whole
-file.  It is the only source of record errors, so a file reads to the same
-centers, or fails with the same message, whichever path a block takes.
+The text readers take a file _TEXT_BLOCK lines at a time, and decode each
+line on its own (``json.loads``, or a comma split for csv), numbering
+records across the whole file.  jsonl also has one compiled pattern for
+the exact line its writer makes: an integer index and level, coordinate
+strings of digits, "-" and "/", and float coordinates that are JSON
+numbers, with the writer's separators.  A jsonl block whose every line
+matches takes one ``findall`` pass that pulls out the strings and skips
+the floats.  Any other block (other key order, spacing or extra fields,
+escapes, blank lines, surrounding whitespace), and a block holding a
+string that does not parse, goes to the per-line decoder.  It is the only
+source of record errors, so a file reads to the same centers, or fails
+with the same message, whichever path a block takes.
 
 A format name other than those in FORMATS raises ValueError, on write and
 on read.  Readers raise ValueError for a file they cannot hold exactly: a
@@ -254,22 +255,22 @@ def _line_blocks(fh):
 
 
 def _read_records(fh, diagram: YoungDiagram, count: int, levels: int,
-                  record: re.Pattern, sep: str, coordinates) -> Scattering:
+                  coordinates, record: re.Pattern | None = None) -> Scattering:
     """The scattering of a text file's records, the non-blank lines of fh
     after its header, which declares ``count`` of them at scale 2**levels.
-    A block of lines that all match ``record``, the line its writer makes,
-    takes one pattern pass, the pattern's one group holding a record's
-    coordinate strings joined by ``sep``.  Any other block, and one that
-    holds a string that does not parse, is decoded line by line,
-    ``coordinates(line, i)`` giving record i's coordinate strings, so an
-    error names the first record that holds the bad string.  Each distinct
-    string that parses is parsed once per file."""
+    Each block of lines is decoded line by line, ``coordinates(line, i)``
+    giving record i's coordinate strings, so an error names the first
+    record that holds the bad string.  Only jsonl gives a ``record``, the
+    line its writer makes: a block of lines that all match it takes one
+    pattern pass instead, unless it holds a string that does not parse.
+    Each distinct string that parses is parsed once per file."""
     dim = diagram.dim
     known: dict[str, int] = {}
     blocks: list[np.ndarray] = []
     i = 0
     for lines in _line_blocks(fh):
-        nums = _match_block(lines, record, sep, levels, known)
+        nums = (None if record is None
+                else _match_block(lines, record, levels, known))
         if nums is None:
             nums = _decode_lines(lines, i, dim, levels, known, coordinates)
         blocks.append(nums)
@@ -280,10 +281,12 @@ def _read_records(fh, diagram: YoungDiagram, count: int, levels: int,
     return Scattering(diagram, levels, nums.reshape(-1, dim))
 
 
-def _match_block(lines: list[str], record: re.Pattern, sep: str, levels: int,
+def _match_block(lines: list[str], record: re.Pattern, levels: int,
                  known: dict[str, int]):
-    """The numerators of a block of lines that each match ``record`` in
-    full, with every coordinate string parsed, or None."""
+    """The numerators of a block of jsonl lines that each match ``record``
+    in full, with every coordinate string parsed, or None.  The pattern's
+    one group holds a record's strings, between the '", "' its writer puts
+    between them."""
     # a block of another writer's lines is turned away by its first line,
     # before a pass over all of them
     if not record.match(lines[0]):
@@ -296,7 +299,7 @@ def _match_block(lines: list[str], record: re.Pattern, sep: str, levels: int,
     groups = record.findall(text)
     if len(groups) != len(lines):
         return None
-    strings = sep.join(groups).split(sep)
+    strings = '", "'.join(groups).split('", "')
     try:
         for txt in set(strings).difference(known):
             known[txt] = _numerator(txt, levels)
@@ -337,7 +340,9 @@ def _decode_lines(lines: list[str], i: int, dim: int, levels: int,
     return np.array(nums, dtype=np.int64)
 
 
-# The parts of the record lines the writers make.  An index or level of at
+# -- jsonl --------------------------------------------------------------------
+
+# The parts of the record line the writer makes.  An index or level of at
 # most 18 digits parses as an int under any limit Python sets on digits; a
 # JSON float with a fraction or an exponent never parses as an int.
 _INDEX = "(?:0|[1-9][0-9]{0,17})"
@@ -345,8 +350,6 @@ _EXACT = "[-0-9/]+"
 _JSON_FLOAT = (r"-?(?:0|[1-9][0-9]*)"
                r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
-
-# -- jsonl --------------------------------------------------------------------
 
 def _write_jsonl(s: Scattering, fh) -> None:
     fh.write(json.dumps({
@@ -370,7 +373,7 @@ def _read_jsonl(fh) -> Scattering:
         raise ValueError("missing jsonl header record")
     dim, count, levels, rows = _text_header(first, "jsonl header")
     return _read_records(fh, _diagram_of(rows, dim, levels), count, levels,
-                         _jsonl_record(dim), '", "', _jsonl_exact)
+                         _jsonl_exact, _jsonl_record(dim))
 
 
 def _jsonl_record(dim: int) -> re.Pattern:
@@ -428,17 +431,6 @@ def _read_csv(fh) -> Scattering:
                     else _csv_int(value)) for key, value in fields.items()}
     dim, count, levels, rows = _text_header(fields, "csv header")
     fh.readline()  # column names
+    # the float cells, which the reader never reads, are left unsplit
     return _read_records(fh, _diagram_of(rows, dim, levels), count, levels,
-                         _csv_record(dim), ",",
-                         lambda line, i: line.split(",")[2:2 + dim])
-
-
-def _csv_record(dim: int) -> re.Pattern:
-    """The pattern of the line _write_csv makes for a record of dim
-    coordinates, its exact strings in one group.  Its float cells, which
-    the reader skips, hold no comma and no whitespace, so the line splits
-    into the same cells with or without its ends stripped."""
-    exact = ",".join([_EXACT] * dim)
-    floats = r",[^,\s]+" * dim
-    return re.compile("^%s,%s,(%s)%s\n" % (_INDEX, _INDEX, exact, floats),
-                      re.MULTILINE)
+                         lambda line, i: line.split(",", 2 + dim)[2:2 + dim])

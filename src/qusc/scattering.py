@@ -48,19 +48,14 @@ def _perm_table(starts: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _pack_rows(rows: np.ndarray, low: int, high: int) -> np.ndarray:
-    """One exact key per row of an int64 matrix whose entries lie in
-    [low, high]: each entry less ``low`` takes the bit width of high - low,
-    the first entry the highest bits, and as many entries as fit share a
-    uint64 word.  Keys are equal exactly when the rows are and sort as the
-    rows do, lexicographically.  A one-word key is a uint64; wider keys are
-    opaque big-endian byte strings, which compare word by word."""
-    return _pack_columns(rows.T, len(rows), low, high)
-
-
 def _pack_columns(columns, n: int, low: int, high: int) -> np.ndarray:
-    """``_pack_rows`` of the n rows whose columns, int64 arrays of length n,
-    are ``columns``."""
+    """One exact key per row of the n rows whose columns, int64 arrays of
+    length n with entries in [low, high], are ``columns``: each entry less
+    ``low`` takes the bit width of high - low, the first entry the highest
+    bits, and as many entries as fit share a uint64 word.  Keys are equal
+    exactly when the rows are and sort as the rows do, lexicographically.
+    A one-word key is a uint64; wider keys are opaque big-endian byte
+    strings, which compare word by word."""
     d = len(columns)
     width = max((high - low).bit_length(), 1)
     per = 64 // width
@@ -80,7 +75,7 @@ def _pack_columns(columns, n: int, low: int, high: int) -> np.ndarray:
 
 
 def _descending(keys: np.ndarray) -> np.ndarray:
-    """``_pack_rows`` keys with every byte inverted, in place: they are
+    """``_pack_columns`` keys with every byte inverted, in place: they are
     equal exactly when the keys are, and sort in the reverse order."""
     np.invert(keys.view(np.uint8), out=keys.view(np.uint8))
     return keys
@@ -88,7 +83,7 @@ def _descending(keys: np.ndarray) -> np.ndarray:
 
 def _unpack_rows(keys: np.ndarray, low: int, high: int,
                  out: np.ndarray) -> np.ndarray:
-    """The rows whose ``_pack_rows`` keys over [low, high] are ``keys``,
+    """The rows whose ``_pack_columns`` keys over [low, high] are ``keys``,
     written to ``out``, one row per key."""
     d = out.shape[1]
     width = max((high - low).bit_length(), 1)
@@ -117,8 +112,8 @@ def _orbit_block(dominant: np.ndarray, out: np.ndarray) -> np.ndarray:
     # one permutation table
     starts = np.ones((n, d), dtype=np.int64)
     starts[:, 1:] = dominant[:, 1:] != dominant[:, :-1]
-    _, first, group = np.unique(_pack_rows(starts, 0, 1), return_index=True,
-                                return_inverse=True)
+    _, first, group = np.unique(_pack_columns(starts.T, n, 0, 1),
+                                return_index=True, return_inverse=True)
     tables = [_perm_table(tuple(starts[i].tolist())) for i in first]
     sizes = np.bincount(group) * [len(t) for t in tables]
     # an uncut block is built in ``out`` itself: its rows are packed into
@@ -134,7 +129,7 @@ def _orbit_block(dominant: np.ndarray, out: np.ndarray) -> np.ndarray:
                 out=block[at:at + size].reshape(len(rows), len(table), d))
         at += size
     low, high = int(dominant.min()), int(dominant.max())
-    keys = _pack_rows(block, low, high)
+    keys = _pack_columns(block.T, total, low, high)
     keys.sort()
     # orbits are disjoint, so the rows are distinct and reversing the
     # ascending order gives the descending one
@@ -241,12 +236,12 @@ def _prefix_cosets(nums, members, ends, sizes, free, partial, lattice):
     # t-th free value changes, and is a coset when its parent run is split
     new = np.zeros(len(members), dtype=np.bool_)
     new[starts] = True
-    runs, node, row = starts, np.arange(rows), np.arange(rows)
+    runs, node = starts, np.arange(rows)
     open_ = sizes > _LEAF
     # each node's key center: its first member with the free values past
     # its depth sorted ascending
-    spans, keys, row_of = [np.stack((ends, sizes))], [_sorted_past(
-        nums.take(members.take(starts), axis=0), free, 0)], [row]
+    spans, keys = [np.stack((ends, sizes))], [_sorted_past(
+        nums.take(members.take(starts), axis=0), free, 0)]
     empty = np.zeros(0, dtype=np.intp)
     kid_of, kid_slot, total = [empty], [empty], rows
     # without a row of more than _LEAF members the tree is its rows
@@ -263,14 +258,12 @@ def _prefix_cosets(nums, members, ends, sizes, free, partial, lattice):
         keep = open_.take(parent)
         if not keep.any():
             break
-        row = row.take(parent)
         kid, parent, size = first[keep], parent[keep], size[keep]
         kid_of.append(node.take(parent))
         kid_slot.append(np.arange(len(kid)) - parent.searchsorted(parent))
         spans.append(np.stack((kid + size, size)))
         keys.append(_sorted_past(nums.take(members.take(kid), axis=0), free,
                                  t))
-        row_of.append(row[keep])
         # the runs of this depth, numbered where they are cosets
         runs, node = first, np.zeros(len(first), dtype=np.intp)
         node[keep] = np.arange(total, total + len(kid))
@@ -285,9 +278,8 @@ def _prefix_cosets(nums, members, ends, sizes, free, partial, lattice):
     keys = np.concatenate(keys + [np.full((1, d), np.nan),
                                   nums.take(partial, axis=0)])
     keys /= lattice
-    # each squared norm one dot product, a coset's its row's
+    # each squared norm one dot product
     key_sq = np.einsum("ij,ij->i", keys, keys)
-    key_sq[:total] = key_sq.take(np.concatenate(row_of))
     return np.concatenate(spans, axis=1), kids, keys, key_sq, depth
 
 
@@ -295,7 +287,7 @@ def _orbit_rows(nums: np.ndarray):
     """The rows of a center table over the numerator rows ``nums``: the free
     coordinates, the members' tie ranks, the members row by row in tie
     order, each row's end and size, and the partial rows' first members.
-    One stable sort of the rows' exact ``_pack_rows`` keys, bytes inverted
+    One stable sort of the rows' exact ``_pack_columns`` keys, bytes inverted
     so that they sort descending-lex (near-linear on the level blocks'
     runs), is the tie order; its first occurrences, among which a lookup of
     each center's dominant member names its orbit, give the row labels, and
@@ -310,17 +302,10 @@ def _orbit_rows(nums: np.ndarray):
     dominant = list(nums.T)
     for j, column in zip(free, _sorted_columns([nums[:, j] for j in free])):
         dominant[j] = column
-    # the entries' range: a dominant member's first free value is its
-    # largest, its last the smallest, and the others constant
-    low = high = 0
-    if n:
-        top = dominant[free[0]] if len(free) else nums[:1, 0]
-        bottom = dominant[free[-1]] if len(free) else top
-        low = min(int(bottom.min()), int(nums[0].min()))
-        high = max(int(top.max()), int(nums[0].max()))
+    low, high = (int(nums.min()), int(nums.max())) if n else (0, 0)
     # keys that sort descending-lex, so that a stable sort of them is the
     # tie order, each run of equal keys in ascending sequence order
-    keys = _descending(_pack_rows(nums, low, high))
+    keys = _descending(_pack_columns(nums.T, n, low, high))
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     new = np.ones(n, dtype=np.bool_)
@@ -381,24 +366,23 @@ class CenterTable(NamedTuple):
     ``nodes``: a leaf, a node not split, has only padding.
 
     ``keys`` holds the key centers as float64 values, the numerators over
-    ``lattice``, one (d,) row per node: its first member with the free
-    values past its depth sorted ascending (a row's depth is 0).  Entry
-    ``nodes``, the padding's, is NaN, so that no query keeps it; each
+    ``2.0**levels_built``, one (d,) row per node: its first member with the
+    free values past its depth sorted ascending (a row's depth is 0).
+    Entry ``nodes``, the padding's, is NaN, so that no query keeps it; each
     partial row's first member, its lex-greatest, follows it.  ``cols`` is
     the rows' key centers again as a C-contiguous (d, rows) array, the
     layout a product with a block of queries reads fastest.  ``key_sq``
     holds each entry's squared norm, one dot product of the entry with
-    itself (a coset's is its row's), and ``norms`` its square root.
+    itself, and ``norms`` its square root.
 
     ``points`` holds the centers in member order, ``members[i]``'s in row
-    i, as float64 values, the numerators over ``lattice``, so that every
-    node's members are one run of its rows.  ``tie`` gives each center, in
-    member order too, its place in the tie order, a full scan's order of
-    equal distances, in the smallest unsigned type that holds it; it
-    increases along each row.  ``zero`` is the sequence index of the first
-    zero center, or -1 when there is none.
-    ``lattice`` is the scale ``2.0**levels_built`` and ``radius`` the
-    largest key norm, which bounds every center's norm.
+    i, as float64 values, the numerators over ``2.0**levels_built``, so
+    that every node's members are one run of its rows.  ``tie`` gives each
+    center, in member order too, its place in the tie order, a full scan's
+    order of equal distances, in the smallest unsigned type that holds it;
+    it increases along each row.  ``zero`` is the sequence index of the
+    first zero center, or -1 when there is none.  ``radius`` is the largest
+    key norm, which bounds every center's norm.
     """
 
     rows: int
@@ -413,7 +397,6 @@ class CenterTable(NamedTuple):
     points: np.ndarray
     tie: np.ndarray
     zero: int
-    lattice: float
     radius: float
     depth: int
 
@@ -438,9 +421,11 @@ class Scattering:
     def __init__(self, diagram: YoungDiagram, levels_built: int, numerators):
         levels_built = check_int(levels_built, "levels_built")
         nums = np.asarray(numerators)
-        if nums.dtype.kind not in "iu" and nums.size:
+        if nums.size and not (isinstance(numerators, np.ndarray)
+                              and nums.dtype.kind in "iu"):
             # entry by entry: a list with an int past int64 reads as floats
-            # or objects, and a float, bool or string is refused, not cast
+            # or objects, one with a bool among ints as ints, and a float,
+            # bool or string is refused, not cast
             nums = np.array([check_int(v, "numerator", None) for v in
                              np.array(numerators, dtype=object).flat],
                             dtype=object).reshape(nums.shape)
@@ -506,8 +491,7 @@ class Scattering:
             self._table = CenterTable(
                 rows, members, spans, kids, free, keys,
                 np.ascontiguousarray(keys[:rows].T), key_sq, norms, points,
-                tie, zero, lattice,
-                float(np.fmax.reduce(norms, initial=0.0)), depth)
+                tie, zero, float(np.fmax.reduce(norms, initial=0.0)), depth)
         return self._table
 
     def is_complete(self) -> bool:

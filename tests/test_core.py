@@ -91,6 +91,23 @@ class TestScaledPoint:
     def test_no_instance_dict(self):
         assert not hasattr(ScaledPoint((2, 1, 1, 0)), "__dict__")
 
+    @pytest.mark.parametrize("nums, level, message", [
+        ((2.7, 1.2, 0), 0, "^numerator must be an integer, got 2.7$"),
+        ((2.0, 1, 0), 0, "^numerator must be an integer, got 2.0$"),
+        ((True, 3), 0, "^numerator must be an integer, got True$"),
+        ((1, "3"), 0, "^numerator must be an integer, got '3'$"),
+        ((4, 2), 1.5, "^level must be an integer, got 1.5$"),
+        ((4, 2), True, "^level must be an integer, got True$"),
+        ((4, 2), -1, "^level must be >= 0, got -1$")])
+    def test_refuses_non_integers(self, nums, level, message):
+        with pytest.raises(ValueError, match=message):
+            ScaledPoint(nums, level)
+
+    def test_takes_numpy_integers(self):
+        p = ScaledPoint((np.int64(4), np.uint8(2)), np.int32(1))
+        assert (p.numerators, p.level) == ((2, 1), 0)
+        assert {type(v) for v in (*p.numerators, p.level)} == {int}
+
 
 class TestMembership:
     def test_examples(self):

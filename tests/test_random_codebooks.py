@@ -86,7 +86,7 @@ def random_codebook(rng, shape):
     return s
 
 
-def assert_node_tree(t, nums):
+def assert_node_tree(s):
     """The center table's node tree is well formed: the rows' runs
     partition the members; a split node's run is its children's runs in
     turn, its children numbered after it, each a child of no other node,
@@ -94,9 +94,10 @@ def assert_node_tree(t, nums):
     and the depth is 0 exactly when there is no coset node.  Each row
     lists its members in tie order, so ``tie`` increases along it.  Each
     node's key center is its first member with the free values past its
-    depth sorted ascending, and a coset's squared norm is its row's; the
-    padding's entry is NaN, and the partial rows' first members in tie
-    order, their lex-greatest, follow it."""
+    depth sorted ascending; the padding's entry is NaN, and the partial
+    rows' first members in tie order, their lex-greatest, follow it.  Every
+    entry's squared norm is one dot product of its own key center."""
+    t, nums, lattice = s.dominant_table(), s.numerators, 2.0 ** s.levels_built
     nodes, n = len(t.kids), len(t.members)
     ends, sizes = t.spans.tolist()
     starts = [e - z for e, z in zip(ends, sizes)]
@@ -110,7 +111,7 @@ def assert_node_tree(t, nums):
     partial = len(t.keys) - nodes - 1
     assert len(t.key_sq) == len(t.norms) == len(t.keys)
     assert 0 <= partial <= t.rows
-    parent, depth, row_of = {}, [0] * nodes, list(range(nodes))
+    parent, depth = {}, [0] * nodes
     for node, row in enumerate(t.kids.tolist()):
         kids = [kid for kid in row if kid != nodes]
         assert row == kids + [nodes] * (len(row) - len(kids))
@@ -121,20 +122,21 @@ def assert_node_tree(t, nums):
             assert all(ends[a] == starts[b] for a, b in zip(kids, kids[1:]))
             for kid in kids:
                 assert parent.setdefault(kid, node) == node
-                depth[kid], row_of[kid] = depth[node] + 1, row_of[node]
+                depth[kid] = depth[node] + 1
     assert sorted(parent) == list(range(t.rows, nodes))
     free = t.free.tolist()
     for node in range(nodes):
         center = nums[t.members[starts[node]]].copy()
         past = free[depth[node]:]
         center[past] = np.sort(center[past])
-        assert t.keys[node].tolist() == (center / t.lattice).tolist()
-        assert t.key_sq[node] == t.key_sq[row_of[node]]
+        assert t.keys[node].tolist() == (center / lattice).tolist()
     assert np.isnan(t.keys[nodes]).all() and np.isnan(t.key_sq[nodes])
+    assert np.array_equal(t.key_sq, np.einsum("ij,ij->i", t.keys, t.keys),
+                          equal_nan=True)
     firsts = [min(t.members[starts[r]:ends[r]].tolist(),
                   key=lambda i: ([-v for v in nums[i].tolist()], i))
               for r in range(t.rows - partial, t.rows)]
-    assert t.keys[nodes + 1:].tolist() == (nums[firsts] / t.lattice).tolist()
+    assert t.keys[nodes + 1:].tolist() == (nums[firsts] / lattice).tolist()
 
 
 def random_queries(rng, s, count):
@@ -181,7 +183,7 @@ def test_random_codebook_matches_brute(seed):
     s = random_codebook(rng, shape)
     queries = random_queries(rng, s, 6)
     table = s.dominant_table()
-    assert_node_tree(table, s.numerators)
+    assert_node_tree(s)
     # on a table with cosets, k = rows keeps a finite bound, which refines
     # the chunk where its rows hold more than _ROUND members, and one more
     # an infinite one, which scores every member unrefined
@@ -206,9 +208,27 @@ def test_repeated_small_orbits_split():
     s = Scattering(s.diagram, 0, s.numerators.repeat(3, axis=0)[
         rng.permutation(3 * len(s))])
     table = s.dominant_table()
-    assert_node_tree(table, s.numerators)
+    assert_node_tree(s)
     split = (table.kids[:table.rows] < len(table.kids)).any(axis=1)
     assert split.tolist() == (table.spans[1, :table.rows] > 24).tolist()
     assert split.any() and table.depth == 1
     assert_matches_brute(s, random_queries(rng, s, 10),
+                         (1, 4, table.rows, table.rows + 1))
+
+
+def test_coset_norms_are_their_own():
+    """(2,2,1,1) L1 with every numerator times 3**19: the squares of its
+    key centers' coordinates do not add exactly, so some coset's squared
+    norm, one dot product of its own key center, differs from its row's in
+    the last bit.  Its answers are the full scan's all the same."""
+    s = build_scattering(YoungDiagram.from_rows((2, 2, 1, 1)), 1)
+    s = Scattering(s.diagram, 1, s.numerators * 3 ** 19)
+    table = s.dominant_table()
+    assert_node_tree(s)
+    # each node's row: the one whose run holds the node's first member
+    ends, sizes = table.spans
+    row = np.searchsorted(ends[:table.rows], ends - sizes, side="right")
+    assert table.depth > 0
+    assert (table.key_sq[:len(table.kids)] != table.key_sq[row]).any()
+    assert_matches_brute(s, random_queries(np.random.default_rng(37), s, 20),
                          (1, 4, table.rows, table.rows + 1))

@@ -165,7 +165,10 @@ class TestScatteringFields:
         (np.array([[1 << 63, 0, 0, 0]], dtype=np.uint64), "overflow int64"),
         ([[1 << 63, 0, 0, 0]], "^numerators overflow int64$"),
         ([[-(1 << 63) - 1, 0, 0, 0]], "^numerators overflow int64$"),
-        ([[1 << 70, 0, 0, 0]], "^numerators overflow int64$")])
+        ([[1 << 70, 0, 0, 0]], "^numerators overflow int64$"),
+        # numpy reads a bool among ints as an int
+        ([[True, 1, 1, 0], [2, 1, 1, 0]],
+         "^numerator must be an integer, got True$")])
     def test_numerators_refuse_all_but_int64_integers(self, diagrams, bad,
                                                       message):
         """Floats, whole or not, complex values, bools and strings are

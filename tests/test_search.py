@@ -17,7 +17,7 @@ from qusc import (ScaledPoint, Scattering, YoungDiagram, brute_nearest,
                   build_scattering, cosine_nearest, embed_scattering,
                   nearest_center, nearest_centers)
 from qusc.estimator import ScatteringNeighbors
-from qusc.scattering import _LEAF, _SHARE, _pack_rows
+from qusc.scattering import _LEAF, _SHARE, _pack_columns
 from qusc.search import (_BLOCK, _KERNELS, _colsum, _euclidean_pairs, _expand,
                          _keys, _sorted_past, _widen)
 
@@ -1100,16 +1100,16 @@ def reference_tie(rows):
 def assert_table_matches_reference(s):
     rows = s.numerators.tolist()
     free, groups, keys = reference_table(rows)
-    t = s.dominant_table()
+    t, lattice = s.dominant_table(), 2.0 ** s.levels_built
     starts = np.concatenate(([0], t.spans[0, :t.rows]))
     # the rows' key centers and the partial rows' first members
     part = np.r_[:t.rows, len(t.kids) + 1:len(t.keys)]
-    mat = (t.keys[part] * t.lattice).tolist()
+    mat = (t.keys[part] * lattice).tolist()
     assert t.free.tolist() == free
     assert [t.members[a:b].tolist()
             for a, b in zip(starts[:-1], starts[1:])] == groups
     assert mat == [[float(v) for v in r] for r in keys]
-    np.testing.assert_allclose(t.norms[part] * t.lattice,
+    np.testing.assert_allclose(t.norms[part] * lattice,
                                [math.hypot(*r) for r in mat], rtol=1e-15)
     # each squared norm is one dot product, within d u of exact
     for key, sq in zip(t.keys[part].tolist(), t.key_sq[part].tolist()):
@@ -1122,38 +1122,40 @@ def assert_table_matches_reference(s):
     assert t.tie.dtype.itemsize <= 4
     assert t.spans[1, :t.rows].tolist() == list(map(len, groups))
     assert t.zero == next((i for i, r in enumerate(rows) if not any(r)), -1)
-    assert_cosets_match_reference(t, rows, free, groups)
+    assert_cosets_match_reference(t, rows, free, groups, lattice)
 
 
-def assert_cosets_match_reference(t, rows, free, groups):
+def assert_cosets_match_reference(t, rows, free, groups, lattice):
     """Each split row's cosets, walked through ``kids`` depth first, are
-    the reference's, with their runs of members, key centers, squared
-    norms and depths; nodes are numbered rows first, then the cosets depth
-    by depth, and a node no coset splits has only padding."""
+    the reference's, with their runs of members, key centers and depths;
+    nodes are numbered rows first, then the cosets depth by depth, and a
+    node no coset splits has only padding.  Every entry's squared norm is
+    one dot product of its own key center, NaN at the padding entry."""
     split = [splits(rows, free, g, 0) for g in groups]
     nodes = len(t.kids)
     assert np.isnan(t.keys[nodes]).all() and np.isnan(t.key_sq[nodes])
+    assert np.array_equal(t.key_sq, np.einsum("ij,ij->i", t.keys, t.keys),
+                          equal_nan=True)
     assert not np.isnan(np.delete(t.keys, nodes, axis=0)).any()
     assert len(t.keys) == len(t.key_sq) > nodes
     numbered = []
 
-    def walk(node, depth, row, got):
+    def walk(node, depth, got):
         for kid in t.kids[node].tolist():
             if kid == nodes:
                 continue
             end, size = t.spans[:, kid].tolist()
             big = bool((t.kids[kid] < nodes).any())
             got.append((t.members[end - size:end].tolist(),
-                        (t.keys[kid] * t.lattice).tolist(), big, depth))
-            assert t.key_sq[kid] == t.key_sq[row]
+                        (t.keys[kid] * lattice).tolist(), big, depth))
             numbered.append((depth, kid))
-            walk(kid, depth + 1, row, got)
+            walk(kid, depth + 1, got)
 
     for row, (group, big) in enumerate(zip(groups, split)):
         end, size = t.spans[:, row].tolist()
         assert t.members[end - size:end].tolist() == group
         got = []
-        walk(row, 1, row, got)
+        walk(row, 1, got)
         assert got == [(m, [float(v) for v in center], b, depth)
                        for m, center, b, depth in reference_cosets(
                            rows, free, group)] if big else got == []
@@ -1189,7 +1191,7 @@ class TestCenterTable:
         starts = np.concatenate(([0], table.spans[0, :table.rows]))
         # the rows' key centers, then the partial rows' first members
         mat = np.delete(table.keys, np.s_[table.rows:len(table.kids) + 1],
-                        axis=0) * table.lattice
+                        axis=0) * 2.0 ** s.levels_built
         assert sorted(table.members.tolist()) == list(range(len(s)))
         assert starts[0] == 0 and starts[-1] == len(s)
         assert len(table.norms) == len(table.keys) > len(mat) >= len(starts) - 1
@@ -1257,7 +1259,7 @@ class TestCenterTable:
                                  max_points=cut)
             if kind == "embedded":
                 s = embed_scattering(s)
-        t = s.dominant_table()
+        t, lattice = s.dominant_table(), 2.0 ** s.levels_built
         keyed = np.r_[:t.rows, len(t.kids) + 1:len(t.keys)]
         mat = t.keys[keyed]
         mat[:t.rows, t.free] = mat[:t.rows, t.free[::-1]]
@@ -1265,8 +1267,8 @@ class TestCenterTable:
         for part, dtype in ((t.members, "<i8"),
                             (np.concatenate(([0], t.spans[0, :t.rows])),
                              "<i8"),
-                            (mat * t.lattice, "<f8"),
-                            (t.norms[keyed] * t.lattice, "<f8")):
+                            (mat * lattice, "<f8"),
+                            (t.norms[keyed] * lattice, "<f8")):
             h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
         assert h.hexdigest() == self.FROZEN[kind]
 
@@ -1282,7 +1284,7 @@ class TestCenterTable:
             self.sequences(diagrams, scatterings)[kind]
         t = s.dominant_table()
         points = s.numerators.take(t.members, axis=0).astype(np.float64)
-        points = points * (1 / t.lattice)
+        points = points * (1 / 2.0 ** s.levels_built)
         assert t.points.shape == points.shape == (len(s), s.dim)
         assert t.points.tobytes() == points.tobytes()
         assert t.cols.shape == (s.dim, t.rows) and t.cols.flags.c_contiguous
@@ -1317,7 +1319,8 @@ class TestCenterTable:
         shifted = Scattering(s.diagram, s.levels_built, s.numerators << 50)
         # 57-bit entries, so each key spans four words
         lo, hi = int(shifted.numerators.min()), int(shifted.numerators.max())
-        assert _pack_rows(shifted.numerators, lo, hi).dtype.itemsize == 32
+        assert _pack_columns(shifted.numerators.T, len(shifted), lo,
+                             hi).dtype.itemsize == 32
         assert_table_matches_reference(shifted)
         t, u = s.dominant_table(), shifted.dominant_table()
         assert t.spans.shape == u.spans.shape
