@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -211,6 +212,7 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process, reused by every call of main
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qusc",
                                  description="quasi-uniform scatterings on "

@@ -9,6 +9,10 @@ each value of its range in descending order, and a candidate survives only
 when a completion to a boundary point provably exists.  Survivors keep their
 parents' order, so the rows come out in descending lexicographic order.
 
+The walk at scale 2**k holds every coarser level's points too, peeled off
+it from the top down: a point with an odd coordinate is new at level k, and
+any other, halved, is a point of the walk at scale 2**(k-1).
+
 Every surviving node leads to at least one point, so the nodes visited (the
 root and the survivors of each position) are linear in the boundary points
 of the diagram: at most d per point.  The values tried have no proved
@@ -136,16 +140,18 @@ def _walk(caps: tuple[int, ...]) -> tuple[np.ndarray, int]:
     return prefix, visited + len(placed)
 
 
+def walk_boundary(lam: YoungDiagram, k: int) -> tuple[np.ndarray, int]:
+    """Every dominant boundary point of the horizontally 2**k-scaled diagram,
+    as descending-lex int64 rows, and the number of walk nodes visited."""
+    return _walk(lam.scaled(1 << check_int(k, "level")).prefix_sums())
+
+
 def enumerate_level(lam: YoungDiagram, k: int) -> LevelSet:
     """Dominant boundary points new at subdivision level k >= 0, in
-    descending lexicographic order.
-
-    These are the boundary points of the horizontally 2**k-scaled diagram:
-    all of them at level 0, and beyond it those with at least one odd
-    coordinate, as all-even points already appeared at a coarser level.
-    """
+    descending lexicographic order: ``walk_boundary``'s, all of them at
+    level 0 and beyond it those with an odd coordinate."""
     k = check_int(k, "level")
-    rows, visited = _walk(lam.scaled(1 << k).prefix_sums())
+    rows, visited = walk_boundary(lam, k)
     if k:
         rows = rows[(rows & 1).any(axis=1)]
     return LevelSet(lam, k, PointView(rows, k), visited)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PointView, YoungDiagram, check_int, polytope_center
-from .enumeration import enumerate_level
+from .enumeration import walk_boundary
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -510,38 +510,38 @@ def build_scattering(diagram: YoungDiagram, max_levels: int,
     """Assemble the center sequence through subdivision level ``max_levels``.
 
     ``max_points`` cuts the sequence at the tail; the cut may fall inside a
-    Weyl orbit (so ``max_points=1`` yields just the highest weight).  Raises
-    ValueError before enumerating a level whose numerators would overflow
-    int64; an uncut build (no ``max_points``) is refused before any level.
+    Weyl orbit (so ``max_points=1`` yields just the highest weight).  An
+    uncut build walks the boundary of level ``max_levels`` alone, a cut one
+    that of each level up to the first whose walk holds ``max_points``
+    centers.  The last walk is peeled from the top down: at scale 2**k a
+    point with an odd coordinate is new at level k, any other passes on,
+    halved, to level k - 1.  Raises ValueError before walking a level whose
+    numerators would overflow int64; an uncut build, before any walk.
     """
     max_levels = check_int(max_levels, "max_levels")
-    if max_points is None:
-        check_scale(diagram, max_levels)
-    else:
-        max_points = check_int(max_points, "max_points")
-    # the level sets' dominant rows and block sizes first, so each block is
-    # written straight into the one matrix, shifted to the common scale
-    levels: list[tuple[np.ndarray, int]] = []
-    total = 0
-    for k in range(max_levels + 1):
+    cut = max_points is not None
+    limit = check_int(max_points, "max_points") if cut else math.inf
+    for k in range(0 if cut else max_levels, max_levels + 1):
         check_scale(diagram, k)
-        dominant = enumerate_level(diagram, k).points.numerators
-        size = int(_orbit_sizes(dominant).sum())
-        if max_points is not None:
-            size = min(size, max_points - total)
-        levels.append((dominant, size))
-        total += size
-        if total == max_points:
+        rows = walk_boundary(diagram, k)[0]
+        sizes = _orbit_sizes(rows)
+        if sizes.sum() >= limit:
             break
-    # the last level that holds centers
-    top = max((k for k, (_, size) in enumerate(levels) if size), default=0)
+    # each level's block is written straight into the one matrix, as far as
+    # the cut keeps it, shifted to the scale of the last that keeps centers
+    total = min(int(sizes.sum()), limit)
     nums = np.empty((total, diagram.dim), dtype=np.int64)
-    a = 0
-    for k, (dominant, size) in enumerate(levels[:top + 1]):
-        _orbit_block(dominant, out=nums[a:a + size])
-        nums[a:a + size] <<= top - k
-        a += size
-    return Scattering(diagram, top, nums)
+    top = None
+    for k in range(k, -1, -1):
+        new = (rows & 1).any(axis=1) | (k == 0)
+        dominant, rows, sizes = rows[new], rows[~new] >> 1, sizes[~new]
+        start = int(sizes.sum())  # the centers of the levels below
+        if start < total:
+            top = k if top is None else top
+            _orbit_block(dominant, out=nums[start:total])
+            nums[start:total] <<= top - k
+            total = start
+    return Scattering(diagram, top or 0, nums)  # an empty cut: level 0
 
 
 # -- dimension chaining -----------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qusc import ScaledPoint, YoungDiagram
-from qusc.core import BOUNDARY, membership
-from qusc.enumeration import LevelSet, enumerate_level
+from qusc.core import BOUNDARY, PointView, membership
+from qusc.enumeration import LevelSet, enumerate_level, walk_boundary
 from qusc.oracle import brute_boundary
 
 
@@ -95,6 +95,27 @@ class TestInvariants:
             check_level_set(enumerate_level(lam, 0))
             for k in (1, 2):
                 check_level_set(enumerate_level(lam, k))
+
+    def test_walk_peels_into_levels(self, diagrams):
+        """walk_boundary lists the whole boundary at scale 2**k, descending
+        lex; its points with an odd coordinate are level k's, and the rest,
+        halved, are the walk of level k - 1."""
+        cases = [(lam, 2) for lam in diagrams.values()] + [
+            (YoungDiagram.from_rows((3, 2, 1, 1, 1, 1)), 1)]
+        for lam, top in cases:
+            below = None
+            for k in range(top + 1):
+                rows, visited = walk_boundary(lam, k)
+                assert visited == enumerate_level(lam, k).candidates_visited
+                assert set(PointView(rows, k)) == brute_boundary(lam, k)
+                assert sorted(map(tuple, rows.tolist()), reverse=True) == \
+                    list(map(tuple, rows.tolist()))
+                odd = (rows & 1).any(axis=1) if k else np.ones(len(rows), bool)
+                assert np.array_equal(rows[odd],
+                                      enumerate_level(lam, k).points.numerators)
+                if k:
+                    assert np.array_equal(rows[~odd] >> 1, below)
+                below = rows
 
     def test_oracle_equivalence(self, diagrams):
         cases = [(lam, 2) for lam in diagrams.values()] + [

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qusc import (Scattering, YoungDiagram, build_scattering,
                   embed_scattering, formats, scattering, verify_scattering)
+from qusc import cli
 from qusc.cli import main
 from qusc.formats import FORMATS, read_scattering, write_scattering
 
@@ -810,6 +811,24 @@ class TestCliQuery:
                        "--point", "10,5,5,0", "--metric", "cosine") == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["distances"][0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_refused_call_leaves_the_cached_parser_as_new(self, centers_file,
+                                                          capsys):
+        """main reuses one parser per process: a call it refuses (--k x,
+        exit 2) leaves the next valid query printing what it prints on a
+        fresh parser."""
+        query = ["query", "--centers", str(centers_file), "--point",
+                 "1.9,1.1,0.9,0.1", "--k", "3"]
+        outputs = []
+        for refused_first in (False, True):
+            cli.build_parser.cache_clear()
+            if refused_first:
+                assert main(query[:-1] + ["x"]) == 2
+                assert "--k" in capsys.readouterr().err
+            assert main(query) == 0
+            outputs.append(capsys.readouterr())
+            assert cli.build_parser() is cli.build_parser()
+        assert outputs[0] == outputs[1] and outputs[0].out
 
     def test_thousand_point_stream_with_verify(self, centers_file, monkeypatch,
                                                capsys):

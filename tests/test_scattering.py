@@ -453,6 +453,53 @@ class TestMatrixBuild:
         assert s.centers == build_scattering(diagrams[(3, 2, 1)],
                                              s.levels_built).centers[:1000]
 
+    @pytest.mark.parametrize("rows,levels", [
+        ((2, 1, 1), 3), *(((3, 2, 1), L) for L in range(7)),
+        *(((2, 2, 1, 1), L) for L in range(5)), ((3, 2, 1, 1, 1, 1), 1),
+        ((2, 1, 1, 1, 1, 1, 1, 1), 2), ((2, 1, 0, 0, 0, 0, 0, 0), 1),
+        ((1,), 3), ((2,), 3), ((1, 1), 3)])
+    def test_one_walk_matches_the_levels_walked_apart(self, rows, levels):
+        """An uncut build, peeled off one walk, a build cut at its total and
+        the level sets of enumerate_level, each one's orbits merged and
+        shifted to the scale of the last that holds centers, agree."""
+        lam = YoungDiagram.from_rows(rows)
+        blocks = []
+        for k in range(levels + 1):
+            dominant = enumerate_level(lam, k).points.numerators
+            size = int(_orbit_sizes(dominant).sum())
+            blocks.append(_orbit_block(dominant, np.empty((size, lam.dim),
+                                                          dtype=np.int64)))
+        top = max((k for k, b in enumerate(blocks) if len(b)), default=0)
+        want = np.concatenate([b << (top - k) for k, b in
+                               enumerate(blocks[:top + 1])])
+        whole = build_scattering(lam, levels)
+        for s in (whole, build_scattering(lam, levels, max_points=len(whole))):
+            assert np.array_equal(s.numerators, want), (rows, levels)
+            assert s.levels_built == top, (rows, levels)
+
+    def test_walks_one_level_uncut_and_up_to_the_cut(self, diagrams,
+                                                     monkeypatch):
+        """An uncut build walks its top level alone; a cut one walks up
+        from level 0 and stops at the first walk that holds max_points
+        centers."""
+        lam, walked = diagrams[(3, 2, 1)], []
+        walk = scattering.walk_boundary
+
+        def counted(diagram, k):
+            walked.append(k)
+            return walk(diagram, k)
+
+        monkeypatch.setattr(scattering, "walk_boundary", counted)
+        build_scattering(lam, 5)
+        assert walked == [5]
+        # the walks of levels 0, 1 and 2 hold 32, 122 and 482 centers
+        for max_points, t in ((1, 0), (32, 0), (33, 1), (122, 1), (482, 2),
+                              (483, 3), (10 ** 9, 5)):
+            walked.clear()
+            s = build_scattering(lam, 5, max_points=max_points)
+            assert walked == list(range(t + 1)), max_points
+            assert s.levels_built == t and len(s) == min(max_points, 30722)
+
     def test_orbits_beyond_64_coordinates(self):
         # 66 coordinates: run patterns no longer fit one int64 bit word
         s = build_scattering(YoungDiagram.from_rows((1,) * 65), 0)
